@@ -17,7 +17,6 @@ from .core import (
     ToleranceBreakdownError,
     as_hermitian,
     as_psd,
-    canonical_factor,
     comparable,
     eig_hermitian,
     hermitian_part,
@@ -54,7 +53,6 @@ from .lebesgue import (
     LebesgueParts,
     absolutely_continuous,
     ac_part,
-    lebesgue_decompose,
     mutually_singular,
     parallel_sum,
 )

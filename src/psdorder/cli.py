@@ -7,7 +7,8 @@ Matrices travel as JSON files::
 
 Complex entries are ``[re, im]`` pairs; vectors use the same envelope with
 a flat ``data`` list.  Plain CSV is accepted for real symmetric matrix
-input.  A Hermiticity violation beyond tolerance is a load error.
+input.  A Hermiticity violation beyond tolerance or a non-finite entry
+(NaN, infinity) is a load error.
 
 Every verdict is emitted as a report that embeds its inputs (path, SHA-256
 digest, and the parsed matrix) and its witness matrices together with the
@@ -16,7 +17,8 @@ its serialized form alone.  With ``--json`` the report is printed as
 canonical JSON (sorted keys), which is byte-identical across runs for
 identical inputs and seed; the human-readable form adds the runtime.
 
-Exit codes: 0 success, 1 I/O or parse errors, 2 precondition rejection.
+Exit codes: 0 success, 1 I/O or parse errors, 2 precondition rejection,
+3 internal tolerance breakdown (`ToleranceBreakdownError`).
 """
 
 from __future__ import annotations
@@ -178,9 +180,11 @@ def load_vector_file(path: str, tol: Tolerance) -> LoadedValue:
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     try:
-        v = obj_to_vector(json.loads(raw.decode("utf-8")))
+        v = core.as_vector(obj_to_vector(json.loads(raw.decode("utf-8"))))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot parse {path}: {exc}") from exc
+    except MatrixError as exc:
+        raise CliInputError(f"load error for {path}: {exc}") from exc
     return LoadedValue(
         "vector",
         v,
@@ -700,7 +704,7 @@ def main(argv=None) -> int:
         return 1
     except ToleranceBreakdownError as exc:
         sys.stderr.write(f"internal diagnostic failure: {exc}\n")
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Everything downstream (strength functions, Lebesgue decomposition, lattice
 decisions) reduces to the primitives in this module: a Hermitian
 eigendecomposition, pseudo-inverses and square roots built from it, range
 projectors, and Loewner-order comparisons.  All rank and positivity
-decisions go through one `Tolerance` so that the answers are consistent
-with each other.
+decisions go through one `Tolerance`, applied by `EigDecomp` alone, so
+that the answers are consistent with each other.  Functions that only read
+an operand's spectrum also accept its `EigDecomp`.
 
 Matrices are plain square numpy arrays, accepted as anything
 ``np.asarray`` can digest.  Inputs are validated to be Hermitian up to a
@@ -32,7 +33,6 @@ __all__ = [
     "Comparison",
     "as_matrix",
     "as_vector",
-    "hermitian_defect",
     "hermitian_part",
     "as_hermitian",
     "eig_hermitian",
@@ -46,7 +46,6 @@ __all__ = [
     "loewner_leq",
     "comparable",
     "rank_one",
-    "canonical_factor",
 ]
 
 
@@ -113,27 +112,25 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix."""
+    """Coerce to a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise DimensionMismatchError("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(a)):
+        raise MatrixError("matrix entries must be finite (no NaN or infinity)")
     return a
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce to a 1-d complex vector."""
+    """Coerce to a 1-d complex vector with finite entries."""
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise MatrixError("vector entries must be finite (no NaN or infinity)")
     return v
-
-
-def hermitian_defect(m) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    a = as_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T)))
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -164,7 +161,8 @@ class EigDecomp:
     ``eigenvalues`` are real and ascending, ``vectors`` holds the matching
     orthonormal eigenvectors in its columns, and ``source_scale`` is
     ``max(1, max|eigenvalue|)`` of the decomposed matrix, the scale used for
-    tolerance decisions about it.
+    tolerance decisions about it.  The rank cutoff (`kept`) and the PSD
+    floor (`is_psd`) are applied here and nowhere else.
     """
 
     eigenvalues: np.ndarray
@@ -190,14 +188,42 @@ class EigDecomp:
     def psd_floor(self, tol: Tolerance = DEFAULT_TOL) -> float:
         return tol.rel * self.source_scale
 
+    def kept(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """Mask of the eigenvalues above the rank cutoff (the numeric range)."""
+        return self.eigenvalues > self.rank_cutoff(tol)
+
+    def range_basis(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        return self.vectors[:, self.kept(tol)]
+
+    def projector(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        basis = self.range_basis(tol)
+        return hermitian_part(basis @ basis.conj().T)
+
+    def pinv_power(self, p: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """Pseudo-inverse of the ``p``-th power: kept eigenvalues become ``w^-p``."""
+        keep = self.kept(tol)
+        return self.apply(lambda w: np.where(keep, 1.0 / np.where(keep, w, 1.0) ** p, 0.0))
+
+    def is_psd(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+        return float(self.eigenvalues[0]) >= -self.psd_floor(tol)
+
+    def require_psd(self, tol: Tolerance = DEFAULT_TOL) -> "EigDecomp":
+        """This decomposition, or `NotPsdError` if the matrix is not PSD."""
+        if not self.is_psd(tol):
+            raise NotPsdError(float(self.eigenvalues[0]), self.psd_floor(tol))
+        return self
+
 
 def eig_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> EigDecomp:
     """Eigendecomposition of a Hermitian matrix, deterministic for fixed input.
 
     Rejects inputs whose asymmetry exceeds the tolerance.  Eigenvector
     phases are normalized (largest-magnitude component real positive) so
-    that witnesses built from them are reproducible.
+    that witnesses built from them are reproducible.  An `EigDecomp` is
+    returned unchanged.
     """
+    if isinstance(m, EigDecomp):
+        return m
     h = as_hermitian(m, tol)
     w, v = np.linalg.eigh(h)
     # Largest component of a unit column is nonzero, so the division is safe.
@@ -210,33 +236,23 @@ def eig_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> EigDecomp:
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the minimum eigenvalue clears ``-rel * max(1, max|eig|)``."""
-    dec = eig_hermitian(m, tol)
-    return float(dec.eigenvalues[0]) >= -dec.psd_floor(tol)
+    return eig_hermitian(m, tol).is_psd(tol)
 
 
 def as_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate PSD-ness and return the symmetrized matrix (entries unchanged)."""
     h = as_hermitian(m, tol)
-    dec = eig_hermitian(h, tol)
-    lo = float(dec.eigenvalues[0])
-    floor = dec.psd_floor(tol)
-    if lo < -floor:
-        raise NotPsdError(lo, floor)
+    eig_hermitian(h, tol).require_psd(tol)
     return h
 
 
-def _eig_psd(m, tol: Tolerance) -> EigDecomp:
-    dec = eig_hermitian(m, tol)
-    lo = float(dec.eigenvalues[0])
-    floor = dec.psd_floor(tol)
-    if lo < -floor:
-        raise NotPsdError(lo, floor)
-    return dec
-
-
 def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Unique PSD square root.  Rejects matrices with a negative eigenvalue."""
-    dec = _eig_psd(a, tol)
+    """Unique PSD square root.  Rejects matrices with a negative eigenvalue.
+
+    This is also the canonical factor ``J = J*`` with ``J J* = a``, so the
+    quadratic form identity ``x* a x = ||J x||^2`` holds for every ``x``.
+    """
+    dec = eig_hermitian(a, tol).require_psd(tol)
     return dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
@@ -245,40 +261,27 @@ def pinv_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Eigenvalues at or below the rank cutoff are nulled, the rest inverted.
     """
-    dec = eig_hermitian(a, tol)
-    cut = dec.rank_cutoff(tol)
-    return dec.apply(lambda w: np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0))
+    return eig_hermitian(a, tol).pinv_power(1.0, tol)
 
 
 def pinv_sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pseudo-inverse of the PSD square root (same rank cutoff as `pinv_psd`)."""
-    dec = eig_hermitian(a, tol)
-    cut = dec.rank_cutoff(tol)
-    return dec.apply(
-        lambda w: np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
-    )
+    return eig_hermitian(a, tol).pinv_power(0.5, tol)
 
 
 def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of eigenvalues above the rank cutoff."""
-    dec = eig_hermitian(a, tol)
-    return int(np.count_nonzero(dec.eigenvalues > dec.rank_cutoff(tol)))
+    return int(np.count_nonzero(eig_hermitian(a, tol).kept(tol)))
 
 
 def range_projector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD matrix (numeric rank)."""
-    dec = eig_hermitian(a, tol)
-    keep = dec.eigenvalues > dec.rank_cutoff(tol)
-    v = dec.vectors[:, keep]
-    return hermitian_part(v @ v.conj().T)
+    return eig_hermitian(a, tol).projector(tol)
 
 
 def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Loewner order: ``a <= b`` iff ``b - a`` is PSD."""
-    ma = as_matrix(a)
-    mb = as_matrix(b)
-    _same_dim(ma, mb)
-    return is_psd(mb - ma, tol)
+    return comparable(a, b, tol) in (Comparison.LEQ, Comparison.EQUAL)
 
 
 class Comparison(Enum):
@@ -289,9 +292,16 @@ class Comparison(Enum):
 
 
 def comparable(a, b, tol: Tolerance = DEFAULT_TOL) -> Comparison:
-    """Classify the pair under the Loewner order."""
-    le = loewner_leq(a, b, tol)
-    ge = loewner_leq(b, a, tol)
+    """Classify the pair under the Loewner order.
+
+    ``b - a`` and ``a - b`` share one decomposition and one PSD floor.
+    """
+    ma = as_matrix(a)
+    mb = as_matrix(b)
+    _same_dim(ma, mb)
+    dec = eig_hermitian(mb - ma, tol)
+    le = dec.is_psd(tol)
+    ge = float(dec.eigenvalues[-1]) <= dec.psd_floor(tol)
     if le and ge:
         return Comparison.EQUAL
     if le:
@@ -311,12 +321,3 @@ def rank_one(f) -> np.ndarray:
     if float(np.linalg.norm(v)) == 0.0:
         raise MatrixError("rank_one requires a non-zero vector")
     return np.outer(v, v.conj())
-
-
-def canonical_factor(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Canonical PSD factor ``J`` with ``J J* = a``.
-
-    In the matrix model the factor is the PSD square root, so the quadratic
-    form identity ``x* a x = ||J x||^2`` holds for every ``x``.
-    """
-    return sqrt_psd(a, tol)

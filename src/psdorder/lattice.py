@@ -162,9 +162,12 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         )
     ta = core.hermitian_part(ht - ha)
     tb = core.hermitian_part(ht - hb)
-    if not core.is_psd(ta, tol):
+    # Every PSD check, rank, projector and strength below reads these two.
+    dta = core.eig_hermitian(ta, tol)
+    if not dta.is_psd(tol):
         raise MatrixError("precondition failed: t >= a does not hold")
-    if not core.is_psd(tb, tol):
+    dtb = core.eig_hermitian(tb, tol)
+    if not dtb.is_psd(tol):
         raise MatrixError("precondition failed: t >= b does not hold")
     scale = max(1.0, float(np.max(np.abs(ht))))
     if float(np.max(np.abs(ta))) <= tol.rel * scale:
@@ -172,13 +175,11 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if float(np.max(np.abs(tb))) <= tol.rel * scale:
         raise MatrixError("precondition failed: t coincides with b within tolerance")
 
-    if not lebesgue.mutually_singular(ta, tb, tol):
+    if not lebesgue.mutually_singular(dta, dtb, tol):
         # Shared range direction: strength along it is positive for both gaps.
-        pa = core.range_projector(ta, tol)
-        pb = core.range_projector(tb, tol)
-        dec = core.eig_hermitian(pa + pb, tol)
+        dec = core.eig_hermitian(dta.projector(tol) + dtb.projector(tol), tol)
         e = dec.vectors[:, -1]
-        lam = min(strength(ta, e, tol).value, strength(tb, e, tol).value)
+        lam = min(strength(dta, e, tol).value, strength(dtb, e, tol).value)
         if lam <= 0.0:
             raise ToleranceBreakdownError(
                 "shared range direction carries no strength; rank tests disagree"
@@ -187,12 +188,10 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         s = ht - lam * core.rank_one(e) + core.rank_one(f)
     else:
         # Disjoint ranges: strength-scaled rays from each gap.
-        dec_a = core.eig_hermitian(ta, tol)
-        u = dec_a.vectors[:, -1]
-        e = np.sqrt(strength(ta, u, tol).value) * u
-        dec_b = core.eig_hermitian(tb, tol)
-        v = dec_b.vectors[:, -1]
-        f = np.sqrt(strength(tb, v, tol).value) * v
+        u = dta.vectors[:, -1]
+        e = np.sqrt(strength(dta, u, tol).value) * u
+        v = dtb.vectors[:, -1]
+        f = np.sqrt(strength(dtb, v, tol).value) * v
         ef = np.outer(e, f.conj())
         s0 = core.rank_one(e) + 2.0 * ef + 2.0 * ef.conj().T + core.rank_one(f)
         s = ht + s0 / 3.0
@@ -209,16 +208,12 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     ha = core.as_hermitian(a, tol)
     hb = core.as_hermitian(b, tol)
     core._same_dim(ha, hb)
-    s = core.hermitian_part(ha + hb)
-    dec = core.eig_hermitian(s, tol)
-    cut = dec.rank_cutoff(tol)
-    keep = dec.eigenvalues > cut
-    j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * (w > cut))
-    pinv_sqrt = dec.apply(
-        lambda w: np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
-    )
-    basis = dec.vectors[:, keep]
-    proj = core.hermitian_part(basis @ basis.conj().T)
+    dec = core.eig_hermitian(ha + hb, tol)
+    keep = dec.kept(tol)
+    j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * keep)
+    pinv_sqrt = dec.pinv_power(0.5, tol)
+    basis = dec.range_basis(tol)
+    proj = dec.projector(tol)
     a_tilde = core.hermitian_part(pinv_sqrt @ ha @ pinv_sqrt)
     b_tilde = core.hermitian_part(pinv_sqrt @ hb @ pinv_sqrt)
     return Compression(a_tilde, b_tilde, j, proj, basis)
@@ -258,9 +253,11 @@ def spectral_criterion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     entirely in ``[0, 1/2]`` or entirely in ``[1/2, 1]`` (within tolerance).
     Rejects pairs that are not mutually absolutely continuous.
     """
+    da = core.eig_hermitian(a, tol)
+    db = core.eig_hermitian(b, tol)
     if not (
-        lebesgue.absolutely_continuous(a, b, tol)
-        and lebesgue.absolutely_continuous(b, a, tol)
+        lebesgue.absolutely_continuous(da, db, tol)
+        and lebesgue.absolutely_continuous(db, da, tol)
     ):
         raise MatrixError(
             "spectral criterion requires mutually absolutely continuous inputs"
@@ -276,22 +273,29 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     The reduction replaces ``(a, b)`` by the mutually absolutely continuous
     pair ``(a', b')`` of maximal parts; when those are comparable, the
     smaller one is the infimum and agrees with the spectral candidate.
-    Otherwise the verdict carries an `ando_witness`.
+    Otherwise the verdict carries an `ando_witness`, built from the same
+    reduced pair.
     """
-    ap = lebesgue.ac_part(a, b, tol).ac
-    bp = lebesgue.ac_part(b, a, tol).ac
+    ap, bp = _reduced_pair(a, b, tol)
     cand = ando_candidate(a, b, tol)
     cmp = core.comparable(ap, bp, tol)
     if cmp is not Comparison.INCOMPARABLE:
         inf = ap if cmp in (Comparison.LEQ, Comparison.EQUAL) else bp
         return InfimumVerdict(True, inf, cand, None, ap, bp)
     try:
-        witness = ando_witness(a, b, tol)
+        witness = _straddle_witness(ap, bp, tol)
     except MatrixError as exc:
         raise ToleranceBreakdownError(
             f"parts are incomparable but no spectral witness exists: {exc}"
         ) from exc
     return InfimumVerdict(False, None, cand, witness, ap, bp)
+
+
+def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal parts ``([b]a, [a]b)``, each operand decomposed once."""
+    da = core.eig_hermitian(a, tol)
+    db = core.eig_hermitian(b, tol)
+    return lebesgue.ac_part(da, db, tol).ac, lebesgue.ac_part(db, da, tol).ac
 
 
 def _window_margin(w: np.ndarray) -> float:
@@ -322,8 +326,11 @@ def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     when no window pair is populated: then the spectrum is one-sided and
     the infimum exists, violating the precondition.
     """
-    ap = lebesgue.ac_part(a, b, tol).ac
-    bp = lebesgue.ac_part(b, a, tol).ac
+    return _straddle_witness(*_reduced_pair(a, b, tol), tol)
+
+
+def _straddle_witness(ap: np.ndarray, bp: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """`ando_witness` for an already reduced pair ``(a', b')``."""
     comp = compress(ap, bp, tol)
     w, vecs = _active_spectrum(comp, tol)
 

@@ -29,7 +29,6 @@ __all__ = [
     "mutually_singular",
     "parallel_sum",
     "ac_part",
-    "lebesgue_decompose",
 ]
 
 
@@ -49,11 +48,11 @@ class LebesgueParts:
 
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran b`` is contained in ``ran a`` (so ``b << a``)."""
-    hb = core.as_hermitian(b, tol)
-    ha = core.as_hermitian(a, tol)
-    core._same_dim(ha, hb)
-    pa = core.range_projector(ha, tol)
-    pb = core.range_projector(hb, tol)
+    db = core.eig_hermitian(b, tol)
+    da = core.eig_hermitian(a, tol)
+    core._same_dim(da.vectors, db.vectors)
+    pa = da.projector(tol)
+    pb = db.projector(tol)
     eye = np.eye(pa.shape[0])
     return float(np.linalg.norm((eye - pa) @ pb, 2)) <= tol.rel
 
@@ -64,14 +63,12 @@ def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     Tested through rank additivity: the ranks of ``a`` and ``b`` must add
     up to the rank of the projector onto ``ran a + ran b``.
     """
-    ha = core.as_hermitian(a, tol)
-    hb = core.as_hermitian(b, tol)
-    core._same_dim(ha, hb)
-    ra = core.numeric_rank(ha, tol)
-    rb = core.numeric_rank(hb, tol)
-    pa = core.range_projector(ha, tol)
-    pb = core.range_projector(hb, tol)
-    rsum = core.numeric_rank(pa + pb, tol)
+    da = core.eig_hermitian(a, tol)
+    db = core.eig_hermitian(b, tol)
+    core._same_dim(da.vectors, db.vectors)
+    ra = core.numeric_rank(da, tol)
+    rb = core.numeric_rank(db, tol)
+    rsum = core.numeric_rank(da.projector(tol) + db.projector(tol), tol)
     return ra + rb == rsum
 
 
@@ -152,11 +149,11 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     satisfying ``ac <= b`` and ``ac << a``.  Alternative (non-maximal)
     decompositions exist in general and are not enumerated.
     """
-    hb = core.as_hermitian(b, tol)
-    ha = core.as_hermitian(a, tol)
-    core._same_dim(ha, hb)
-    r = core.sqrt_psd(hb, tol)
-    pa = core.range_projector(ha, tol)
+    db = core.eig_hermitian(b, tol)
+    da = core.eig_hermitian(a, tol)
+    core._same_dim(da.vectors, db.vectors)
+    r = core.sqrt_psd(db, tol)
+    pa = da.projector(tol)
     eye = np.eye(r.shape[0])
     # Kernel of (1 - pa) r computed from the PSD product r (1 - pa) r to
     # avoid forming non-Hermitian intermediates.
@@ -165,6 +162,3 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     ac = core.hermitian_part(r @ p @ r)
     sing = core.hermitian_part(r @ (eye - p) @ r)
     return LebesgueParts(ac, sing, p)
-
-
-lebesgue_decompose = ac_part

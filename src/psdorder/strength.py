@@ -62,8 +62,7 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
         raise core.DimensionMismatchError(
             f"dimension mismatch: matrix is {dec.n}, ray has {v.size}"
         )
-    cut = dec.rank_cutoff(tol)
-    keep = dec.eigenvalues > cut
+    keep = dec.kept(tol)
     coeff = dec.vectors.conj().T @ v
     outside = float(np.linalg.norm(coeff[~keep]))
     if not keep.any() or outside > tol.rel * max(1.0, nf):
@@ -113,9 +112,9 @@ def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     ha = core.as_hermitian(a, tol)
     hb = core.as_hermitian(b, tol)
     core._same_dim(ha, hb)
-    if core.loewner_leq(ha, hb, tol):
-        return None
     dec = core.eig_hermitian(hb - ha, tol)
+    if dec.is_psd(tol):
+        return None
     floor = dec.psd_floor(tol)
     entry_scale = max(1.0, float(np.max(np.abs(ha))))
     for i in range(dec.n):
@@ -154,8 +153,8 @@ def strength_dominates(
         raise MatrixError("samples must be at least 1")
     ha = core.as_hermitian(a, tol)
     hb = core.as_hermitian(b, tol)
-    core._same_dim(ha, hb)
-    verdict = core.loewner_leq(ha, hb, tol)
+    ray = order_witness(ha, hb, tol)
+    verdict = ray is None
     if verdict:
         rng = np.random.default_rng(seed)
         n = ha.shape[0]
@@ -172,9 +171,8 @@ def strength_dominates(
                     f"({la} > {lb})"
                 )
     else:
-        f = order_witness(ha, hb, tol)
-        la = strength(ha, f, tol).value
-        lb = strength(hb, f, tol).value
+        la = strength(ha, ray, tol).value
+        lb = strength(hb, ray, tol).value
         if not la > lb:
             raise ToleranceBreakdownError(
                 "order witness failed to produce a strength gap"

@@ -147,6 +147,34 @@ class TestExitCodes:
     def test_selftest_zero_trials(self, capsys):
         assert cli.main(["selftest", "--trials", "0"]) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_json_matrix_is_load_error(self, capsys, files, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "complex": False, "data": [[bad, 0.0], [0.0, 1.0]]}))
+        assert cli.main(["leq", "--a", str(path), "--b", files["id2"]]) == 1
+        assert cli.main(["inf", "--a", files["id2"], "--b", str(path)]) == 1
+        assert "load error" in capsys.readouterr().err
+
+    def test_nan_csv_matrix_is_load_error(self, capsys, files, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("nan,0.0\n0.0,1.0\n")
+        assert cli.main(["inf", "--a", str(path), "--b", files["id2"]]) == 1
+        assert "load error" in capsys.readouterr().err
+
+    def test_nan_vector_is_load_error(self, capsys, files, tmp_path):
+        path = tmp_path / "bad_ray.json"
+        path.write_text(json.dumps({"n": 2, "complex": False, "data": [float("nan"), 1.0]}))
+        assert cli.main(["strength", "--a", files["id2"], "--f", str(path)]) == 1
+        assert "load error" in capsys.readouterr().err
+
+    def test_tolerance_breakdown_exit_status(self, capsys, files, monkeypatch):
+        def breakdown(*args, **kwargs):
+            raise po.ToleranceBreakdownError("forced")
+
+        monkeypatch.setattr(cli.lattice, "inf_exists", breakdown)
+        assert cli.main(["inf", "--a", files["d21"], "--b", files["d12"]]) == 3
+        assert "internal diagnostic failure: forced" in capsys.readouterr().err
+
 
 class TestCsv:
     def test_real_symmetric_csv(self, capsys, tmp_path, files):

@@ -43,6 +43,53 @@ class TestEigHermitian:
             po.eig_hermitian(np.zeros((2, 3)))
 
 
+class TestEigDecompReads:
+    def test_primitives_accept_a_decomposition(self, rng):
+        m = sampling.random_psd(rng, 4, rank=3)
+        dec = po.eig_hermitian(m)
+        assert po.eig_hermitian(dec) is dec
+        for fn in (po.is_psd, po.sqrt_psd, po.pinv_psd, po.pinv_sqrt_psd,
+                   po.numeric_rank, po.range_projector):
+            assert np.array_equal(fn(dec), fn(m)), fn.__name__
+
+    def test_pinv_power(self):
+        dec = po.eig_hermitian(np.diag([4.0, 0.0, 1.0]))
+        np.testing.assert_allclose(dec.pinv_power(1.0), np.diag([0.25, 0.0, 1.0]), atol=1e-15)
+        np.testing.assert_allclose(dec.pinv_power(0.5), np.diag([0.5, 0.0, 1.0]), atol=1e-15)
+        assert dec.kept().tolist() == [False, True, True]
+        assert dec.range_basis().shape == (3, 2)
+
+    def test_require_psd(self):
+        dec = po.eig_hermitian(np.diag([1.0, -0.5]))
+        with pytest.raises(po.NotPsdError) as info:
+            dec.require_psd()
+        assert info.value.min_eigenvalue == pytest.approx(-0.5)
+        ok = po.eig_hermitian(np.eye(2))
+        assert ok.require_psd() is ok
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_by_coercion(self, bad):
+        m = np.eye(2)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(po.MatrixError):
+            po.core.as_matrix(m)
+        with pytest.raises(po.MatrixError):
+            po.core.as_vector([1.0, bad])
+
+    def test_decisions_reject_nan_instead_of_answering(self):
+        nan = np.diag([np.nan, 1.0])
+        with pytest.raises(po.MatrixError):
+            po.as_hermitian(nan)
+        with pytest.raises(po.MatrixError):
+            po.comparable(nan, np.eye(2))
+        with pytest.raises(po.MatrixError):
+            po.strength(nan, [1.0, 0.0])
+        with pytest.raises(po.MatrixError):
+            po.strength(np.eye(2), [np.nan, 1.0])
+
+
 class TestIsPsd:
     def test_diag_psd(self):
         assert po.is_psd(np.diag([1.0, 0.0]))
@@ -184,17 +231,19 @@ class TestRankOne:
 
 
 class TestCanonicalFactor:
+    """The canonical factor ``J`` with ``J J* = a`` is the PSD square root."""
+
     def test_identity(self):
-        np.testing.assert_allclose(po.canonical_factor(np.eye(2)), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(po.sqrt_psd(np.eye(2)), np.eye(2), atol=1e-14)
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            po.canonical_factor(np.diag([9.0, 4.0])), np.diag([3.0, 2.0]), atol=1e-14
+            po.sqrt_psd(np.diag([9.0, 4.0])), np.diag([3.0, 2.0]), atol=1e-14
         )
 
     def test_quadratic_form_identity(self, rng):
         a = sampling.random_psd(rng, 4)
-        j = po.canonical_factor(a)
+        j = po.sqrt_psd(a)
         sc = eig_scale(a)
         np.testing.assert_allclose(j @ j.conj().T, a, atol=1e-12 * sc)
         for _ in range(5):

@@ -14,8 +14,11 @@ Regenerate the fixture only when a change of the reports is intended::
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,7 @@ def _decision(report: dict) -> dict:
 
 
 def _same(x, y) -> bool:
-    """Structural equality; floats (other than bools and ints) to FLOAT_RTOL."""
+    """Structural equality, with float leaves compared to FLOAT_RTOL."""
     if isinstance(x, float) or isinstance(y, float):
         return (
             isinstance(x, (int, float))
@@ -199,9 +202,6 @@ def _build_cases() -> list:
 
 
 def _record(tmp_path: Path) -> list:
-    import contextlib
-    import io
-
     recorded = []
     for case in _build_cases():
         paths = _write_inputs(tmp_path, case["inputs"])
@@ -215,8 +215,6 @@ def _record(tmp_path: Path) -> list:
 
 
 if __name__ == "__main__":
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         cases = _record(Path(tmp))
     FIXTURE.parent.mkdir(exist_ok=True)

@@ -90,9 +90,6 @@ class TestAcPart:
         assert np.max(np.abs(parts.ac)) <= 1e-12
         np.testing.assert_allclose(parts.sing, b, atol=1e-12)
 
-    def test_alias(self):
-        assert po.lebesgue_decompose is po.ac_part
-
     def test_contracts_random(self, rng):
         for _ in range(15):
             n = int(rng.integers(1, 7))
