@@ -5,10 +5,16 @@ Matrices travel as JSON files::
     {"n": 2, "complex": true,  "data": [[[1.0, 0.0], [0.0, -1.0]], ...]}
     {"n": 2, "complex": false, "data": [[1.0, 0.0], [0.0, 1.0]]}
 
-Complex entries are ``[re, im]`` pairs; vectors use the same envelope with
-a flat ``data`` list.  Plain CSV is accepted for real symmetric matrix
-input.  A Hermiticity violation beyond tolerance or a non-finite entry
-(NaN, infinity) is a load error.
+Vectors use the same envelope with a flat ``data`` list::
+
+    {"n": 2, "complex": false, "data": [1.0, 0.0]}
+
+Complex entries are ``[re, im]`` pairs.  `to_obj` writes this envelope for
+either kind and `from_obj` reads it back for a given kind (``"matrix"`` or
+``"vector"``, as report nodes record it).  Plain CSV is accepted for real
+symmetric matrix input.  A Hermiticity violation beyond tolerance or a
+non-finite entry (NaN, infinity) is a load error.  ``--tol REAL`` sets
+``rel = REAL`` and ``abs = REAL / 100``; REAL must be finite and positive.
 
 Every verdict is emitted as a report that embeds its inputs (path, SHA-256
 digest, and the parsed matrix) and its witness matrices together with the
@@ -42,10 +48,8 @@ __all__ = [
     "run",
     "CliInputError",
     "reverify_report",
-    "matrix_to_obj",
-    "obj_to_matrix",
-    "vector_to_obj",
-    "obj_to_vector",
+    "to_obj",
+    "from_obj",
 ]
 
 SUPREMUM_DELTA_SCALE = 1e-6  # delta = 1e-6 * (1 + lambda) in supremum claims
@@ -60,65 +64,37 @@ class CliInputError(Exception):
 # matrix / vector serialization
 
 
-def matrix_to_obj(m) -> dict:
-    a = core.as_matrix(m)
-    n = a.shape[0]
+def to_obj(x) -> dict:
+    """JSON envelope of a matrix (2-d) or vector (1-d) with finite entries."""
+    a = core.as_matrix(x) if np.ndim(x) == 2 else core.as_vector(x)
     if np.any(a.imag != 0.0):
-        data = [[[float(a[i, j].real), float(a[i, j].imag)] for j in range(n)] for i in range(n)]
-        return {"n": n, "complex": True, "data": data}
-    data = [[float(a[i, j].real) for j in range(n)] for i in range(n)]
-    return {"n": n, "complex": False, "data": data}
+        return {"n": a.shape[0], "complex": True, "data": np.stack([a.real, a.imag], -1).tolist()}
+    return {"n": a.shape[0], "complex": False, "data": a.real.tolist()}
 
 
-def vector_to_obj(v) -> dict:
-    x = core.as_vector(v)
-    if np.any(x.imag != 0.0):
-        return {
-            "n": x.size,
-            "complex": True,
-            "data": [[float(c.real), float(c.imag)] for c in x],
-        }
-    return {"n": x.size, "complex": False, "data": [float(c.real) for c in x]}
-
-
-def _entry(value, complex_entries: bool) -> complex:
-    if complex_entries:
-        if not (isinstance(value, list) and len(value) == 2):
-            raise CliInputError("complex entries must be [re, im] pairs")
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    raise CliInputError("real entries must be bare numbers")
-
-
-def obj_to_matrix(obj) -> np.ndarray:
-    try:
-        n = int(obj["n"])
-        cplx = bool(obj["complex"])
-        rows = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"malformed matrix object: {exc}") from exc
-    if not isinstance(rows, list) or len(rows) != n:
-        raise CliInputError(f"matrix data must have {n} rows")
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise CliInputError(f"matrix row {i} must have {n} entries")
-        for j, value in enumerate(row):
-            out[i, j] = _entry(value, cplx)
-    return out
-
-
-def obj_to_vector(obj) -> np.ndarray:
+def from_obj(obj, kind: str) -> np.ndarray:
+    """Complex array decoded from a JSON envelope of `kind` ("matrix" or "vector")."""
     try:
         n = int(obj["n"])
         cplx = bool(obj["complex"])
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"malformed vector object: {exc}") from exc
-    if not isinstance(data, list) or len(data) != n:
-        raise CliInputError(f"vector data must have {n} entries")
-    return np.array([_entry(value, cplx) for value in data], dtype=np.complex128)
+        dims = {"matrix": (n, n), "vector": (n,)}[kind]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CliInputError(f"malformed {kind} object: {exc}") from exc
+    try:
+        parts = np.array(data)
+        # JSON integers beyond int64 give an object array; they are numbers too.
+        if parts.dtype == object and all(type(v) in (int, float) for v in parts.flat):
+            parts = parts.astype(np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged nesting, integer beyond float range
+        raise CliInputError(f"malformed {kind} data: {exc}") from exc
+    # Only bool/int/float arrays hold bare JSON numbers; strings and nulls do not.
+    if parts.shape != dims + ((2,) if cplx else ()) or parts.dtype.kind not in "biuf":
+        entries = "[re, im] pairs" if cplx else "bare numbers"
+        raise CliInputError(f"{kind} data must be a {dims} array of {entries}")
+    if cplx:  # reinterpret the pairs, so that signed zeros survive
+        return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)[..., 0]
+    return parts.astype(np.complex128)
 
 
 def _parse_csv_matrix(text: str) -> np.ndarray:
@@ -145,117 +121,123 @@ class LoadedValue:
     descriptor: dict  # {"path", "sha256", "kind", "value": obj}
 
 
-def _digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
+def _loaded(kind: str, value: np.ndarray, path: str, raw: bytes) -> LoadedValue:
+    digest = hashlib.sha256(raw).hexdigest()
+    return LoadedValue(
+        kind, value, {"path": path, "sha256": digest, "kind": kind, "value": to_obj(value)}
+    )
 
 
-def load_matrix_file(path: str, tol: Tolerance) -> LoadedValue:
+def _load_file(path: str, kind: str, tol: Tolerance) -> LoadedValue:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    if path.endswith(".csv"):
-        m = _parse_csv_matrix(raw.decode("utf-8", errors="replace"))
+    if kind == "matrix" and path.endswith(".csv"):
+        value = _parse_csv_matrix(raw.decode("utf-8", errors="replace"))
     else:
         try:
-            m = obj_to_matrix(json.loads(raw.decode("utf-8")))
+            value = from_obj(json.loads(raw.decode("utf-8")), kind)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliInputError(f"cannot parse {path}: {exc}") from exc
     try:
-        m = core.as_hermitian(m, tol)
+        value = core.as_hermitian(value, tol) if kind == "matrix" else core.as_vector(value)
     except MatrixError as exc:
         raise CliInputError(f"load error for {path}: {exc}") from exc
-    return LoadedValue(
-        "matrix",
-        m,
-        {"path": path, "sha256": _digest(raw), "kind": "matrix", "value": matrix_to_obj(m)},
-    )
+    return _loaded(kind, value, path, raw)
+
+
+def load_matrix_file(path: str, tol: Tolerance) -> LoadedValue:
+    return _load_file(path, "matrix", tol)
 
 
 def load_vector_file(path: str, tol: Tolerance) -> LoadedValue:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
-    try:
-        v = core.as_vector(obj_to_vector(json.loads(raw.decode("utf-8"))))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliInputError(f"cannot parse {path}: {exc}") from exc
-    except MatrixError as exc:
-        raise CliInputError(f"load error for {path}: {exc}") from exc
-    return LoadedValue(
-        "vector",
-        v,
-        {"path": path, "sha256": _digest(raw), "kind": "vector", "value": vector_to_obj(v)},
-    )
+    return _load_file(path, "vector", tol)
 
 
 def memory_value(name: str, value, kind: str = "matrix") -> LoadedValue:
     """Descriptor for an in-memory input (used by the self-test suites)."""
-    obj = matrix_to_obj(value) if kind == "matrix" else vector_to_obj(value)
-    raw = json.dumps(obj, sort_keys=True).encode("utf-8")
-    return LoadedValue(
-        kind,
-        core.as_matrix(value) if kind == "matrix" else core.as_vector(value),
-        {"path": f"<memory:{name}>", "sha256": _digest(raw), "kind": kind, "value": obj},
-    )
+    value = core.as_matrix(value) if kind == "matrix" else core.as_vector(value)
+    raw = json.dumps(to_obj(value), sort_keys=True).encode("utf-8")
+    return _loaded(kind, value, f"<memory:{name}>", raw)
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 
 
-def _report_skeleton(command: str, inputs: dict[str, LoadedValue], tol: Tolerance, seed) -> dict:
-    return {
+def _add_witness(report: dict, name: str, x: np.ndarray) -> None:
+    report["witnesses"][name] = {"kind": "matrix" if x.ndim == 2 else "vector", "value": to_obj(x)}
+
+
+def _report(
+    command: str,
+    inputs: dict[str, LoadedValue],
+    tol: Tolerance,
+    seed,
+    verdict: dict,
+    witnesses: dict,
+    claims: list[dict],
+) -> dict:
+    """Assemble a report; witnesses given as None are left out."""
+    report = {
         "command": command,
         "tolerance": {"rel": tol.rel, "abs": tol.abs},
         "seed": seed,
         "inputs": {name: lv.descriptor for name, lv in inputs.items()},
-        "verdict": {},
+        "verdict": verdict,
         "witnesses": {},
-        "claims": [],
+        "claims": claims,
     }
+    for name, x in witnesses.items():
+        if x is not None:
+            _add_witness(report, name, x)
+    return report
 
 
-def _add_matrix_witness(report: dict, name: str, m) -> str:
-    report["witnesses"][name] = {"kind": "matrix", "value": matrix_to_obj(m)}
-    return f"witness:{name}"
+def _claim(kind: str, subject: str, other: str | None = None) -> dict:
+    claim = {"kind": kind, "subject": subject}
+    if other is not None:
+        claim["other"] = other
+    return claim
 
 
-def _add_vector_witness(report: dict, name: str, v) -> str:
-    report["witnesses"][name] = {"kind": "vector", "value": vector_to_obj(v)}
-    return f"witness:{name}"
+def _versus_inputs(rel: str, ref: str) -> list[dict]:
+    """``ref rel a`` and ``ref rel b``, for rel "leq" or "geq"."""
+    return [_claim(rel, ref, "input:a"), _claim(rel, ref, "input:b")]
 
 
-def _resolve(report: dict, ref: str) -> np.ndarray:
-    domain, _, name = ref.partition(":")
+def _common_bound(rel: str, ref: str) -> list[dict]:
+    """``ref`` is PSD and a common lower ("leq") or upper ("geq") bound of a and b."""
+    return [_claim("psd", ref)] + _versus_inputs(rel, ref)
+
+
+def _resolve(report: dict, ref) -> np.ndarray:
+    domain, _, name = str(ref).partition(":")
     if domain == "input":
         node = report["inputs"][name]
     elif domain == "witness":
         node = report["witnesses"][name]
     else:
         raise CliInputError(f"unknown reference domain in {ref!r}")
-    obj = node["value"]
-    if node["kind"] == "vector":
-        return obj_to_vector(obj)
-    return obj_to_matrix(obj)
+    return from_obj(node["value"], node["kind"])
 
 
 def reverify_report(report: dict) -> list[str]:
     """Re-check every claim of a parsed report; returns failure messages.
 
     Works from the serialized form alone: inputs and witnesses are embedded
-    in the report, and the stated tolerance is used for all checks.
+    in the report, and the stated tolerance is used for all checks.  A
+    malformed claim is reported as a failure, not raised.
     """
     tol = Tolerance(rel=float(report["tolerance"]["rel"]), abs=float(report["tolerance"]["abs"]))
     failures: list[str] = []
     for claim in report.get("claims", []):
-        kind = claim["kind"]
+        kind = claim.get("kind") if isinstance(claim, dict) else None
         try:
             ok = _check_claim(report, claim, tol)
-        except (MatrixError, ToleranceBreakdownError, CliInputError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, CliInputError, ToleranceBreakdownError) as exc:
             failures.append(f"{kind}: error during re-verification: {exc}")
             continue
         if not ok:
@@ -267,56 +249,44 @@ def _norm_scale(*matrices) -> float:
     return max([1.0] + [float(np.max(np.abs(m))) for m in matrices if m.size])
 
 
+def _residual_ok(claim: dict, residual: np.ndarray, *scale_by) -> bool:
+    atol = float(claim.get("atol_scale", CLOSE_ATOL_SCALE))
+    return float(np.max(np.abs(residual))) <= atol * _norm_scale(*scale_by)
+
+
 def _check_claim(report: dict, claim: dict, tol: Tolerance) -> bool:
+    def get(key):
+        return _resolve(report, claim[key])
+
     kind = claim["kind"]
     if kind == "psd":
-        return core.is_psd(_resolve(report, claim["subject"]), tol)
-    if kind == "leq":
-        return core.loewner_leq(
-            _resolve(report, claim["subject"]), _resolve(report, claim["other"]), tol
-        )
-    if kind == "geq":
-        return core.loewner_leq(
-            _resolve(report, claim["other"]), _resolve(report, claim["subject"]), tol
-        )
+        return core.is_psd(get("subject"), tol)
+    if kind in ("leq", "geq"):
+        x, y = get("subject"), get("other")
+        return core.loewner_leq(x, y, tol) if kind == "leq" else core.loewner_leq(y, x, tol)
     if kind == "incomparable":
-        a = _resolve(report, claim["subject"])
-        b = _resolve(report, claim["other"])
-        return core.comparable(a, b, tol) is Comparison.INCOMPARABLE
+        return core.comparable(get("subject"), get("other"), tol) is Comparison.INCOMPARABLE
     if kind == "close":
-        a = _resolve(report, claim["subject"])
-        b = _resolve(report, claim["other"])
-        atol = float(claim.get("atol_scale", CLOSE_ATOL_SCALE))
-        return float(np.max(np.abs(a - b))) <= atol * _norm_scale(a, b)
+        a, b = get("subject"), get("other")
+        return _residual_ok(claim, a - b, a, b)
     if kind == "sum_equals":
         parts = [_resolve(report, ref) for ref in claim["parts"]]
-        total = _resolve(report, claim["total"])
-        atol = float(claim.get("atol_scale", CLOSE_ATOL_SCALE))
-        return float(np.max(np.abs(sum(parts) - total))) <= atol * _norm_scale(total)
+        total = get("total")
+        return _residual_ok(claim, sum(parts) - total, total)
     if kind == "sandwich":
-        outer = _resolve(report, claim["outer"])
-        mid = _resolve(report, claim["mid"])
-        target = _resolve(report, claim["target"])
-        atol = float(claim.get("atol_scale", CLOSE_ATOL_SCALE))
-        return float(np.max(np.abs(outer @ mid @ outer - target))) <= atol * _norm_scale(target)
+        outer, mid, target = get("outer"), get("mid"), get("target")
+        return _residual_ok(claim, outer @ mid @ outer - target, target)
     if kind == "abs_continuous":
-        return lebesgue.absolutely_continuous(
-            _resolve(report, claim["subject"]), _resolve(report, claim["other"]), tol
-        )
+        return lebesgue.absolutely_continuous(get("subject"), get("other"), tol)
     if kind == "singular":
-        return lebesgue.mutually_singular(
-            _resolve(report, claim["subject"]), _resolve(report, claim["other"]), tol
-        )
+        return lebesgue.mutually_singular(get("subject"), get("other"), tol)
     if kind == "sqrt_image":
-        op = _resolve(report, claim["operator"])
-        vec = _resolve(report, claim["vector"])
-        target = _resolve(report, claim["target"])
+        op, vec, target = get("operator"), get("vector"), get("target")
         image = core.sqrt_psd(op, tol) @ vec
         limit = tol.rel * _norm_scale(op) * max(1.0, float(np.linalg.norm(target)))
         return float(np.linalg.norm(image - target)) <= max(limit, tol.abs)
     if kind == "strength_supremum":
-        op = _resolve(report, claim["operator"])
-        ray = _resolve(report, claim["ray"])
+        op, ray = get("operator"), get("ray")
         lam = float(claim["value"])
         ff = core.rank_one(ray)
         delta = SUPREMUM_DELTA_SCALE * (1.0 + lam)
@@ -324,9 +294,7 @@ def _check_claim(report: dict, claim: dict, tol: Tolerance) -> bool:
         above = core.is_psd(op - (lam + delta) * ff, tol)
         return at and not above
     if kind == "strength_gap":
-        hi = _resolve(report, claim["hi"])
-        lo = _resolve(report, claim["lo"])
-        ray = _resolve(report, claim["ray"])
+        hi, lo, ray = get("hi"), get("lo"), get("ray")
         return strength(hi, ray, tol).value > strength(lo, ray, tol).value
     raise CliInputError(f"unknown claim kind {kind!r}")
 
@@ -336,207 +304,137 @@ def _check_claim(report: dict, claim: dict, tol: Tolerance) -> bool:
 
 
 def cmd_strength(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    f = inputs["f"].value
-    result = strength(a, f, tol)
-    report = _report_skeleton("strength", inputs, tol, seed)
-    report["verdict"] = {
+    result = strength(inputs["a"].value, inputs["f"].value, tol)
+    verdict = {
         "lambda": result.value,
         "in_range": result.value > 0.0,
         "optimal_constant": result.constant,
     }
-    report["claims"].append(
+    claims = [
         {"kind": "strength_supremum", "operator": "input:a", "ray": "input:f", "value": result.value}
-    )
+    ]
     if result.witness is not None:
-        ref = _add_vector_witness(report, "xi", result.witness)
-        report["claims"].append(
-            {"kind": "sqrt_image", "operator": "input:a", "vector": ref, "target": "input:f"}
+        claims.append(
+            {"kind": "sqrt_image", "operator": "input:a", "vector": "witness:xi", "target": "input:f"}
         )
-    return report
+    return _report("strength", inputs, tol, seed, verdict, {"xi": result.witness}, claims)
 
 
 def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
     a = inputs["a"].value
     b = inputs["b"].value
     cmp = core.comparable(a, b, tol)
-    verdict = cmp in (Comparison.LEQ, Comparison.EQUAL)
-    report = _report_skeleton("leq", inputs, tol, seed)
-    report["verdict"] = {"leq": verdict, "comparison": cmp.value}
-    if verdict:
-        report["claims"].append({"kind": "leq", "subject": "input:a", "other": "input:b"})
+    leq = cmp in (Comparison.LEQ, Comparison.EQUAL)
+    verdict = {"leq": leq, "comparison": cmp.value}
+    if leq:
+        witnesses, claims = {}, [_claim("leq", "input:a", "input:b")]
     else:
-        ray = order_witness(a, b, tol)
-        ref = _add_vector_witness(report, "ray", ray)
-        report["claims"].append(
-            {"kind": "strength_gap", "hi": "input:a", "lo": "input:b", "ray": ref}
-        )
-    return report
+        witnesses = {"ray": order_witness(a, b, tol)}
+        claims = [{"kind": "strength_gap", "hi": "input:a", "lo": "input:b", "ray": "witness:ray"}]
+    return _report("leq", inputs, tol, seed, verdict, witnesses, claims)
 
 
 def cmd_sup(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
     a = inputs["a"].value
     b = inputs["b"].value
     refute = inputs["t"].value if "t" in inputs else None
-    verdict = lattice.sup_exists(a, b, tol, refute=refute)
-    report = _report_skeleton("sup", inputs, tol, seed)
-    report["verdict"] = {"exists": verdict.exists, "comparison": core.comparable(a, b, tol).value}
-    if verdict.sup is not None:
-        ref = _add_matrix_witness(report, "sup", verdict.sup)
-        report["claims"].append({"kind": "geq", "subject": ref, "other": "input:a"})
-        report["claims"].append({"kind": "geq", "subject": ref, "other": "input:b"})
-    if verdict.witness is not None:
-        ref = _add_matrix_witness(report, "refutation", verdict.witness)
-        report["claims"].extend(
-            [
-                {"kind": "psd", "subject": ref},
-                {"kind": "geq", "subject": ref, "other": "input:a"},
-                {"kind": "geq", "subject": ref, "other": "input:b"},
-                {"kind": "incomparable", "subject": ref, "other": "input:t"},
-            ]
-        )
-    return report
+    result = lattice.sup_exists(a, b, tol, refute=refute)
+    verdict = {"exists": result.exists, "comparison": core.comparable(a, b, tol).value}
+    claims = []
+    if result.sup is not None:
+        claims += _versus_inputs("geq", "witness:sup")
+    if result.witness is not None:
+        claims += _common_bound("geq", "witness:refutation")
+        claims.append(_claim("incomparable", "witness:refutation", "input:t"))
+    witnesses = {"sup": result.sup, "refutation": result.witness}
+    return _report("sup", inputs, tol, seed, verdict, witnesses, claims)
 
 
 def cmd_inf(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    b = inputs["b"].value
-    verdict = lattice.inf_exists(a, b, tol)
-    report = _report_skeleton("inf", inputs, tol, seed)
-    report["verdict"] = {"exists": verdict.exists}
-    cref = _add_matrix_witness(report, "candidate", verdict.candidate)
-    report["claims"].append({"kind": "leq", "subject": cref, "other": "input:a"})
-    report["claims"].append({"kind": "leq", "subject": cref, "other": "input:b"})
-    ra = _add_matrix_witness(report, "reduced_a", verdict.reduced_a)
-    rb = _add_matrix_witness(report, "reduced_b", verdict.reduced_b)
-    report["claims"].append({"kind": "abs_continuous", "subject": ra, "other": rb})
-    report["claims"].append({"kind": "abs_continuous", "subject": rb, "other": ra})
-    if verdict.exists:
-        iref = _add_matrix_witness(report, "inf", verdict.inf)
-        report["claims"].extend(
-            [
-                {"kind": "leq", "subject": iref, "other": "input:a"},
-                {"kind": "leq", "subject": iref, "other": "input:b"},
-                {"kind": "close", "subject": iref, "other": cref},
-            ]
-        )
+    result = lattice.inf_exists(inputs["a"].value, inputs["b"].value, tol)
+    claims = _versus_inputs("leq", "witness:candidate") + [
+        _claim("abs_continuous", "witness:reduced_a", "witness:reduced_b"),
+        _claim("abs_continuous", "witness:reduced_b", "witness:reduced_a"),
+    ]
+    if result.exists:
+        claims += _versus_inputs("leq", "witness:inf")
+        claims.append(_claim("close", "witness:inf", "witness:candidate"))
     else:
-        wref = _add_matrix_witness(report, "witness", verdict.witness)
-        report["claims"].extend(
-            [
-                {"kind": "psd", "subject": wref},
-                {"kind": "leq", "subject": wref, "other": "input:a"},
-                {"kind": "leq", "subject": wref, "other": "input:b"},
-                {"kind": "incomparable", "subject": wref, "other": cref},
-            ]
-        )
-    return report
+        claims += _common_bound("leq", "witness:witness")
+        claims.append(_claim("incomparable", "witness:witness", "witness:candidate"))
+    witnesses = {
+        "candidate": result.candidate,
+        "reduced_a": result.reduced_a,
+        "reduced_b": result.reduced_b,
+        "inf": result.inf,
+        "witness": result.witness,
+    }
+    return _report("inf", inputs, tol, seed, {"exists": result.exists}, witnesses, claims)
 
 
 def cmd_lebesgue(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    b = inputs["b"].value
-    parts = lebesgue.ac_part(b, a, tol)
-    report = _report_skeleton("lebesgue", inputs, tol, seed)
-    report["verdict"] = {
+    parts = lebesgue.ac_part(inputs["b"].value, inputs["a"].value, tol)
+    verdict = {
         "ac_rank": core.numeric_rank(parts.ac, tol),
         "sing_rank": core.numeric_rank(parts.sing, tol),
     }
-    acref = _add_matrix_witness(report, "ac", parts.ac)
-    sref = _add_matrix_witness(report, "sing", parts.sing)
-    _add_matrix_witness(report, "projector", parts.projector)
-    report["claims"].extend(
-        [
-            {"kind": "sum_equals", "parts": [acref, sref], "total": "input:b"},
-            {"kind": "abs_continuous", "subject": acref, "other": "input:a"},
-            {"kind": "singular", "subject": sref, "other": "input:a"},
-            {"kind": "leq", "subject": acref, "other": "input:b"},
-            {"kind": "psd", "subject": sref},
-        ]
-    )
-    return report
+    claims = [
+        {"kind": "sum_equals", "parts": ["witness:ac", "witness:sing"], "total": "input:b"},
+        _claim("abs_continuous", "witness:ac", "input:a"),
+        _claim("singular", "witness:sing", "input:a"),
+        _claim("leq", "witness:ac", "input:b"),
+        _claim("psd", "witness:sing"),
+    ]
+    witnesses = {"ac": parts.ac, "sing": parts.sing, "projector": parts.projector}
+    return _report("lebesgue", inputs, tol, seed, verdict, witnesses, claims)
 
 
 def cmd_parsum(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    b = inputs["b"].value
-    p = lebesgue.parallel_sum(a, b)
-    report = _report_skeleton("parsum", inputs, tol, seed)
-    report["verdict"] = {"rank": core.numeric_rank(p, tol)}
-    ref = _add_matrix_witness(report, "parallel_sum", p)
-    report["claims"].extend(
-        [
-            {"kind": "psd", "subject": ref},
-            {"kind": "leq", "subject": ref, "other": "input:a"},
-            {"kind": "leq", "subject": ref, "other": "input:b"},
-        ]
-    )
-    return report
+    p = lebesgue.parallel_sum(inputs["a"].value, inputs["b"].value)
+    verdict = {"rank": core.numeric_rank(p, tol)}
+    claims = _common_bound("leq", "witness:parallel_sum")
+    return _report("parsum", inputs, tol, seed, verdict, {"parallel_sum": p}, claims)
 
 
 def cmd_kadison_witness(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    b = inputs["b"].value
-    t = inputs["t"].value
-    s = lattice.kadison_witness(a, b, t, tol)
-    report = _report_skeleton("kadison-witness", inputs, tol, seed)
-    report["verdict"] = {"constructed": True}
-    ref = _add_matrix_witness(report, "s", s)
-    report["claims"].extend(
-        [
-            {"kind": "psd", "subject": ref},
-            {"kind": "geq", "subject": ref, "other": "input:a"},
-            {"kind": "geq", "subject": ref, "other": "input:b"},
-            {"kind": "incomparable", "subject": ref, "other": "input:t"},
-        ]
-    )
-    return report
+    s = lattice.kadison_witness(inputs["a"].value, inputs["b"].value, inputs["t"].value, tol)
+    claims = _common_bound("geq", "witness:s") + [_claim("incomparable", "witness:s", "input:t")]
+    return _report("kadison-witness", inputs, tol, seed, {"constructed": True}, {"s": s}, claims)
 
 
 def cmd_ando_witness(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
     a = inputs["a"].value
     b = inputs["b"].value
     d = lattice.ando_witness(a, b, tol)
-    candidate = lattice.ando_candidate(a, b, tol)
-    report = _report_skeleton("ando-witness", inputs, tol, seed)
-    report["verdict"] = {"constructed": True}
-    cref = _add_matrix_witness(report, "candidate", candidate)
-    dref = _add_matrix_witness(report, "d", d)
-    report["claims"].extend(
-        [
-            {"kind": "psd", "subject": dref},
-            {"kind": "leq", "subject": dref, "other": "input:a"},
-            {"kind": "leq", "subject": dref, "other": "input:b"},
-            {"kind": "incomparable", "subject": dref, "other": cref},
-            {"kind": "leq", "subject": cref, "other": "input:a"},
-            {"kind": "leq", "subject": cref, "other": "input:b"},
-        ]
+    witnesses = {"candidate": lattice.ando_candidate(a, b, tol), "d": d}
+    claims = (
+        _common_bound("leq", "witness:d")
+        + [_claim("incomparable", "witness:d", "witness:candidate")]
+        + _versus_inputs("leq", "witness:candidate")
     )
-    return report
+    return _report("ando-witness", inputs, tol, seed, {"constructed": True}, witnesses, claims)
 
 
 def cmd_compress(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    b = inputs["b"].value
-    comp = lattice.compress(a, b, tol)
-    report = _report_skeleton("compress", inputs, tol, seed)
-    report["verdict"] = {"rank": int(comp.range_basis.shape[1])}
-    aref = _add_matrix_witness(report, "a_tilde", comp.a_tilde)
-    bref = _add_matrix_witness(report, "b_tilde", comp.b_tilde)
-    jref = _add_matrix_witness(report, "j", comp.j)
-    pref = _add_matrix_witness(report, "range_proj", comp.range_proj)
-    report["claims"].extend(
-        [
-            {"kind": "psd", "subject": aref},
-            {"kind": "psd", "subject": bref},
-            {"kind": "sum_equals", "parts": [aref, bref], "total": pref},
-            {"kind": "sandwich", "outer": jref, "mid": aref, "target": "input:a"},
-            {"kind": "sandwich", "outer": jref, "mid": bref, "target": "input:b"},
-            {"kind": "leq", "subject": aref, "other": pref},
-            {"kind": "leq", "subject": bref, "other": pref},
-        ]
-    )
-    return report
+    comp = lattice.compress(inputs["a"].value, inputs["b"].value, tol)
+    aref, bref, jref, pref = "witness:a_tilde", "witness:b_tilde", "witness:j", "witness:range_proj"
+    claims = [
+        _claim("psd", aref),
+        _claim("psd", bref),
+        {"kind": "sum_equals", "parts": [aref, bref], "total": pref},
+        {"kind": "sandwich", "outer": jref, "mid": aref, "target": "input:a"},
+        {"kind": "sandwich", "outer": jref, "mid": bref, "target": "input:b"},
+        _claim("leq", aref, pref),
+        _claim("leq", bref, pref),
+    ]
+    witnesses = {
+        "a_tilde": comp.a_tilde,
+        "b_tilde": comp.b_tilde,
+        "j": comp.j,
+        "range_proj": comp.range_proj,
+    }
+    verdict = {"rank": int(comp.range_basis.shape[1])}
+    return _report("compress", inputs, tol, seed, verdict, witnesses, claims)
 
 
 HANDLERS = {
@@ -575,12 +473,8 @@ def _print_human(report: dict, runtime_ms: float) -> None:
         else:
             out.append(f"{key}: {value}")
     for name, node in sorted(report["witnesses"].items()):
-        if node["kind"] == "matrix":
-            m = obj_to_matrix(node["value"])
-            body = np.array2string(np.round(m, 9), separator=", ")
-        else:
-            v = obj_to_vector(node["value"])
-            body = np.array2string(np.round(v, 9), separator=", ")
+        x = from_obj(node["value"], node["kind"])
+        body = np.array2string(np.round(x, 9), separator=", ")
         out.append(f"{name}:\n{body}")
     out.append(f"claims: {len(report['claims'])}")
     out.append(f"runtime_ms: {runtime_ms:.1f}")
@@ -624,8 +518,9 @@ def _build_parser() -> _Parser:
 def _tolerance_from(args) -> Tolerance:
     if getattr(args, "tol", None) is None:
         return core.DEFAULT_TOL
-    if args.tol <= 0:
-        raise MatrixError("tolerance must be positive")
+    # abs = tol / 100 must stay finite and must not underflow to zero.
+    if not (np.isfinite(args.tol) and args.tol / 100.0 > 0):
+        raise MatrixError("tolerance must be finite and positive")
     return Tolerance(rel=args.tol, abs=args.tol / 100.0)
 
 
@@ -640,7 +535,7 @@ def run(argv) -> int:
         if args.dim < 1:
             raise MatrixError("dimension must be at least 1")
         m = random_psd(rng_from_seed(args.seed), args.dim, rank)
-        sys.stdout.write(json.dumps(matrix_to_obj(m), sort_keys=True))
+        sys.stdout.write(json.dumps(to_obj(m), sort_keys=True))
         sys.stdout.write("\n")
         return 0
 
@@ -665,20 +560,13 @@ def run(argv) -> int:
     handler, required, vectors, optional = HANDLERS[args.command]
     tol = _tolerance_from(args)
     inputs: dict[str, LoadedValue] = {}
-    for name in required:
+    for name in required + vectors + optional:
         path = getattr(args, name)
         if path is None:
+            if name in optional:
+                continue
             raise CliInputError(f"subcommand {args.command} requires --{name}")
-        inputs[name] = load_matrix_file(path, tol)
-    for name in vectors:
-        path = getattr(args, name)
-        if path is None:
-            raise CliInputError(f"subcommand {args.command} requires --{name}")
-        inputs[name] = load_vector_file(path, tol)
-    for name in optional:
-        path = getattr(args, name)
-        if path is not None:
-            inputs[name] = load_matrix_file(path, tol)
+        inputs[name] = (load_vector_file if name in vectors else load_matrix_file)(path, tol)
     dims = {lv.value.shape[0] for lv in inputs.values()}
     if len(dims) > 1:
         raise MatrixError(f"inputs disagree on dimension: {sorted(dims)}")

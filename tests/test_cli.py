@@ -8,12 +8,12 @@ from psdorder import cli, sampling
 
 
 def write_matrix(path, m):
-    path.write_text(json.dumps(cli.matrix_to_obj(np.asarray(m, dtype=complex))))
+    path.write_text(json.dumps(cli.to_obj(np.asarray(m, dtype=complex))))
     return str(path)
 
 
 def write_vector(path, v):
-    path.write_text(json.dumps(cli.vector_to_obj(np.asarray(v, dtype=complex))))
+    path.write_text(json.dumps(cli.to_obj(np.asarray(v, dtype=complex))))
     return str(path)
 
 
@@ -40,23 +40,38 @@ def run_json(capsys, argv):
 class TestRoundTrip:
     def test_matrix_obj_complex(self, rng):
         m = sampling.random_psd(rng, 3)
-        obj = cli.matrix_to_obj(m)
+        obj = cli.to_obj(m)
         assert obj["complex"] is True
-        np.testing.assert_array_equal(cli.obj_to_matrix(obj), m)
+        np.testing.assert_array_equal(cli.from_obj(obj, "matrix"), m)
 
     def test_matrix_obj_real(self):
         m = np.diag([1.0, 2.0])
-        obj = cli.matrix_to_obj(m)
+        obj = cli.to_obj(m)
         assert obj["complex"] is False
-        np.testing.assert_array_equal(cli.obj_to_matrix(obj), m)
+        np.testing.assert_array_equal(cli.from_obj(obj, "matrix"), m)
 
     def test_vector_obj(self, rng):
         v = sampling.random_vector(rng, 4)
-        np.testing.assert_array_equal(cli.obj_to_vector(cli.vector_to_obj(v)), v)
+        np.testing.assert_array_equal(cli.from_obj(cli.to_obj(v), "vector"), v)
+
+    @pytest.mark.parametrize(
+        "obj, kind",
+        [
+            ({"n": 2, "complex": True, "data": [[-0.0, 1.0], [0.0, -0.0]]}, "vector"),
+            ({"n": 1, "complex": True, "data": [[[-0.0, -2.0]]]}, "matrix"),
+            ({"n": 2, "complex": False, "data": [[-0.0, 1.0], [1.0, 0.0]]}, "matrix"),
+        ],
+    )
+    def test_signed_zeros_round_trip(self, obj, kind):
+        assert json.dumps(cli.to_obj(cli.from_obj(obj, kind))) == json.dumps(obj)
+
+    def test_integers_beyond_int64(self):
+        obj = {"n": 1, "complex": True, "data": [[[10**30, -1]]]}
+        np.testing.assert_array_equal(cli.from_obj(obj, "matrix"), [[1e30 - 1j]])
 
     def test_malformed_matrix(self):
         with pytest.raises(cli.CliInputError):
-            cli.obj_to_matrix({"n": 2, "complex": False, "data": [[1.0]]})
+            cli.from_obj({"n": 2, "complex": False, "data": [[1.0]]}, "matrix")
 
 
 class TestCommands:
@@ -70,14 +85,14 @@ class TestCommands:
         code, report = run_json(capsys, ["inf", "--a", files["p"], "--b", files["q"]])
         assert code == 0
         assert report["verdict"]["exists"] is True
-        inf = cli.obj_to_matrix(report["witnesses"]["inf"]["value"])
+        inf = cli.from_obj(report["witnesses"]["inf"]["value"], "matrix")
         assert np.max(np.abs(inf)) <= 1e-10
         assert cli.reverify_report(report) == []
 
     def test_ando_witness_fixture(self, capsys, files):
         code, report = run_json(capsys, ["ando-witness", "--a", files["d21"], "--b", files["d12"]])
         assert code == 0
-        d = cli.obj_to_matrix(report["witnesses"]["d"]["value"])
+        d = cli.from_obj(report["witnesses"]["d"]["value"], "matrix")
         expected = np.array([[5 / 6, np.sqrt(2) / 6], [np.sqrt(2) / 6, 5 / 6]])
         np.testing.assert_allclose(d, expected, atol=1e-10)
         assert cli.reverify_report(report) == []
@@ -105,7 +120,7 @@ class TestCommands:
         code, report = run_json(
             capsys, ["kadison-witness", "--a", files["p"], "--b", files["q"], "--t", files["id2"]]
         )
-        s = cli.obj_to_matrix(report["witnesses"]["s"]["value"])
+        s = cli.from_obj(report["witnesses"]["s"]["value"], "matrix")
         np.testing.assert_allclose(
             s, np.eye(2) + np.array([[1.0, 2.0], [2.0, 1.0]]) / 3.0, atol=1e-12
         )
@@ -167,6 +182,39 @@ class TestExitCodes:
         assert cli.main(["strength", "--a", files["id2"], "--f", str(path)]) == 1
         assert "load error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6", "1e-323"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, files, tol):
+        assert cli.main(["leq", "--a", files["id2"], "--b", files["id2"], f"--tol={tol}"]) == 2
+        assert cli.main(["selftest", "--trials", "1", f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err.count("precondition rejected: tolerance") == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "complex": true, "data": [[["a", 0]]]}',
+            '{"n": 1, "complex": true, "data": [[[null, 1]]]}',
+            '{"n": 1e999, "complex": false, "data": [[1.0]]}',
+            '{"n": 1, "complex": false, "data": [["1.0"]]}',
+            '{"n": 2, "complex": false, "data": [[1.0, 0.0], [0.0]]}',
+            '{"n": 1, "complex": true, "data": [[[1.0, 0.0, 0.0]]]}',
+            '{"n": 1, "complex": false, "data": [[1' + "0" * 400 + "]]}",
+        ],
+        ids=[
+            "string-in-pair",
+            "null-in-pair",
+            "huge-n",
+            "string-entry",
+            "ragged",
+            "triple",
+            "int-beyond-float",
+        ],
+    )
+    def test_malformed_json_matrix_is_parse_error(self, capsys, files, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["leq", "--a", str(path), "--b", files["id2"]]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_tolerance_breakdown_exit_status(self, capsys, files, monkeypatch):
         def breakdown(*args, **kwargs):
             raise po.ToleranceBreakdownError("forced")
@@ -174,6 +222,62 @@ class TestExitCodes:
         monkeypatch.setattr(cli.lattice, "inf_exists", breakdown)
         assert cli.main(["inf", "--a", files["d21"], "--b", files["d12"]]) == 3
         assert "internal diagnostic failure: forced" in capsys.readouterr().err
+
+
+HUMAN_ARGV = {
+    "strength": ["--a", "id2", "--f", "e1"],
+    "leq": ["--a", "d21", "--b", "d12"],
+    "sup": ["--a", "p", "--b", "q", "--t", "id2"],
+    "inf": ["--a", "d21", "--b", "d12"],
+    "lebesgue": ["--a", "p", "--b", "id2"],
+    "parsum": ["--a", "id2", "--b", "id2"],
+    "kadison-witness": ["--a", "p", "--b", "q", "--t", "id2"],
+    "ando-witness": ["--a", "d21", "--b", "d12"],
+    "compress": ["--a", "d21", "--b", "d12"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_human_output_names_witnesses_and_claims(command, capsys, files):
+    argv = [command] + [files.get(arg, arg) for arg in HUMAN_ARGV[command]]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"command: {command}\n")
+    assert report["witnesses"]
+    for name in report["witnesses"]:
+        assert f"\n{name}:\n" in out
+    assert f"\nclaims: {len(report['claims'])}\n" in out
+
+
+class TestReverifyTampered:
+    @pytest.mark.parametrize(
+        "argv, index, field, value",
+        [
+            (["strength", "--a", "id2", "--f", "e1"], 0, "value", "x"),
+            (["strength", "--a", "id2", "--f", "e1"], 0, "value", None),
+            (["strength", "--a", "id2", "--f", "e1"], 1, "vector", 5),
+            (["compress", "--a", "d21", "--b", "d12"], 2, "parts", 3),
+            (["compress", "--a", "d21", "--b", "d12"], 3, "atol_scale", "x"),
+        ],
+    )
+    def test_malformed_claim_is_a_failure(self, capsys, files, argv, index, field, value):
+        code, report = run_json(capsys, [files.get(arg, arg) for arg in argv])
+        assert code == 0
+        report["claims"][index][field] = value
+        failures = cli.reverify_report(report)
+        assert len(failures) == 1
+        assert "error during re-verification" in failures[0]
+
+    def test_claim_without_kind_is_a_failure(self, capsys, files):
+        code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])
+        assert code == 0
+        del report["claims"][0]["kind"]
+        report["claims"][1] = "x"
+        failures = cli.reverify_report(report)
+        assert len(failures) == 2
+        assert all("error during re-verification" in msg for msg in failures)
 
 
 class TestCsv:
@@ -199,12 +303,12 @@ class TestGen:
 
     def test_rank_full(self, capsys):
         cli.main(["gen", "--seed", "3", "--dim", "4"])
-        m = cli.obj_to_matrix(json.loads(capsys.readouterr().out))
+        m = cli.from_obj(json.loads(capsys.readouterr().out), "matrix")
         assert po.numeric_rank(m) == 4
 
     def test_rank_one_structure(self, capsys):
         cli.main(["gen", "--seed", "3", "--dim", "4", "--rank", "1"])
-        m = cli.obj_to_matrix(json.loads(capsys.readouterr().out))
+        m = cli.from_obj(json.loads(capsys.readouterr().out), "matrix")
         w = np.linalg.eigvalsh(m)
         assert w[-1] > 0.1
         assert np.max(np.abs(w[:-1])) <= 1e-12

@@ -70,9 +70,7 @@ def _same(x, y) -> bool:
 
 
 def _value(node: dict) -> np.ndarray:
-    if node["kind"] == "vector":
-        return cli.obj_to_vector(node["value"])
-    return cli.obj_to_matrix(node["value"])
+    return cli.from_obj(node["value"], node["kind"])
 
 
 def _load_cases() -> list:
@@ -115,11 +113,11 @@ def test_golden_report(case, tmp_path, capsys):
 
 
 def _m(x) -> dict:
-    return cli.matrix_to_obj(np.asarray(x, dtype=np.complex128))
+    return cli.to_obj(np.asarray(x, dtype=np.complex128))
 
 
 def _v(x) -> dict:
-    return cli.vector_to_obj(np.asarray(x, dtype=np.complex128))
+    return cli.to_obj(np.asarray(x, dtype=np.complex128))
 
 
 def _positive_part(m: np.ndarray) -> np.ndarray:
