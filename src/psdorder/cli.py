@@ -40,7 +40,7 @@ import numpy as np
 
 from . import core, lattice, lebesgue
 from .core import Comparison, MatrixError, Tolerance, ToleranceBreakdownError
-from .strength import order_witness, strength
+from .strength import _order_test, strength
 from .sampling import random_psd, rng_from_seed
 
 __all__ = [
@@ -228,10 +228,17 @@ def reverify_report(report: dict) -> list[str]:
     """Re-check every claim of a parsed report; returns failure messages.
 
     Works from the serialized form alone: inputs and witnesses are embedded
-    in the report, and the stated tolerance is used for all checks.  A
-    malformed claim is reported as a failure, not raised.
+    in the report, and every claim is checked at the report's own stated
+    tolerance.  A loose stated tolerance makes claims easy to pass, so a
+    consumer must check ``tolerance`` themselves.  A malformed claim, or a
+    stated tolerance that is missing, non-finite or not positive, is
+    reported as a failure, not raised.
     """
-    tol = Tolerance(rel=float(report["tolerance"]["rel"]), abs=float(report["tolerance"]["abs"]))
+    try:
+        stated = report["tolerance"]
+        tol = _finite_tolerance(float(stated["rel"]), float(stated["abs"]))
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        return [f"tolerance: no usable stated tolerance: {exc!r}"]
     failures: list[str] = []
     for claim in report.get("claims", []):
         kind = claim.get("kind") if isinstance(claim, dict) else None
@@ -321,25 +328,23 @@ def cmd_strength(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> d
 
 
 def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    b = inputs["b"].value
-    cmp = core.comparable(a, b, tol)
+    # One decomposition of b - a gives the comparison and the ray; loaded
+    # inputs are exactly Hermitian, so the comparison is `core.comparable`'s.
+    cmp, ray = _order_test(inputs["a"].value, inputs["b"].value, tol)
     leq = cmp in (Comparison.LEQ, Comparison.EQUAL)
     verdict = {"leq": leq, "comparison": cmp.value}
     if leq:
         witnesses, claims = {}, [_claim("leq", "input:a", "input:b")]
     else:
-        witnesses = {"ray": order_witness(a, b, tol)}
+        witnesses = {"ray": ray}
         claims = [{"kind": "strength_gap", "hi": "input:a", "lo": "input:b", "ray": "witness:ray"}]
     return _report("leq", inputs, tol, seed, verdict, witnesses, claims)
 
 
 def cmd_sup(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    b = inputs["b"].value
     refute = inputs["t"].value if "t" in inputs else None
-    result = lattice.sup_exists(a, b, tol, refute=refute)
-    verdict = {"exists": result.exists, "comparison": core.comparable(a, b, tol).value}
+    result = lattice.sup_exists(inputs["a"].value, inputs["b"].value, tol, refute=refute)
+    verdict = {"exists": result.exists, "comparison": result.comparison.value}
     claims = []
     if result.sup is not None:
         claims += _versus_inputs("geq", "witness:sup")
@@ -515,13 +520,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _finite_tolerance(rel: float, abs_: float) -> Tolerance:
+    if not (np.isfinite(rel) and np.isfinite(abs_) and rel > 0 and abs_ > 0):
+        raise MatrixError("tolerance must be finite and positive")
+    return Tolerance(rel=rel, abs=abs_)
+
+
 def _tolerance_from(args) -> Tolerance:
     if getattr(args, "tol", None) is None:
         return core.DEFAULT_TOL
-    # abs = tol / 100 must stay finite and must not underflow to zero.
-    if not (np.isfinite(args.tol) and args.tol / 100.0 > 0):
-        raise MatrixError("tolerance must be finite and positive")
-    return Tolerance(rel=args.tol, abs=args.tol / 100.0)
+    # abs = tol / 100 must not underflow to zero.
+    return _finite_tolerance(args.tol, args.tol / 100.0)
 
 
 def run(argv) -> int:

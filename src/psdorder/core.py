@@ -299,7 +299,11 @@ def comparable(a, b, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     ma = as_matrix(a)
     mb = as_matrix(b)
     _same_dim(ma, mb)
-    dec = eig_hermitian(mb - ma, tol)
+    return _classify(eig_hermitian(mb - ma, tol), tol)
+
+
+def _classify(dec: EigDecomp, tol: Tolerance) -> Comparison:
+    """How ``a`` compares with ``b``, read from the decomposition of ``b - a``."""
     le = dec.is_psd(tol)
     ge = float(dec.eigenvalues[-1]) <= dec.psd_floor(tol)
     if le and ge:

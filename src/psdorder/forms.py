@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, lattice
-from .core import DEFAULT_TOL, Tolerance
+from .core import DEFAULT_TOL, Comparison, Tolerance
 
 __all__ = [
     "SesquilinearForm",
@@ -68,5 +68,14 @@ def form_sup_exists(
 def form_inf_exists(
     t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Infimum of two nonnegative forms exists iff their AC parts are comparable."""
-    return lattice.inf_exists(to_operator(t, tol), to_operator(s, tol), tol).exists
+    """Infimum of two nonnegative forms exists iff their AC parts are comparable.
+
+    Agrees with ``lattice.inf_exists(...).exists`` on the Gram matrices
+    wherever that returns a verdict, but decides from the absolutely
+    continuous parts alone and builds no candidate or witness.  Where
+    `inf_exists` raises `ToleranceBreakdownError` because the parts compare
+    as incomparable yet no witness can be built, this returns False.
+    """
+    dt = core.eig_hermitian(t.gram, tol).require_psd(tol)
+    ds = core.eig_hermitian(s.gram, tol).require_psd(tol)
+    return lattice._reduced_comparison(dt, ds, tol)[2] is not Comparison.INCOMPARABLE

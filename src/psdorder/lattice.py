@@ -54,11 +54,13 @@ class SupremumVerdict:
     ``sup`` is present iff ``exists``.  ``witness`` is only populated when
     a candidate upper bound was supplied to `sup_exists` and refuted: it is
     then a PSD upper bound of both inputs not comparable with the candidate.
+    ``comparison`` is the Loewner comparison of the pair that decides it.
     """
 
     exists: bool
     sup: np.ndarray | None
     witness: np.ndarray | None
+    comparison: Comparison
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,14 @@ def sup_exists(a, b, tol: Tolerance = DEFAULT_TOL, refute=None) -> SupremumVerdi
     cmp = core.comparable(a, b, tol)
     if cmp is not Comparison.INCOMPARABLE:
         sup = core.as_hermitian(b if cmp is Comparison.LEQ else a, tol)
-        return SupremumVerdict(True, sup, None)
+        return SupremumVerdict(True, sup, None, cmp)
     witness = None
     if refute is not None:
         try:
             witness = kadison_witness(a, b, refute, tol)
         except MatrixError:
             witness = None
-    return SupremumVerdict(False, None, witness)
+    return SupremumVerdict(False, None, witness, cmp)
 
 
 def _first_orthogonal_basis_ray(e: np.ndarray) -> np.ndarray:
@@ -175,10 +177,10 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if float(np.max(np.abs(tb))) <= tol.rel * scale:
         raise MatrixError("precondition failed: t coincides with b within tolerance")
 
-    if not lebesgue.mutually_singular(dta, dtb, tol):
+    singular, dsum = lebesgue._rank_additivity(dta, dtb, tol)
+    if not singular:
         # Shared range direction: strength along it is positive for both gaps.
-        dec = core.eig_hermitian(dta.projector(tol) + dtb.projector(tol), tol)
-        e = dec.vectors[:, -1]
+        e = dsum.vectors[:, -1]
         lam = min(strength(dta, e, tol).value, strength(dtb, e, tol).value)
         if lam <= 0.0:
             raise ToleranceBreakdownError(
@@ -276,9 +278,8 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     Otherwise the verdict carries an `ando_witness`, built from the same
     reduced pair.
     """
-    ap, bp = _reduced_pair(a, b, tol)
+    ap, bp, cmp = _reduced_comparison(a, b, tol)
     cand = ando_candidate(a, b, tol)
-    cmp = core.comparable(ap, bp, tol)
     if cmp is not Comparison.INCOMPARABLE:
         inf = ap if cmp in (Comparison.LEQ, Comparison.EQUAL) else bp
         return InfimumVerdict(True, inf, cand, None, ap, bp)
@@ -296,6 +297,16 @@ def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     da = core.eig_hermitian(a, tol)
     db = core.eig_hermitian(b, tol)
     return lebesgue.ac_part(da, db, tol).ac, lebesgue.ac_part(db, da, tol).ac
+
+
+def _reduced_comparison(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, Comparison]:
+    """Ando's criterion: the reduced pair ``(a', b')`` and how it compares.
+
+    The infimum of ``a`` and ``b`` exists iff the comparison is not
+    ``INCOMPARABLE``; then it is the smaller of ``a'`` and ``b'``.
+    """
+    ap, bp = _reduced_pair(a, b, tol)
+    return ap, bp, core.comparable(ap, bp, tol)
 
 
 def _window_margin(w: np.ndarray) -> float:

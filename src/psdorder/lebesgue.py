@@ -66,10 +66,21 @@ def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     da = core.eig_hermitian(a, tol)
     db = core.eig_hermitian(b, tol)
     core._same_dim(da.vectors, db.vectors)
+    return _rank_additivity(da, db, tol)[0]
+
+
+def _rank_additivity(
+    da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance
+) -> tuple[bool, core.EigDecomp]:
+    """`mutually_singular` verdict and the decomposition of ``P(a) + P(b)``.
+
+    ``P(x)`` is the projector onto ``ran x``; callers that go on to look
+    for a shared range direction read it from the returned decomposition.
+    """
+    dsum = core.eig_hermitian(da.projector(tol) + db.projector(tol), tol)
     ra = core.numeric_rank(da, tol)
     rb = core.numeric_rank(db, tol)
-    rsum = core.numeric_rank(da.projector(tol) + db.projector(tol), tol)
-    return ra + rb == rsum
+    return ra + rb == core.numeric_rank(dsum, tol), dsum
 
 
 _GRADED_RATIO = float(2**20)

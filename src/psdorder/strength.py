@@ -109,12 +109,18 @@ def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     while ``strength(b, f) < 1``, by the Cauchy-Schwarz inequality for the
     form of ``a``.
     """
+    return _order_test(a, b, tol)[1]
+
+
+def _order_test(a, b, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | None]:
+    """`core.comparable` and `order_witness`, read from one decomposition of ``b - a``."""
     ha = core.as_hermitian(a, tol)
     hb = core.as_hermitian(b, tol)
     core._same_dim(ha, hb)
     dec = core.eig_hermitian(hb - ha, tol)
+    cmp = core._classify(dec, tol)
     if dec.is_psd(tol):
-        return None
+        return cmp, None
     floor = dec.psd_floor(tol)
     entry_scale = max(1.0, float(np.max(np.abs(ha))))
     for i in range(dec.n):
@@ -124,7 +130,7 @@ def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
         q = float(np.real(x.conj() @ ha @ x))
         if q > tol.rel * entry_scale:
             x = x / np.sqrt(q)
-            return ha @ x
+            return cmp, ha @ x
     # A negative direction with x* a x = 0 would force x* b x < 0, which is
     # impossible for PSD b, so reaching this point means the tolerance
     # policy broke down rather than a genuine order violation.

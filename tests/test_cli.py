@@ -279,6 +279,42 @@ class TestReverifyTampered:
         assert len(failures) == 2
         assert all("error during re-verification" in msg for msg in failures)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rel", float("nan")),
+            ("rel", float("inf")),
+            ("rel", float("-inf")),
+            ("rel", 0.0),
+            ("rel", -1e-10),
+            ("abs", float("nan")),
+            ("abs", float("inf")),
+            ("abs", 0.0),
+            ("abs", -1e-12),
+            ("rel", "x"),
+            ("abs", None),
+        ],
+    )
+    def test_bad_stated_tolerance_is_a_failure(self, capsys, files, field, value):
+        code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])
+        assert code == 0
+        report["tolerance"][field] = value
+        failures = cli.reverify_report(report)
+        assert len(failures) == 1
+        assert failures[0].startswith("tolerance:")
+
+    @pytest.mark.parametrize("missing", ["rel", "abs", None])
+    def test_missing_stated_tolerance_is_a_failure(self, capsys, files, missing):
+        code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])
+        assert code == 0
+        if missing is None:
+            del report["tolerance"]
+        else:
+            del report["tolerance"][missing]
+        failures = cli.reverify_report(report)
+        assert len(failures) == 1
+        assert failures[0].startswith("tolerance:")
+
 
 class TestCsv:
     def test_real_symmetric_csv(self, capsys, tmp_path, files):

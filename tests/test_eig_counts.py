@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import psdorder as po
-from psdorder import sampling
+from psdorder import cli, sampling
 
 N = 4
 
@@ -83,7 +83,7 @@ def test_ando_witness(eigh_calls, inst):
 def test_kadison_witness_both_branches(eigh_calls, inst, upper, singular):
     t = inst[upper]
     assert po.mutually_singular(t - inst["a"], t - inst["b"]) is singular
-    assert count(eigh_calls, po.kadison_witness, inst["a"], inst["b"], t)[0] <= 4
+    assert count(eigh_calls, po.kadison_witness, inst["a"], inst["b"], t)[0] <= 3
 
 
 def test_inf_exists_exists_path(eigh_calls, inst):
@@ -96,3 +96,26 @@ def test_inf_exists_witness_path(eigh_calls, inst):
     calls, verdict = count(eigh_calls, po.inf_exists, inst["a"], inst["b"])
     assert not verdict.exists
     assert calls <= 9
+
+
+@pytest.mark.parametrize("lo, hi, exists", [("low", "up", True), ("a", "b", False)])
+def test_form_inf_exists_both_paths(eigh_calls, inst, lo, hi, exists):
+    forms = po.SesquilinearForm(inst[lo]), po.SesquilinearForm(inst[hi])
+    calls, verdict = count(eigh_calls, po.form_inf_exists, *forms)
+    assert verdict is exists
+    assert calls == 5
+
+
+def test_cli_sup_reads_one_comparison(eigh_calls, inst):
+    inputs = {"a": cli.memory_value("a", inst["low"]), "b": cli.memory_value("b", inst["up"])}
+    calls, report = count(eigh_calls, cli.cmd_sup, inputs, po.DEFAULT_TOL)
+    assert report["verdict"] == {"exists": True, "comparison": "leq"}
+    assert calls == 1
+
+
+def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(eigh_calls, inst):
+    inputs = {"a": cli.memory_value("a", inst["a"]), "b": cli.memory_value("b", inst["b"])}
+    calls, report = count(eigh_calls, cli.cmd_leq, inputs, po.DEFAULT_TOL)
+    assert report["verdict"] == {"leq": False, "comparison": "incomparable"}
+    assert "ray" in report["witnesses"]
+    assert calls == 1

@@ -71,3 +71,47 @@ class TestFormLattice:
             assert po.form_leq(tb, ta) == po.loewner_leq(b, a)
             assert po.form_sup_exists(ta, tb) == po.sup_exists(a, b).exists
             assert po.form_inf_exists(ta, tb) == po.inf_exists(a, b).exists
+
+
+def _family_pair(rng, family, n, cplx):
+    """One pair from each family the benchmark draws its instances from."""
+    if family == "incomparable":
+        return sampling.incomparable_pair(rng, n, cplx)
+    if family == "comparable":
+        a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+        return a, a + sampling.random_psd(rng, n, rank=1, complex_entries=cplx)
+    if family == "shared_tails":
+        return sampling.shared_core_pair(rng, n, int(rng.integers(1, n - 1)), cplx, tails=True)
+    if family == "shared":
+        return sampling.shared_core_pair(rng, n, int(rng.integers(1, n + 1)), cplx)
+    return sampling.disjoint_projector_pair(rng, n, cplx)
+
+
+class TestFormInfDecision:
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize(
+        "family", ["incomparable", "comparable", "shared_tails", "shared", "disjoint"]
+    )
+    def test_agrees_with_inf_exists(self, family, n, cplx):
+        rng = sampling.rng_from_seed(7000 + 10 * n + cplx)
+        for _ in range(3):
+            a, b = _family_pair(rng, family, n, cplx)
+            decided = po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b))
+            assert decided == po.inf_exists(a, b).exists
+
+    @pytest.mark.parametrize(
+        "gram, error",
+        [
+            ([[1.0, 2.0], [2.0, 1.0]], po.NotPsdError),
+            ([[1.0, 1.0], [0.0, 1.0]], po.NotHermitianError),
+            (np.eye(3), po.DimensionMismatchError),
+        ],
+    )
+    def test_rejects_bad_gram_built_directly(self, gram, error):
+        good = po.SesquilinearForm(np.eye(2))
+        bad = po.SesquilinearForm(np.asarray(gram))
+        with pytest.raises(error):
+            po.form_inf_exists(bad, good)
+        with pytest.raises(error):
+            po.form_inf_exists(good, bad)
