@@ -230,17 +230,21 @@ def reverify_report(report: dict) -> list[str]:
     Works from the serialized form alone: inputs and witnesses are embedded
     in the report, and every claim is checked at the report's own stated
     tolerance.  A loose stated tolerance makes claims easy to pass, so a
-    consumer must check ``tolerance`` themselves.  A malformed claim, or a
-    stated tolerance that is missing, non-finite or not positive, is
-    reported as a failure, not raised.
+    consumer must check ``tolerance`` themselves.  A malformed claim, a
+    ``claims`` entry that is not a list, or a stated tolerance that is
+    missing, non-finite or not positive, is reported as a failure, not
+    raised.
     """
     try:
         stated = report["tolerance"]
         tol = _finite_tolerance(float(stated["rel"]), float(stated["abs"]))
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         return [f"tolerance: no usable stated tolerance: {exc!r}"]
+    claims = report.get("claims")
+    if not isinstance(claims, list):
+        return [f"claims: expected a list of claims, got {type(claims).__name__}"]
     failures: list[str] = []
-    for claim in report.get("claims", []):
+    for claim in claims:
         kind = claim.get("kind") if isinstance(claim, dict) else None
         try:
             ok = _check_claim(report, claim, tol)

@@ -1,40 +1,88 @@
-"""Invariant suites runnable from the CLI, independent of pytest.
+"""The invariant catalogue: every randomized check of the paper's claims.
 
-Each suite replays one module's invariants on seeded random instances at
-dimensions 1..6, alternating real and complex entries.  The summary counts
-individual checks; any failure makes the whole run fail.
+Each entry of `CATALOGUE` names its suite (the part of its name before the
+dot), a sampler ``(rng, trial, pinned) -> instance`` and a check ``(tally,
+*instance)`` that records each verdict with ``tally(ok, label)``.  The same
+entries run three ways: `run_selftest` runs every entry on its own seeded
+stream (``psdorder selftest``); the acceptance suite runs groups of entries
+on each criterion's pinned stream (seed, trial count, ``pinned=True``); the
+unit tests run single entries under pytest.  Bounds live in the checks and
+nowhere else.
+
+Some checks use oracles that never go through `core.EigDecomp`: SVD-based
+`numpy.linalg.pinv`, bisection on PSD verdicts, the parallel-sum limit at
+``2^30``, and the numpy eigenvalue helpers `eig_scale` and `min_eig`.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import core, forms, lattice, lebesgue, sampling
 from .core import DEFAULT_TOL, MatrixError, Tolerance
+from .sampling import incomparable_pair, random_psd, random_ray_in_range, random_vector
 from .strength import order_witness, strength, strength_bisection, strength_dominates
 
-__all__ = ["run_selftest"]
+__all__ = [
+    "CATALOGUE",
+    "Invariant",
+    "Tally",
+    "check_invariants",
+    "eig_scale",
+    "min_eig",
+    "run_selftest",
+]
 
 _MAX_RECORDED_FAILURES = 8
 
 
+def eig_scale(*mats) -> float:
+    """max(1, largest |eigenvalue|) over Hermitian operands, by numpy alone."""
+    vals = [1.0]
+    for m in mats:
+        a = np.asarray(m)
+        if a.size:
+            vals.append(float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (a + a.conj().T))))))
+    return max(vals)
+
+
+def min_eig(m) -> float:
+    """Smallest eigenvalue of the Hermitian part, by numpy alone."""
+    a = np.asarray(m)
+    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+
+
 @dataclass
-class _Suite:
+class Tally:
+    """Counts checks; while a check runs, it also carries the trial's context.
+
+    ``labels`` counts the passes of each label, so a caller can tell which
+    branches an instance stream reached.
+    """
+
     name: str
     passed: int = 0
     failed: int = 0
     failures: list[str] = field(default_factory=list)
+    labels: Counter = field(default_factory=Counter)
+    entry: str = ""
+    t: int = 0
+    rng: np.random.Generator | None = None
+    tol: Tolerance = DEFAULT_TOL
 
-    def check(self, ok: bool, message: str) -> None:
+    def __call__(self, ok, label: str) -> None:
         if ok:
             self.passed += 1
+            self.labels[label] += 1
         else:
             self.failed += 1
             if len(self.failures) < _MAX_RECORDED_FAILURES:
-                self.failures.append(message)
+                self.failures.append(f"{self.entry} trial {self.t}: {label}")
 
     def as_dict(self) -> dict:
         return {
@@ -45,365 +93,639 @@ class _Suite:
         }
 
 
-def _dims(trial: int, lo: int = 1, hi: int = 6) -> int:
-    span = hi - lo + 1
-    return lo + trial % span
+@dataclass(frozen=True)
+class Invariant:
+    name: str
+    sample: Callable
+    check: Callable
+
+    @property
+    def suite(self) -> str:
+        return self.name.partition(".")[0]
 
 
-def _scale(*mats) -> float:
-    return max(core.eig_hermitian(m).source_scale for m in mats)
+CATALOGUE: dict[str, Invariant] = {}
+
+
+def _entry(name: str, sample: Callable):
+    def register(check):
+        CATALOGUE[name] = Invariant(name, sample, check)
+        return check
+
+    return register
+
+
+def check_invariants(
+    names,
+    rng,
+    trials: int,
+    tol: Tolerance = DEFAULT_TOL,
+    tally: Tally | None = None,
+    pinned: bool = False,
+) -> Tally:
+    """Run the named entries on one stream of ``trials`` instances from ``rng``.
+
+    The entries must share a sampler.  Each trial draws one instance and
+    every entry checks it in the given order, so checks that draw further
+    values (rays, minorants) consume the generator in a fixed sequence.
+    ``pinned`` draws the acceptance suite's instance streams.
+    """
+    entries = [CATALOGUE[name] for name in names]
+    sample = entries[0].sample
+    if any(e.sample is not sample for e in entries):
+        raise ValueError(f"entries {list(names)} do not share a sampler")
+    tally = tally if tally is not None else Tally(entries[0].suite)
+    tally.rng, tally.tol = rng, tol
+    for t in range(trials):
+        instance = sample(rng, t, pinned)
+        tally.t = t
+        for e in entries:
+            tally.entry = e.name
+            e.check(tally, *instance)
+    return tally
+
+
+def run_selftest(seed: int = 0, trials: int = 20, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """Run every catalogue entry; returns a summary dictionary.
+
+    ``trials`` is the number of seeded instances per entry (at least 1).
+    Entry ``i`` draws from a generator seeded with ``seed + i``, so entries
+    are independent of each other.  Checks are counted per suite.
+    """
+    if trials < 1:
+        raise MatrixError("trials must be at least 1")
+    suites = {e.suite: Tally(e.suite) for e in CATALOGUE.values()}
+    for index, e in enumerate(CATALOGUE.values()):
+        check_invariants([e.name], sampling.rng_from_seed(seed + index), trials, tol, suites[e.suite])
+    passed = sum(s.passed for s in suites.values())
+    failed = sum(s.failed for s in suites.values())
+    return {
+        "command": "selftest",
+        "seed": seed,
+        "trials": trials,
+        "tolerance": {"rel": tol.rel, "abs": tol.abs},
+        "passed": passed,
+        "failed": failed,
+        "ok": failed == 0,
+        "suites": [s.as_dict() for s in suites.values()],
+    }
 
 
 def _close(x, y, bound) -> bool:
     return float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) <= bound
 
 
-def _suite_core(rng, trials: int, tol: Tolerance) -> _Suite:
-    suite = _Suite("core")
-    for t in range(trials):
-        n = _dims(t)
-        cplx = bool(t % 2)
-        a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        dec = core.eig_hermitian(a, tol)
-        sc = dec.source_scale
-        suite.check(bool(np.all(np.diff(dec.eigenvalues) >= 0)), f"eig ascending n={n}")
-        suite.check(dec.is_psd(tol), f"psd eig floor n={n}")
-        suite.check(
-            _close(dec.reconstruct(), a, tol.rel * sc), f"eig reconstruction n={n}"
-        )
-        vhv = dec.vectors.conj().T @ dec.vectors
-        suite.check(_close(vhv, np.eye(n), tol.rel), f"eigvec orthonormality n={n}")
+def _lam(a, f, tol: Tolerance) -> float:
+    return strength(a, f, tol).value
 
-        r = core.sqrt_psd(a, tol)
-        suite.check(_close(r @ r, a, tol.rel * sc), f"sqrt residual n={n}")
-        pinv = core.pinv_psd(a, tol)
-        suite.check(_close(a @ pinv @ a, a, tol.rel * sc), f"penrose A A+ A n={n}")
-        suite.check(
-            _close(pinv @ a @ pinv, pinv, tol.rel * max(1.0, _scale(pinv))),
-            f"penrose A+ A A+ n={n}",
-        )
-        p = core.range_projector(a, tol)
-        suite.check(_close(p @ a, a, tol.rel * sc), f"projector absorbs n={n}")
-        suite.check(_close(p @ a, a @ p, tol.rel * sc), f"projector commutes n={n}")
-        suite.check(_close(p @ p, p, tol.rel), f"projector idempotent n={n}")
 
-        suite.check(core.loewner_leq(a, a, tol), f"order reflexive n={n}")
-        b = a + sampling.random_psd(rng, n, complex_entries=cplx)
-        c = b + sampling.random_psd(rng, n, complex_entries=cplx)
-        suite.check(
-            core.loewner_leq(a, b, tol) and core.loewner_leq(b, c, tol)
-            and core.loewner_leq(a, c, tol),
-            f"order transitive n={n}",
-        )
+def _pos_part(m):
+    return core.eig_hermitian(m).apply(lambda w: np.clip(w, 0.0, None))
 
-        f = sampling.random_vector(rng, n, cplx)
-        ff = core.rank_one(f)
-        for _ in range(3):
-            x = sampling.random_vector(rng, n, cplx)
-            form = float(np.real(x.conj() @ ff @ x))
-            pairing = abs(np.vdot(x, f)) ** 2
-            suite.check(
-                abs(form - pairing) <= 1e-10 * max(1.0, pairing),
-                f"rank-one form n={n}",
-            )
-        x = sampling.random_vector(rng, n, cplx)
+
+# ---------------------------------------------------------------------------
+# samplers ``(rng, t, pinned) -> instance``: dimension 1 + t % 6, or 2 + t % 5
+# where pairs must be incomparable.  With ``pinned`` they draw the acceptance
+# streams bit for bit: complex on odd t, ranks from a fixed profile, rays in
+# range on every other t.  Otherwise every (dimension, real/complex, in range)
+# combination occurs within 36 trials, and ranks are uniform in 1..n.
+
+
+def _is_complex(t: int, pinned: bool) -> bool:
+    return bool(t % 2) if pinned else bool((t + t // 6) % 2)
+
+
+def _rank(rng, n: int, t: int, pinned: bool) -> int:
+    if pinned:
+        return (n, max(1, n - 1), max(1, n // 2), 1, n)[t % 5]
+    return int(rng.integers(1, n + 1))
+
+
+def _inside(t: int, odd: bool, pinned: bool) -> bool:
+    """Whether trial t draws a ray in ran A; pinned streams take t % 2 == odd."""
+    return t % 2 == odd if pinned else bool((t + t // 6) % 3)
+
+
+def _psd(rng, t, pinned):
+    n = 1 + t % 6
+    cplx = _is_complex(t, pinned)
+    rank = int(rng.integers(1, n + 1))
+    return random_psd(rng, n, rank=rank, complex_entries=cplx), rank, cplx
+
+
+def _operator_and_ray(rng, t, pinned):
+    """(A, f); A = 0 sometimes."""
+    n = 1 + t % 6
+    cplx = _is_complex(t, pinned)
+    if t % 50 == 17:
+        a = np.zeros((n, n))
+    else:
+        a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
+    inside = _inside(t, False, pinned)
+    f = random_ray_in_range(rng, a, cplx) if inside else random_vector(rng, n, cplx)
+    return a, f
+
+
+def _ray_in_range(rng, t, pinned):
+    n = 1 + t % 6
+    cplx = _is_complex(t, pinned)
+    a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
+    return a, random_ray_in_range(rng, a, cplx)
+
+
+def _ordered_pair(rng, t, pinned):
+    n = 1 + t % 6
+    cplx = _is_complex(t, pinned)
+    a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
+    p = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    return a, a + p
+
+
+def _not_below(rng, t, pinned):
+    """Pairs with a <= b false: incomparable, or a > b for t % 4 == 3."""
+    n = 2 + t % 5
+    cplx = _is_complex(t, pinned)
+    if t % 4 == 3:
+        b = random_psd(rng, n, complex_entries=cplx)
+        return b + random_psd(rng, n, complex_entries=cplx), b
+    return incomparable_pair(rng, n, cplx)
+
+
+def _operator_pair_and_ray(rng, t, pinned):
+    n = 1 + t % 6
+    cplx = _is_complex(t, pinned)
+    a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
+    b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    inside = _inside(t, True, pinned)
+    f = random_ray_in_range(rng, a, cplx) if inside else random_vector(rng, n, cplx)
+    return a, b, f
+
+
+def _reference_pair(rng, t, pinned):
+    """(a, b) for decomposing b against a; a = 0 sometimes."""
+    n = 1 + t % 6
+    cplx = _is_complex(t, pinned)
+    zero_a = t % 25 == 13
+    a = np.zeros((n, n)) if zero_a else random_psd(
+        rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx
+    )
+    b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    return a, b, cplx
+
+
+def _incomparable(rng, t, pinned):
+    cplx = _is_complex(t, pinned)
+    return (*incomparable_pair(rng, 2 + t % 5, cplx), cplx)
+
+
+def _mixed_pair(rng, t, pinned):
+    """Five families in turn, so infima exist on some trials and not on others."""
+    family = t % 5
+    cplx = _is_complex(t, pinned)
+    if family == 0:  # full rank, mutually AC
+        a, b = incomparable_pair(rng, 2 + t % 5, cplx)
+        a = a + 0.3 * np.eye(a.shape[0])
+        b = b + 0.3 * np.eye(a.shape[0])
+    elif family == 1:  # rank-deficient, equal ranges
+        n = 2 + t % 5
+        a, b = sampling.shared_core_pair(rng, n, int(rng.integers(1, n + 1)), cplx)
+    elif family == 2:  # singular tails on both sides
+        n = 3 + t % 4
+        a, b = sampling.shared_core_pair(rng, n, int(rng.integers(1, n - 1)), cplx, tails=True)
+    elif family == 3:  # comparable
+        n = 1 + t % 6
+        a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
+        b = a + random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    else:  # mutually singular (scaled disjoint projectors)
+        n = 2 + t % 5
+        p1, p2 = sampling.disjoint_projector_pair(rng, n, cplx)
+        a, b = float(rng.uniform(0.5, 2.0)) * p1, float(rng.uniform(0.5, 2.0)) * p2
+    return a, b
+
+
+def _disjoint(rng, t, pinned):
+    return sampling.disjoint_projector_pair(rng, 2 + t % 5, complex_entries=_is_complex(t, pinned))
+
+
+def _psd_pair(rng, t, pinned):
+    n = 1 + t % 6
+    cplx = _is_complex(t, pinned)
+    a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    return a, b
+
+
+def _report_inputs(rng, t, pinned):
+    """Operands for every subcommand: a, b, a ray in ran a, a + p >= a, and
+    an incomparable pair x, y."""
+    n = 2 + t % 5
+    cplx = _is_complex(t, pinned)
+    a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    f = random_ray_in_range(rng, a, cplx)
+    above = a + random_psd(rng, n, rank=1, complex_entries=cplx)
+    x, y = incomparable_pair(rng, n, cplx)
+    return a, b, f, above, x, y
+
+
+# ---------------------------------------------------------------------------
+# core
+
+
+@_entry("core.eigh", _psd)
+def _eigh(c, a, rank, cplx):
+    dec = core.eig_hermitian(a, c.tol)
+    c(bool(np.all(np.diff(dec.eigenvalues) >= 0)), "eigenvalues ascending")
+    c(dec.is_psd(c.tol), "psd floor")
+    c(_close(dec.reconstruct(), a, c.tol.rel * eig_scale(a)), "reconstruction")
+    c(_close(dec.vectors.conj().T @ dec.vectors, np.eye(dec.n), c.tol.rel), "orthonormal vectors")
+
+
+@_entry("core.sqrt", _psd)
+def _sqrt(c, a, rank, cplx):
+    r = core.sqrt_psd(a, c.tol)
+    c(_close(r @ r, a, c.tol.rel * eig_scale(a)), "sqrt residual")
+    c(core.is_psd(r, c.tol), "sqrt is PSD")
+
+
+@_entry("core.factor", _psd)
+def _factor(c, a, rank, cplx):
+    """The canonical factor J = sqrt(a): J J* = a and x* a x = |J x|^2."""
+    j = core.sqrt_psd(a, c.tol)
+    c(_close(j @ j.conj().T, a, 1e-12 * eig_scale(a)), "J J* = a")
+    for _ in range(5):
+        x = random_vector(c.rng, a.shape[0], cplx)
         qa = float(np.real(x.conj() @ a @ x))
-        qj = float(np.linalg.norm(r @ x) ** 2)
-        suite.check(abs(qa - qj) <= 1e-9 * max(1.0, abs(qa)), f"factor identity n={n}")
-    return suite
+        qj = float(np.linalg.norm(j @ x) ** 2)
+        c(abs(qa - qj) <= 1e-9 * max(1.0, abs(qa)), "factor identity")
 
 
-def _suite_strength(rng, trials: int, tol: Tolerance) -> _Suite:
-    suite = _Suite("strength")
-    for t in range(trials):
-        n = _dims(t)
-        cplx = bool(t % 2)
-        rank = int(rng.integers(1, n + 1))
-        a = sampling.random_psd(rng, n, rank=rank, complex_entries=cplx)
-        inside = bool(t % 3)
-        f = (
-            sampling.random_ray_in_range(rng, a, cplx)
-            if inside
-            else sampling.random_vector(rng, n, cplx)
-        )
-        res = strength(a, f, tol)
-        lam = res.value
-        sc = _scale(a)
+@_entry("core.pinv", _psd)
+def _pinv(c, a, rank, cplx):
+    pinv = core.pinv_psd(a, c.tol)
+    c(_close(a @ pinv @ a, a, c.tol.rel * eig_scale(a)), "penrose A A+ A = A")
+    c(_close(pinv @ a @ pinv, pinv, c.tol.rel * eig_scale(pinv)), "penrose A+ A A+ = A+")
 
-        two = strength(2.0 * a, f, tol).value
-        suite.check(abs(two - 2.0 * lam) <= 1e-12 * (1.0 + 2.0 * lam), f"homogeneity n={n}")
-        suite.check(strength(np.zeros((n, n)), f, tol).value == 0.0, "zero homogeneity")
 
-        b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        lb = strength(b, f, tol).value
-        lab = strength(a + b, f, tol).value
-        suite.check(lab >= lam + lb - 1e-8 * sc, f"superadditivity n={n}")
-        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            la = strength(alpha * a, f, tol).value if alpha else 0.0
-            lbb = strength((1.0 - alpha) * b, f, tol).value if alpha < 1.0 else 0.0
-            suite.check(
-                la + lbb >= alpha * lam + (1.0 - alpha) * lb - 1e-8 * sc,
-                f"concavity alpha={alpha} n={n}",
+@_entry("core.projector", _psd)
+def _projector(c, a, rank, cplx):
+    p = core.range_projector(a, c.tol)
+    sc = eig_scale(a)
+    c(_close(p @ a, a, c.tol.rel * sc), "projector absorbs")
+    c(_close(p @ a, a @ p, c.tol.rel * sc), "projector commutes")
+    c(_close(p @ p, p, c.tol.rel), "projector idempotent")
+    c(core.numeric_rank(a, c.tol) == rank, "numeric rank")
+
+
+@_entry("core.order", _psd)
+def _order(c, a, rank, cplx):
+    n = a.shape[0]
+    b = a + random_psd(c.rng, n, complex_entries=cplx)
+    d = b + random_psd(c.rng, n, complex_entries=cplx)
+    c(core.loewner_leq(a, a, c.tol), "order reflexive")
+    c(
+        core.loewner_leq(a, b, c.tol) and core.loewner_leq(b, d, c.tol) and core.loewner_leq(a, d, c.tol),
+        "order transitive",
+    )
+
+
+@_entry("core.rank_one", _psd)
+def _rank_one(c, a, rank, cplx):
+    n = a.shape[0]
+    f = random_vector(c.rng, n, cplx)
+    ff = core.rank_one(f)
+    for _ in range(5):
+        x = random_vector(c.rng, n, cplx)
+        form = float(np.real(x.conj() @ ff @ x))
+        pairing = abs(np.vdot(x, f)) ** 2
+        c(abs(form - pairing) <= 1e-12 * max(1.0, pairing), "rank-one form is the pairing")
+
+
+# ---------------------------------------------------------------------------
+# strength
+
+
+@_entry("strength.bisection", _operator_and_ray)
+def _bisection(c, a, f):
+    lam = _lam(a, f, c.tol)
+    c(abs(strength_bisection(a, f, c.tol) - lam) <= 1e-6 * (1.0 + lam), "bisection oracle")
+
+
+@_entry("strength.supremum", _operator_and_ray)
+def _supremum(c, a, f):
+    lam = _lam(a, f, c.tol)
+    ff = core.rank_one(f)
+    c(core.is_psd(a - lam * ff, c.tol), "supremum attained")
+    c(not core.is_psd(a - (lam + 1e-6 * (1.0 + lam)) * ff, c.tol), "supremum strict")
+
+
+@_entry("strength.certificate", _operator_and_ray)
+def _certificate(c, a, f):
+    res = strength(a, f, c.tol)
+    c((res.value > 0) == (res.witness is not None) == (res.constant is not None), "certificate iff in range")
+    if res.witness is None:
+        return
+    c(abs(res.value * res.constant - 1.0) <= 1e-10, "lambda * m = 1")
+    c(abs(res.value * np.linalg.norm(res.witness) ** 2 - 1.0) <= 1e-9, "lambda * |xi|^2 = 1")
+    image = core.sqrt_psd(a, c.tol) @ res.witness
+    bound = c.tol.rel * eig_scale(a) * max(1.0, float(np.linalg.norm(f)))
+    c(float(np.linalg.norm(image - f)) <= bound, "sqrt(A) xi = f")
+
+
+@_entry("strength.penrose", _ray_in_range)
+def _penrose(c, a, f):
+    lam = _lam(a, f, c.tol)
+    c(lam > 0.0, "in-range ray has positive strength")
+    m = float(np.real(f.conj() @ np.linalg.pinv(a) @ f))  # SVD route, independent of core
+    c(abs(lam * m - 1.0) <= 1e-8, "strength * (f* A^+ f) = 1")
+
+
+@_entry("strength.dominance", _ordered_pair)
+def _dominance(c, a, b):
+    # strength_dominates raises ToleranceBreakdownError on any violating ray
+    c(strength_dominates(a, b, c.tol, samples=50, seed=7000 + c.t), "dominance on 50 rays")
+    c(order_witness(a, b, c.tol) is None, "no order witness")
+
+
+@_entry("strength.order_witness", _not_below)
+def _order_witness(c, a, b):
+    f = order_witness(a, b, c.tol)
+    c(f is not None, "order witness found")
+    if f is None:
+        return
+    la = _lam(a, f, c.tol)
+    c(la - _lam(b, f, c.tol) > 1e-9 * eig_scale(a, b), "strict strength gap")
+    c(abs(la - 1.0) <= 1e-8, "unit strength along the witness")
+    c(not strength_dominates(a, b, c.tol, samples=4, seed=2000 + c.t), "no dominance")
+
+
+@_entry("strength.homogeneity", _operator_pair_and_ray)
+def _homogeneity(c, a, b, f):
+    la = _lam(a, f, c.tol)
+    c(_lam(0.0 * a, f, c.tol) == 0.0, "zero homogeneity")
+    for alpha in (0.5, 1.0, 2.0, 3.5, 7.5):
+        scaled = _lam(alpha * a, f, c.tol)
+        c(abs(scaled - alpha * la) <= 1e-12 * max(1.0, alpha * la), f"homogeneity alpha={alpha}")
+
+
+@_entry("strength.superadditivity", _operator_pair_and_ray)
+def _superadditivity(c, a, b, f):
+    total = _lam(a, f, c.tol) + _lam(b, f, c.tol)
+    c(_lam(a + b, f, c.tol) >= total - 1e-8 * eig_scale(a, b), "superadditivity")
+
+
+@_entry("strength.concavity", _operator_pair_and_ray)
+def _concavity(c, a, b, f):
+    la, lb = _lam(a, f, c.tol), _lam(b, f, c.tol)
+    sc = eig_scale(a, b)
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+        left = _lam(alpha * a, f, c.tol) + _lam((1.0 - alpha) * b, f, c.tol)
+        c(left >= alpha * la + (1.0 - alpha) * lb - 1e-8 * sc, f"concavity alpha={alpha}")
+
+
+# ---------------------------------------------------------------------------
+# lebesgue
+
+
+@_entry("lebesgue.decomposition", _reference_pair)
+def _decomposition(c, a, b, cplx):
+    parts = lebesgue.ac_part(b, a, c.tol)
+    c(_close(parts.ac + parts.sing, b, c.tol.rel * eig_scale(a, b)), "ac + sing = b")
+    c(lebesgue.absolutely_continuous(parts.ac, a, c.tol), "ac part is AC")
+    c(lebesgue.mutually_singular(parts.sing, a, c.tol), "singular part is singular")
+    c(core.loewner_leq(parts.ac, b, c.tol), "ac part below b")
+    c(_close(parts.projector @ parts.projector, parts.projector, 1e-10), "projector idempotent")
+    if not a.any():
+        c(np.max(np.abs(parts.ac)) <= 1e-12, "zero reference: ac = 0")
+
+
+@_entry("lebesgue.limit", _reference_pair)
+def _limit(c, a, b, cplx):
+    limit = lebesgue.parallel_sum(float(2**30) * a, b)
+    ac = lebesgue.ac_part(b, a, c.tol).ac
+    c(_close(limit, ac, 1e-6 * eig_scale(a, b)), "2^30 parallel-sum limit")
+
+
+@_entry("lebesgue.maximality", _reference_pair)
+def _maximality(c, a, b, cplx):
+    if not a.any():  # no ray lies in the range of 0
+        return
+    ac = lebesgue.ac_part(b, a, c.tol).ac
+    b_dec = core.eig_hermitian(b, c.tol)  # decomposed once for the 100 strengths
+    for _ in range(100):
+        v = random_ray_in_range(c.rng, a, cplx)
+        lam = _lam(b_dec, v, c.tol)
+        minorant = float(c.rng.uniform(0.0, 1.0)) * lam * core.rank_one(v)
+        c(core.loewner_leq(minorant, ac, c.tol), "maximal among AC minorants")
+
+
+@_entry("lebesgue.minorants", _reference_pair)
+def _minorants(c, a, b, cplx):
+    """The minorants `lebesgue.maximality` draws are AC minorants of b."""
+    if not a.any():
+        return
+    b_dec = core.eig_hermitian(b, c.tol)
+    for _ in range(10):
+        v = random_ray_in_range(c.rng, a, cplx)
+        minorant = float(c.rng.uniform(0.0, 1.0)) * _lam(b_dec, v, c.tol) * core.rank_one(v)
+        c(core.loewner_leq(minorant, b, c.tol), "minorant below b")
+        c(lebesgue.absolutely_continuous(minorant, a, c.tol), "minorant is AC")
+
+
+@_entry("lebesgue.monotone", _reference_pair)
+def _monotone(c, a, b, cplx):
+    sums = [lebesgue.parallel_sum(k * a, b) for k in (1.0, 4.0, 16.0, 64.0, 256.0)]
+    for lo, hi in zip(sums, sums[1:]):
+        c(core.loewner_leq(lo, hi, c.tol), "parallel sum monotone in the scale")
+
+
+@_entry("lebesgue.parallel_sum", _reference_pair)
+def _parallel_sum(c, a, b, cplx):
+    ps = lebesgue.parallel_sum(a, b)
+    c(_close(ps, lebesgue.parallel_sum(b, a), 1e-10 * eig_scale(a, b)), "parallel sum symmetric")
+    c(core.loewner_leq(ps, a, c.tol) and core.loewner_leq(ps, b, c.tol), "parallel sum below both")
+
+
+@_entry("lebesgue.idempotent", _reference_pair)
+def _idempotent(c, a, b, cplx):
+    ac = lebesgue.ac_part(b, a, c.tol).ac
+    c(_close(lebesgue.ac_part(ac, a, c.tol).ac, ac, 1e-9 * eig_scale(b)), "ac part idempotent")
+
+
+@_entry("lebesgue.order_implies_ac", _ordered_pair)
+def _order_implies_ac(c, a, b):
+    c(core.loewner_leq(a, b, c.tol), "pair is ordered")
+    c(lebesgue.absolutely_continuous(a, b, c.tol), "order implies AC")
+    c(lebesgue.absolutely_continuous(0.5 * b, b, c.tol), "minorant is AC")
+
+
+@_entry("lebesgue.parts_mutually_ac", _mixed_pair)
+def _parts_mutually_ac(c, a, b):
+    ra = lebesgue.ac_part(a, b, c.tol).ac
+    rb = lebesgue.ac_part(b, a, c.tol).ac
+    c(
+        lebesgue.absolutely_continuous(ra, rb, c.tol) and lebesgue.absolutely_continuous(rb, ra, c.tol),
+        "reduced parts mutually AC",
+    )
+
+
+# ---------------------------------------------------------------------------
+# lattice
+
+
+@_entry("lattice.supremum", _incomparable)
+def _sup(c, a, b, cplx):
+    c(not lattice.sup_exists(a, b, c.tol).exists, "no supremum when incomparable")
+    above = a + random_psd(c.rng, a.shape[0], rank=1, complex_entries=cplx)
+    v = lattice.sup_exists(a, above, c.tol)
+    c(v.exists and _close(v.sup, above, 1e-12 * eig_scale(above)), "supremum of a comparable pair")
+    w = lattice.inf_exists(a, above, c.tol)
+    c(w.exists and _close(w.inf, a, 1e-8 * eig_scale(a, b)), "infimum of a comparable pair")
+
+
+@_entry("lattice.kadison", _incomparable)
+def _kadison(c, a, b, cplx):
+    n = a.shape[0]
+    envelope = a + _pos_part(b - a)
+    for upper in (a + b + np.eye(n), envelope, envelope + 0.1 * np.eye(n)):
+        s = lattice.kadison_witness(a, b, upper, c.tol)
+        floor = 1e-9 * eig_scale(a, b, upper)
+        c(min_eig(s) >= -floor and core.is_psd(s, c.tol), "witness is PSD")
+        c(min_eig(s - a) >= -floor and core.loewner_leq(a, s, c.tol), "witness above a")
+        c(min_eig(s - b) >= -floor and core.loewner_leq(b, s, c.tol), "witness above b")
+        w = np.linalg.eigvalsh(core.hermitian_part(s - upper))
+        c(w[0] < -floor and w[-1] > floor, "witness incomparable with the upper bound")
+
+
+@_entry("lattice.compress", _psd_pair)
+def _compress(c, a, b):
+    comp = lattice.compress(a, b, c.tol)
+    sc = eig_scale(a, b)
+    c(_close(comp.a_tilde + comp.b_tilde, comp.range_proj, 1e-10), "compressions sum to the projector")
+    c(_close(comp.j @ comp.a_tilde @ comp.j, a, 1e-9 * sc), "compression restores a")
+    c(_close(comp.j @ comp.b_tilde @ comp.j, b, 1e-9 * sc), "compression restores b")
+    c(
+        core.is_psd(comp.a_tilde, c.tol) and core.loewner_leq(comp.a_tilde, comp.range_proj, c.tol),
+        "compression is a contraction",
+    )
+
+
+@_entry("lattice.candidate", _psd_pair)
+def _candidate(c, a, b):
+    cand = lattice.ando_candidate(a, b, c.tol)
+    c(core.loewner_leq(cand, a, c.tol) and core.loewner_leq(cand, b, c.tol), "candidate below both")
+
+
+@_entry("lattice.infimum", _mixed_pair)
+def _infimum(c, a, b):
+    v = lattice.inf_exists(a, b, c.tol)
+    c(lattice.spectral_criterion(v.reduced_a, v.reduced_b, c.tol) == v.exists, "spectral route agrees")
+    try:
+        lattice.ando_witness(a, b, c.tol)
+        witness_feasible = True
+    except MatrixError:
+        witness_feasible = False
+    c(witness_feasible == (not v.exists), "witness route agrees")
+    if not v.exists:
+        return
+    sc = eig_scale(a, b)
+    ra, rb = v.reduced_a, v.reduced_b
+    smaller = ra if core.loewner_leq(ra, rb, c.tol) else rb
+    c(_close(v.inf, smaller, 1e-8 * sc), "infimum is the smaller reduced part")
+    c(_close(v.inf, v.candidate, 1e-8 * sc), "infimum is the candidate")
+    c(core.loewner_leq(v.inf, a, c.tol) and core.loewner_leq(v.inf, b, c.tol), "infimum below both")
+    rng = c.rng
+    cand = core.eig_hermitian(v.candidate)
+    for k in range(200):
+        kind = k % 3
+        if kind == 0:
+            low = float(rng.uniform(0, 1)) * lebesgue.parallel_sum(
+                float(rng.uniform(0.2, 1.0)) * a, float(rng.uniform(0.2, 1.0)) * b
             )
-
-        ff = core.rank_one(f)
-        delta = 1e-6 * (1.0 + lam)
-        suite.check(core.is_psd(a - lam * ff, tol), f"supremum attained n={n}")
-        suite.check(not core.is_psd(a - (lam + delta) * ff, tol), f"supremum strict n={n}")
-        if res.witness is not None:
-            img = core.sqrt_psd(a, tol) @ res.witness
-            suite.check(
-                float(np.linalg.norm(img - f)) <= tol.rel * sc * max(1.0, float(np.linalg.norm(f))),
-                f"certificate n={n}",
-            )
-            suite.check(abs(lam * res.constant - 1.0) <= 1e-10, f"lambda*m=1 n={n}")
-        oracle = strength_bisection(a, f, tol)
-        suite.check(abs(oracle - lam) <= 1e-6 * (1.0 + lam), f"bisection oracle n={n}")
-
-        # order characterization
-        p = sampling.random_psd(rng, n, rank=1, complex_entries=cplx)
-        suite.check(
-            strength_dominates(a, a + p, tol, samples=8, seed=1000 + t),
-            f"dominance ordered n={n}",
-        )
-        if n >= 2:
-            x, y = sampling.incomparable_pair(rng, n, cplx)
-            suite.check(
-                not strength_dominates(x, y, tol, samples=4, seed=2000 + t),
-                f"dominance incomparable n={n}",
-            )
-            w = order_witness(x, y, tol)
-            suite.check(
-                strength(x, w, tol).value > strength(y, w, tol).value,
-                f"order witness gap n={n}",
-            )
-        suite.check(order_witness(a, a + p, tol) is None, f"witness absent n={n}")
-    return suite
-
-
-def _suite_lebesgue(rng, trials: int, tol: Tolerance) -> _Suite:
-    suite = _Suite("lebesgue")
-    for t in range(trials):
-        n = _dims(t)
-        cplx = bool(t % 2)
-        a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        sc = _scale(a, b)
-
-        below = 0.5 * b
-        suite.check(
-            lebesgue.absolutely_continuous(below, b, tol), f"minorant is AC n={n}"
-        )
-
-        ps = lebesgue.parallel_sum(a, b)
-        suite.check(_close(ps, lebesgue.parallel_sum(b, a), 1e-10 * sc), f"parsum symmetric n={n}")
-        suite.check(core.loewner_leq(ps, a, tol) and core.loewner_leq(ps, b, tol), f"parsum below n={n}")
-
-        parts = lebesgue.ac_part(b, a, tol)
-        suite.check(_close(parts.ac + parts.sing, b, tol.rel * sc), f"parts sum n={n}")
-        suite.check(lebesgue.absolutely_continuous(parts.ac, a, tol), f"ac part AC n={n}")
-        suite.check(lebesgue.mutually_singular(parts.sing, a, tol), f"sing part singular n={n}")
-        suite.check(core.loewner_leq(parts.ac, b, tol), f"ac below b n={n}")
-        again = lebesgue.ac_part(parts.ac, a, tol)
-        suite.check(_close(again.ac, parts.ac, 1e-9 * sc), f"idempotence n={n}")
-
-        ra = lebesgue.ac_part(a, b, tol).ac
-        rb = parts.ac
-        suite.check(
-            lebesgue.absolutely_continuous(ra, rb, tol)
-            and lebesgue.absolutely_continuous(rb, ra, tol),
-            f"parts mutually AC n={n}",
-        )
-
-        prev = None
-        monotone = True
-        for k in (1.0, 4.0, 16.0, 64.0):
-            cur = lebesgue.parallel_sum(k * a, b)
-            if prev is not None and not core.loewner_leq(prev, cur, tol):
-                monotone = False
-            prev = cur
-        suite.check(monotone, f"parsum monotone n={n}")
-        limit = lebesgue.parallel_sum(float(2**30) * a, b)
-        suite.check(_close(limit, parts.ac, 1e-6 * sc), f"parsum limit n={n}")
-
-        for _ in range(5):
-            v = sampling.random_ray_in_range(rng, a, cplx)
-            lam = strength(b, v, tol).value
-            minorant = float(rng.uniform(0.0, 1.0)) * lam * core.rank_one(v)
-            suite.check(core.loewner_leq(minorant, parts.ac, tol), f"maximality n={n}")
-    return suite
-
-
-def _suite_lattice(rng, trials: int, tol: Tolerance) -> _Suite:
-    suite = _Suite("lattice")
-    for t in range(trials):
-        n = _dims(t, lo=2)
-        cplx = bool(t % 2)
-        a, b = sampling.incomparable_pair(rng, n, cplx)
-        sc = _scale(a, b)
-
-        suite.check(not lattice.sup_exists(a, b, tol).exists, f"sup incomparable n={n}")
-        p = sampling.random_psd(rng, n, rank=1, complex_entries=cplx)
-        v = lattice.sup_exists(a, a + p, tol)
-        suite.check(v.exists and _close(v.sup, a + p, tol.rel * sc), f"sup comparable n={n}")
-
-        diff = core.hermitian_part(b - a)
-        dec = core.eig_hermitian(diff, tol)
-        pos = dec.apply(lambda w: np.clip(w, 0.0, None))
-        for label, upper in (("sum", a + b + np.eye(n)), ("envelope", a + pos)):
-            s = lattice.kadison_witness(a, b, upper, tol)
-            floor = 1e-9 * _scale(a, b, upper)
-            ok = (
-                core.is_psd(s, tol)
-                and core.loewner_leq(a, s, tol)
-                and core.loewner_leq(b, s, tol)
-            )
-            wst = np.linalg.eigvalsh(core.hermitian_part(s - upper))
-            ok = ok and wst[0] < -floor and wst[-1] > floor
-            suite.check(ok, f"kadison witness ({label}) n={n}")
-
-        comp = lattice.compress(a, b, tol)
-        suite.check(
-            _close(comp.a_tilde + comp.b_tilde, comp.range_proj, tol.rel * 10), f"compression unit n={n}"
-        )
-        suite.check(
-            _close(comp.j @ comp.a_tilde @ comp.j, a, 1e-9 * sc), f"compression restores n={n}"
-        )
-        suite.check(
-            core.is_psd(comp.a_tilde, tol)
-            and core.loewner_leq(comp.a_tilde, comp.range_proj, tol),
-            f"compression contraction n={n}",
-        )
-
-        cand = lattice.ando_candidate(a, b, tol)
-        suite.check(
-            core.loewner_leq(cand, a, tol) and core.loewner_leq(cand, b, tol),
-            f"candidate below n={n}",
-        )
-
-        verdict = lattice.inf_exists(a, b, tol)
-        spectral = lattice.spectral_criterion(verdict.reduced_a, verdict.reduced_b, tol)
-        suite.check(spectral == verdict.exists, f"spectral agreement n={n}")
-        if verdict.exists:
-            suite.check(_close(verdict.inf, cand, 1e-8 * sc), f"inf equals candidate n={n}")
-            reduced = lattice.inf_exists(verdict.reduced_a, verdict.reduced_b, tol)
-            suite.check(
-                reduced.exists and _close(reduced.inf, verdict.inf, 1e-8 * sc),
-                f"reduction identity n={n}",
-            )
-            for _ in range(5):
-                th = float(rng.uniform(0.0, 1.0))
-                low = th * lebesgue.parallel_sum(float(rng.uniform(0.2, 1.0)) * a, b)
-                suite.check(core.loewner_leq(low, verdict.inf, tol), f"inf dominates n={n}")
+        elif kind == 1:
+            low = float(rng.uniform(0, 1)) * v.candidate
         else:
-            d = verdict.witness
-            floor = 1e-9 * sc
-            ok = (
-                core.is_psd(d, tol)
-                and core.loewner_leq(d, a, tol)
-                and core.loewner_leq(d, b, tol)
-            )
-            wc = np.linalg.eigvalsh(core.hermitian_part(verdict.candidate - d))
-            ok = ok and wc[0] < -floor and wc[-1] > floor
-            suite.check(ok, f"infimum witness n={n}")
-
-        # a genuinely comparable pair must always admit the infimum
-        v2 = lattice.inf_exists(a, a + p, tol)
-        suite.check(v2.exists and _close(v2.inf, a, 1e-8 * sc), f"inf comparable n={n}")
-    return suite
+            shrink = rng.uniform(0.0, 1.0, size=cand.n)
+            low = cand.apply(lambda w: np.clip(w, 0.0, None) * shrink)
+        c(core.loewner_leq(low, v.inf, c.tol), "lower bound below the infimum")
 
 
-def _suite_forms(rng, trials: int, tol: Tolerance) -> _Suite:
-    suite = _Suite("forms")
-    for t in range(trials):
-        n = _dims(t)
-        cplx = bool(t % 2)
-        ga = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        gb = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        fa = forms.from_operator(ga, "a", tol)
-        fb = forms.from_operator(gb, "b", tol)
-        suite.check(_close(forms.to_operator(fa, tol), ga, tol.rel * _scale(ga)), f"roundtrip n={n}")
-        suite.check(
-            forms.form_leq(fa, fb, tol) == core.loewner_leq(ga, gb, tol), f"leq agreement n={n}"
-        )
-        suite.check(
-            forms.form_sup_exists(fa, fb, tol) == lattice.sup_exists(ga, gb, tol).exists,
-            f"sup agreement n={n}",
-        )
-        suite.check(
-            forms.form_inf_exists(fa, fb, tol) == lattice.inf_exists(ga, gb, tol).exists,
-            f"inf agreement n={n}",
-        )
-    return suite
+@_entry("lattice.ando_witness", _mixed_pair)
+def _ando_witness(c, a, b):
+    v = lattice.inf_exists(a, b, c.tol)
+    if v.exists:
+        return
+    d = v.witness
+    floor = 1e-9 * eig_scale(a, b)
+    c(min_eig(d) >= -floor and core.is_psd(d, c.tol), "witness is PSD")
+    c(min_eig(a - d) >= -floor and core.loewner_leq(d, a, c.tol), "witness below a")
+    c(min_eig(b - d) >= -floor and core.loewner_leq(d, b, c.tol), "witness below b")
+    w = np.linalg.eigvalsh(core.hermitian_part(v.candidate - d))
+    c(w[0] < -floor and w[-1] > floor, "witness incomparable with the candidate")
 
 
-def _suite_reports(rng, trials: int, tol: Tolerance) -> _Suite:
+@_entry("lattice.reduction", _psd_pair)
+def _reduction(c, a, b):
+    v = lattice.inf_exists(a, b, c.tol)
+    if v.exists:
+        reduced = lattice.inf_exists(v.reduced_a, v.reduced_b, c.tol)
+        c(reduced.exists and _close(reduced.inf, v.inf, 1e-8 * eig_scale(a, b)), "reduction identity")
+
+
+@_entry("lattice.disjoint", _disjoint)
+def _disjoint_infimum(c, p1, p2):
+    v = lattice.inf_exists(p1, p2, c.tol)
+    c(v.exists and np.max(np.abs(v.inf)) <= 1e-10, "disjoint ranges have infimum 0")
+
+
+# ---------------------------------------------------------------------------
+# forms
+
+
+@_entry("forms.agreement", _psd_pair)
+def _forms_agreement(c, a, b):
+    ta, tb = forms.from_operator(a, "a", c.tol), forms.from_operator(b, "b", c.tol)
+    c(forms.form_leq(ta, tb, c.tol) == core.loewner_leq(a, b, c.tol), "leq agrees")
+    c(forms.form_leq(tb, ta, c.tol) == core.loewner_leq(b, a, c.tol), "geq agrees")
+    c(forms.form_sup_exists(ta, tb, c.tol) == lattice.sup_exists(a, b, c.tol).exists, "sup agrees")
+    c(forms.form_inf_exists(ta, tb, c.tol) == lattice.inf_exists(a, b, c.tol).exists, "inf agrees")
+
+
+@_entry("forms.roundtrip", _psd_pair)
+def _forms_roundtrip(c, a, b):
+    for g in (a, b):
+        c(np.array_equal(forms.to_operator(forms.from_operator(g, "g", c.tol), c.tol), g), "round trip")
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+@_entry("reports.cli", _report_inputs)
+def _reports(c, a, b, f, above, x, y):
     from . import cli  # deferred to avoid a circular import at module load
 
-    suite = _Suite("reports")
-    for t in range(max(1, trials // 4)):
-        n = _dims(t, lo=2)
-        cplx = bool(t % 2)
-        a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        f = sampling.random_ray_in_range(rng, a, cplx)
-        inputs_af = {
-            "a": cli.memory_value("a", a),
-            "f": cli.memory_value("f", f, kind="vector"),
-        }
-        inputs_ab = {"a": cli.memory_value("a", a), "b": cli.memory_value("b", b)}
+    def inputs(**values):
+        return {k: cli.memory_value(k, v, "vector" if k == "f" else "matrix") for k, v in values.items()}
 
-        for name, report in (
-            ("strength", cli.cmd_strength(inputs_af, tol)),
-            ("inf", cli.cmd_inf(inputs_ab, tol)),
-            ("lebesgue", cli.cmd_lebesgue(inputs_ab, tol)),
-            ("compress", cli.cmd_compress(inputs_ab, tol)),
-            ("parsum", cli.cmd_parsum(inputs_ab, tol)),
-        ):
-            round_tripped = json.loads(json.dumps(report, sort_keys=True))
-            failures = cli.reverify_report(round_tripped)
-            suite.check(not failures, f"{name} report reverify n={n}: {failures[:1]}")
-            once = json.dumps(report, sort_keys=True)
-            twice = json.dumps(json.loads(once), sort_keys=True)
-            suite.check(once == twice, f"{name} report serialization stable n={n}")
-    return suite
-
-
-_SUITES = (
-    _suite_core,
-    _suite_strength,
-    _suite_lebesgue,
-    _suite_lattice,
-    _suite_forms,
-    _suite_reports,
-)
-
-
-def run_selftest(seed: int = 0, trials: int = 20, tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Run every invariant suite; returns a summary dictionary.
-
-    ``trials`` is the number of seeded instances per suite (at least 1).
-    Each suite derives its generator from ``seed`` plus its own index, so
-    suites are independent of ordering.
-    """
-    if trials < 1:
-        raise MatrixError("trials must be at least 1")
-    suites = []
-    total_pass = 0
-    total_fail = 0
-    for index, fn in enumerate(_SUITES):
-        rng = sampling.rng_from_seed(seed + index)
-        result = fn(rng, trials, tol)
-        suites.append(result.as_dict())
-        total_pass += result.passed
-        total_fail += result.failed
-    return {
-        "command": "selftest",
-        "seed": seed,
-        "trials": trials,
-        "tolerance": {"rel": tol.rel, "abs": tol.abs},
-        "passed": total_pass,
-        "failed": total_fail,
-        "ok": total_fail == 0,
-        "suites": suites,
-    }
+    n = a.shape[0]
+    # full rank and incomparable: the reduced parts are the pair itself, so no infimum
+    sx, sy = x + 0.3 * np.eye(n), y + 0.3 * np.eye(n)
+    cases = (
+        ("strength", cli.cmd_strength, inputs(a=a, f=f)),
+        ("leq", cli.cmd_leq, inputs(a=a, b=above)),
+        ("leq refuted", cli.cmd_leq, inputs(a=above, b=a)),
+        ("sup", cli.cmd_sup, inputs(a=a, b=above)),
+        ("sup refuted", cli.cmd_sup, inputs(a=x, b=y, t=x + y + np.eye(n))),
+        ("inf", cli.cmd_inf, inputs(a=a, b=b)),
+        ("lebesgue", cli.cmd_lebesgue, inputs(a=a, b=b)),
+        ("compress", cli.cmd_compress, inputs(a=a, b=b)),
+        ("parsum", cli.cmd_parsum, inputs(a=a, b=b)),
+        ("kadison-witness", cli.cmd_kadison_witness, inputs(a=x, b=y, t=x + y + np.eye(n))),
+        ("ando-witness", cli.cmd_ando_witness, inputs(a=sx, b=sy)),
+    )
+    for name, cmd, operands in cases:
+        once = json.dumps(cmd(operands, c.tol), sort_keys=True)
+        failures = cli.reverify_report(json.loads(once))
+        c(not failures, f"{name} report re-verifies" + "".join(f": {m}" for m in failures[:1]))
+        c(once == json.dumps(json.loads(once), sort_keys=True), f"{name} report serialization stable")

@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from psdorder import sampling
+from psdorder.selftest import Tally, check_invariants
 
 
 @pytest.fixture
@@ -9,16 +9,16 @@ def rng():
     return sampling.rng_from_seed(12345)
 
 
-def eig_scale(*mats) -> float:
-    """max(1, largest |eigenvalue|) over Hermitian operands."""
-    vals = [1.0]
-    for m in mats:
-        a = np.asarray(m)
-        if a.size:
-            vals.append(float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (a + a.conj().T))))))
-    return max(vals)
+class _FirstFailureRaises(Tally):
+    def __call__(self, ok, label):
+        assert ok, f"{self.entry} trial {self.t}: {label}"
+        super().__call__(ok, label)
 
 
-def min_eig(m) -> float:
-    a = np.asarray(m)
-    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+def holds(seed, trials, *names, pinned=False):
+    """Run catalogue entries on one instance stream; the first failed check raises.
+
+    ``seed`` is an int or a generator, which is drawn from in place.
+    """
+    rng = sampling.rng_from_seed(seed)
+    return check_invariants(names, rng, trials, tally=_FirstFailureRaises("pytest"), pinned=pinned)

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, printed as a pass/fail line.
 
 Runnable standalone:  pytest -s -v tests/test_acceptance.py
-Every tolerance is pinned here; the independent oracles (bisection on PSD
-verdicts, SVD pseudo-inverse, parallel-sum limits, 2x2 grid search) never
-share a code path with the closed forms they check.
+Criteria 1-8 and 10 run entries of the invariant catalogue
+(`psdorder.selftest.CATALOGUE`) at their pinned seeds and trial counts; the
+bounds are the catalogue's.  The independent oracles (bisection on PSD
+verdicts, SVD pseudo-inverse, parallel-sum limits, numpy eigenvalues, 2x2
+grid search) never share a code path with the closed forms they check.
 """
 
 import numpy as np
@@ -11,158 +13,47 @@ import pytest
 
 import psdorder as po
 from psdorder import sampling
-from conftest import eig_scale, min_eig
+from conftest import holds
 
 
-def _ranks_for(n: int, t: int) -> int:
-    profile = (n, max(1, n - 1), max(1, n // 2), 1, n)
-    return profile[t % len(profile)]
-
-
-def pos_part(m):
-    dec = po.eig_hermitian(m)
-    return dec.apply(lambda w: np.clip(w, 0.0, None))
-
-
-def sample_operator_and_ray(rng, t):
-    """Seeded (A, f) with f alternating inside / outside ran A; A = 0 sometimes."""
-    n = 1 + t % 6
-    cplx = bool(t % 2)
-    if t % 50 == 17:
-        a = np.zeros((n, n))
-    else:
-        a = sampling.random_psd(rng, n, rank=_ranks_for(n, t), complex_entries=cplx)
-    inside = bool(t % 2 == 0)
-    f = sampling.random_ray_in_range(rng, a, cplx) if inside else sampling.random_vector(rng, n, cplx)
-    return a, f
+def criterion(seed, trials, *names):
+    """Run catalogue entries on a criterion's pinned instance stream."""
+    return holds(seed, trials, *names, pinned=True)
 
 
 def test_criterion_01_strength_closed_form_vs_oracle():
-    rng = sampling.rng_from_seed(101)
-    for t in range(500):
-        a, f = sample_operator_and_ray(rng, t)
-        lam = po.strength(a, f).value
-        oracle = po.strength_bisection(a, f)
-        assert abs(lam - oracle) <= 1e-6 * (1.0 + lam), f"trial {t}"
-        ff = po.rank_one(f)
-        delta = 1e-6 * (1.0 + lam)
-        assert po.is_psd(a - lam * ff), f"trial {t}: supremum not attained"
-        assert not po.is_psd(a - (lam + delta) * ff), f"trial {t}: supremum not strict"
+    criterion(101, 500, "strength.bisection", "strength.supremum")
     print("ACCEPTANCE 1: PASS: closed-form strength matches bisection oracle, "
           "supremum property holds (500 trials)")
 
 
 def test_criterion_02_strength_times_penrose_form_is_one():
-    rng = sampling.rng_from_seed(202)
-    checked = 0
-    for t in range(500):
-        n = 1 + t % 6
-        cplx = bool(t % 2)
-        a = sampling.random_psd(rng, n, rank=_ranks_for(n, t), complex_entries=cplx)
-        f = sampling.random_ray_in_range(rng, a, cplx)
-        lam = po.strength(a, f).value
-        assert lam > 0.0, f"trial {t}: in-range ray has zero strength"
-        # independent pseudo-inverse route (SVD-based)
-        m = float(np.real(f.conj() @ np.linalg.pinv(a) @ f))
-        assert abs(lam * m - 1.0) <= 1e-8, f"trial {t}: lam*m = {lam * m}"
-        checked += 1
-    assert checked == 500
+    criterion(202, 500, "strength.penrose")
     print("ACCEPTANCE 2: PASS: strength * (f* A^+ f) = 1 within 1e-8 (500 trials)")
 
 
 def test_criterion_03_order_iff_strength_dominance():
     rng = sampling.rng_from_seed(303)
-    for t in range(200):
-        n = 1 + t % 6
-        cplx = bool(t % 2)
-        a = sampling.random_psd(rng, n, rank=_ranks_for(n, t), complex_entries=cplx)
-        p = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        # raises ToleranceBreakdownError on any of the 50 sampled rays violating
-        assert po.strength_dominates(a, a + p, samples=50, seed=7000 + t)
-    for t in range(200):
-        n = 2 + t % 5
-        cplx = bool(t % 2)
-        if t % 4 == 3:
-            b = sampling.random_psd(rng, n, complex_entries=cplx)
-            a = b + sampling.random_psd(rng, n, complex_entries=cplx)  # a > b: not a <= b
-        else:
-            a, b = sampling.incomparable_pair(rng, n, cplx)
-        f = po.order_witness(a, b)
-        assert f is not None
-        gap = po.strength(a, f).value - po.strength(b, f).value
-        assert gap > 1e-9 * eig_scale(a, b), f"trial {t}: gap {gap}"
+    criterion(rng, 200, "strength.dominance")
+    criterion(rng, 200, "strength.order_witness")
     print("ACCEPTANCE 3: PASS: dominance on 50 rays for 200 ordered pairs; "
           "strict witness gap for 200 non-ordered pairs")
 
 
 def test_criterion_04_remark_properties():
-    rng = sampling.rng_from_seed(404)
-    for t in range(200):
-        n = 1 + t % 6
-        cplx = bool(t % 2)
-        a = sampling.random_psd(rng, n, rank=_ranks_for(n, t), complex_entries=cplx)
-        b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        f = sampling.random_ray_in_range(rng, a, cplx) if t % 2 else sampling.random_vector(rng, n, cplx)
-        sc = eig_scale(a, b)
-        la = po.strength(a, f).value
-        lb = po.strength(b, f).value
-        for alpha in (0.0, 0.5, 1.0, 2.0, 7.5):
-            scaled = po.strength(alpha * a, f).value if alpha else 0.0
-            assert abs(scaled - alpha * la) <= 1e-12 * (1.0 + alpha * la), f"trial {t}"
-        assert po.strength(a + b, f).value >= la + lb - 1e-8 * sc, f"trial {t}"
-        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            left = (po.strength(alpha * a, f).value if alpha else 0.0) + (
-                po.strength((1.0 - alpha) * b, f).value if alpha < 1.0 else 0.0
-            )
-            assert left >= alpha * la + (1.0 - alpha) * lb - 1e-8 * sc, f"trial {t}"
+    criterion(404, 200, "strength.homogeneity", "strength.superadditivity", "strength.concavity")
     print("ACCEPTANCE 4: PASS: homogeneity exact to 1e-12, superadditivity and "
           "concavity within 1e-8*scale (200 trials)")
 
 
 def test_criterion_05_lebesgue_decomposition():
-    rng = sampling.rng_from_seed(505)
-    for t in range(200):
-        n = 1 + t % 6
-        cplx = bool(t % 2)
-        zero_a = t % 25 == 13
-        a = np.zeros((n, n)) if zero_a else sampling.random_psd(
-            rng, n, rank=_ranks_for(n, t), complex_entries=cplx
-        )
-        b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        parts = po.ac_part(b, a)
-        sc = eig_scale(a, b)
-        assert np.max(np.abs(parts.ac + parts.sing - b)) <= 1e-9 * sc, f"trial {t}"
-        assert po.absolutely_continuous(parts.ac, a), f"trial {t}"
-        assert po.mutually_singular(parts.sing, a), f"trial {t}"
-        limit = po.parallel_sum(float(2**30) * a, b)
-        assert np.max(np.abs(limit - parts.ac)) <= 1e-6 * sc, f"trial {t}"
-        if zero_a:
-            assert np.max(np.abs(parts.ac)) <= 1e-12
-            continue
-        for _ in range(100):
-            v = sampling.random_ray_in_range(rng, a, cplx)
-            lam = po.strength(b, v).value
-            c = float(rng.uniform(0.0, 1.0)) * lam * po.rank_one(v)
-            assert po.loewner_leq(c, parts.ac), f"trial {t}: maximality violated"
+    criterion(505, 200, "lebesgue.decomposition", "lebesgue.limit", "lebesgue.maximality")
     print("ACCEPTANCE 5: PASS: decomposition, AC/singular certificates, 2^30 "
           "parallel-sum limit, maximality vs 100 minorants (200 trials)")
 
 
 def test_criterion_06_anti_lattice_witnesses():
-    rng = sampling.rng_from_seed(606)
-    for t in range(200):
-        n = 2 + t % 5
-        cplx = bool(t % 2)
-        a, b = sampling.incomparable_pair(rng, n, cplx)
-        envelope = a + pos_part(b - a)
-        uppers = (a + b + np.eye(n), envelope, envelope + 0.1 * np.eye(n))
-        for upper in uppers:
-            s = po.kadison_witness(a, b, upper)
-            sc = eig_scale(a, b, upper)
-            assert min_eig(s - a) >= -1e-9 * sc, f"trial {t}: s >= a fails"
-            assert min_eig(s - b) >= -1e-9 * sc, f"trial {t}: s >= b fails"
-            diff = np.linalg.eigvalsh(po.hermitian_part(s - upper))
-            assert diff[0] <= -1e-9 * sc and diff[-1] >= 1e-9 * sc, f"trial {t}: comparable"
+    criterion(606, 200, "lattice.kadison")
     # fixed fixture
     s = po.kadison_witness(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2))
     np.testing.assert_allclose(s, [[4 / 3, 2 / 3], [2 / 3, 4 / 3]], atol=1e-12)
@@ -173,72 +64,10 @@ def test_criterion_06_anti_lattice_witnesses():
           "x 3 upper bounds; 2x2 fixture and its -2 form value reproduced")
 
 
-def _mixed_pair(rng, t):
-    family = t % 5
-    cplx = bool(t % 2)
-    if family == 0:  # full rank, mutually AC
-        a, b = sampling.incomparable_pair(rng, 2 + t % 5, cplx)
-        a = a + 0.3 * np.eye(a.shape[0])
-        b = b + 0.3 * np.eye(a.shape[0])
-    elif family == 1:  # rank-deficient, equal ranges
-        n = 2 + t % 5
-        a, b = sampling.shared_core_pair(rng, n, int(rng.integers(1, n + 1)), cplx)
-    elif family == 2:  # singular tails on both sides
-        n = 3 + t % 4
-        a, b = sampling.shared_core_pair(rng, n, int(rng.integers(1, n - 1)), cplx, tails=True)
-    elif family == 3:  # comparable
-        n = 1 + t % 6
-        a = sampling.random_psd(rng, n, rank=_ranks_for(n, t), complex_entries=cplx)
-        b = a + sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-    else:  # mutually singular (scaled disjoint projectors)
-        n = 2 + t % 5
-        p1, p2 = sampling.disjoint_projector_pair(rng, n, cplx)
-        a, b = float(rng.uniform(0.5, 2.0)) * p1, float(rng.uniform(0.5, 2.0)) * p2
-    return a, b
-
-
 def test_criterion_07_infimum_three_way_agreement():
-    rng = sampling.rng_from_seed(707)
-    exists_count = 0
-    witness_count = 0
-    for t in range(300):
-        a, b = _mixed_pair(rng, t)
-        sc = eig_scale(a, b)
-        verdict = po.inf_exists(a, b)
-        spectral = po.spectral_criterion(verdict.reduced_a, verdict.reduced_b)
-        try:
-            po.ando_witness(a, b)
-            witness_feasible = True
-        except po.MatrixError:
-            witness_feasible = False
-        assert spectral == verdict.exists, f"trial {t}: spectral route disagrees"
-        assert witness_feasible == (not verdict.exists), f"trial {t}: witness route disagrees"
-        if verdict.exists:
-            exists_count += 1
-            smaller = verdict.reduced_a if po.loewner_leq(verdict.reduced_a, verdict.reduced_b) else verdict.reduced_b
-            assert np.max(np.abs(verdict.inf - smaller)) <= 1e-8 * sc, f"trial {t}"
-            assert np.max(np.abs(verdict.inf - verdict.candidate)) <= 1e-8 * sc, f"trial {t}"
-            for k in range(200):
-                kind = k % 3
-                if kind == 0:
-                    low = float(rng.uniform(0, 1)) * po.parallel_sum(
-                        float(rng.uniform(0.2, 1.0)) * a, float(rng.uniform(0.2, 1.0)) * b
-                    )
-                elif kind == 1:
-                    low = float(rng.uniform(0, 1)) * verdict.candidate
-                else:
-                    dec = po.eig_hermitian(verdict.candidate)
-                    shrink = rng.uniform(0.0, 1.0, size=dec.n)
-                    low = dec.apply(lambda w: np.clip(w, 0.0, None) * shrink)
-                assert po.loewner_leq(low, verdict.inf), f"trial {t}: lower bound escapes"
-        else:
-            witness_count += 1
-            d = verdict.witness
-            assert min_eig(d) >= -1e-9 * sc, f"trial {t}: witness not PSD"
-            assert min_eig(a - d) >= -1e-9 * sc, f"trial {t}: d <= a fails"
-            assert min_eig(b - d) >= -1e-9 * sc, f"trial {t}: d <= b fails"
-            w = np.linalg.eigvalsh(po.hermitian_part(verdict.candidate - d))
-            assert w[0] <= -1e-9 * sc and w[-1] >= 1e-9 * sc, f"trial {t}: comparable with candidate"
+    tally = criterion(707, 300, "lattice.infimum", "lattice.ando_witness")
+    exists_count = tally.labels["infimum is the candidate"]
+    witness_count = tally.labels["witness incomparable with the candidate"]
     assert exists_count >= 60 and witness_count >= 60, "mix did not cover both outcomes"
     d = po.ando_witness(np.diag([2.0, 1.0]), np.diag([1.0, 2.0]))
     np.testing.assert_allclose(
@@ -249,13 +78,7 @@ def test_criterion_07_infimum_three_way_agreement():
 
 
 def test_criterion_08_disjoint_projections_have_zero_infimum():
-    rng = sampling.rng_from_seed(808)
-    for t in range(100):
-        n = 2 + t % 5
-        p1, p2 = sampling.disjoint_projector_pair(rng, n, complex_entries=bool(t % 2))
-        verdict = po.inf_exists(p1, p2)
-        assert verdict.exists, f"trial {t}"
-        assert np.max(np.abs(verdict.inf)) <= 1e-10, f"trial {t}"
+    criterion(808, 100, "lattice.disjoint")
     print("ACCEPTANCE 8: PASS: infimum of 100 disjoint-range projector pairs is 0")
 
 
@@ -345,16 +168,6 @@ def test_criterion_09_exhaustive_2x2_grid_oracle():
 
 
 def test_criterion_10_forms_corollary_agreement():
-    rng = sampling.rng_from_seed(1010)
-    for t in range(100):
-        n = 1 + t % 6
-        cplx = bool(t % 2)
-        a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-        ta, tb = po.from_operator(a), po.from_operator(b)
-        assert po.form_leq(ta, tb) == po.loewner_leq(a, b), f"trial {t}"
-        assert po.form_leq(tb, ta) == po.loewner_leq(b, a), f"trial {t}"
-        assert po.form_sup_exists(ta, tb) == po.sup_exists(a, b).exists, f"trial {t}"
-        assert po.form_inf_exists(ta, tb) == po.inf_exists(a, b).exists, f"trial {t}"
+    criterion(1010, 100, "forms.agreement")
     print("ACCEPTANCE 10: PASS: form-level and operator-level verdicts agree "
           "exactly on 100 Gram pairs")

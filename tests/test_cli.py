@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import psdorder as po
-from psdorder import cli, sampling
+import test_acceptance
+from psdorder import cli, sampling, selftest
 
 
 def write_matrix(path, m):
@@ -303,6 +305,18 @@ class TestReverifyTampered:
         assert len(failures) == 1
         assert failures[0].startswith("tolerance:")
 
+    @pytest.mark.parametrize("claims", [None, 5, "leq", {"kind": "psd", "subject": "input:a"}, "missing"])
+    def test_claims_that_are_not_a_list_are_a_failure(self, capsys, files, claims):
+        code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])
+        assert code == 0
+        if claims == "missing":
+            del report["claims"]
+        else:
+            report["claims"] = claims
+        failures = cli.reverify_report(report)
+        assert len(failures) == 1
+        assert failures[0].startswith("claims:")
+
     @pytest.mark.parametrize("missing", ["rel", "abs", None])
     def test_missing_stated_tolerance_is_a_failure(self, capsys, files, missing):
         code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])
@@ -393,3 +407,18 @@ class TestSelftestCommand:
         code2, s2 = run_json(capsys, ["selftest", "--trials", "2", "--seed", "99"])
         assert code1 == code2 == 0
         assert s1["ok"] is s2["ok"] is True
+
+    def test_catalogue_fails_on_a_skewed_decomposition(self, capsys, monkeypatch):
+        exact = po.lebesgue.ac_part
+
+        def skewed(b, a, tol=po.DEFAULT_TOL):
+            parts = exact(b, a, tol)
+            return dataclasses.replace(parts, ac=parts.ac + 1e-6 * np.eye(parts.ac.shape[0]))
+
+        monkeypatch.setattr(po.lebesgue, "ac_part", skewed)
+        summary = selftest.run_selftest(seed=0, trials=1)
+        failed = {s["name"]: s["failed"] for s in summary["suites"]}
+        assert failed["lebesgue"] > 0
+        assert cli.main(["selftest", "--trials", "1"]) == 1
+        with pytest.raises(AssertionError, match="lebesgue.decomposition trial 0: ac [+] sing = b"):
+            test_acceptance.test_criterion_05_lebesgue_decomposition()

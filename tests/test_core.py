@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 import psdorder as po
 from psdorder import sampling
-from conftest import eig_scale
+from psdorder.selftest import eig_scale
+from conftest import holds
 
 
 class TestEigHermitian:
@@ -116,11 +117,7 @@ class TestSqrtPinv:
         np.testing.assert_allclose(po.sqrt_psd(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]), atol=1e-14)
 
     def test_sqrt_residual_random(self, rng):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = g @ g.conj().T
-        r = po.sqrt_psd(a)
-        assert np.max(np.abs(r @ r - a)) <= 1e-9 * eig_scale(a)
-        assert po.is_psd(r)
+        holds(rng, 12, "core.sqrt")
 
     def test_sqrt_rejects_indefinite(self):
         with pytest.raises(po.NotPsdError):
@@ -134,12 +131,7 @@ class TestSqrtPinv:
         np.testing.assert_allclose(po.pinv_psd(np.eye(3)), np.eye(3), atol=1e-14)
 
     def test_penrose_random_rank2(self, rng):
-        q = sampling.random_unitary(rng, 4)
-        a = po.hermitian_part((q * [1.5, 0.7, 0.0, 0.0]) @ q.conj().T)
-        pinv = po.pinv_psd(a)
-        sc = eig_scale(a)
-        assert np.max(np.abs(a @ pinv @ a - a)) <= 1e-9 * sc
-        assert np.max(np.abs(pinv @ a @ pinv - pinv)) <= 1e-9 * sc
+        holds(rng, 12, "core.pinv")
 
 
 class TestRangeProjector:
@@ -156,12 +148,7 @@ class TestRangeProjector:
         np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_commutes_and_absorbs(self, rng):
-        a = sampling.random_psd(rng, 5, rank=3)
-        p = po.range_projector(a)
-        sc = eig_scale(a)
-        assert np.max(np.abs(p @ a - a)) <= 1e-10 * sc
-        assert np.max(np.abs(p @ a - a @ p)) <= 1e-10 * sc
-        assert po.numeric_rank(a) == 3
+        holds(rng, 12, "core.projector")
 
 
 class TestLoewnerOrder:
@@ -191,12 +178,7 @@ class TestLoewnerOrder:
         assert po.comparable(a + np.outer(f, f), a) is po.Comparison.GEQ
 
     def test_reflexive_transitive_sampled(self, rng):
-        for _ in range(10):
-            a = sampling.random_psd(rng, 3)
-            b = a + sampling.random_psd(rng, 3)
-            c = b + sampling.random_psd(rng, 3)
-            assert po.loewner_leq(a, a)
-            assert po.loewner_leq(a, b) and po.loewner_leq(b, c) and po.loewner_leq(a, c)
+        holds(rng, 24, "core.order")
 
 
 class TestRankOne:
@@ -213,13 +195,7 @@ class TestRankOne:
         assert np.max(np.abs(m - m.conj().T)) == 0.0
 
     def test_quadratic_form_is_pairing(self, rng):
-        f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        ff = po.rank_one(f)
-        for _ in range(5):
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            form = np.real(x.conj() @ ff @ x)
-            pairing = abs(np.vdot(x, f)) ** 2
-            assert form == pytest.approx(pairing, rel=1e-12)
+        holds(rng, 12, "core.rank_one")
 
     def test_rejects_zero(self):
         with pytest.raises(po.MatrixError):
@@ -242,14 +218,7 @@ class TestCanonicalFactor:
         )
 
     def test_quadratic_form_identity(self, rng):
-        a = sampling.random_psd(rng, 4)
-        j = po.sqrt_psd(a)
-        sc = eig_scale(a)
-        np.testing.assert_allclose(j @ j.conj().T, a, atol=1e-12 * sc)
-        for _ in range(5):
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            qa = np.real(x.conj() @ a @ x)
-            assert abs(qa - np.linalg.norm(j @ x) ** 2) <= 1e-9 * sc * max(1.0, qa)
+        holds(rng, 12, "core.factor")
 
 
 class TestTolerance:

@@ -3,6 +3,7 @@ import pytest
 
 import psdorder as po
 from psdorder import sampling
+from conftest import holds
 
 
 class TestFormOperatorBijection:
@@ -24,9 +25,7 @@ class TestFormOperatorBijection:
                 assert t.evaluate(x, y) == pytest.approx(expected)
 
     def test_round_trip_exact(self, rng):
-        g = sampling.random_psd(rng, 4)
-        t = po.from_operator(g, "g")
-        assert np.array_equal(po.to_operator(t), g)
+        holds(rng, 12, "forms.roundtrip")
 
     def test_rejects_indefinite_gram(self):
         with pytest.raises(po.NotPsdError):
@@ -62,15 +61,7 @@ class TestFormLattice:
         assert np.max(np.abs(verdict.inf)) <= 1e-12
 
     def test_verdicts_agree_with_operator_level(self, rng):
-        for k in range(25):
-            n = int(rng.integers(1, 6))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=bool(k % 2))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=bool(k % 2))
-            ta, tb = po.from_operator(a), po.from_operator(b)
-            assert po.form_leq(ta, tb) == po.loewner_leq(a, b)
-            assert po.form_leq(tb, ta) == po.loewner_leq(b, a)
-            assert po.form_sup_exists(ta, tb) == po.sup_exists(a, b).exists
-            assert po.form_inf_exists(ta, tb) == po.inf_exists(a, b).exists
+        holds(rng, 30, "forms.agreement")
 
 
 def _family_pair(rng, family, n, cplx):

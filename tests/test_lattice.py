@@ -3,12 +3,7 @@ import pytest
 
 import psdorder as po
 from psdorder import sampling
-from conftest import eig_scale, min_eig
-
-
-def pos_part(m):
-    dec = po.eig_hermitian(m)
-    return dec.apply(lambda w: np.clip(w, 0.0, None))
+from conftest import holds
 
 
 class TestSupExists:
@@ -18,11 +13,7 @@ class TestSupExists:
         assert v.sup is None
 
     def test_rank_one_bump(self, rng):
-        a = sampling.random_psd(rng, 3)
-        b = a + po.rank_one(sampling.random_vector(rng, 3))
-        v = po.sup_exists(a, b)
-        assert v.exists
-        np.testing.assert_allclose(v.sup, b, atol=1e-12 * eig_scale(b))
+        holds(rng, 10, "lattice.supremum")
 
     def test_incomparable_diagonals(self):
         assert not po.sup_exists(np.diag([2.0, 1.0]), np.diag([1.0, 2.0])).exists
@@ -61,17 +52,7 @@ class TestKadisonWitness:
         assert np.max(np.abs(s @ f)) <= 1e-9 * max(1.0, np.linalg.norm(f) ** 2)
 
     def test_contracts_on_random_pairs(self, rng):
-        for k in range(15):
-            n = int(rng.integers(2, 7))
-            a, b = sampling.incomparable_pair(rng, n, complex_entries=bool(k % 2))
-            for t in (a + b + np.eye(n), a + pos_part(b - a)):
-                s = po.kadison_witness(a, b, t)
-                sc = eig_scale(a, b, t)
-                assert min_eig(s) >= -1e-9 * sc
-                assert min_eig(s - a) >= -1e-9 * sc
-                assert min_eig(s - b) >= -1e-9 * sc
-                diff = np.linalg.eigvalsh(s - t)
-                assert diff[0] <= -1e-9 * sc and diff[-1] >= 1e-9 * sc
+        holds(rng, 15, "lattice.kadison")
 
     def test_preconditions(self, rng):
         a = sampling.random_psd(rng, 2)
@@ -101,17 +82,7 @@ class TestCompress:
             po.spectral_criterion(a, b)
 
     def test_invariants_random(self, rng):
-        for k in range(15):
-            n = int(rng.integers(1, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=bool(k % 2))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=bool(k % 2))
-            comp = po.compress(a, b)
-            sc = eig_scale(a, b)
-            assert np.max(np.abs(comp.a_tilde + comp.b_tilde - comp.range_proj)) <= 1e-10
-            assert np.max(np.abs(comp.j @ comp.a_tilde @ comp.j - a)) <= 1e-9 * sc
-            assert np.max(np.abs(comp.j @ comp.b_tilde @ comp.j - b)) <= 1e-9 * sc
-            assert po.is_psd(comp.a_tilde)
-            assert po.loewner_leq(comp.a_tilde, comp.range_proj)
+        holds(rng, 15, "lattice.compress")
 
     def test_zero_pair(self):
         comp = po.compress(np.zeros((2, 2)), np.zeros((2, 2)))
@@ -140,13 +111,7 @@ class TestAndoCandidate:
         assert np.max(np.abs(got)) <= 1e-12
 
     def test_always_lower_bound(self, rng):
-        for k in range(15):
-            n = int(rng.integers(1, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=bool(k % 2))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=bool(k % 2))
-            c = po.ando_candidate(a, b)
-            assert po.loewner_leq(c, a)
-            assert po.loewner_leq(c, b)
+        holds(rng, 15, "lattice.candidate")
 
 
 class TestSpectralCriterion:
@@ -186,25 +151,10 @@ class TestInfExists:
         np.testing.assert_allclose(v.reduced_b, b, atol=1e-12)
 
     def test_inf_is_smaller_part_and_candidate(self, rng):
-        for tails in (False, True):
-            a, b = sampling.shared_core_pair(rng, 5, 2, tails=tails)
-            v = po.inf_exists(a, b)
-            sc = eig_scale(a, b)
-            if v.exists:
-                assert np.max(np.abs(v.inf - v.candidate)) <= 1e-8 * sc
-                assert po.loewner_leq(v.inf, a)
-                assert po.loewner_leq(v.inf, b)
+        holds(rng, 5, "lattice.infimum")
 
     def test_reduction_identity(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            v = po.inf_exists(a, b)
-            if v.exists:
-                reduced = po.inf_exists(v.reduced_a, v.reduced_b)
-                assert reduced.exists
-                assert np.max(np.abs(reduced.inf - v.inf)) <= 1e-8 * eig_scale(a, b)
+        holds(rng, 20, "lattice.reduction")
 
 
 class TestAndoWitness:
@@ -229,21 +179,5 @@ class TestAndoWitness:
             po.ando_witness(a, a + sampling.random_psd(rng, 3))
 
     def test_contracts_on_rank_deficient_pairs(self, rng):
-        found = 0
-        for k in range(40):
-            n = int(rng.integers(2, 7))
-            rank = int(rng.integers(1, n + 1))
-            tails = bool(k % 3 == 0) and rank + 2 <= n
-            a, b = sampling.shared_core_pair(rng, n, rank, complex_entries=bool(k % 2), tails=tails)
-            v = po.inf_exists(a, b)
-            if v.exists:
-                continue
-            found += 1
-            d = v.witness
-            sc = eig_scale(a, b)
-            assert min_eig(d) >= -1e-9 * sc
-            assert min_eig(a - d) >= -1e-9 * sc
-            assert min_eig(b - d) >= -1e-9 * sc
-            w = np.linalg.eigvalsh(po.hermitian_part(v.candidate - d))
-            assert w[0] <= -1e-9 * sc and w[-1] >= 1e-9 * sc
-        assert found >= 10
+        tally = holds(rng, 100, "lattice.ando_witness")
+        assert tally.labels["witness incomparable with the candidate"] >= 10

@@ -2,7 +2,8 @@ import numpy as np
 
 import psdorder as po
 from psdorder import sampling
-from conftest import eig_scale
+from psdorder.selftest import eig_scale
+from conftest import holds
 
 
 class TestAbsolutelyContinuous:
@@ -18,12 +19,7 @@ class TestAbsolutelyContinuous:
         assert po.absolutely_continuous(b, a)
 
     def test_order_implies_ac(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 7))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            a = b + sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            assert po.loewner_leq(b, a)
-            assert po.absolutely_continuous(b, a)
+        holds(rng, 20, "lebesgue.order_implies_ac")
 
 
 class TestMutuallySingular:
@@ -57,15 +53,7 @@ class TestParallelSum:
         np.testing.assert_allclose(got, np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_symmetric_and_below(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            p = po.parallel_sum(a, b)
-            q = po.parallel_sum(b, a)
-            assert np.max(np.abs(p - q)) <= 1e-10 * eig_scale(a, b)
-            assert po.loewner_leq(p, a)
-            assert po.loewner_leq(p, b)
+        holds(rng, 20, "lebesgue.parallel_sum")
 
 
 class TestAcPart:
@@ -91,57 +79,16 @@ class TestAcPart:
         np.testing.assert_allclose(parts.sing, b, atol=1e-12)
 
     def test_contracts_random(self, rng):
-        for _ in range(15):
-            n = int(rng.integers(1, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            parts = po.ac_part(b, a)
-            sc = eig_scale(a, b)
-            assert np.max(np.abs(parts.ac + parts.sing - b)) <= 1e-9 * sc
-            assert po.absolutely_continuous(parts.ac, a)
-            assert po.mutually_singular(parts.sing, a)
-            assert po.loewner_leq(parts.ac, b)
-            p = parts.projector
-            assert np.max(np.abs(p @ p - p)) <= 1e-10
+        holds(rng, 30, "lebesgue.decomposition")
 
     def test_idempotent(self, rng):
-        a = sampling.random_psd(rng, 4, rank=2)
-        b = sampling.random_psd(rng, 4, rank=3)
-        parts = po.ac_part(b, a)
-        again = po.ac_part(parts.ac, a)
-        assert np.max(np.abs(again.ac - parts.ac)) <= 1e-9 * eig_scale(b)
+        holds(rng, 12, "lebesgue.idempotent")
 
     def test_parts_mutually_ac(self, rng):
-        for tails in (False, True):
-            a, b = sampling.shared_core_pair(rng, 5, 3, tails=tails)
-            ra = po.ac_part(a, b).ac
-            rb = po.ac_part(b, a).ac
-            assert po.absolutely_continuous(ra, rb)
-            assert po.absolutely_continuous(rb, ra)
+        holds(rng, 10, "lebesgue.parts_mutually_ac")
 
     def test_parallel_sum_oracle_monotone_and_convergent(self, rng):
-        for _ in range(5):
-            n = int(rng.integers(2, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            parts = po.ac_part(b, a)
-            prev = None
-            for k in (1.0, 4.0, 16.0, 64.0, 256.0):
-                cur = po.parallel_sum(k * a, b)
-                if prev is not None:
-                    assert po.loewner_leq(prev, cur)
-                prev = cur
-            limit = po.parallel_sum(float(2**30) * a, b)
-            assert np.max(np.abs(limit - parts.ac)) <= 1e-6 * eig_scale(a, b)
+        holds(rng, 10, "lebesgue.monotone", "lebesgue.limit")
 
     def test_maximality_against_sampled_minorants(self, rng):
-        a = sampling.random_psd(rng, 4, rank=2)
-        b = sampling.random_psd(rng, 4, rank=3)
-        parts = po.ac_part(b, a)
-        for _ in range(30):
-            v = sampling.random_ray_in_range(rng, a)
-            lam = po.strength(b, v).value
-            c = float(rng.uniform(0, 1)) * lam * po.rank_one(v)
-            assert po.loewner_leq(c, b)
-            assert po.absolutely_continuous(c, a)
-            assert po.loewner_leq(c, parts.ac)
+        holds(rng, 6, "lebesgue.maximality", "lebesgue.minorants")

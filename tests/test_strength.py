@@ -3,7 +3,7 @@ import pytest
 
 import psdorder as po
 from psdorder import sampling
-from conftest import eig_scale
+from conftest import holds
 
 
 class TestStrengthExamples:
@@ -40,68 +40,22 @@ class TestStrengthExamples:
 
 class TestStrengthInvariants:
     def test_result_certificates_consistent(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            f = sampling.random_ray_in_range(rng, a)
-            res = po.strength(a, f)
-            assert (res.value > 0) == (res.witness is not None) == (res.constant is not None)
-            if res.value > 0:
-                assert res.value * res.constant == pytest.approx(1.0, abs=1e-10)
-                assert res.value * np.linalg.norm(res.witness) ** 2 == pytest.approx(1.0, abs=1e-9)
-                image = po.sqrt_psd(a) @ res.witness
-                assert np.linalg.norm(image - f) <= 1e-10 * eig_scale(a) * max(1.0, np.linalg.norm(f))
+        holds(rng, 60, "strength.certificate")
 
     def test_positive_homogeneity(self, rng):
-        a = sampling.random_psd(rng, 4, rank=3)
-        f = sampling.random_ray_in_range(rng, a)
-        base = po.strength(a, f).value
-        for alpha in (0.0, 0.5, 1.0, 2.0, 3.5):
-            scaled = po.strength(alpha * a, f).value
-            assert scaled == pytest.approx(alpha * base, rel=1e-12, abs=1e-12)
+        holds(rng, 12, "strength.homogeneity")
 
     def test_superadditivity(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            b = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            f = sampling.random_vector(rng, n)
-            la = po.strength(a, f).value
-            lb = po.strength(b, f).value
-            lab = po.strength(a + b, f).value
-            assert lab >= la + lb - 1e-8 * eig_scale(a, b)
+        holds(rng, 120, "strength.superadditivity")
 
     def test_concavity(self, rng):
-        a = sampling.random_psd(rng, 3)
-        b = sampling.random_psd(rng, 3)
-        f = sampling.random_vector(rng, 3)
-        la = po.strength(a, f).value
-        lb = po.strength(b, f).value
-        sc = eig_scale(a, b)
-        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            left = (po.strength(alpha * a, f).value if alpha else 0.0) + (
-                po.strength((1 - alpha) * b, f).value if alpha < 1 else 0.0
-            )
-            assert left >= alpha * la + (1 - alpha) * lb - 1e-8 * sc
+        holds(rng, 12, "strength.concavity")
 
     def test_supremum_property(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            f = sampling.random_ray_in_range(rng, a) if n % 2 else sampling.random_vector(rng, n)
-            lam = po.strength(a, f).value
-            ff = po.rank_one(f)
-            delta = 1e-6 * (1.0 + lam)
-            assert po.is_psd(a - lam * ff)
-            assert not po.is_psd(a - (lam + delta) * ff)
+        holds(rng, 20, "strength.supremum")
 
     def test_bisection_matches_closed_form(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 7))
-            a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            f = sampling.random_ray_in_range(rng, a) if n % 2 else sampling.random_vector(rng, n)
-            lam = po.strength(a, f).value
-            assert abs(po.strength_bisection(a, f) - lam) <= 1e-6 * (1.0 + lam)
+        holds(rng, 20, "strength.bisection")
 
 
 class TestStrengthDominates:
@@ -144,8 +98,7 @@ class TestOrderWitness:
         assert po.strength_bisection(b, f) == pytest.approx(lb, abs=1e-6 * (1 + lb))
 
     def test_absent_when_ordered(self, rng):
-        a = sampling.random_psd(rng, 3)
-        assert po.order_witness(a, a + sampling.random_psd(rng, 3)) is None
+        holds(rng, 12, "strength.dominance")
 
     def test_rank_one_bump(self):
         b = np.eye(2)
@@ -158,8 +111,4 @@ class TestOrderWitness:
         assert la / lb == pytest.approx(2.0, rel=1e-9)
 
     def test_witness_normalization(self, rng):
-        # strength along the witness is 1 by the x* a x = 1 normalization
-        for _ in range(10):
-            a, b = sampling.incomparable_pair(rng, 4)
-            f = po.order_witness(a, b)
-            assert po.strength(a, f).value == pytest.approx(1.0, abs=1e-8)
+        holds(rng, 40, "strength.order_witness")
