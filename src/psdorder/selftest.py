@@ -7,7 +7,8 @@ entries run three ways: `run_selftest` runs every entry on its own seeded
 stream (``psdorder selftest``); the acceptance suite runs groups of entries
 on each criterion's pinned stream (seed, trial count, ``pinned=True``); the
 unit tests run single entries under pytest.  Bounds live in the checks and
-nowhere else.
+nowhere else.  A name with a third part, such as ``lattice.infimum.incomparable``,
+runs the check of ``lattice.infimum`` on a further instance family.
 
 Some checks use oracles that never go through `core.EigDecomp`: SVD-based
 `numpy.linalg.pinv`, bisection on PSD verdicts, the parallel-sum limit at
@@ -303,6 +304,14 @@ def _mixed_pair(rng, t, pinned):
     return a, b
 
 
+def _shared_core(rng, t, pinned):
+    """Pairs on one core subspace; on every third trial, private tails where they fit."""
+    n = 2 + t % 5
+    rank = int(rng.integers(1, n + 1))
+    tails = t % 3 == 0 and rank + 2 <= n
+    return sampling.shared_core_pair(rng, n, rank, _is_complex(t, pinned), tails=tails)
+
+
 def _disjoint(rng, t, pinned):
     return sampling.disjoint_projector_pair(rng, 2 + t % 5, complex_entries=_is_complex(t, pinned))
 
@@ -508,28 +517,20 @@ def _limit(c, a, b, cplx):
 
 @_entry("lebesgue.maximality", _reference_pair)
 def _maximality(c, a, b, cplx):
+    """Sampled AC minorants of b lie below the AC part of b."""
     if not a.any():  # no ray lies in the range of 0
         return
     ac = lebesgue.ac_part(b, a, c.tol).ac
-    b_dec = core.eig_hermitian(b, c.tol)  # decomposed once for the 100 strengths
-    for _ in range(100):
+    a_dec = core.eig_hermitian(a, c.tol)  # decomposed once for the AC premises
+    b_dec = core.eig_hermitian(b, c.tol)  # and for the 100 strengths
+    for k in range(100):
         v = random_ray_in_range(c.rng, a, cplx)
         lam = _lam(b_dec, v, c.tol)
         minorant = float(c.rng.uniform(0.0, 1.0)) * lam * core.rank_one(v)
+        if k < 5:  # the premises c <= b, c AC a: two more eighs per minorant
+            c(core.loewner_leq(minorant, b, c.tol), "minorant below b")
+            c(lebesgue.absolutely_continuous(minorant, a_dec, c.tol), "minorant is AC")
         c(core.loewner_leq(minorant, ac, c.tol), "maximal among AC minorants")
-
-
-@_entry("lebesgue.minorants", _reference_pair)
-def _minorants(c, a, b, cplx):
-    """The minorants `lebesgue.maximality` draws are AC minorants of b."""
-    if not a.any():
-        return
-    b_dec = core.eig_hermitian(b, c.tol)
-    for _ in range(10):
-        v = random_ray_in_range(c.rng, a, cplx)
-        minorant = float(c.rng.uniform(0.0, 1.0)) * _lam(b_dec, v, c.tol) * core.rank_one(v)
-        c(core.loewner_leq(minorant, b, c.tol), "minorant below b")
-        c(lebesgue.absolutely_continuous(minorant, a, c.tol), "minorant is AC")
 
 
 @_entry("lebesgue.monotone", _reference_pair)
@@ -559,6 +560,7 @@ def _order_implies_ac(c, a, b):
     c(lebesgue.absolutely_continuous(0.5 * b, b, c.tol), "minorant is AC")
 
 
+@_entry("lebesgue.parts_mutually_ac.random_pairs", _psd_pair)
 @_entry("lebesgue.parts_mutually_ac", _mixed_pair)
 def _parts_mutually_ac(c, a, b):
     ra = lebesgue.ac_part(a, b, c.tol).ac
@@ -578,7 +580,8 @@ def _sup(c, a, b, cplx):
     c(not lattice.sup_exists(a, b, c.tol).exists, "no supremum when incomparable")
     above = a + random_psd(c.rng, a.shape[0], rank=1, complex_entries=cplx)
     v = lattice.sup_exists(a, above, c.tol)
-    c(v.exists and _close(v.sup, above, 1e-12 * eig_scale(above)), "supremum of a comparable pair")
+    bound = min(c.tol.rel * eig_scale(a, b), 1e-12 * eig_scale(above))
+    c(v.exists and _close(v.sup, above, bound), "supremum of a comparable pair")
     w = lattice.inf_exists(a, above, c.tol)
     c(w.exists and _close(w.inf, a, 1e-8 * eig_scale(a, b)), "infimum of a comparable pair")
 
@@ -597,11 +600,13 @@ def _kadison(c, a, b, cplx):
         c(w[0] < -floor and w[-1] > floor, "witness incomparable with the upper bound")
 
 
+@_entry("lattice.compress.incomparable", _incomparable)
 @_entry("lattice.compress", _psd_pair)
-def _compress(c, a, b):
+def _compress(c, a, b, *_):
     comp = lattice.compress(a, b, c.tol)
     sc = eig_scale(a, b)
-    c(_close(comp.a_tilde + comp.b_tilde, comp.range_proj, 1e-10), "compressions sum to the projector")
+    unit = min(10 * c.tol.rel, 1e-10)
+    c(_close(comp.a_tilde + comp.b_tilde, comp.range_proj, unit), "compressions sum to the projector")
     c(_close(comp.j @ comp.a_tilde @ comp.j, a, 1e-9 * sc), "compression restores a")
     c(_close(comp.j @ comp.b_tilde @ comp.j, b, 1e-9 * sc), "compression restores b")
     c(
@@ -610,14 +615,19 @@ def _compress(c, a, b):
     )
 
 
+@_entry("lattice.candidate.incomparable", _incomparable)
 @_entry("lattice.candidate", _psd_pair)
-def _candidate(c, a, b):
+def _candidate(c, a, b, *_):
     cand = lattice.ando_candidate(a, b, c.tol)
     c(core.loewner_leq(cand, a, c.tol) and core.loewner_leq(cand, b, c.tol), "candidate below both")
 
 
+@_entry("lattice.infimum.shared_core", _shared_core)
+@_entry("lattice.infimum.incomparable", _incomparable)
 @_entry("lattice.infimum", _mixed_pair)
-def _infimum(c, a, b):
+def _infimum(c, a, b, *_):
+    """Three routes agree; an infimum dominates sampled lower bounds, and a
+    witness is a lower bound incomparable with the candidate."""
     v = lattice.inf_exists(a, b, c.tol)
     c(lattice.spectral_criterion(v.reduced_a, v.reduced_b, c.tol) == v.exists, "spectral route agrees")
     try:
@@ -626,9 +636,16 @@ def _infimum(c, a, b):
     except MatrixError:
         witness_feasible = False
     c(witness_feasible == (not v.exists), "witness route agrees")
-    if not v.exists:
-        return
     sc = eig_scale(a, b)
+    if not v.exists:
+        d = v.witness
+        floor = 1e-9 * sc
+        c(min_eig(d) >= -floor and core.is_psd(d, c.tol), "witness is PSD")
+        c(min_eig(a - d) >= -floor and core.loewner_leq(d, a, c.tol), "witness below a")
+        c(min_eig(b - d) >= -floor and core.loewner_leq(d, b, c.tol), "witness below b")
+        w = np.linalg.eigvalsh(core.hermitian_part(v.candidate - d))
+        c(w[0] < -floor and w[-1] > floor, "witness incomparable with the candidate")
+        return
     ra, rb = v.reduced_a, v.reduced_b
     smaller = ra if core.loewner_leq(ra, rb, c.tol) else rb
     c(_close(v.inf, smaller, 1e-8 * sc), "infimum is the smaller reduced part")
@@ -650,22 +667,9 @@ def _infimum(c, a, b):
         c(core.loewner_leq(low, v.inf, c.tol), "lower bound below the infimum")
 
 
-@_entry("lattice.ando_witness", _mixed_pair)
-def _ando_witness(c, a, b):
-    v = lattice.inf_exists(a, b, c.tol)
-    if v.exists:
-        return
-    d = v.witness
-    floor = 1e-9 * eig_scale(a, b)
-    c(min_eig(d) >= -floor and core.is_psd(d, c.tol), "witness is PSD")
-    c(min_eig(a - d) >= -floor and core.loewner_leq(d, a, c.tol), "witness below a")
-    c(min_eig(b - d) >= -floor and core.loewner_leq(d, b, c.tol), "witness below b")
-    w = np.linalg.eigvalsh(core.hermitian_part(v.candidate - d))
-    c(w[0] < -floor and w[-1] > floor, "witness incomparable with the candidate")
-
-
+@_entry("lattice.reduction.incomparable", _incomparable)
 @_entry("lattice.reduction", _psd_pair)
-def _reduction(c, a, b):
+def _reduction(c, a, b, *_):
     v = lattice.inf_exists(a, b, c.tol)
     if v.exists:
         reduced = lattice.inf_exists(v.reduced_a, v.reduced_b, c.tol)

@@ -65,7 +65,7 @@ def test_criterion_06_anti_lattice_witnesses():
 
 
 def test_criterion_07_infimum_three_way_agreement():
-    tally = criterion(707, 300, "lattice.infimum", "lattice.ando_witness")
+    tally = criterion(707, 300, "lattice.infimum")
     exists_count = tally.labels["infimum is the candidate"]
     witness_count = tally.labels["witness incomparable with the candidate"]
     assert exists_count >= 60 and witness_count >= 60, "mix did not cover both outcomes"

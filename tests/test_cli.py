@@ -6,7 +6,7 @@ import pytest
 
 import psdorder as po
 import test_acceptance
-from psdorder import cli, sampling, selftest
+from psdorder import cli, sampling
 
 
 def write_matrix(path, m):
@@ -416,9 +416,8 @@ class TestSelftestCommand:
             return dataclasses.replace(parts, ac=parts.ac + 1e-6 * np.eye(parts.ac.shape[0]))
 
         monkeypatch.setattr(po.lebesgue, "ac_part", skewed)
-        summary = selftest.run_selftest(seed=0, trials=1)
+        code, summary = run_json(capsys, ["selftest", "--trials", "1"])  # runs run_selftest
         failed = {s["name"]: s["failed"] for s in summary["suites"]}
-        assert failed["lebesgue"] > 0
-        assert cli.main(["selftest", "--trials", "1"]) == 1
+        assert code == 1 and failed["lebesgue"] > 0
         with pytest.raises(AssertionError, match="lebesgue.decomposition trial 0: ac [+] sing = b"):
             test_acceptance.test_criterion_05_lebesgue_decomposition()

@@ -179,5 +179,5 @@ class TestAndoWitness:
             po.ando_witness(a, a + sampling.random_psd(rng, 3))
 
     def test_contracts_on_rank_deficient_pairs(self, rng):
-        tally = holds(rng, 100, "lattice.ando_witness")
+        tally = holds(rng, 40, "lattice.infimum.shared_core")
         assert tally.labels["witness incomparable with the candidate"] >= 10

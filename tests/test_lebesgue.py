@@ -91,4 +91,4 @@ class TestAcPart:
         holds(rng, 10, "lebesgue.monotone", "lebesgue.limit")
 
     def test_maximality_against_sampled_minorants(self, rng):
-        holds(rng, 6, "lebesgue.maximality", "lebesgue.minorants")
+        holds(rng, 6, "lebesgue.maximality")
