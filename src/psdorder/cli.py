@@ -20,8 +20,9 @@ Every verdict is emitted as a report that embeds its inputs (path, SHA-256
 digest, and the parsed matrix) and its witness matrices together with the
 claims they must satisfy, so `reverify_report` can re-check a report from
 its serialized form alone.  With ``--json`` the report is printed as
-canonical JSON (sorted keys), which is byte-identical across runs for
-identical inputs and seed; the human-readable form adds the runtime.
+canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2)``
+and a newline, which is byte-identical across runs for identical inputs
+and seed; the human-readable form adds the runtime.
 
 Exit codes: 0 success, 1 I/O or parse errors, 2 precondition rejection,
 3 internal tolerance breakdown (`ToleranceBreakdownError`).
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -231,9 +234,10 @@ def reverify_report(report: dict) -> list[str]:
     in the report, and every claim is checked at the report's own stated
     tolerance.  A loose stated tolerance makes claims easy to pass, so a
     consumer must check ``tolerance`` themselves.  A malformed claim, a
-    ``claims`` entry that is not a list, or a stated tolerance that is
-    missing, non-finite or not positive, is reported as a failure, not
-    raised.
+    claim that sets its own residual bound (``atol_scale``), a ``claims``
+    entry that is not a list, or a stated tolerance that is missing,
+    non-finite or not positive, is reported as a failure, not raised.
+    Each referenced input or witness is decoded once per call.
     """
     try:
         stated = report["tolerance"]
@@ -243,11 +247,21 @@ def reverify_report(report: dict) -> list[str]:
     claims = report.get("claims")
     if not isinstance(claims, list):
         return [f"claims: expected a list of claims, got {type(claims).__name__}"]
+    decoded: dict[str, np.ndarray] = {}
+
+    def resolve(ref) -> np.ndarray:
+        key = str(ref)
+        if key not in decoded:
+            value = _resolve(report, key)
+            value.flags.writeable = False  # shared by every claim that names it
+            decoded[key] = value
+        return decoded[key]
+
     failures: list[str] = []
     for claim in claims:
         kind = claim.get("kind") if isinstance(claim, dict) else None
         try:
-            ok = _check_claim(report, claim, tol)
+            ok = _check_claim(claim, resolve, tol)
         except (ValueError, TypeError, KeyError, CliInputError, ToleranceBreakdownError) as exc:
             failures.append(f"{kind}: error during re-verification: {exc}")
             continue
@@ -260,15 +274,17 @@ def _norm_scale(*matrices) -> float:
     return max([1.0] + [float(np.max(np.abs(m))) for m in matrices if m.size])
 
 
-def _residual_ok(claim: dict, residual: np.ndarray, *scale_by) -> bool:
-    atol = float(claim.get("atol_scale", CLOSE_ATOL_SCALE))
-    return float(np.max(np.abs(residual))) <= atol * _norm_scale(*scale_by)
+def _residual_ok(residual: np.ndarray, *scale_by) -> bool:
+    return float(np.max(np.abs(residual))) <= CLOSE_ATOL_SCALE * _norm_scale(*scale_by)
 
 
-def _check_claim(report: dict, claim: dict, tol: Tolerance) -> bool:
+def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
     def get(key):
-        return _resolve(report, claim[key])
+        return resolve(claim[key])
 
+    # The residual bound is the verifier's, not the report's to loosen.
+    if "atol_scale" in claim:
+        raise CliInputError("a claim may not set atol_scale")
     kind = claim["kind"]
     if kind == "psd":
         return core.is_psd(get("subject"), tol)
@@ -279,14 +295,14 @@ def _check_claim(report: dict, claim: dict, tol: Tolerance) -> bool:
         return core.comparable(get("subject"), get("other"), tol) is Comparison.INCOMPARABLE
     if kind == "close":
         a, b = get("subject"), get("other")
-        return _residual_ok(claim, a - b, a, b)
+        return _residual_ok(a - b, a, b)
     if kind == "sum_equals":
-        parts = [_resolve(report, ref) for ref in claim["parts"]]
+        parts = [resolve(ref) for ref in claim["parts"]]
         total = get("total")
-        return _residual_ok(claim, sum(parts) - total, total)
+        return _residual_ok(sum(parts) - total, total)
     if kind == "sandwich":
         outer, mid, target = get("outer"), get("mid"), get("target")
-        return _residual_ok(claim, outer @ mid @ outer - target, target)
+        return _residual_ok(outer @ mid @ outer - target, target)
     if kind == "abs_continuous":
         return lebesgue.absolutely_continuous(get("subject"), get("other"), tol)
     if kind == "singular":
@@ -463,8 +479,68 @@ HANDLERS = {
 # printing
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode  # one scalar or key; C-accelerated
+
+
+def _float_block(x: list):
+    """``(shape, flat)`` of a rectangular nesting of finite floats, else None."""
+    shape, flat = [len(x)], x
+    while type(flat[0]) is list:
+        if set(map(type, flat)) != {list} or len(set(map(len, flat))) != 1 or not flat[0]:
+            return None
+        shape.append(len(flat[0]))
+        flat = list(itertools.chain.from_iterable(flat))
+    # An int or bool leaf keeps its own spelling, and NaN/infinity theirs.  A
+    # finite block whose sum overflows merely takes the generic path.
+    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None
+    return shape, flat
+
+
+def _float_block_text(shape: list, flat: list, indent: str) -> str:
+    """Indented text of a float block, built level by level from the innermost."""
+    chunks = list(map(float.__repr__, flat))
+    for depth in reversed(range(len(shape))):
+        outer = "\n" + indent + "  " * depth
+        inner = outer + "  "
+        head, sep, tail = "[" + inner, "," + inner, outer + "]"
+        chunks = [head + row + tail for row in map(sep.join, zip(*[iter(chunks)] * shape[depth]))]
+    return chunks[0]
+
+
+def _canonical_json(x, indent: str = "") -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, `json.dumps` runs its pure-Python encoder.  Here the
+    float arrays that make up almost all of a report are formatted in one
+    pass, and everything else goes through the C encoder one scalar or key
+    at a time.
+    """
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        # A non-string key is spelled as JSON first, then quoted, as json does.
+        items = [
+            _encode(k if isinstance(k, str) else _encode(k)) + ": " + _canonical_json(v, inner)
+            for k, v in sorted(x.items())
+        ]
+        opener, closer = "{", "}"
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        block = _float_block(x) if type(x) is list else None
+        if block is not None:
+            return _float_block_text(*block, indent)
+        items = [_canonical_json(v, inner) for v in x]
+        opener, closer = "[", "]"
+    else:
+        return _encode(x)
+    return opener + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closer
+
+
 def _print_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2))
+    sys.stdout.write(_canonical_json(report))
     sys.stdout.write("\n")
 
 

@@ -262,6 +262,8 @@ class TestReverifyTampered:
             (["strength", "--a", "id2", "--f", "e1"], 1, "vector", 5),
             (["compress", "--a", "d21", "--b", "d12"], 2, "parts", 3),
             (["compress", "--a", "d21", "--b", "d12"], 3, "atol_scale", "x"),
+            (["compress", "--a", "d21", "--b", "d12"], 3, "atol_scale", 1e300),
+            (["compress", "--a", "d21", "--b", "d12"], 0, "atol_scale", 1.0),
         ],
     )
     def test_malformed_claim_is_a_failure(self, capsys, files, argv, index, field, value):
@@ -271,6 +273,20 @@ class TestReverifyTampered:
         failures = cli.reverify_report(report)
         assert len(failures) == 1
         assert "error during re-verification" in failures[0]
+
+    def test_claim_cannot_loosen_its_residual_bound(self, capsys, files):
+        code, report = run_json(capsys, ["compress", "--a", files["d21"], "--b", files["d12"]])
+        assert code == 0
+        j = report["witnesses"]["j"]["value"]
+        j["data"] = (3.0 * np.array(j["data"])).tolist()
+        failures = cli.reverify_report(report)
+        assert [msg.split(":")[0] for msg in failures] == ["sandwich", "sandwich"]
+        for claim in report["claims"]:
+            if claim["kind"] == "sandwich":
+                claim["atol_scale"] = 1e300
+        failures = cli.reverify_report(report)
+        assert len(failures) == 2
+        assert all("error during re-verification" in msg for msg in failures)
 
     def test_claim_without_kind_is_a_failure(self, capsys, files):
         code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])

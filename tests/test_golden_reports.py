@@ -8,6 +8,8 @@ checked four ways: the exit status, verdict and claims are equal (float
 leaves to 1e-12 relative, so other BLAS builds pass too); the witness
 names are equal; every witness agrees with the recorded one within
 ``1e-12 * scale``; and the new report re-verifies from its serialized form.
+A separate test pins the printed bytes to the canonical form,
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.
 
 Regenerate the fixture only when a change of the reports is intended::
 
@@ -40,11 +42,15 @@ def _write_inputs(tmp_path, inputs: dict) -> dict:
     return paths
 
 
-def _run(argv, inputs, tmp_path, capsys):
+def _stdout(argv, inputs, tmp_path, capsys):
     paths = _write_inputs(tmp_path, inputs)
     resolved = [paths[arg[1:]] if arg.startswith("@") else arg for arg in argv]
     status = cli.main(resolved + ["--json"])
-    out = capsys.readouterr().out
+    return status, capsys.readouterr().out
+
+
+def _run(argv, inputs, tmp_path, capsys):
+    status, out = _stdout(argv, inputs, tmp_path, capsys)
     return status, (json.loads(out) if status == 0 else None)
 
 
@@ -106,6 +112,15 @@ def test_golden_report(case, tmp_path, capsys):
         scale = max(1.0, float(np.max(np.abs(want))))
         assert float(np.max(np.abs(got - want))) <= WITNESS_ATOL_SCALE * scale, name
     assert cli.reverify_report(json.loads(json.dumps(report, sort_keys=True))) == []
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
+def test_golden_stdout_is_canonical(case, tmp_path, capsys):
+    """The printed bytes are exactly ``json.dumps(report, sort_keys=True, indent=2)``."""
+    status, out = _stdout(case["argv"], case["inputs"], tmp_path, capsys)
+    assert status == case["status"]
+    if status == 0:
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
