@@ -177,14 +177,15 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if float(np.max(np.abs(tb))) <= tol.rel * scale:
         raise MatrixError("precondition failed: t coincides with b within tolerance")
 
-    singular, dsum = lebesgue._rank_additivity(dta, dtb, tol)
-    if not singular:
-        # Shared range direction: strength along it is positive for both gaps.
-        e = dsum.vectors[:, -1]
+    qb, sines, c = lebesgue._angles(dta, dtb, tol)
+    if np.any(sines <= tol.rel):
+        # Shared range direction (smallest angle): strength along it is
+        # positive for both gaps.
+        e = qb @ c[:, -1]
         lam = min(strength(dta, e, tol).value, strength(dtb, e, tol).value)
         if lam <= 0.0:
             raise ToleranceBreakdownError(
-                "shared range direction carries no strength; rank tests disagree"
+                "shared range direction carries no strength; angle and strength tests disagree"
             )
         f = _first_orthogonal_basis_ray(e)
         s = ht - lam * core.rank_one(e) + core.rank_one(f)

@@ -6,12 +6,16 @@ to ``a`` iff ``ran b`` is contained in ``ran a``.  Two PSD matrices are
 mutually singular iff their ranges intersect trivially, which is the same
 as saying the zero matrix is the only common Loewner minorant.
 
-`ac_part` splits ``b`` into ``b = ac + sing`` where ``ac`` is the largest
-PSD matrix below ``b`` whose range lies inside ``ran a``: with
-``r = b^{1/2}`` and ``p`` the projector onto ``{x : r x in ran a}``, the
-parts are ``ac = r p r`` and ``sing = r (1 - p) r``.  The same maximal
-part is the monotone limit of the parallel sums ``(n a) : b`` as ``n``
-grows, which serves as an independent oracle.
+Every range question is answered from the principal angles of ``ran b``
+against ``ran a`` (Björck & Golub, Math. Comp. 27, 1973): the singular
+values of ``Qb - Qa Qa* Qb`` are their sines, and an angle counts as zero
+when its sine is at most ``tol.rel``.  ``b << a`` iff every angle is zero,
+the pair is singular iff none is, and the zero angles span
+``ran a ∩ ran b``.  On that intersection `ac_part` builds the maximal part
+of ``b`` by the shorted-operator formula ``ac = V (V* b^+ V)^{-1} V*``
+(Anderson & Trapp, SIAM J. Appl. Math. 28, 1975); the same maximal part is
+the monotone limit of the parallel sums ``(n a) : b`` as ``n`` grows,
+which serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -46,41 +50,31 @@ class LebesgueParts:
     projector: np.ndarray
 
 
+def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
+    """Principal angles of ``ran b`` against ``ran a``, one SVD.
+
+    Returns ``(qb, sines, c)``: the range basis of ``b``, the sines in
+    descending order, and the matching right singular vectors in ``qb``
+    coordinates, so ``qb @ c[:, sines <= tol.rel]`` is an orthonormal basis
+    of ``ran a ∩ ran b``.
+    """
+    core._same_dim(da.vectors, db.vectors)
+    qa = da.range_basis(tol)
+    qb = db.range_basis(tol)
+    _, sines, vh = np.linalg.svd(qb - qa @ (qa.conj().T @ qb), full_matrices=False)
+    return qb, sines, vh.conj().T
+
+
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran b`` is contained in ``ran a`` (so ``b << a``)."""
-    db = core.eig_hermitian(b, tol)
-    da = core.eig_hermitian(a, tol)
-    core._same_dim(da.vectors, db.vectors)
-    pa = da.projector(tol)
-    pb = db.projector(tol)
-    eye = np.eye(pa.shape[0])
-    return float(np.linalg.norm((eye - pa) @ pb, 2)) <= tol.rel
+    sines = _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[1]
+    return not np.any(sines > tol.rel)
 
 
 def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``ran a`` and ``ran b`` intersect only in ``{0}``.
-
-    Tested through rank additivity: the ranks of ``a`` and ``b`` must add
-    up to the rank of the projector onto ``ran a + ran b``.
-    """
-    da = core.eig_hermitian(a, tol)
-    db = core.eig_hermitian(b, tol)
-    core._same_dim(da.vectors, db.vectors)
-    return _rank_additivity(da, db, tol)[0]
-
-
-def _rank_additivity(
-    da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance
-) -> tuple[bool, core.EigDecomp]:
-    """`mutually_singular` verdict and the decomposition of ``P(a) + P(b)``.
-
-    ``P(x)`` is the projector onto ``ran x``; callers that go on to look
-    for a shared range direction read it from the returned decomposition.
-    """
-    dsum = core.eig_hermitian(da.projector(tol) + db.projector(tol), tol)
-    ra = core.numeric_rank(da, tol)
-    rb = core.numeric_rank(db, tol)
-    return ra + rb == core.numeric_rank(dsum, tol), dsum
+    """True iff ``ran a`` and ``ran b`` intersect only in ``{0}``."""
+    sines = _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[1]
+    return not np.any(sines <= tol.rel)
 
 
 _GRADED_RATIO = float(2**20)
@@ -161,15 +155,13 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     decompositions exist in general and are not enumerated.
     """
     db = core.eig_hermitian(b, tol)
-    da = core.eig_hermitian(a, tol)
-    core._same_dim(da.vectors, db.vectors)
-    r = core.sqrt_psd(db, tol)
-    pa = da.projector(tol)
-    eye = np.eye(r.shape[0])
-    # Kernel of (1 - pa) r computed from the PSD product r (1 - pa) r to
-    # avoid forming non-Hermitian intermediates.
-    k = core.hermitian_part(r @ (eye - pa) @ r)
-    p = core.hermitian_part(eye - core.range_projector(k, tol))
-    ac = core.hermitian_part(r @ p @ r)
-    sing = core.hermitian_part(r @ (eye - p) @ r)
-    return LebesgueParts(ac, sing, p)
+    qb, sines, c = _angles(core.eig_hermitian(a, tol), db, tol)
+    c0 = c[:, sines <= tol.rel]
+    # y spans the coordinates z with b^{1/2} qb z in ran a; m = V* b^+ V
+    y = c0 / np.sqrt(db.eigenvalues[db.kept(tol)])[:, np.newaxis]
+    m = y.conj().T @ y
+    v = qb @ c0
+    ac = core.hermitian_part(v @ np.linalg.solve(m, v.conj().T))
+    qy = qb @ y
+    p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ np.linalg.solve(m, qy.conj().T)
+    return LebesgueParts(ac, core.hermitian_part(db.reconstruct() - ac), core.hermitian_part(p))

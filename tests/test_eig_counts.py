@@ -1,8 +1,11 @@
-"""Hermitian eigendecompositions per call: each distinct matrix is decomposed once.
+"""Hermitian eigendecompositions and SVDs per call.
 
 Every rank, projector, root and PSD verdict about an operand is read from one
-`EigDecomp`, so these counts only grow when a new distinct matrix enters a
-decision.  The counter wraps `numpy.linalg.eigh` for the duration of a test.
+`EigDecomp`, so eigh counts only grow when a new distinct matrix enters a
+decision.  Every range question about a pair (absolute continuity,
+singularity, the AC part, a shared range direction) is one SVD of the
+principal angles, so work moved from eigh to SVD stays visible.  The counter
+wraps `numpy.linalg.eigh` and `numpy.linalg.svd` for the duration of a test.
 """
 
 import numpy as np
@@ -15,22 +18,29 @@ N = 4
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
+def linalg_calls(monkeypatch):
+    """Names of the counted `numpy.linalg` calls, in order."""
     calls = []
-    eigh = np.linalg.eigh
 
-    def counting(m, *args, **kwargs):
-        calls.append(np.shape(m))
-        return eigh(m, *args, **kwargs)
+    def counting(name):
+        wrapped = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        def call(m, *args, **kwargs):
+            calls.append(name)
+            return wrapped(m, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
 
 
 def count(calls, fn, *args):
+    """``((eigh calls, svd calls), result)`` of one call."""
     calls.clear()
     result = fn(*args)
-    return len(calls), result
+    return (calls.count("eigh"), calls.count("svd")), result
 
 
 @pytest.fixture(params=[False, True], ids=["real", "complex"])
@@ -54,68 +64,68 @@ def inst(request):
     }
 
 
-def test_comparable(eigh_calls, inst):
-    assert count(eigh_calls, po.comparable, inst["a"], inst["b"])[0] == 1
-    assert count(eigh_calls, po.loewner_leq, inst["low"], inst["up"])[0] == 1
+def test_comparable(linalg_calls, inst):
+    assert count(linalg_calls, po.comparable, inst["a"], inst["b"])[0] == (1, 0)
+    assert count(linalg_calls, po.loewner_leq, inst["low"], inst["up"])[0] == (1, 0)
 
 
-def test_order_witness(eigh_calls, inst):
-    assert count(eigh_calls, po.order_witness, inst["a"], inst["b"])[0] == 1
+def test_order_witness(linalg_calls, inst):
+    assert count(linalg_calls, po.order_witness, inst["a"], inst["b"])[0] == (1, 0)
 
 
-def test_mutually_singular(eigh_calls, inst):
-    assert count(eigh_calls, po.mutually_singular, inst["low"], inst["b"])[0] == 3
+def test_mutually_singular(linalg_calls, inst):
+    assert count(linalg_calls, po.mutually_singular, inst["low"], inst["b"])[0] == (2, 1)
 
 
-def test_ac_part(eigh_calls, inst):
-    assert count(eigh_calls, po.ac_part, inst["b"], inst["low"])[0] == 3
+def test_ac_part(linalg_calls, inst):
+    assert count(linalg_calls, po.ac_part, inst["b"], inst["low"])[0] == (2, 1)
 
 
-def test_spectral_criterion(eigh_calls, inst):
-    assert count(eigh_calls, po.spectral_criterion, inst["a"], inst["b"])[0] <= 4
+def test_spectral_criterion(linalg_calls, inst):
+    assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 2)
 
 
-def test_ando_witness(eigh_calls, inst):
-    assert count(eigh_calls, po.ando_witness, inst["a"], inst["b"])[0] <= 6
+def test_ando_witness(linalg_calls, inst):
+    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (4, 2)
 
 
 @pytest.mark.parametrize("upper, singular", [("shared_t", False), ("disjoint_t", True)])
-def test_kadison_witness_both_branches(eigh_calls, inst, upper, singular):
+def test_kadison_witness_both_branches(linalg_calls, inst, upper, singular):
     t = inst[upper]
     assert po.mutually_singular(t - inst["a"], t - inst["b"]) is singular
-    assert count(eigh_calls, po.kadison_witness, inst["a"], inst["b"], t)[0] <= 3
+    assert count(linalg_calls, po.kadison_witness, inst["a"], inst["b"], t)[0] == (2, 1)
 
 
-def test_inf_exists_exists_path(eigh_calls, inst):
-    calls, verdict = count(eigh_calls, po.inf_exists, inst["low"], inst["up"])
+def test_inf_exists_exists_path(linalg_calls, inst):
+    calls, verdict = count(linalg_calls, po.inf_exists, inst["low"], inst["up"])
     assert verdict.exists
-    assert calls <= 7
+    assert calls == (5, 2)
 
 
-def test_inf_exists_witness_path(eigh_calls, inst):
-    calls, verdict = count(eigh_calls, po.inf_exists, inst["a"], inst["b"])
+def test_inf_exists_witness_path(linalg_calls, inst):
+    calls, verdict = count(linalg_calls, po.inf_exists, inst["a"], inst["b"])
     assert not verdict.exists
-    assert calls <= 9
+    assert calls == (7, 2)
 
 
 @pytest.mark.parametrize("lo, hi, exists", [("low", "up", True), ("a", "b", False)])
-def test_form_inf_exists_both_paths(eigh_calls, inst, lo, hi, exists):
+def test_form_inf_exists_both_paths(linalg_calls, inst, lo, hi, exists):
     forms = po.SesquilinearForm(inst[lo]), po.SesquilinearForm(inst[hi])
-    calls, verdict = count(eigh_calls, po.form_inf_exists, *forms)
+    calls, verdict = count(linalg_calls, po.form_inf_exists, *forms)
     assert verdict is exists
-    assert calls == 5
+    assert calls == (3, 2)
 
 
-def test_cli_sup_reads_one_comparison(eigh_calls, inst):
+def test_cli_sup_reads_one_comparison(linalg_calls, inst):
     inputs = {"a": cli.memory_value("a", inst["low"]), "b": cli.memory_value("b", inst["up"])}
-    calls, report = count(eigh_calls, cli.cmd_sup, inputs, po.DEFAULT_TOL)
+    calls, report = count(linalg_calls, cli.cmd_sup, inputs, po.DEFAULT_TOL)
     assert report["verdict"] == {"exists": True, "comparison": "leq"}
-    assert calls == 1
+    assert calls == (1, 0)
 
 
-def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(eigh_calls, inst):
+def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst):
     inputs = {"a": cli.memory_value("a", inst["a"]), "b": cli.memory_value("b", inst["b"])}
-    calls, report = count(eigh_calls, cli.cmd_leq, inputs, po.DEFAULT_TOL)
+    calls, report = count(linalg_calls, cli.cmd_leq, inputs, po.DEFAULT_TOL)
     assert report["verdict"] == {"leq": False, "comparison": "incomparable"}
     assert "ray" in report["witnesses"]
-    assert calls == 1
+    assert calls == (1, 0)
