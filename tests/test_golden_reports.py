@@ -114,6 +114,43 @@ def test_golden_report(case, tmp_path, capsys):
     assert cli.reverify_report(json.loads(json.dumps(report, sort_keys=True))) == []
 
 
+def _case(case_id: str) -> dict:
+    return next(c for c in CASES if c["id"] == case_id)
+
+
+def _input(case: dict, name: str) -> np.ndarray:
+    return cli.from_obj(case["inputs"][name], "matrix")
+
+
+@pytest.mark.parametrize("tag", ["real", "complex"])
+def test_singular_projector_is_complement_of_range(tag):
+    """With ``ran a ∩ ran b = {0}`` the recorded projector is ``I - P_b``."""
+    case = _case(f"lebesgue-singular-{tag}")
+    b = _input(case, "b")
+    u, s, _ = np.linalg.svd(b)
+    basis = u[:, s > 1e-10 * s[0]]
+    want = np.eye(b.shape[0]) - basis @ basis.conj().T
+    got = _value(case["report"]["witnesses"]["projector"])
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case_id, name",
+    [(f"{k}-{tag}", w) for tag in ("real", "complex") for k, w in
+     (("kadison-shared", "s"), ("sup-refuted", "refutation"))],
+)
+def test_recorded_kadison_witness_refutes_t(case_id, name):
+    """The recorded witness is PSD, above ``a`` and ``b``, and incomparable with ``t``."""
+    case = _case(case_id)
+    a, b, t = (_input(case, k) for k in "abt")
+    s = _value(case["report"]["witnesses"][name])
+    floor = 1e-10 * max(1.0, float(np.max(np.abs(t))))
+    for lower in (np.zeros_like(s), a, b):
+        assert np.linalg.eigvalsh(s - lower)[0] >= -floor
+    w = np.linalg.eigvalsh(s - t)
+    assert w[0] < -floor and w[-1] > floor
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_golden_stdout_is_canonical(case, tmp_path, capsys):
     """The printed bytes are exactly ``json.dumps(report, sort_keys=True, indent=2)``."""
