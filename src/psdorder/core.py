@@ -95,7 +95,8 @@ class Tolerance:
 
     An eigenvalue counts as zero when it is at most ``rel * max|eig| + abs``;
     a Hermitian matrix counts as PSD when its minimum eigenvalue is at least
-    ``-rel * max(1, max|eig|)``.
+    ``-rel * max(1, max|eig|)``; a principal angle between two ranges counts
+    as zero when its sine is at most ``rel``.
     """
 
     rel: float = 1e-10

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 import psdorder as po
-from psdorder import sampling
-from psdorder.selftest import eig_scale
+from psdorder import core, lebesgue, sampling
+from psdorder.selftest import CATALOGUE, _mixed_pair, _psd_pair, eig_scale
 from conftest import holds
 
 
@@ -92,3 +93,42 @@ class TestAcPart:
 
     def test_maximality_against_sampled_minorants(self, rng):
         holds(rng, 6, "lebesgue.maximality")
+
+
+class TestRangeQuestions:
+    """Every range question reads the principal angles of one pair."""
+
+    def test_selftest_seed_1_stream_of_random_pairs(self):
+        # the stream `psdorder selftest --seed 1` draws for this entry
+        name = "lebesgue.parts_mutually_ac.random_pairs"
+        holds(1 + list(CATALOGUE).index(name), 100, name)
+
+    def test_range_verdicts_do_not_change_under_scaling(self):
+        rng = sampling.rng_from_seed(77)
+        pairs = [_mixed_pair(rng, t, False) for t in range(200)]
+
+        def verdicts(s):
+            return [
+                (po.numeric_rank(po.ac_part(s * b, s * a).ac), po.mutually_singular(s * a, s * b))
+                for a, b in pairs
+            ]
+
+        base = verdicts(1.0)
+        for s in (1e-6, 1e-3, 1e3, 1e6, 1e12):
+            changed = [t for t, v in enumerate(verdicts(s)) if v != base[t]]
+            assert changed == [], f"scale {s:g}: trials {changed}"
+
+    def test_sines_match_scipy_subspace_angles(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = sampling.rng_from_seed(78)
+        for t in range(1000):
+            sampler = _mixed_pair if t % 2 else _psd_pair
+            a, b = sampler(rng, t // 2, False)
+            da, db = core.eig_hermitian(a), core.eig_hermitian(b)
+            qa = da.range_basis()
+            qb, sines, _ = lebesgue._angles(da, db, po.DEFAULT_TOL)
+            k = min(qa.shape[1], qb.shape[1])
+            want = np.sin(linalg.subspace_angles(qb, qa))
+            assert np.max(np.abs(sines[-k:] - want)) <= 1e-7, t
+            shared = int(np.count_nonzero(sines <= po.DEFAULT_TOL.rel))
+            assert shared == int(np.count_nonzero(want <= 1e-6)), t
