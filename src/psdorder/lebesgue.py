@@ -154,7 +154,7 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     satisfying ``ac <= b`` and ``ac << a``.  Alternative (non-maximal)
     decompositions exist in general and are not enumerated.
     """
-    db = core.eig_hermitian(b, tol)
+    db = core.eig_hermitian(b, tol).require_psd(tol)
     qb, sines, c = _angles(core.eig_hermitian(a, tol), db, tol)
     c0 = c[:, sines <= tol.rel]
     # y spans the coordinates z with b^{1/2} qb z in ran a; m = V* b^+ V

@@ -154,6 +154,11 @@ class TestExitCodes:
             ["kadison-witness", "--a", files["id2"], "--b", files["id2"], "--t", files["id2"]]
         ) == 2
 
+    def test_lebesgue_indefinite_b_rejected(self, capsys, files, tmp_path):
+        indefinite = write_matrix(tmp_path / "indef.json", np.diag([1.0, -1.0]))
+        assert cli.main(["lebesgue", "--a", files["id2"], "--b", indefinite]) == 2
+        assert "precondition rejected" in capsys.readouterr().err
+
     def test_dimension_mismatch(self, capsys, files, tmp_path):
         three = write_matrix(tmp_path / "id3.json", np.eye(3))
         assert cli.main(["leq", "--a", files["id2"], "--b", three]) == 2

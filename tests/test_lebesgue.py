@@ -73,6 +73,10 @@ class TestAcPart:
         np.testing.assert_allclose(parts.ac, b, atol=1e-10 * eig_scale(b))
         assert np.max(np.abs(parts.sing)) <= 1e-10 * eig_scale(b)
 
+    def test_indefinite_b_rejected(self):
+        with pytest.raises(po.NotPsdError):
+            po.ac_part(np.diag([1.0, -1.0]), np.eye(2))
+
     def test_zero_reference(self, rng):
         b = sampling.random_psd(rng, 3)
         parts = po.ac_part(b, np.zeros((3, 3)))
