@@ -178,10 +178,15 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise MatrixError("precondition failed: t coincides with b within tolerance")
 
     qb, sines, c = lebesgue._angles(dta, dtb, tol)
-    if np.any(sines <= tol.rel):
-        # Shared range direction (smallest angle): strength along it is
-        # positive for both gaps.
-        e = qb @ c[:, -1]
+    shared = qb @ c[:, sines <= tol.rel]
+    if shared.size:
+        # Shared range direction: strength along it is positive for both
+        # gaps.  It is the projection onto ran(t - a) ∩ ran(t - b) of the
+        # first basis vector keeping half the largest such norm, so it does
+        # not depend on the basis the SVD returns for that intersection.
+        norms = np.linalg.norm(shared, axis=1)
+        j = int(np.argmax(norms >= 0.5 * norms.max()))
+        e = shared @ shared[j].conj() / norms[j]
         lam = min(strength(dta, e, tol).value, strength(dtb, e, tol).value)
         if lam <= 0.0:
             raise ToleranceBreakdownError(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import psdorder as po
-from psdorder import sampling
+from psdorder import lebesgue, sampling
 from conftest import holds
 
 
@@ -53,6 +53,29 @@ class TestKadisonWitness:
 
     def test_contracts_on_random_pairs(self, rng):
         holds(rng, 15, "lattice.kadison")
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_shared_direction_ignores_the_intersection_basis(self, rng, monkeypatch, cplx):
+        # ran(t - a) and ran(t - b) share ran w (dimension 2) in dimension 6;
+        # any orthonormal basis of the zero-angle block must give one witness.
+        a = sampling.random_psd(rng, 6, rank=1, complex_entries=cplx)
+        b = sampling.random_psd(rng, 6, rank=1, complex_entries=cplx)
+        t = a + b + sampling.random_psd(rng, 6, rank=2, complex_entries=cplx)
+        s = po.kadison_witness(a, b, t)
+        angles = lebesgue._angles
+
+        def rotated(da, db, tol):
+            qb, sines, c = angles(da, db, tol)
+            zero = sines <= tol.rel
+            assert zero.sum() == 2
+            u, _ = np.linalg.qr(sampling.random_vector(rng, 4, True).reshape(2, 2))
+            c = c.copy()
+            c[:, zero] = c[:, zero] @ u
+            return qb, sines, c
+
+        monkeypatch.setattr(lebesgue, "_angles", rotated)
+        other = po.kadison_witness(a, b, t)
+        assert np.max(np.abs(other - s)) <= 1e-12 * max(1.0, float(np.max(np.abs(t))))
 
     def test_preconditions(self, rng):
         a = sampling.random_psd(rng, 2)
