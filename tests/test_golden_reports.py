@@ -151,6 +151,27 @@ def test_recorded_kadison_witness_refutes_t(case_id, name):
     assert w[0] < -floor and w[-1] > floor
 
 
+@pytest.mark.parametrize(
+    "case_id, name",
+    [(f"{k}-{tag}", w) for tag in ("real", "complex") for k, w in
+     (("kadison-shared", "s"), ("sup-refuted", "refutation"))],
+)
+def test_recorded_kadison_witness_is_the_first_basis_construction(case_id, name):
+    """Both gaps are full rank, so the shared direction is the first basis vector.
+
+    The witness is then ``t - lam e0 e0* + e1 e1*`` with ``lam`` the smaller
+    strength of the two gaps along ``e0``, ``1 / (gap^-1)_00``.
+    """
+    case = _case(case_id)
+    a, b, t = (_input(case, k) for k in "abt")
+    lam = min(1.0 / np.linalg.inv(t - x)[0, 0].real for x in (a, b))
+    want = t.astype(np.complex128)
+    want[0, 0] -= lam
+    want[1, 1] += 1.0
+    s = _value(case["report"]["witnesses"][name])
+    assert float(np.max(np.abs(s - want))) <= 1e-12 * max(1.0, float(np.max(np.abs(t))))
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_golden_stdout_is_canonical(case, tmp_path, capsys):
     """The printed bytes are exactly ``json.dumps(report, sort_keys=True, indent=2)``."""
