@@ -20,9 +20,10 @@ Every verdict is emitted as a report that embeds its inputs (path, SHA-256
 digest, and the parsed matrix) and its witness matrices together with the
 claims they must satisfy, so `reverify_report` can re-check a report from
 its serialized form alone.  With ``--json`` the report is printed as
-canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2)``
-and a newline, which is byte-identical across runs for identical inputs
-and seed; the human-readable form adds the runtime.
+canonical JSON, exactly ``json.dumps(report, sort_keys=True,
+separators=(",", ":"))`` and a newline, which is byte-identical across runs
+for identical inputs and seed; the human-readable form adds the runtime.
+`gen` and ``selftest --json`` print the same compact form.
 
 Exit codes: 0 success, 1 I/O or parse errors, 2 precondition rejection,
 3 internal tolerance breakdown (`ToleranceBreakdownError`).
@@ -32,9 +33,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -162,7 +161,7 @@ def load_vector_file(path: str, tol: Tolerance) -> LoadedValue:
 def memory_value(name: str, value, kind: str = "matrix") -> LoadedValue:
     """Descriptor for an in-memory input (used by the self-test suites)."""
     value = core.as_matrix(value) if kind == "matrix" else core.as_vector(value)
-    raw = json.dumps(to_obj(value), sort_keys=True).encode("utf-8")
+    raw = _dumps(to_obj(value)).encode("utf-8")
     return _loaded(kind, value, f"<memory:{name}>", raw)
 
 
@@ -262,7 +261,9 @@ def reverify_report(report: dict) -> list[str]:
         kind = claim.get("kind") if isinstance(claim, dict) else None
         try:
             ok = _check_claim(claim, resolve, tol)
-        except (ValueError, TypeError, KeyError, CliInputError, ToleranceBreakdownError) as exc:
+        except (
+            ValueError, TypeError, KeyError, OverflowError, CliInputError, ToleranceBreakdownError
+        ) as exc:
             failures.append(f"{kind}: error during re-verification: {exc}")
             continue
         if not ok:
@@ -479,69 +480,9 @@ HANDLERS = {
 # printing
 
 
-_encode = json.JSONEncoder(sort_keys=True).encode  # one scalar or key; C-accelerated
-
-
-def _float_block(x: list):
-    """``(shape, flat)`` of a rectangular nesting of finite floats, else None."""
-    shape, flat = [len(x)], x
-    while type(flat[0]) is list:
-        if set(map(type, flat)) != {list} or len(set(map(len, flat))) != 1 or not flat[0]:
-            return None
-        shape.append(len(flat[0]))
-        flat = list(itertools.chain.from_iterable(flat))
-    # An int or bool leaf keeps its own spelling, and NaN/infinity theirs.  A
-    # finite block whose sum overflows merely takes the generic path.
-    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
-        return None
-    return shape, flat
-
-
-def _float_block_text(shape: list, flat: list, indent: str) -> str:
-    """Indented text of a float block, built level by level from the innermost."""
-    chunks = list(map(float.__repr__, flat))
-    for depth in reversed(range(len(shape))):
-        outer = "\n" + indent + "  " * depth
-        inner = outer + "  "
-        head, sep, tail = "[" + inner, "," + inner, outer + "]"
-        chunks = [head + row + tail for row in map(sep.join, zip(*[iter(chunks)] * shape[depth]))]
-    return chunks[0]
-
-
-def _canonical_json(x, indent: str = "") -> str:
-    """``json.dumps(x, sort_keys=True, indent=2)``, byte for byte.
-
-    With ``indent`` set, `json.dumps` runs its pure-Python encoder.  Here the
-    float arrays that make up almost all of a report are formatted in one
-    pass, and everything else goes through the C encoder one scalar or key
-    at a time.
-    """
-    inner = indent + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        # A non-string key is spelled as JSON first, then quoted, as json does.
-        items = [
-            _encode(k if isinstance(k, str) else _encode(k)) + ": " + _canonical_json(v, inner)
-            for k, v in sorted(x.items())
-        ]
-        opener, closer = "{", "}"
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        block = _float_block(x) if type(x) is list else None
-        if block is not None:
-            return _float_block_text(*block, indent)
-        items = [_canonical_json(v, inner) for v in x]
-        opener, closer = "[", "]"
-    else:
-        return _encode(x)
-    return opener + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closer
-
-
-def _print_json(report: dict) -> None:
-    sys.stdout.write(_canonical_json(report))
-    sys.stdout.write("\n")
+def _dumps(x) -> str:
+    """Canonical JSON text of ``x``: sorted keys, no whitespace, C encoder."""
+    return json.dumps(x, sort_keys=True, separators=(",", ":"))
 
 
 def _fmt_number(x: float) -> str:
@@ -624,8 +565,7 @@ def run(argv) -> int:
         if args.dim < 1:
             raise MatrixError("dimension must be at least 1")
         m = random_psd(rng_from_seed(args.seed), args.dim, rank)
-        sys.stdout.write(json.dumps(to_obj(m), sort_keys=True))
-        sys.stdout.write("\n")
+        print(_dumps(to_obj(m)))
         return 0
 
     if args.command == "selftest":
@@ -634,7 +574,7 @@ def run(argv) -> int:
         tol = _tolerance_from(args)
         summary = selftest.run_selftest(seed=args.seed, trials=args.trials, tol=tol)
         if args.json:
-            _print_json(summary)
+            print(_dumps(summary))
         else:
             for suite in summary["suites"]:
                 status = "ok" if suite["failed"] == 0 else "FAIL"
@@ -662,7 +602,7 @@ def run(argv) -> int:
 
     report = handler(inputs, tol, seed=args.seed)
     if args.json:
-        _print_json(report)
+        print(_dumps(report))
     else:
         _print_human(report, (time.perf_counter() - started) * 1e3)
     return 0

@@ -729,7 +729,7 @@ def _reports(c, a, b, f, above, x, y):
         ("ando-witness", cli.cmd_ando_witness, inputs(a=sx, b=sy)),
     )
     for name, cmd, operands in cases:
-        once = json.dumps(cmd(operands, c.tol), sort_keys=True)
+        once = cli._dumps(cmd(operands, c.tol))
         failures = cli.reverify_report(json.loads(once))
         c(not failures, f"{name} report re-verifies" + "".join(f": {m}" for m in failures[:1]))
-        c(once == json.dumps(json.loads(once), sort_keys=True), f"{name} report serialization stable")
+        c(once == cli._dumps(json.loads(once)), f"{name} report serialization stable")

@@ -39,6 +39,11 @@ def run_json(capsys, argv):
     return code, json.loads(out) if out else None
 
 
+def canonical(out: str) -> str:
+    """The canonical spelling of a printed JSON value: compact, sorted keys, one newline."""
+    return json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TestRoundTrip:
     def test_matrix_obj_complex(self, rng):
         m = sampling.random_psd(rng, 3)
@@ -269,6 +274,7 @@ class TestReverifyTampered:
             (["compress", "--a", "d21", "--b", "d12"], 3, "atol_scale", "x"),
             (["compress", "--a", "d21", "--b", "d12"], 3, "atol_scale", 1e300),
             (["compress", "--a", "d21", "--b", "d12"], 0, "atol_scale", 1.0),
+            (["strength", "--a", "id2", "--f", "e1"], 0, "value", 10**400),
         ],
     )
     def test_malformed_claim_is_a_failure(self, capsys, files, argv, index, field, value):
@@ -372,6 +378,11 @@ class TestGen:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_output_is_canonical(self, capsys):
+        assert cli.main(["gen", "--seed", "1", "--dim", "3", "--rank", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out == canonical(out)
+
     def test_rank_full(self, capsys):
         cli.main(["gen", "--seed", "3", "--dim", "4"])
         m = cli.from_obj(json.loads(capsys.readouterr().out), "matrix")
@@ -422,6 +433,11 @@ class TestSelftestCommand:
             "forms",
             "reports",
         }
+
+    def test_summary_is_canonical(self, capsys):
+        assert cli.main(["selftest", "--trials", "2", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == canonical(out)
 
     def test_seed_variation_same_verdict(self, capsys):
         code1, s1 = run_json(capsys, ["selftest", "--trials", "2", "--seed", "11"])

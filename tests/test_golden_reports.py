@@ -9,7 +9,7 @@ leaves to 1e-12 relative, so other BLAS builds pass too); the witness
 names are equal; every witness agrees with the recorded one within
 ``1e-12 * scale``; and the new report re-verifies from its serialized form.
 A separate test pins the printed bytes to the canonical form,
-``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.
+``json.dumps(report, sort_keys=True, separators=(",", ":"))`` plus a newline.
 
 Regenerate the fixture only when a change of the reports is intended::
 
@@ -174,11 +174,11 @@ def test_recorded_kadison_witness_is_the_first_basis_construction(case_id, name)
 
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_golden_stdout_is_canonical(case, tmp_path, capsys):
-    """The printed bytes are exactly ``json.dumps(report, sort_keys=True, indent=2)``."""
+    """The printed bytes are exactly ``json.dumps(report, sort_keys=True, separators=(",", ":"))``."""
     status, out = _stdout(case["argv"], case["inputs"], tmp_path, capsys)
     assert status == case["status"]
     if status == 0:
-        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
