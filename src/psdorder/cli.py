@@ -19,10 +19,17 @@ non-finite entry (NaN, infinity) is a load error.  ``--tol REAL`` sets
 Every verdict is emitted as a report that embeds its inputs (path, SHA-256
 digest, and the parsed matrix) and its witness matrices together with the
 claims they must satisfy, so `reverify_report` can re-check a report from
-its serialized form alone.  With ``--json`` the report is printed as
-canonical JSON, exactly ``json.dumps(report, sort_keys=True,
-separators=(",", ":"))`` and a newline, which is byte-identical across runs
-for identical inputs and seed; the human-readable form adds the runtime.
+its serialized form alone.  In a report (``"report_version": 2``) every
+matrix or vector node is ``{"n", "complex", "f64le"}``: base64 of the row-major
+``<f8`` buffer (``<c16``, re/im interleaved, if complex), so values round-trip
+bit for bit; `from_obj` reads both envelopes, so older reports still re-verify::
+
+    np.frombuffer(base64.b64decode(v["f64le"]), "<c16" if v["complex"] else "<f8").reshape(...)
+
+With ``--json`` the report is printed as canonical JSON, exactly
+``json.dumps(report, sort_keys=True, separators=(",", ":"))`` and a newline,
+which is byte-identical across runs for identical inputs and seed; the
+human-readable form adds the runtime.
 `gen` and ``selftest --json`` print the same compact form.
 
 Exit codes: 0 success, 1 I/O or parse errors, 2 precondition rejection,
@@ -32,8 +39,11 @@ Exit codes: 0 success, 1 I/O or parse errors, 2 precondition rejection,
 from __future__ import annotations
 
 import argparse
+import base64
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -74,13 +84,27 @@ def to_obj(x) -> dict:
     return {"n": a.shape[0], "complex": False, "data": a.real.tolist()}
 
 
+def _pack(x) -> dict:
+    """Report node of a matrix or vector: `to_obj`'s envelope with its buffer in base64."""
+    a = core.as_matrix(x) if np.ndim(x) == 2 else core.as_vector(x)
+    cplx = bool(np.any(a.imag != 0.0))  # the complex flag `to_obj` sets
+    raw = np.asarray(a if cplx else a.real, "<c16" if cplx else "<f8").tobytes()
+    return {"n": a.shape[0], "complex": cplx, "f64le": base64.b64encode(raw).decode("ascii")}
+
+
 def from_obj(obj, kind: str) -> np.ndarray:
-    """Complex array decoded from a JSON envelope of `kind` ("matrix" or "vector")."""
+    """Complex array of a ``data`` or ``f64le`` envelope of `kind` ("matrix" or "vector")."""
     try:
         n = int(obj["n"])
         cplx = bool(obj["complex"])
-        data = obj["data"]
         dims = {"matrix": (n, n), "vector": (n,)}[kind]
+        if "f64le" in obj:  # a report node; b64decode raises TypeError on any JSON non-string
+            raw = base64.b64decode(obj["f64le"], validate=True)
+            values = np.frombuffer(raw, "<c16" if cplx else "<f8")
+            if values.size != math.prod(dims) or not np.all(np.isfinite(values)):
+                raise ValueError(f"the f64le payload must hold {dims} finite values")
+            return values.reshape(dims).astype(np.complex128)
+        data = obj["data"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"malformed {kind} object: {exc}") from exc
     try:
@@ -126,7 +150,7 @@ class LoadedValue:
 def _loaded(kind: str, value: np.ndarray, path: str, raw: bytes) -> LoadedValue:
     digest = hashlib.sha256(raw).hexdigest()
     return LoadedValue(
-        kind, value, {"path": path, "sha256": digest, "kind": kind, "value": to_obj(value)}
+        kind, value, {"path": path, "sha256": digest, "kind": kind, "value": _pack(value)}
     )
 
 
@@ -169,10 +193,6 @@ def memory_value(name: str, value, kind: str = "matrix") -> LoadedValue:
 # report assembly
 
 
-def _add_witness(report: dict, name: str, x: np.ndarray) -> None:
-    report["witnesses"][name] = {"kind": "matrix" if x.ndim == 2 else "vector", "value": to_obj(x)}
-
-
 def _report(
     command: str,
     inputs: dict[str, LoadedValue],
@@ -185,6 +205,7 @@ def _report(
     """Assemble a report; witnesses given as None are left out."""
     report = {
         "command": command,
+        "report_version": 2,
         "tolerance": {"rel": tol.rel, "abs": tol.abs},
         "seed": seed,
         "inputs": {name: lv.descriptor for name, lv in inputs.items()},
@@ -194,7 +215,8 @@ def _report(
     }
     for name, x in witnesses.items():
         if x is not None:
-            _add_witness(report, name, x)
+            kind = "matrix" if x.ndim == 2 else "vector"
+            report["witnesses"][name] = {"kind": kind, "value": _pack(x)}
     return report
 
 
@@ -215,17 +237,6 @@ def _common_bound(rel: str, ref: str) -> list[dict]:
     return [_claim("psd", ref)] + _versus_inputs(rel, ref)
 
 
-def _resolve(report: dict, ref) -> np.ndarray:
-    domain, _, name = str(ref).partition(":")
-    if domain == "input":
-        node = report["inputs"][name]
-    elif domain == "witness":
-        node = report["witnesses"][name]
-    else:
-        raise CliInputError(f"unknown reference domain in {ref!r}")
-    return from_obj(node["value"], node["kind"])
-
-
 def reverify_report(report: dict) -> list[str]:
     """Re-check every claim of a parsed report; returns failure messages.
 
@@ -236,7 +247,8 @@ def reverify_report(report: dict) -> list[str]:
     claim that sets its own residual bound (``atol_scale``), a ``claims``
     entry that is not a list, or a stated tolerance that is missing,
     non-finite or not positive, is reported as a failure, not raised.
-    Each referenced input or witness is decoded once per call.
+    Each referenced input or witness is decoded once per call, and
+    eigendecomposed at most once.
     """
     try:
         stated = report["tolerance"]
@@ -246,21 +258,27 @@ def reverify_report(report: dict) -> list[str]:
     claims = report.get("claims")
     if not isinstance(claims, list):
         return [f"claims: expected a list of claims, got {type(claims).__name__}"]
-    decoded: dict[str, np.ndarray] = {}
 
+    @functools.cache
     def resolve(ref) -> np.ndarray:
-        key = str(ref)
-        if key not in decoded:
-            value = _resolve(report, key)
-            value.flags.writeable = False  # shared by every claim that names it
-            decoded[key] = value
-        return decoded[key]
+        domain, _, name = str(ref).partition(":")
+        section = {"input": "inputs", "witness": "witnesses"}.get(domain)
+        if section is None:
+            raise CliInputError(f"unknown reference domain in {ref!r}")
+        node = report[section][name]
+        value = from_obj(node["value"], node["kind"])
+        value.flags.writeable = False  # shared by every claim that names it
+        return value
+
+    @functools.cache
+    def decompose(ref) -> core.EigDecomp:
+        return core.eig_hermitian(resolve(ref), tol)
 
     failures: list[str] = []
     for claim in claims:
         kind = claim.get("kind") if isinstance(claim, dict) else None
         try:
-            ok = _check_claim(claim, resolve, tol)
+            ok = _check_claim(claim, resolve, decompose, tol)
         except (
             ValueError, TypeError, KeyError, OverflowError, CliInputError, ToleranceBreakdownError
         ) as exc:
@@ -279,16 +297,19 @@ def _residual_ok(residual: np.ndarray, *scale_by) -> bool:
     return float(np.max(np.abs(residual))) <= CLOSE_ATOL_SCALE * _norm_scale(*scale_by)
 
 
-def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
+def _check_claim(claim: dict, resolve, decompose, tol: Tolerance) -> bool:
     def get(key):
         return resolve(claim[key])
+
+    def dec(key):
+        return decompose(claim[key])
 
     # The residual bound is the verifier's, not the report's to loosen.
     if "atol_scale" in claim:
         raise CliInputError("a claim may not set atol_scale")
     kind = claim["kind"]
     if kind == "psd":
-        return core.is_psd(get("subject"), tol)
+        return dec("subject").is_psd(tol)
     if kind in ("leq", "geq"):
         x, y = get("subject"), get("other")
         return core.loewner_leq(x, y, tol) if kind == "leq" else core.loewner_leq(y, x, tol)
@@ -305,16 +326,18 @@ def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
         outer, mid, target = get("outer"), get("mid"), get("target")
         return _residual_ok(outer @ mid @ outer - target, target)
     if kind == "abs_continuous":
-        return lebesgue.absolutely_continuous(get("subject"), get("other"), tol)
+        return lebesgue.absolutely_continuous(dec("subject"), dec("other"), tol)
     if kind == "singular":
-        return lebesgue.mutually_singular(get("subject"), get("other"), tol)
+        return lebesgue.mutually_singular(dec("subject"), dec("other"), tol)
     if kind == "sqrt_image":
         op, vec, target = get("operator"), get("vector"), get("target")
-        image = core.sqrt_psd(op, tol) @ vec
+        image = core.sqrt_psd(dec("operator"), tol) @ vec
         limit = tol.rel * _norm_scale(op) * max(1.0, float(np.linalg.norm(target)))
         return float(np.linalg.norm(image - target)) <= max(limit, tol.abs)
     if kind == "strength_supremum":
         op, ray = get("operator"), get("ray")
+        if type(claim["value"]) not in (int, float):  # a JSON boolean is not a number here
+            raise CliInputError(f"strength_supremum value {claim['value']!r} is not a number")
         lam = float(claim["value"])
         ff = core.rank_one(ray)
         delta = SUPREMUM_DELTA_SCALE * (1.0 + lam)
@@ -516,29 +539,37 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="psdorder", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        p = sub.add_parser(name, help=f"run the {name} decision")
-        p.add_argument("--a", metavar="FILE")
-        p.add_argument("--b", metavar="FILE")
-        p.add_argument("--t", metavar="FILE")
-        p.add_argument("--f", metavar="FILE")
+_SUBCOMMANDS = {name: f"run the {name} decision" for name in HANDLERS}
+_SUBCOMMANDS["gen"] = "generate a seeded random PSD matrix file"
+_SUBCOMMANDS["selftest"] = "run every invariant suite"
+
+
+def _add_arguments(p: _Parser, name: str) -> None:
+    if name in HANDLERS:
+        for flag in ("--a", "--b", "--t", "--f"):
+            p.add_argument(flag, metavar="FILE")
         p.add_argument("--tol", type=float, default=None, metavar="REAL")
-        p.add_argument("--seed", type=int, default=None, metavar="INT")
-        p.add_argument("--json", action="store_true")
-    g = sub.add_parser("gen", help="generate a seeded random PSD matrix file")
-    g.add_argument("--seed", type=int, default=0, metavar="INT")
-    g.add_argument("--dim", type=int, required=True, metavar="INT")
-    g.add_argument("--rank", type=int, default=None, metavar="INT")
-    g.add_argument("--json", action="store_true")
-    s = sub.add_parser("selftest", help="run every invariant suite")
-    s.add_argument("--seed", type=int, default=0, metavar="INT")
-    s.add_argument("--trials", type=int, default=20, metavar="INT")
-    s.add_argument("--tol", type=float, default=None, metavar="REAL")
-    s.add_argument("--json", action="store_true")
-    return parser
+    p.add_argument("--seed", type=int, default=None if name in HANDLERS else 0, metavar="INT")
+    if name == "gen":
+        p.add_argument("--dim", type=int, required=True, metavar="INT")
+        p.add_argument("--rank", type=int, default=None, metavar="INT")
+    elif name == "selftest":
+        p.add_argument("--trials", type=int, default=20, metavar="INT")
+        p.add_argument("--tol", type=float, default=None, metavar="REAL")
+    p.add_argument("--json", action="store_true")
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse a command line; only the named subcommand's parser is built when it comes first."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        sub = _Parser(prog=f"psdorder {argv[0]}")  # the prog `add_subparsers` gives it
+        _add_arguments(sub, argv[0])
+        return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    parser = _Parser(prog="psdorder", description=__doc__.splitlines()[0])  # anything else
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, text in _SUBCOMMANDS.items():
+        _add_arguments(subparsers.add_parser(name, help=text), name)
+    return parser.parse_args(argv)
 
 
 def _finite_tolerance(rel: float, abs_: float) -> Tolerance:
@@ -556,8 +587,7 @@ def _tolerance_from(args) -> Tolerance:
 
 def run(argv) -> int:
     """Dispatch one command line; returns the exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
 
     if args.command == "gen":

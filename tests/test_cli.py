@@ -1,8 +1,13 @@
+import base64
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import psdorder as po
 import test_acceptance
@@ -79,6 +84,148 @@ class TestRoundTrip:
     def test_malformed_matrix(self):
         with pytest.raises(cli.CliInputError):
             cli.from_obj({"n": 2, "complex": False, "data": [[1.0]]}, "matrix")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ENTRIES = {False: FINITE, True: st.builds(complex, FINITE, FINITE)}
+SIDES = st.integers(1, 5)
+SHAPES = {"matrix": SIDES.map(lambda n: (n, n)), "vector": SIDES.map(lambda n: (n,))}
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308, 1.7976931348623157e308, -1.0]
+
+
+def b64(values, dtype="<f8") -> str:
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, np.complex128).tobytes()
+
+
+class TestReportEnvelope:
+    """Report nodes (report_version 2) carry the ``<f8``/``<c16`` buffer in base64."""
+
+    @pytest.mark.parametrize("kind", ["matrix", "vector"])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_v2_node_is_bit_identical(self, kind, cplx, data):
+        x = data.draw(arrays(np.complex128 if cplx else np.float64, SHAPES[kind], elements=ENTRIES[cplx]))
+        node = json.loads(cli._dumps(cli._pack(x)))
+        got = cli.from_obj(node, kind)
+        assert got.dtype == np.complex128 and got.shape == x.shape
+        assert bits(got) == bits(cli.from_obj(cli.to_obj(x), kind))  # what the v1 node decodes to
+        if not cplx or np.any(x.imag != 0.0):  # an all-zero imaginary part makes a real node
+            assert bits(got) == bits(x)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_edge_values_are_bit_identical(self, cplx):
+        v = np.array(EDGES, dtype=np.complex128 if cplx else np.float64)
+        if cplx:
+            v.imag = EDGES[::-1]
+        for x, kind in ((v, "vector"), (v.reshape(3, 3), "matrix")):
+            node = cli._pack(x)
+            assert node["complex"] is cplx
+            assert bits(cli.from_obj(json.loads(cli._dumps(node)), kind)) == bits(x)
+
+    E1 = b64([1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"f64le": b64([1.0])},
+            {"f64le": E1[:-1]},
+            {"f64le": b64([1.0, 0.0, 0.0])},
+            {"f64le": "AAAAAAAA8D8AAAAAAAAAAA=!"},
+            {"f64le": "AAAAAAAA 8D8AAAAAAAAAAA=="},
+            {"f64le": "\u00c0AAAAAAA8D8AAAAAAAAAAA=="},
+            {"f64le": b64([float("nan"), 0.0])},
+            {"f64le": b64([0xFFF0000000000001, 0], "<u8")},
+            {"f64le": b64([float("inf"), 0.0])},
+            {"f64le": b64([0.0, float("-inf")])},
+            {"n": 3},
+            {"n": -2},
+            {"complex": True},
+            {"f64le": b64([1.0, 0.0], "<c16")},
+            {"f64le": None},
+            {"f64le": 5},
+            {"f64le": [1.0, 0.0]},
+        ],
+        ids=[
+            "truncated",
+            "truncated-text",
+            "extra",
+            "non-base64",
+            "whitespace",
+            "non-ascii",
+            "nan",
+            "nan-bits",
+            "inf",
+            "minus-inf",
+            "wrong-n",
+            "negative-n",
+            "complex-flag-on-real-payload",
+            "real-flag-on-complex-payload",
+            "null-payload",
+            "number-payload",
+            "list-payload",
+        ],
+    )
+    def test_malformed_v2_node(self, capsys, files, tmp_path, node):
+        node = {"n": 2, "complex": False, "f64le": self.E1, **node}
+        with pytest.raises(cli.CliInputError):
+            cli.from_obj(node, "vector")
+        ray = tmp_path / "ray.json"
+        ray.write_text(json.dumps(node))
+        assert cli.main(["strength", "--a", files["id2"], "--f", str(ray)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed vector object")
+        code, report = run_json(capsys, ["strength", "--a", files["id2"], "--f", files["e1"]])
+        assert code == 0
+        report["witnesses"]["xi"]["value"] = node
+        failures = cli.reverify_report(report)
+        assert len(failures) == 1 and "error during re-verification" in failures[0]
+
+    @pytest.mark.parametrize("n", [1, 3, -2])
+    def test_matrix_payload_must_fill_n_by_n(self, n):
+        with pytest.raises(cli.CliInputError):
+            cli.from_obj({"n": n, "complex": False, "f64le": b64(np.eye(2))}, "matrix")
+
+    def test_report_nodes_are_v2(self, capsys, files):
+        code, report = run_json(capsys, ["leq", "--a", files["d21"], "--b", files["d12"]])
+        assert code == 0 and report["report_version"] == 2
+        nodes = [d["value"] for d in report["inputs"].values()]
+        nodes += [w["value"] for w in report["witnesses"].values()]
+        assert nodes and all(sorted(v) == ["complex", "f64le", "n"] for v in nodes)
+
+
+V1_REPORTS = sorted((Path(__file__).parent / "data").glob("report_v1_*.json"))
+
+
+class TestV1Reports:
+    """Reports printed before report_version 2, with decimal ``data`` nodes."""
+
+    def test_each_kind_is_kept(self):
+        assert [p.stem for p in V1_REPORTS] == ["report_v1_compress", "report_v1_inf", "report_v1_strength"]
+
+    @pytest.mark.parametrize("path", V1_REPORTS, ids=lambda p: p.stem)
+    def test_v1_report_still_reverifies(self, path):
+        report = json.loads(path.read_text())
+        assert "report_version" not in report
+        assert all("data" in d["value"] for d in report["inputs"].values())
+        assert cli.reverify_report(report) == []
+
+    @pytest.mark.parametrize("path", V1_REPORTS, ids=lambda p: p.stem)
+    def test_v2_report_holds_the_v1_inputs_bit_for_bit(self, path, tmp_path, capsys):
+        v1 = json.loads(path.read_text())
+        argv = [v1["command"]]
+        for name, desc in sorted(v1["inputs"].items()):
+            (tmp_path / f"{name}.json").write_text(json.dumps(desc["value"]))
+            argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+        code, v2 = run_json(capsys, argv)
+        assert code == 0 and v2["report_version"] == 2
+        assert sorted(v2["witnesses"]) == sorted(v1["witnesses"])
+        for name, desc in v1["inputs"].items():
+            got = cli.from_obj(v2["inputs"][name]["value"], desc["kind"])
+            assert bits(got) == bits(cli.from_obj(desc["value"], desc["kind"]))
 
 
 class TestCommands:
@@ -236,6 +383,67 @@ class TestExitCodes:
         assert "internal diagnostic failure: forced" in capsys.readouterr().err
 
 
+TOP_HELP = """usage: psdorder [-h]
+                {strength,leq,sup,inf,lebesgue,parsum,kadison-witness,ando-witness,compress,gen,selftest}
+                ...
+
+Command-line front end: one subcommand per decision procedure.
+
+positional arguments:
+  {strength,leq,sup,inf,lebesgue,parsum,kadison-witness,ando-witness,compress,gen,selftest}
+    strength            run the strength decision
+    leq                 run the leq decision
+    sup                 run the sup decision
+    inf                 run the inf decision
+    lebesgue            run the lebesgue decision
+    parsum              run the parsum decision
+    kadison-witness     run the kadison-witness decision
+    ando-witness        run the ando-witness decision
+    compress            run the compress decision
+    gen                 generate a seeded random PSD matrix file
+    selftest            run every invariant suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+INF_HELP = """usage: psdorder inf [-h] [--a FILE] [--b FILE] [--t FILE] [--f FILE]
+                    [--tol REAL] [--seed INT] [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --a FILE
+  --b FILE
+  --t FILE
+  --f FILE
+  --tol REAL
+  --seed INT
+  --json
+"""
+
+
+class TestUsage:
+    """Help and usage errors read the same whichever parser is built."""
+
+    @pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP), (["inf", "--help"], INF_HELP)])
+    def test_help(self, capsys, monkeypatch, argv, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.replace("optional arguments:", "options:") == text
+
+    def test_no_arguments(self, capsys):
+        assert cli.main([]) == 1
+        assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+    def test_unknown_subcommand(self, capsys):
+        assert cli.main(["bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument command: invalid choice: ")
+        assert "bogus" in err and "compress" in err and "selftest" in err
+
+
 HUMAN_ARGV = {
     "strength": ["--a", "id2", "--f", "e1"],
     "leq": ["--a", "d21", "--b", "d12"],
@@ -275,6 +483,8 @@ class TestReverifyTampered:
             (["compress", "--a", "d21", "--b", "d12"], 3, "atol_scale", 1e300),
             (["compress", "--a", "d21", "--b", "d12"], 0, "atol_scale", 1.0),
             (["strength", "--a", "id2", "--f", "e1"], 0, "value", 10**400),
+            (["strength", "--a", "id2", "--f", "e1"], 0, "value", True),
+            (["strength", "--a", "id2", "--f", "e1"], 0, "value", False),
         ],
     )
     def test_malformed_claim_is_a_failure(self, capsys, files, argv, index, field, value):
@@ -289,7 +499,8 @@ class TestReverifyTampered:
         code, report = run_json(capsys, ["compress", "--a", files["d21"], "--b", files["d12"]])
         assert code == 0
         j = report["witnesses"]["j"]["value"]
-        j["data"] = (3.0 * np.array(j["data"])).tolist()
+        scaled = 3.0 * np.frombuffer(base64.b64decode(j["f64le"]), "<c16" if j["complex"] else "<f8")
+        j["f64le"] = base64.b64encode(scaled.tobytes()).decode("ascii")
         failures = cli.reverify_report(report)
         assert [msg.split(":")[0] for msg in failures] == ["sandwich", "sandwich"]
         for claim in report["claims"]:

@@ -8,6 +8,8 @@ principal angles, so work moved from eigh to SVD stays visible.  The counter
 wraps `numpy.linalg.eigh` and `numpy.linalg.svd` for the duration of a test.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,14 @@ def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst
     assert report["verdict"] == {"leq": False, "comparison": "incomparable"}
     assert "ray" in report["witnesses"]
     assert calls == (1, 0)
+
+
+@pytest.mark.parametrize("lo, hi, exists, calls", [("low", "up", True, (6, 2)), ("a", "b", False, (8, 2))])
+def test_reverify_inf_report_decomposes_each_node_once(linalg_calls, inst, lo, hi, exists, calls):
+    """The two `abs_continuous` claims share one decomposition of each reduced part."""
+    inputs = {"a": cli.memory_value("a", inst[lo]), "b": cli.memory_value("b", inst[hi])}
+    report = json.loads(cli._dumps(cli.cmd_inf(inputs, po.DEFAULT_TOL)))
+    assert report["verdict"]["exists"] is exists
+    got, failures = count(linalg_calls, cli.reverify_report, report)
+    assert failures == []
+    assert got == calls
