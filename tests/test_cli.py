@@ -292,6 +292,20 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert cli.main(["leq", "--bogus", "x"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inf", "--a", "id2", "--b", "id2", "--t", "missing.json", "--f", "missing.json"],
+            ["inf", "--a", "id2", "--b", "id2", "--t", "0.5"],  # not an abbreviation of --tol
+            ["strength", "--a", "id2", "--f", "e1", "--b", "id2"],
+            ["leq", "--a", "id2", "--b", "id2", "--se", "1"],
+        ],
+        ids=["inf-t-f", "inf-t-as-tol", "strength-b", "leq-se-as-seed"],
+    )
+    def test_flag_the_subcommand_does_not_read(self, capsys, files, argv):
+        assert cli.main([files.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
+
     def test_missing_required_input(self, capsys, files):
         assert cli.main(["strength", "--a", files["id2"]]) == 1
 
@@ -407,15 +421,13 @@ options:
   -h, --help            show this help message and exit
 """
 
-INF_HELP = """usage: psdorder inf [-h] [--a FILE] [--b FILE] [--t FILE] [--f FILE]
-                    [--tol REAL] [--seed INT] [--json]
+INF_HELP = """usage: psdorder inf [-h] [--a FILE] [--b FILE] [--tol REAL] [--seed INT]
+                    [--json]
 
 options:
   -h, --help  show this help message and exit
   --a FILE
   --b FILE
-  --t FILE
-  --f FILE
   --tol REAL
   --seed INT
   --json
@@ -472,6 +484,8 @@ def test_human_output_names_witnesses_and_claims(command, capsys, files):
 
 
 class TestReverifyTampered:
+    """The claims checked are fixed by command and verdict; a listed claim that differs fails."""
+
     @pytest.mark.parametrize(
         "argv, index, field, value",
         [
@@ -493,7 +507,7 @@ class TestReverifyTampered:
         report["claims"][index][field] = value
         failures = cli.reverify_report(report)
         assert len(failures) == 1
-        assert "error during re-verification" in failures[0]
+        assert failures[0].startswith("claims: ")
 
     def test_claim_cannot_loosen_its_residual_bound(self, capsys, files):
         code, report = run_json(capsys, ["compress", "--a", files["d21"], "--b", files["d12"]])
@@ -507,8 +521,7 @@ class TestReverifyTampered:
             if claim["kind"] == "sandwich":
                 claim["atol_scale"] = 1e300
         failures = cli.reverify_report(report)
-        assert len(failures) == 2
-        assert all("error during re-verification" in msg for msg in failures)
+        assert [msg.split(":")[0] for msg in failures] == ["claims", "sandwich", "sandwich"]
 
     def test_claim_without_kind_is_a_failure(self, capsys, files):
         code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])
@@ -516,8 +529,39 @@ class TestReverifyTampered:
         del report["claims"][0]["kind"]
         report["claims"][1] = "x"
         failures = cli.reverify_report(report)
-        assert len(failures) == 2
-        assert all("error during re-verification" in msg for msg in failures)
+        assert len(failures) == 1
+        assert failures[0].startswith("claims: ")
+
+    @pytest.mark.parametrize("also_in_claims", [False, True])
+    def test_boolean_lambda_is_not_the_number_one(self, capsys, files, also_in_claims):
+        """``True == 1.0`` in Python, so the listed claims are compared as JSON text."""
+        code, report = run_json(capsys, ["strength", "--a", files["id2"], "--f", files["e1"]])
+        assert code == 0 and report["verdict"]["lambda"] == 1.0
+        report["verdict"]["lambda"] = True
+        if also_in_claims:
+            report["claims"][0]["value"] = True
+        failures = cli.reverify_report(report)
+        kinds = [msg.split(":")[0] for msg in failures]
+        assert kinds == ([] if also_in_claims else ["claims"]) + ["strength_supremum"]
+        assert "is not a number" in failures[-1]
+
+    @pytest.mark.parametrize("value", [1, 1.0, 0, "true", None])
+    def test_verdict_shape_must_be_boolean(self, capsys, files, value):
+        code, report = run_json(capsys, ["inf", "--a", files["p"], "--b", files["q"]])
+        assert code == 0 and report["verdict"]["exists"] is True
+        report["verdict"]["exists"] = value
+        failures = cli.reverify_report(report)
+        assert len(failures) == 1
+        assert failures[0].startswith("claims: no claims are fixed")
+
+    @pytest.mark.parametrize("command", ["bogus", None, ["inf"]])
+    def test_unknown_command_is_a_failure(self, capsys, files, command):
+        code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])
+        assert code == 0
+        report["command"] = command
+        failures = cli.reverify_report(report)
+        assert len(failures) == 1
+        assert failures[0].startswith("claims: no claims are fixed")
 
     @pytest.mark.parametrize(
         "field, value",

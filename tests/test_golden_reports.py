@@ -9,7 +9,9 @@ leaves to 1e-12 relative, so other BLAS builds pass too); the witness
 names are equal; every witness agrees with the recorded one within
 ``1e-12 * scale``; and the new report re-verifies from its serialized form.
 A separate test pins the printed bytes to the canonical form,
-``json.dumps(report, sort_keys=True, separators=(",", ":"))`` plus a newline.
+``json.dumps(report, sort_keys=True, separators=(",", ":"))`` plus a newline,
+and another requires every claim or verdict-shape tamper of a status-0
+report to fail re-verification.
 
 Regenerate the fixture only when a change of the reports is intended::
 
@@ -112,6 +114,33 @@ def test_golden_report(case, tmp_path, capsys):
         scale = max(1.0, float(np.max(np.abs(want))))
         assert float(np.max(np.abs(got - want))) <= WITNESS_ATOL_SCALE * scale, name
     assert cli.reverify_report(json.loads(json.dumps(report, sort_keys=True))) == []
+
+
+def _tampers(report: dict):
+    """(name, copy) for each tamper that must make `report` fail re-verification."""
+    claims, verdict = report["claims"], report["verdict"]
+    if claims:
+        yield "claims emptied", dict(report, claims=[])
+        yield "last claim dropped", dict(report, claims=claims[:-1])
+    if len(claims) >= 2:
+        yield "two claims swapped", dict(report, claims=[claims[1], claims[0]] + claims[2:])
+    for field in ("exists", "leq", "in_range"):
+        if field in verdict:
+            yield f"{field} flipped", dict(report, verdict=dict(verdict, **{field: not verdict[field]}))
+
+
+OK_CASES = [c for c in CASES if c["status"] == 0]
+
+
+@pytest.mark.parametrize("case", OK_CASES, ids=[c["id"] for c in OK_CASES])
+def test_tampered_golden_report_fails(case, tmp_path, capsys):
+    """A report whose claims or verdict shape were changed no longer re-verifies."""
+    _, report = _run(case["argv"], case["inputs"], tmp_path, capsys)
+    assert cli.reverify_report(report) == []
+    tampers = dict(_tampers(report))
+    assert tampers
+    passing = [name for name, bad in tampers.items() if cli.reverify_report(bad) == []]
+    assert passing == []
 
 
 def _case(case_id: str) -> dict:
