@@ -78,4 +78,4 @@ def form_inf_exists(
     """
     dt = core.eig_hermitian(t.gram, tol).require_psd(tol)
     ds = core.eig_hermitian(s.gram, tol).require_psd(tol)
-    return lattice._reduced_comparison(dt, ds, tol)[2] is not Comparison.INCOMPARABLE
+    return core.comparable(*lattice._reduced_pair(dt, ds, tol), tol) is not Comparison.INCOMPARABLE

@@ -8,13 +8,13 @@ with ``t``, so no candidate can be least.
 
 Infima are subtler (Ando's theorem): ``a`` and ``b`` have an infimum
 exactly when the absolutely continuous parts ``[b]a`` and ``[a]b`` are
-comparable, and then the infimum is the smaller part.  The decision runs
-through the compression of the pair onto the range of ``a + b``, where
-``a`` is represented by a contraction ``a~`` with ``a~ + b~ = 1``; the
+comparable, and then the infimum is the smaller part.  The decision
+compresses that reduced pair onto the range of ``[b]a + [a]b``, where
+``[b]a`` is represented by a contraction ``a~`` with ``a~ + b~ = 1``; the
 infimum exists iff the spectrum of ``a~`` stays on one side of ``1/2``.
-When it straddles, `ando_witness` builds a common lower bound that is not
-comparable with the spectral candidate ``min(a~, b~)``, refuting every
-candidate infimum.
+One eigendecomposition of ``a~`` there gives the spectral candidate
+``min(a~, b~)`` and, if the spectrum straddles, `ando_witness`: a common
+lower bound not comparable with the candidate, so no candidate is least.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ class Compression:
 class InfimumVerdict:
     """Outcome of the infimum decision.
 
-    ``candidate`` is always the spectral candidate of `ando_candidate`.
-    When the infimum exists, ``inf`` equals the smaller of the two
-    absolutely continuous parts (and agrees with ``candidate``).  When it
-    does not, ``witness`` is a common lower bound not comparable with the
-    candidate.  ``reduced_a`` / ``reduced_b`` expose the mutually
-    absolutely continuous parts the decision reduces to.
+    ``reduced_a`` / ``reduced_b`` are the mutually absolutely continuous
+    parts the decision reduces to.  ``candidate`` is the spectral candidate
+    read from their compression; it equals ``ando_candidate(a, b)``.  When
+    the infimum exists, ``inf`` is the smaller reduced part (and agrees with
+    ``candidate``); when it does not, ``witness`` is a common lower bound
+    not comparable with the candidate.
     """
 
     exists: bool
@@ -227,19 +227,24 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     return Compression(a_tilde, b_tilde, j, proj, basis)
 
 
-def _active_spectrum(comp: Compression, tol: Tolerance):
-    """Spectrum of ``a_tilde`` restricted to the range of the sum.
+def _spectrum(a, b, tol: Tolerance):
+    """`compress`, then one eigh of ``a_tilde`` on the range of the sum, of order ``rank(a + b)``.
 
-    Returns ascending eigenvalues and ambient eigenvectors (orthonormal,
-    inside the range).  ``b_tilde`` has the same eigenvectors with
-    eigenvalues ``1 - w``.
+    Returns the compression, ascending eigenvalues ``w`` and orthonormal
+    ambient eigenvectors ``vecs``; ``b_tilde`` has eigenvalues ``1 - w`` on them.
     """
+    comp = compress(a, b, tol)
     basis = comp.range_basis
     if basis.shape[1] == 0:
-        return np.zeros(0), np.zeros((basis.shape[0], 0), dtype=np.complex128)
-    h = core.hermitian_part(basis.conj().T @ comp.a_tilde @ basis)
-    dec = core.eig_hermitian(h, tol)
-    return dec.eigenvalues, basis @ dec.vectors
+        return comp, np.zeros(0), basis
+    dec = core.eig_hermitian(core.hermitian_part(basis.conj().T @ comp.a_tilde @ basis), tol)
+    return comp, dec.eigenvalues, basis @ dec.vectors
+
+
+def _candidate(comp: Compression, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``j g(a_tilde) j`` from the spectrum of `_spectrum`."""
+    g = np.clip(np.minimum(w, 1.0 - w), 0.0, None)
+    return core.hermitian_part(comp.j @ ((vecs * g) @ vecs.conj().T) @ comp.j)
 
 
 def ando_candidate(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -248,10 +253,7 @@ def ando_candidate(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Always a common lower bound of ``a`` and ``b``; equals the infimum
     whenever the infimum exists.
     """
-    comp = compress(a, b, tol)
-    dec = core.eig_hermitian(comp.a_tilde, tol)
-    g = dec.apply(lambda w: np.clip(np.minimum(w, 1.0 - w), 0.0, None))
-    return core.hermitian_part(comp.j @ g @ comp.j)
+    return _candidate(*_spectrum(a, b, tol))
 
 
 def spectral_criterion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -267,11 +269,8 @@ def spectral_criterion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
         lebesgue.absolutely_continuous(da, db, tol)
         and lebesgue.absolutely_continuous(db, da, tol)
     ):
-        raise MatrixError(
-            "spectral criterion requires mutually absolutely continuous inputs"
-        )
-    comp = compress(a, b, tol)
-    w, _ = _active_spectrum(comp, tol)
+        raise MatrixError("spectral criterion requires mutually absolutely continuous inputs")
+    w = _spectrum(a, b, tol)[1]
     return bool(np.all(w <= 0.5 + tol.rel) or np.all(w >= 0.5 - tol.rel))
 
 
@@ -281,16 +280,28 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     The reduction replaces ``(a, b)`` by the mutually absolutely continuous
     pair ``(a', b')`` of maximal parts; when those are comparable, the
     smaller one is the infimum and agrees with the spectral candidate.
-    Otherwise the verdict carries an `ando_witness`, built from the same
-    reduced pair.
+    Otherwise the verdict carries an `ando_witness`.  The candidate and the
+    witness come from one `_spectrum` of the reduced pair; ``(a, b)`` itself
+    is never compressed.
+
+    The candidate of a pair equals that of its reduced pair.  With ``P``
+    the projector onto the eigenvectors of ``a~`` strictly inside (0, 1),
+    ``[b]a = j a~ P j`` and ``[a]b = j (1 - a~) P j``, and ``x g(al) x*``
+    is the candidate of ``(x al x*, x be x*)`` whenever ``al + be`` is a
+    projector on whose range ``x`` is injective; as ``g(0) = g(1) = 0``,
+    both candidates are ``j g(a~) P j``.  In floating point they agree to
+    rounding, which the "candidate of the pair" check of the
+    ``lattice.infimum`` catalogue entries guards.
     """
-    ap, bp, cmp = _reduced_comparison(a, b, tol)
-    cand = ando_candidate(a, b, tol)
+    ap, bp = _reduced_pair(a, b, tol)
+    cmp = core.comparable(ap, bp, tol)
+    spectrum = _spectrum(ap, bp, tol)
+    cand = _candidate(*spectrum)
     if cmp is not Comparison.INCOMPARABLE:
         inf = ap if cmp in (Comparison.LEQ, Comparison.EQUAL) else bp
         return InfimumVerdict(True, inf, cand, None, ap, bp)
     try:
-        witness = _straddle_witness(ap, bp, tol)
+        witness = _straddle_witness(*spectrum, tol)
     except MatrixError as exc:
         raise ToleranceBreakdownError(
             f"parts are incomparable but no spectral witness exists: {exc}"
@@ -303,16 +314,6 @@ def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     da = core.eig_hermitian(a, tol)
     db = core.eig_hermitian(b, tol)
     return lebesgue.ac_part(da, db, tol).ac, lebesgue.ac_part(db, da, tol).ac
-
-
-def _reduced_comparison(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, Comparison]:
-    """Ando's criterion: the reduced pair ``(a', b')`` and how it compares.
-
-    The infimum of ``a`` and ``b`` exists iff the comparison is not
-    ``INCOMPARABLE``; then it is the smaller of ``a'`` and ``b'``.
-    """
-    ap, bp = _reduced_pair(a, b, tol)
-    return ap, bp, core.comparable(ap, bp, tol)
 
 
 def _window_margin(w: np.ndarray) -> float:
@@ -343,14 +344,11 @@ def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     when no window pair is populated: then the spectrum is one-sided and
     the infimum exists, violating the precondition.
     """
-    return _straddle_witness(*_reduced_pair(a, b, tol), tol)
+    return _straddle_witness(*_spectrum(*_reduced_pair(a, b, tol), tol), tol)
 
 
-def _straddle_witness(ap: np.ndarray, bp: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """`ando_witness` for an already reduced pair ``(a', b')``."""
-    comp = compress(ap, bp, tol)
-    w, vecs = _active_spectrum(comp, tol)
-
+def _straddle_witness(comp: Compression, w, vecs, tol: Tolerance) -> np.ndarray:
+    """`ando_witness` from the `_spectrum` of an already reduced pair."""
     eps = _window_margin(w)
     if eps <= tol.rel / 3.0:
         raise MatrixError(

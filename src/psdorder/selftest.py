@@ -626,8 +626,8 @@ def _candidate(c, a, b, *_):
 @_entry("lattice.infimum.incomparable", _incomparable)
 @_entry("lattice.infimum", _mixed_pair)
 def _infimum(c, a, b, *_):
-    """Three routes agree; an infimum dominates sampled lower bounds, and a
-    witness is a lower bound incomparable with the candidate."""
+    """Three routes agree, the candidate is the pair's, an infimum dominates
+    sampled lower bounds and a witness is a lower bound incomparable with it."""
     v = lattice.inf_exists(a, b, c.tol)
     c(lattice.spectral_criterion(v.reduced_a, v.reduced_b, c.tol) == v.exists, "spectral route agrees")
     try:
@@ -637,6 +637,7 @@ def _infimum(c, a, b, *_):
         witness_feasible = False
     c(witness_feasible == (not v.exists), "witness route agrees")
     sc = eig_scale(a, b)
+    c(_close(v.candidate, lattice.ando_candidate(a, b, c.tol), 1e-10 * sc), "candidate of the pair")
     if not v.exists:
         d = v.witness
         floor = 1e-9 * sc

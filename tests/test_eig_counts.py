@@ -5,7 +5,9 @@ Every rank, projector, root and PSD verdict about an operand is read from one
 decision.  Every range question about a pair (absolute continuity,
 singularity, the AC part, a shared range direction) is one SVD of the
 principal angles, so work moved from eigh to SVD stays visible.  The counter
-wraps `numpy.linalg.eigh` and `numpy.linalg.svd` for the duration of a test.
+wraps `numpy.linalg.eigh` and `numpy.linalg.svd` for the duration of a test
+and records the shape of each decomposed matrix, so a decomposition moved to
+a smaller space stays visible too.
 """
 
 import json
@@ -21,14 +23,14 @@ N = 4
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Names of the counted `numpy.linalg` calls, in order."""
+    """``(name, shape)`` of the counted `numpy.linalg` calls, in order."""
     calls = []
 
     def counting(name):
         wrapped = getattr(np.linalg, name)
 
         def call(m, *args, **kwargs):
-            calls.append(name)
+            calls.append((name, np.shape(m)))
             return wrapped(m, *args, **kwargs)
 
         return call
@@ -42,7 +44,8 @@ def count(calls, fn, *args):
     """``((eigh calls, svd calls), result)`` of one call."""
     calls.clear()
     result = fn(*args)
-    return (calls.count("eigh"), calls.count("svd")), result
+    names = [name for name, _ in calls]
+    return (names.count("eigh"), names.count("svd")), result
 
 
 @pytest.fixture(params=[False, True], ids=["real", "complex"])
@@ -83,6 +86,17 @@ def test_ac_part(linalg_calls, inst):
     assert count(linalg_calls, po.ac_part, inst["b"], inst["low"])[0] == (2, 1)
 
 
+def test_compress(linalg_calls, inst):
+    assert count(linalg_calls, po.compress, inst["a"], inst["b"])[0] == (1, 0)
+
+
+def test_ando_candidate_decomposes_a_tilde_on_the_range(linalg_calls, inst):
+    """One eigh of the sum, then one of ``a_tilde`` on the sum's range only."""
+    assert po.numeric_rank(inst["low"] + inst["up"]) == 3
+    count(linalg_calls, po.ando_candidate, inst["low"], inst["up"])
+    assert linalg_calls == [("eigh", (N, N)), ("eigh", (3, 3))]
+
+
 def test_spectral_criterion(linalg_calls, inst):
     assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 2)
 
@@ -107,7 +121,7 @@ def test_inf_exists_exists_path(linalg_calls, inst):
 def test_inf_exists_witness_path(linalg_calls, inst):
     calls, verdict = count(linalg_calls, po.inf_exists, inst["a"], inst["b"])
     assert not verdict.exists
-    assert calls == (7, 2)
+    assert calls == (5, 2)
 
 
 @pytest.mark.parametrize("lo, hi, exists", [("low", "up", True), ("a", "b", False)])
