@@ -471,10 +471,8 @@ def cmd_kadison_witness(inputs: dict[str, LoadedValue], tol: Tolerance, seed=Non
 
 
 def cmd_ando_witness(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a = inputs["a"].value
-    b = inputs["b"].value
-    d = lattice.ando_witness(a, b, tol)
-    witnesses = {"candidate": lattice.ando_candidate(a, b, tol), "d": d}
+    verdict = lattice._refutation(inputs["a"].value, inputs["b"].value, tol)
+    witnesses = {"candidate": verdict.candidate, "d": verdict.witness}
     return _report("ando-witness", inputs, tol, seed, {"constructed": True}, witnesses)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, lattice
-from .core import DEFAULT_TOL, Comparison, Tolerance
+from .core import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "SesquilinearForm",
@@ -70,12 +70,10 @@ def form_inf_exists(
 ) -> bool:
     """Infimum of two nonnegative forms exists iff their AC parts are comparable.
 
-    Agrees with ``lattice.inf_exists(...).exists`` on the Gram matrices
-    wherever that returns a verdict, but decides from the absolutely
-    continuous parts alone and builds no candidate or witness.  Where
-    `inf_exists` raises `ToleranceBreakdownError` because the parts compare
-    as incomparable yet no witness can be built, this returns False.
+    Reads `lattice`'s rule on the Gram matrices, as ``lattice.inf_exists``
+    does, but builds no candidate or witness.
     """
     dt = core.eig_hermitian(t.gram, tol).require_psd(tol)
     ds = core.eig_hermitian(s.gram, tol).require_psd(tol)
-    return core.comparable(*lattice._reduced_pair(dt, ds, tol), tol) is not Comparison.INCOMPARABLE
+    w = lattice._spectrum(*lattice._reduced_pair(dt, ds, tol), tol)[1]
+    return min(lattice._reach(w, tol)) == 0.0

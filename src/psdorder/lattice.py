@@ -10,11 +10,16 @@ Infima are subtler (Ando's theorem): ``a`` and ``b`` have an infimum
 exactly when the absolutely continuous parts ``[b]a`` and ``[a]b`` are
 comparable, and then the infimum is the smaller part.  The decision
 compresses that reduced pair onto the range of ``[b]a + [a]b``, where
-``[b]a`` is represented by a contraction ``a~`` with ``a~ + b~ = 1``; the
-infimum exists iff the spectrum of ``a~`` stays on one side of ``1/2``.
-One eigendecomposition of ``a~`` there gives the spectral candidate
-``min(a~, b~)`` and, if the spectrum straddles, `ando_witness`: a common
-lower bound not comparable with the candidate, so no candidate is least.
+``[b]a`` is represented by a contraction ``a~`` with ``a~ + b~ = 1``, so
+``[b]a <= [a]b`` iff the spectrum ``w`` of ``a~`` lies in ``[0, 1/2]``.
+Every infimum decision reads one rule on ``w``, in units that a common
+scaling of the pair leaves unchanged: ``w`` reaches a side of ``1/2`` iff
+that side's window, ``[3 eps, 1/2 - 3 eps]`` or ``[1/2 + 3 eps, 1 - 3 eps]``,
+catches an eigenvalue for some ``eps > tol.rel / 3`` (`_reach`).  The
+infimum exists iff ``w`` does not reach both sides, and is ``[a]b`` iff it
+reaches the high one.  That spectrum also gives the candidate
+``min(a~, b~)`` and, if ``w`` straddles, `ando_witness`: a common lower
+bound not comparable with the candidate, so no candidate is least.
 """
 
 from __future__ import annotations
@@ -89,10 +94,10 @@ class InfimumVerdict:
 
     ``reduced_a`` / ``reduced_b`` are the mutually absolutely continuous
     parts the decision reduces to.  ``candidate`` is the spectral candidate
-    read from their compression; it equals ``ando_candidate(a, b)``.  When
-    the infimum exists, ``inf`` is the smaller reduced part (and agrees with
-    ``candidate``); when it does not, ``witness`` is a common lower bound
-    not comparable with the candidate.
+    read from their compression; it equals ``ando_candidate(a, b)``.
+    ``exists``, and which reduced part is ``inf``, read the module's rule on
+    that compression.  ``inf`` (which agrees with ``candidate``) is set iff
+    the infimum exists, ``witness`` (an `ando_witness`) iff it does not.
     """
 
     exists: bool
@@ -259,9 +264,9 @@ def ando_candidate(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def spectral_criterion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Spectral form of the infimum decision for mutually AC pairs.
 
-    True iff the spectrum of ``a_tilde`` on the range of ``a + b`` lies
-    entirely in ``[0, 1/2]`` or entirely in ``[1/2, 1]`` (within tolerance).
-    Rejects pairs that are not mutually absolutely continuous.
+    True iff the spectrum of ``a_tilde`` on the range of ``a + b`` does not
+    reach both sides of ``1/2`` by the module's rule.  Rejects pairs that
+    are not mutually absolutely continuous.
     """
     da = core.eig_hermitian(a, tol)
     db = core.eig_hermitian(b, tol)
@@ -270,19 +275,17 @@ def spectral_criterion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
         and lebesgue.absolutely_continuous(db, da, tol)
     ):
         raise MatrixError("spectral criterion requires mutually absolutely continuous inputs")
-    w = _spectrum(a, b, tol)[1]
-    return bool(np.all(w <= 0.5 + tol.rel) or np.all(w >= 0.5 - tol.rel))
+    return min(_reach(_spectrum(a, b, tol)[1], tol)) == 0.0
 
 
 def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     """Infimum decision: exists iff the AC parts of the pair are comparable.
 
     The reduction replaces ``(a, b)`` by the mutually absolutely continuous
-    pair ``(a', b')`` of maximal parts; when those are comparable, the
-    smaller one is the infimum and agrees with the spectral candidate.
-    Otherwise the verdict carries an `ando_witness`.  The candidate and the
-    witness come from one `_spectrum` of the reduced pair; ``(a, b)`` itself
-    is never compressed.
+    pair ``(a', b')`` of maximal parts.  One `_spectrum` of that pair gives
+    the verdict and the side by the module's rule, the candidate and, when
+    no infimum exists, the `ando_witness`; ``(a, b)`` itself is never
+    compressed.
 
     The candidate of a pair equals that of its reduced pair.  With ``P``
     the projector onto the eigenvectors of ``a~`` strictly inside (0, 1),
@@ -294,18 +297,12 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ``lattice.infimum`` catalogue entries guards.
     """
     ap, bp = _reduced_pair(a, b, tol)
-    cmp = core.comparable(ap, bp, tol)
-    spectrum = _spectrum(ap, bp, tol)
-    cand = _candidate(*spectrum)
-    if cmp is not Comparison.INCOMPARABLE:
-        inf = ap if cmp in (Comparison.LEQ, Comparison.EQUAL) else bp
-        return InfimumVerdict(True, inf, cand, None, ap, bp)
-    try:
-        witness = _straddle_witness(*spectrum, tol)
-    except MatrixError as exc:
-        raise ToleranceBreakdownError(
-            f"parts are incomparable but no spectral witness exists: {exc}"
-        ) from exc
+    comp, w, vecs = _spectrum(ap, bp, tol)
+    cand = _candidate(comp, w, vecs)
+    low, high = _reach(w, tol)
+    if min(low, high) == 0.0:
+        return InfimumVerdict(True, bp if high else ap, cand, None, ap, bp)
+    witness = _straddle_witness(comp, w, vecs, min(low, high))
     return InfimumVerdict(False, None, cand, witness, ap, bp)
 
 
@@ -316,46 +313,42 @@ def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     return lebesgue.ac_part(da, db, tol).ac, lebesgue.ac_part(db, da, tol).ac
 
 
-def _window_margin(w: np.ndarray) -> float:
-    """Largest eps whose windows [3 eps, 1/2 - 3 eps] / [1/2 + 3 eps, 1 - 3 eps]
-    each still catch an eigenvalue of ``w``."""
-    low = w[(w > 0.0) & (w < 0.5)]
-    high = w[(w > 0.5) & (w < 1.0)]
-    if low.size == 0 or high.size == 0:
-        return 0.0
-    eps_low = float(np.max(np.minimum(low, 0.5 - low))) / 3.0
-    eps_high = float(np.max(np.minimum(high - 0.5, 1.0 - high))) / 3.0
-    return min(eps_low, eps_high)
+def _reach(w: np.ndarray, tol: Tolerance) -> tuple[float, float]:
+    """The module's rule: for each side of 1/2, below then above, the largest
+    ``eps`` whose window still catches an eigenvalue of ``w``, or 0 if that
+    ``eps`` is at most ``tol.rel / 3``."""
+    low = float(np.max(np.minimum(w, 0.5 - w), initial=0.0)) / 3.0
+    high = float(np.max(np.minimum(w - 0.5, 1.0 - w), initial=0.0)) / 3.0
+    return tuple(eps if eps > tol.rel / 3.0 else 0.0 for eps in (low, high))
 
 
 def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Common lower bound of ``a`` and ``b`` not comparable with the candidate.
 
-    Constructed on the reduced (mutually absolutely continuous) pair: with
-    the compressed spectrum straddling ``1/2``, take the largest ``eps``
-    for which the spectral windows ``[1/2 + 3 eps, 1 - 3 eps]`` and
-    ``[3 eps, 1/2 - 3 eps]`` both catch eigenvalues, couple the two window
-    subspaces by a partial isometry ``v``, and map
+    Precondition: the pair has no infimum (else `MatrixError`), so with
+    ``eps`` the smaller reach of the compressed spectrum of its reduced
+    pair, the windows ``[1/2 + 3 eps, 1 - 3 eps]`` and ``[3 eps, 1/2 - 3 eps]``
+    both catch eigenvalues.  Couple the two window subspaces by a partial
+    isometry ``v`` and map
 
         d~ = (x~ - eps) p2 + (y~ - eps) p1 + sqrt(2) eps (v p2 + p2 v*)
 
-    back through ``j``.  The roles of the two contractions are swapped if
-    needed so that the low window is the smaller one.  Rejects the pair
-    when no window pair is populated: then the spectrum is one-sided and
-    the infimum exists, violating the precondition.
+    back through ``j``, with the roles of the two contractions swapped if
+    needed so that the low window is the smaller one.
     """
-    return _straddle_witness(*_spectrum(*_reduced_pair(a, b, tol), tol), tol)
+    return _refutation(a, b, tol).witness
 
 
-def _straddle_witness(comp: Compression, w, vecs, tol: Tolerance) -> np.ndarray:
-    """`ando_witness` from the `_spectrum` of an already reduced pair."""
-    eps = _window_margin(w)
-    if eps <= tol.rel / 3.0:
-        raise MatrixError(
-            "no spectral straddle: the infimum of the pair exists, "
-            "so no witness can be constructed"
-        )
+def _refutation(a, b, tol: Tolerance) -> InfimumVerdict:
+    """`inf_exists`, enforcing `ando_witness`'s precondition."""
+    verdict = inf_exists(a, b, tol)
+    if verdict.exists:
+        raise MatrixError("the infimum of the pair exists, so no witness can be constructed")
+    return verdict
 
+
+def _straddle_witness(comp: Compression, w, vecs, eps: float) -> np.ndarray:
+    """`ando_witness` from the `_spectrum` of a reduced pair reaching ``eps`` on both sides."""
     slack = 1e-12
     low = (w >= 3.0 * eps - slack) & (w <= 0.5 - 3.0 * eps + slack)
     high = (w >= 0.5 + 3.0 * eps - slack) & (w <= 1.0 - 3.0 * eps + slack)

@@ -115,13 +115,13 @@ def test_kadison_witness_both_branches(linalg_calls, inst, upper, singular):
 def test_inf_exists_exists_path(linalg_calls, inst):
     calls, verdict = count(linalg_calls, po.inf_exists, inst["low"], inst["up"])
     assert verdict.exists
-    assert calls == (5, 2)
+    assert calls == (4, 2)
 
 
 def test_inf_exists_witness_path(linalg_calls, inst):
     calls, verdict = count(linalg_calls, po.inf_exists, inst["a"], inst["b"])
     assert not verdict.exists
-    assert calls == (5, 2)
+    assert calls == (4, 2)
 
 
 @pytest.mark.parametrize("lo, hi, exists", [("low", "up", True), ("a", "b", False)])
@@ -129,7 +129,7 @@ def test_form_inf_exists_both_paths(linalg_calls, inst, lo, hi, exists):
     forms = po.SesquilinearForm(inst[lo]), po.SesquilinearForm(inst[hi])
     calls, verdict = count(linalg_calls, po.form_inf_exists, *forms)
     assert verdict is exists
-    assert calls == (3, 2)
+    assert calls == (4, 2)
 
 
 def test_cli_sup_reads_one_comparison(linalg_calls, inst):
@@ -137,6 +137,13 @@ def test_cli_sup_reads_one_comparison(linalg_calls, inst):
     calls, report = count(linalg_calls, cli.cmd_sup, inputs, po.DEFAULT_TOL)
     assert report["verdict"] == {"exists": True, "comparison": "leq"}
     assert calls == (1, 0)
+
+
+def test_cli_ando_witness_reads_candidate_and_witness_from_one_spectrum(linalg_calls, inst):
+    inputs = {"a": cli.memory_value("a", inst["a"]), "b": cli.memory_value("b", inst["b"])}
+    calls, report = count(linalg_calls, cli.cmd_ando_witness, inputs, po.DEFAULT_TOL)
+    assert set(report["witnesses"]) == {"candidate", "d"}
+    assert calls == (4, 2)
 
 
 def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst):

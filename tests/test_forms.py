@@ -88,8 +88,9 @@ class TestFormInfDecision:
         rng = sampling.rng_from_seed(7000 + 10 * n + cplx)
         for _ in range(3):
             a, b = _family_pair(rng, family, n, cplx)
-            decided = po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b))
-            assert decided == po.inf_exists(a, b).exists
+            for s in (2.0**-20, 1.0, 2.0**20):
+                decided = po.form_inf_exists(po.SesquilinearForm(s * a), po.SesquilinearForm(s * b))
+                assert decided == po.inf_exists(s * a, s * b).exists
 
     @pytest.mark.parametrize(
         "gram, error",

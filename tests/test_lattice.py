@@ -3,7 +3,22 @@ import pytest
 
 import psdorder as po
 from psdorder import lebesgue, sampling
+from psdorder.selftest import CATALOGUE
 from conftest import holds
+
+
+@pytest.fixture(scope="module")
+def infimum_probe():
+    """1540 pairs and their verdicts at scale 1: the three ``lattice.infimum``
+    families, 100 draws at each of seeds 200-204, and 40 incomparable 4x4 pairs."""
+    pairs = []
+    for name in ("lattice.infimum", "lattice.infimum.incomparable", "lattice.infimum.shared_core"):
+        for seed in range(200, 205):
+            rng = sampling.rng_from_seed(seed)
+            pairs += [CATALOGUE[name].sample(rng, t, False)[:2] for t in range(100)]
+    rng = sampling.rng_from_seed(3)
+    pairs += [sampling.incomparable_pair(rng, 4)[:2] for _ in range(40)]
+    return pairs, [po.inf_exists(a, b).exists for a, b in pairs]
 
 
 class TestSupExists:
@@ -178,6 +193,21 @@ class TestInfExists:
 
     def test_reduction_identity(self, rng):
         holds(rng, 20, "lattice.reduction")
+
+    # Not 1e-12: there the absolute floor of the rank cutoffs still flips verdicts.
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8, 1e12])
+    def test_verdict_is_scale_invariant(self, infimum_probe, scale):
+        """A common scaling leaves the compressed spectrum, so every infimum verdict, unchanged."""
+        pairs, at_one = infimum_probe
+        flips, form_disagrees = [], []
+        for i, ((a, b), exists) in enumerate(zip(pairs, at_one)):
+            decided = po.inf_exists(scale * a, scale * b).exists
+            if decided != exists:
+                flips.append(i)
+            forms = po.SesquilinearForm(scale * a), po.SesquilinearForm(scale * b)
+            if po.form_inf_exists(*forms) != decided:
+                form_disagrees.append(i)
+        assert (flips, form_disagrees) == ([], [])
 
 
 class TestAndoWitness:
