@@ -76,4 +76,4 @@ def form_inf_exists(
     dt = core.eig_hermitian(t.gram, tol).require_psd(tol)
     ds = core.eig_hermitian(s.gram, tol).require_psd(tol)
     w = lattice._spectrum(*lattice._reduced_pair(dt, ds, tol), tol)[1]
-    return min(lattice._reach(w, tol)) == 0.0
+    return not all(lattice._sides(w, tol))

@@ -14,12 +14,12 @@ compresses that reduced pair onto the range of ``[b]a + [a]b``, where
 ``[b]a <= [a]b`` iff the spectrum ``w`` of ``a~`` lies in ``[0, 1/2]``.
 Every infimum decision reads one rule on ``w``, in units that a common
 scaling of the pair leaves unchanged: ``w`` reaches a side of ``1/2`` iff
-that side's window, ``[3 eps, 1/2 - 3 eps]`` or ``[1/2 + 3 eps, 1 - 3 eps]``,
-catches an eigenvalue for some ``eps > tol.rel / 3`` (`_reach`).  The
-infimum exists iff ``w`` does not reach both sides, and is ``[a]b`` iff it
-reaches the high one.  That spectrum also gives the candidate
-``min(a~, b~)`` and, if ``w`` straddles, `ando_witness`: a common lower
-bound not comparable with the candidate, so no candidate is least.
+it has an eigenvalue more than ``tol.rel`` beyond ``1/2`` on that side
+(`_sides`).  The infimum exists iff ``w`` does not reach both sides, and is
+``[a]b`` iff it reaches the high one.  That spectrum also gives the
+candidate ``min(a~, b~)`` and, if ``w`` reaches both sides, `ando_witness`:
+a common lower bound not comparable with the candidate, so no candidate is
+least.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def spectral_criterion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
         and lebesgue.absolutely_continuous(db, da, tol)
     ):
         raise MatrixError("spectral criterion requires mutually absolutely continuous inputs")
-    return min(_reach(_spectrum(a, b, tol)[1], tol)) == 0.0
+    return not all(_sides(_spectrum(a, b, tol)[1], tol))
 
 
 def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
@@ -299,10 +299,10 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ap, bp = _reduced_pair(a, b, tol)
     comp, w, vecs = _spectrum(ap, bp, tol)
     cand = _candidate(comp, w, vecs)
-    low, high = _reach(w, tol)
-    if min(low, high) == 0.0:
+    low, high = _sides(w, tol)
+    if not (low and high):
         return InfimumVerdict(True, bp if high else ap, cand, None, ap, bp)
-    witness = _straddle_witness(comp, w, vecs, min(low, high))
+    witness = _straddle_witness(comp, w, vecs, tol)
     return InfimumVerdict(False, None, cand, witness, ap, bp)
 
 
@@ -313,28 +313,27 @@ def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     return lebesgue.ac_part(da, db, tol).ac, lebesgue.ac_part(db, da, tol).ac
 
 
-def _reach(w: np.ndarray, tol: Tolerance) -> tuple[float, float]:
-    """The module's rule: for each side of 1/2, below then above, the largest
-    ``eps`` whose window still catches an eigenvalue of ``w``, or 0 if that
-    ``eps`` is at most ``tol.rel / 3``."""
-    low = float(np.max(np.minimum(w, 0.5 - w), initial=0.0)) / 3.0
-    high = float(np.max(np.minimum(w - 0.5, 1.0 - w), initial=0.0)) / 3.0
-    return tuple(eps if eps > tol.rel / 3.0 else 0.0 for eps in (low, high))
+def _sides(w: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:
+    """The module's rule: whether ``w`` reaches below, then above, ``1/2`` by more than ``tol.rel``."""
+    return bool(np.any(w < 0.5 - tol.rel)), bool(np.any(w > 0.5 + tol.rel))
 
 
 def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Common lower bound of ``a`` and ``b`` not comparable with the candidate.
 
-    Precondition: the pair has no infimum (else `MatrixError`), so with
-    ``eps`` the smaller reach of the compressed spectrum of its reduced
-    pair, the windows ``[1/2 + 3 eps, 1 - 3 eps]`` and ``[3 eps, 1/2 - 3 eps]``
-    both catch eigenvalues.  Couple the two window subspaces by a partial
-    isometry ``v`` and map
+    Precondition: the pair has no infimum (else `MatrixError`), so the
+    compressed spectrum of its reduced pair reaches both sides of ``1/2``.
+    Take the largest ``eps`` for which the windows ``[1/2 + 3 eps, 1 - 3 eps]``
+    and ``[3 eps, 1/2 - 3 eps]`` both catch eigenvalues, couple the two
+    window subspaces by a partial isometry ``v`` and map
 
         d~ = (x~ - eps) p2 + (y~ - eps) p1 + sqrt(2) eps (v p2 + p2 v*)
 
     back through ``j``, with the roles of the two contractions swapped if
-    needed so that the low window is the smaller one.
+    needed so that the low window is the smaller one.  When ``eps`` is at
+    most ``tol.rel / 3`` (one side's eigenvalues all lie within ``tol.rel``
+    of 0 or 1, where one part is about ``1/tol.rel`` times the other), no
+    witness is built and `ToleranceBreakdownError` is raised.
     """
     return _refutation(a, b, tol).witness
 
@@ -347,8 +346,15 @@ def _refutation(a, b, tol: Tolerance) -> InfimumVerdict:
     return verdict
 
 
-def _straddle_witness(comp: Compression, w, vecs, eps: float) -> np.ndarray:
-    """`ando_witness` from the `_spectrum` of a reduced pair reaching ``eps`` on both sides."""
+def _straddle_witness(comp: Compression, w, vecs, tol: Tolerance) -> np.ndarray:
+    """`ando_witness` from the `_spectrum` of a reduced pair reaching both sides of 1/2."""
+    eps_low = float(np.max(np.minimum(w, 0.5 - w))) / 3.0
+    eps_high = float(np.max(np.minimum(w - 0.5, 1.0 - w))) / 3.0
+    eps = min(eps_low, eps_high)
+    if eps <= tol.rel / 3.0:
+        raise ToleranceBreakdownError(
+            f"spectrum straddles 1/2 but a witness window is empty (margin {eps:.3g})"
+        )
     slack = 1e-12
     low = (w >= 3.0 * eps - slack) & (w <= 0.5 - 3.0 * eps + slack)
     high = (w >= 0.5 + 3.0 * eps - slack) & (w <= 1.0 - 3.0 * eps + slack)

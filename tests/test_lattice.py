@@ -194,19 +194,35 @@ class TestInfExists:
     def test_reduction_identity(self, rng):
         holds(rng, 20, "lattice.reduction")
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_lopsided_straddle_is_not_an_infimum(self, rotate):
+        """w = (1 - 5e-11, 1/4, 1/4): one eigenvalue is within rel of 1, yet the
+        full-rank pair is incomparable, so no verdict may say the infimum exists."""
+        a, b = np.diag([100.0, 1.0, 1.0]), np.diag([5e-9, 3.0, 3.0])
+        if rotate:
+            q = np.linalg.qr(sampling.rng_from_seed(11).standard_normal((3, 3)))[0]
+            a, b = q @ a @ q.T, q @ b @ q.T
+        assert not po.spectral_criterion(a, b)
+        assert not po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b))
+        with pytest.raises(po.ToleranceBreakdownError, match="witness window is empty"):
+            po.inf_exists(a, b)
+
     # Not 1e-12: there the absolute floor of the rank cutoffs still flips verdicts.
     @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8, 1e12])
     def test_verdict_is_scale_invariant(self, infimum_probe, scale):
-        """A common scaling leaves the compressed spectrum, so every infimum verdict, unchanged."""
+        """A common scaling leaves the compressed spectrum, so every infimum verdict,
+        unchanged.  `form_inf_exists` is compared at the two extreme scales only;
+        `test_forms` checks it against `inf_exists` at 2^-20, 1 and 2^20."""
         pairs, at_one = infimum_probe
         flips, form_disagrees = [], []
         for i, ((a, b), exists) in enumerate(zip(pairs, at_one)):
             decided = po.inf_exists(scale * a, scale * b).exists
             if decided != exists:
                 flips.append(i)
-            forms = po.SesquilinearForm(scale * a), po.SesquilinearForm(scale * b)
-            if po.form_inf_exists(*forms) != decided:
-                form_disagrees.append(i)
+            if scale in (1e-8, 1e12):
+                forms = po.SesquilinearForm(scale * a), po.SesquilinearForm(scale * b)
+                if po.form_inf_exists(*forms) != decided:
+                    form_disagrees.append(i)
         assert (flips, form_disagrees) == ([], [])
 
 
