@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, lattice
-from .core import DEFAULT_TOL, Tolerance
+from .core import DEFAULT_TOL, DimensionMismatchError, Tolerance
 
 __all__ = [
     "SesquilinearForm",
@@ -34,10 +34,13 @@ class SesquilinearForm:
     label: str = field(default="")
 
     def evaluate(self, x, y) -> complex:
-        """Value ``t(x, y) = y* gram x``."""
+        """Value ``t(x, y) = y* gram x``; both vectors must match the Gram matrix."""
         vx = core.as_vector(x)
         vy = core.as_vector(y)
-        return complex(vy.conj() @ core.as_matrix(self.gram) @ vx)
+        g = core.as_matrix(self.gram)
+        if vx.size != len(g) or vy.size != len(g):
+            raise DimensionMismatchError(f"lengths {vx.size}, {vy.size} for a form on C^{len(g)}")
+        return complex(vy.conj() @ g @ vx)
 
     def __call__(self, x, y) -> complex:
         return self.evaluate(x, y)
@@ -73,7 +76,5 @@ def form_inf_exists(
     Reads `lattice`'s rule on the Gram matrices, as ``lattice.inf_exists``
     does, but builds no candidate or witness.
     """
-    dt = core.eig_hermitian(t.gram, tol).require_psd(tol)
-    ds = core.eig_hermitian(s.gram, tol).require_psd(tol)
-    w = lattice._spectrum(*lattice._reduced_pair(dt, ds, tol), tol)[1]
+    w = lattice._spectrum(*lattice._reduced_pair(t.gram, s.gram, tol), tol)[1]
     return not all(lattice._sides(w, tol))

@@ -8,18 +8,18 @@ with ``t``, so no candidate can be least.
 
 Infima are subtler (Ando's theorem): ``a`` and ``b`` have an infimum
 exactly when the absolutely continuous parts ``[b]a`` and ``[a]b`` are
-comparable, and then the infimum is the smaller part.  The decision
-compresses that reduced pair onto the range of ``[b]a + [a]b``, where
-``[b]a`` is represented by a contraction ``a~`` with ``a~ + b~ = 1``, so
-``[b]a <= [a]b`` iff the spectrum ``w`` of ``a~`` lies in ``[0, 1/2]``.
-Every infimum decision reads one rule on ``w``, in units that a common
-scaling of the pair leaves unchanged: ``w`` reaches a side of ``1/2`` iff
-it has an eigenvalue more than ``tol.rel`` beyond ``1/2`` on that side
-(`_sides`).  The infimum exists iff ``w`` does not reach both sides, and is
-``[a]b`` iff it reaches the high one.  That spectrum also gives the
-candidate ``min(a~, b~)`` and, if ``w`` reaches both sides, `ando_witness`:
-a common lower bound not comparable with the candidate, so no candidate is
-least.
+comparable, and then the infimum is the smaller part.  The decision factors
+that reduced pair as ``[b]a = x diag(w) x*`` and ``[a]b = x diag(1 - w) x*``
+(`_spectrum`), where ``w`` is the spectrum of the contraction ``a~`` that
+represents ``[b]a`` on the range of the sum, so ``[b]a <= [a]b`` iff ``w``
+lies in ``[0, 1/2]``.  Every infimum decision reads one rule on ``w``, in
+units that a common scaling of the pair leaves unchanged: ``w`` reaches a
+side of ``1/2`` iff it has an eigenvalue more than ``tol.rel`` beyond
+``1/2`` on that side (`_sides`).  The infimum exists iff ``w`` does not
+reach both sides, and is ``[a]b`` iff it reaches the high one.  The factor
+also gives the candidate ``x diag(min(w, 1 - w)) x*`` and, if ``w`` reaches
+both sides, `ando_witness`: a common lower bound not comparable with the
+candidate, so no candidate is least.
 """
 
 from __future__ import annotations
@@ -74,11 +74,9 @@ class Compression:
 
     ``j`` is the PSD square root of ``a + b`` and ``range_proj`` the
     projector onto its range (the identity of the compressed space).  The
-    contractions satisfy ``a_tilde + b_tilde = range_proj``,
-    ``j a_tilde j = a`` and ``j b_tilde j = b``, with
-    ``0 <= a_tilde <= range_proj``.  ``range_basis`` holds an orthonormal
-    basis of the range in its columns, for spectral work on the compressed
-    space.
+    contractions satisfy ``a_tilde + b_tilde = range_proj``, ``j a_tilde j = a``
+    and ``j b_tilde j = b``, with ``0 <= a_tilde <= range_proj``.
+    ``range_basis`` is an orthonormal basis of the range; its width is the rank.
     """
 
     a_tilde: np.ndarray
@@ -94,9 +92,9 @@ class InfimumVerdict:
 
     ``reduced_a`` / ``reduced_b`` are the mutually absolutely continuous
     parts the decision reduces to.  ``candidate`` is the spectral candidate
-    read from their compression; it equals ``ando_candidate(a, b)``.
+    read from their factor (`_spectrum`); it equals ``ando_candidate(a, b)``.
     ``exists``, and which reduced part is ``inf``, read the module's rule on
-    that compression.  ``inf`` (which agrees with ``candidate``) is set iff
+    that factor.  ``inf`` (which agrees with ``candidate``) is set iff
     the infimum exists, ``witness`` (an `ando_witness`) iff it does not.
     """
 
@@ -211,6 +209,15 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return core.hermitian_part(s)
 
 
+def _sum_range(a, b, tol: Tolerance):
+    """Validated ``a`` and ``b``, the decomposition of ``a + b`` and the mask of its range."""
+    ha = core.as_hermitian(a, tol)
+    hb = core.as_hermitian(b, tol)
+    core._same_dim(ha, hb)
+    dec = core.eig_hermitian(ha + hb, tol)
+    return ha, hb, dec, dec.kept(tol)
+
+
 def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     """Represent ``a`` and ``b`` as contractions on the range of ``a + b``.
 
@@ -218,38 +225,35 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     ``b`` are mutually absolutely continuous the spectrum of ``a_tilde``
     on the range of ``s`` lies strictly inside ``(0, 1)``.
     """
-    ha = core.as_hermitian(a, tol)
-    hb = core.as_hermitian(b, tol)
-    core._same_dim(ha, hb)
-    dec = core.eig_hermitian(ha + hb, tol)
-    keep = dec.kept(tol)
+    ha, hb, dec, keep = _sum_range(a, b, tol)
     j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * keep)
     pinv_sqrt = dec.pinv_power(0.5, tol)
-    basis = dec.range_basis(tol)
-    proj = dec.projector(tol)
     a_tilde = core.hermitian_part(pinv_sqrt @ ha @ pinv_sqrt)
     b_tilde = core.hermitian_part(pinv_sqrt @ hb @ pinv_sqrt)
-    return Compression(a_tilde, b_tilde, j, proj, basis)
+    return Compression(a_tilde, b_tilde, j, dec.projector(tol), dec.range_basis(tol))
 
 
 def _spectrum(a, b, tol: Tolerance):
-    """`compress`, then one eigh of ``a_tilde`` on the range of the sum, of order ``rank(a + b)``.
+    """Factor ``(x, w)``, ``a = x diag(w) x*`` and ``b = x diag(1 - w) x*``, with ``w`` ascending.
 
-    Returns the compression, ascending eigenvalues ``w`` and orthonormal
-    ambient eigenvectors ``vecs``; ``b_tilde`` has eigenvalues ``1 - w`` on them.
+    ``x = q s u``: ``q`` holds the kept eigenvectors of ``a + b``, ``s`` the
+    roots of their eigenvalues, and ``u diag(w) u*`` is the one eigh, of order
+    ``rank(a + b)``, of ``s^-1 q* a q s^-1`` (``a_tilde`` on the range of the sum).
     """
-    comp = compress(a, b, tol)
-    basis = comp.range_basis
-    if basis.shape[1] == 0:
-        return comp, np.zeros(0), basis
-    dec = core.eig_hermitian(core.hermitian_part(basis.conj().T @ comp.a_tilde @ basis), tol)
-    return comp, dec.eigenvalues, basis @ dec.vectors
+    ha, _, dec, keep = _sum_range(a, b, tol)
+    q = dec.vectors[:, keep]
+    s = np.sqrt(dec.eigenvalues[keep])
+    if s.size == 0:
+        return q, s
+    y = q / s
+    inner = core.eig_hermitian(y.conj().T @ ha @ y, tol)
+    return (q * s) @ inner.vectors, inner.eigenvalues
 
 
-def _candidate(comp: Compression, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``j g(a_tilde) j`` from the spectrum of `_spectrum`."""
+def _candidate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``j g(a_tilde) j`` as ``x diag(g(w)) x*``, from the factor of `_spectrum`."""
     g = np.clip(np.minimum(w, 1.0 - w), 0.0, None)
-    return core.hermitian_part(comp.j @ ((vecs * g) @ vecs.conj().T) @ comp.j)
+    return core.hermitian_part((x * g) @ x.conj().T)
 
 
 def ando_candidate(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -297,20 +301,20 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ``lattice.infimum`` catalogue entries guards.
     """
     ap, bp = _reduced_pair(a, b, tol)
-    comp, w, vecs = _spectrum(ap, bp, tol)
-    cand = _candidate(comp, w, vecs)
+    x, w = _spectrum(ap, bp, tol)
+    cand = _candidate(x, w)
     low, high = _sides(w, tol)
     if not (low and high):
         return InfimumVerdict(True, bp if high else ap, cand, None, ap, bp)
-    witness = _straddle_witness(comp, w, vecs, tol)
+    witness = _straddle_witness(x, w, tol)
     return InfimumVerdict(False, None, cand, witness, ap, bp)
 
 
 def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Maximal parts ``([b]a, [a]b)``, each operand decomposed once."""
-    da = core.eig_hermitian(a, tol)
-    db = core.eig_hermitian(b, tol)
-    return lebesgue.ac_part(da, db, tol).ac, lebesgue.ac_part(db, da, tol).ac
+    da = core.eig_hermitian(a, tol).require_psd(tol)
+    db = core.eig_hermitian(b, tol).require_psd(tol)
+    return lebesgue._shorted(da, db, tol)[0], lebesgue._shorted(db, da, tol)[0]
 
 
 def _sides(w: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:
@@ -329,7 +333,7 @@ def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
         d~ = (x~ - eps) p2 + (y~ - eps) p1 + sqrt(2) eps (v p2 + p2 v*)
 
-    back through ``j``, with the roles of the two contractions swapped if
+    back through ``x`` of `_spectrum`, with the two contractions swapped if
     needed so that the low window is the smaller one.  When ``eps`` is at
     most ``tol.rel / 3`` (one side's eigenvalues all lie within ``tol.rel``
     of 0 or 1, where one part is about ``1/tol.rel`` times the other), no
@@ -346,8 +350,8 @@ def _refutation(a, b, tol: Tolerance) -> InfimumVerdict:
     return verdict
 
 
-def _straddle_witness(comp: Compression, w, vecs, tol: Tolerance) -> np.ndarray:
-    """`ando_witness` from the `_spectrum` of a reduced pair reaching both sides of 1/2."""
+def _straddle_witness(x: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """`ando_witness`, ``x D x*``, from the factor of a reduced pair whose ``w`` straddles 1/2."""
     eps_low = float(np.max(np.minimum(w, 0.5 - w))) / 3.0
     eps_high = float(np.max(np.minimum(w - 0.5, 1.0 - w))) / 3.0
     eps = min(eps_low, eps_high)
@@ -358,22 +362,14 @@ def _straddle_witness(comp: Compression, w, vecs, tol: Tolerance) -> np.ndarray:
     slack = 1e-12
     low = (w >= 3.0 * eps - slack) & (w <= 0.5 - 3.0 * eps + slack)
     high = (w >= 0.5 + 3.0 * eps - slack) & (w <= 1.0 - 3.0 * eps + slack)
-    flipped = int(np.count_nonzero(low)) > int(np.count_nonzero(high))
-    wx = 1.0 - w if flipped else w
-    if flipped:
-        low, high = high, low
+    if np.count_nonzero(low) > np.count_nonzero(high):
+        w, low, high = 1.0 - w, high, low
 
-    v_low = vecs[:, low]
-    v_high = vecs[:, high]
-    k = v_low.shape[1]
-    if k == 0 or v_high.shape[1] < k:
+    i_low = np.flatnonzero(low)
+    i_high = np.flatnonzero(high)[: i_low.size]
+    if i_low.size == 0 or i_high.size < i_low.size:
         raise ToleranceBreakdownError("spectral windows lost their eigenvalues")
-    v_iso = v_high[:, :k] @ v_low.conj().T
-
-    d_tilde = (
-        (v_low * (wx[low] - eps)) @ v_low.conj().T
-        + (v_high * (1.0 - wx[high] - eps)) @ v_high.conj().T
-        + np.sqrt(2.0) * eps * (v_iso + v_iso.conj().T)
-    )
-    d = comp.j @ core.hermitian_part(d_tilde) @ comp.j
-    return core.hermitian_part(d)
+    # d~ in the eigenbasis of a~; v maps eigenvector i_low[i] to i_high[i].
+    dd = np.diag(np.where(low, w - eps, 0.0) + np.where(high, 1.0 - w - eps, 0.0))
+    dd[i_high, i_low] = dd[i_low, i_high] = np.sqrt(2.0) * eps
+    return core.hermitian_part((x @ dd) @ x.conj().T)

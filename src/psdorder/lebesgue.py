@@ -147,6 +147,17 @@ def parallel_sum(a, b) -> np.ndarray:
     return core.hermitian_part(left @ w_bal @ right)
 
 
+def _shorted(db: core.EigDecomp, da: core.EigDecomp, tol: Tolerance):
+    """`ac_part`'s shorted-operator step: ``ac`` and the ``qb, y, m`` its projector reads."""
+    qb, sines, c = _angles(da, db, tol)
+    c0 = c[:, sines <= tol.rel]
+    # y spans the coordinates z with b^{1/2} qb z in ran a; m = V* b^+ V
+    y = c0 / np.sqrt(db.eigenvalues[db.kept(tol)])[:, np.newaxis]
+    m = y.conj().T @ y
+    v = qb @ c0
+    return core.hermitian_part(v @ np.linalg.solve(m, v.conj().T)), qb, y, m
+
+
 def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     """Lebesgue decomposition of ``b`` with respect to ``a``.
 
@@ -155,13 +166,7 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     decompositions exist in general and are not enumerated.
     """
     db = core.eig_hermitian(b, tol).require_psd(tol)
-    qb, sines, c = _angles(core.eig_hermitian(a, tol), db, tol)
-    c0 = c[:, sines <= tol.rel]
-    # y spans the coordinates z with b^{1/2} qb z in ran a; m = V* b^+ V
-    y = c0 / np.sqrt(db.eigenvalues[db.kept(tol)])[:, np.newaxis]
-    m = y.conj().T @ y
-    v = qb @ c0
-    ac = core.hermitian_part(v @ np.linalg.solve(m, v.conj().T))
+    ac, qb, y, m = _shorted(db, core.eig_hermitian(a, tol), tol)
     qy = qb @ y
     p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ np.linalg.solve(m, qy.conj().T)
     return LebesgueParts(ac, core.hermitian_part(db.reconstruct() - ac), core.hermitian_part(p))

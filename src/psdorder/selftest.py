@@ -604,11 +604,13 @@ def _kadison(c, a, b, cplx):
 @_entry("lattice.compress", _psd_pair)
 def _compress(c, a, b, *_):
     comp = lattice.compress(a, b, c.tol)
+    x, w = lattice._spectrum(a, b, c.tol)
     sc = eig_scale(a, b)
     unit = min(10 * c.tol.rel, 1e-10)
     c(_close(comp.a_tilde + comp.b_tilde, comp.range_proj, unit), "compressions sum to the projector")
-    c(_close(comp.j @ comp.a_tilde @ comp.j, a, 1e-9 * sc), "compression restores a")
-    c(_close(comp.j @ comp.b_tilde @ comp.j, b, 1e-9 * sc), "compression restores b")
+    for m, m_tilde, wm, name in ((a, comp.a_tilde, w, "a"), (b, comp.b_tilde, 1.0 - w, "b")):
+        both = (comp.j @ m_tilde @ comp.j, (x * wm) @ x.conj().T)
+        c(all(_close(r, m, 1e-9 * sc) for r in both), f"compression restores {name}")
     c(
         core.is_psd(comp.a_tilde, c.tol) and core.loewner_leq(comp.a_tilde, comp.range_proj, c.tol),
         "compression is a contraction",

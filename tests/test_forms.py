@@ -12,6 +12,9 @@ class TestFormOperatorBijection:
         np.testing.assert_allclose(po.to_operator(t), np.eye(2))
         assert t.evaluate([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
         assert t.evaluate([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+        for x, y in (([1, 0, 0], [1, 0]), ([1, 0], [1, 0, 0]), ([1], [1])):
+            with pytest.raises(po.DimensionMismatchError):
+                t(x, y)
 
     def test_rank_one_form_on_basis_pairs(self, rng):
         f = sampling.random_vector(rng, 3)
