@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core, lattice
+from . import core, lattice, lebesgue
 from .core import DEFAULT_TOL, DimensionMismatchError, Tolerance
 
 __all__ = [
@@ -76,5 +76,5 @@ def form_inf_exists(
     Reads `lattice`'s rule on the Gram matrices, as ``lattice.inf_exists``
     does, but builds no candidate or witness.
     """
-    w = lattice._spectrum(*lattice._reduced_pair(t.gram, s.gram, tol), tol)[1]
+    w = lattice._spectrum(*lebesgue._reduced_pair(t.gram, s.gram, tol), tol)[1]
     return not all(lattice._sides(w, tol))

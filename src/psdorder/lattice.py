@@ -210,12 +210,19 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def _sum_range(a, b, tol: Tolerance):
-    """Validated ``a`` and ``b``, the decomposition of ``a + b`` and the mask of its range."""
+    """Validated ``a``, ``b``, eigh of the sum, its kept vectors ``q`` and roots ``s`` of their eigenvalues."""
     ha = core.as_hermitian(a, tol)
     hb = core.as_hermitian(b, tol)
     core._same_dim(ha, hb)
     dec = core.eig_hermitian(ha + hb, tol)
-    return ha, hb, dec, dec.kept(tol)
+    keep = dec.kept(tol)
+    return ha, hb, dec, dec.vectors[:, keep], np.sqrt(dec.eigenvalues[keep])
+
+
+def _on_range(h: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``s^-1 q* h q s^-1``: ``h`` on the range of the sum in the basis ``q``; Hermitian up to rounding."""
+    y = q / s
+    return y.conj().T @ h @ y
 
 
 def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
@@ -225,28 +232,21 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     ``b`` are mutually absolutely continuous the spectrum of ``a_tilde``
     on the range of ``s`` lies strictly inside ``(0, 1)``.
     """
-    ha, hb, dec, keep = _sum_range(a, b, tol)
-    j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * keep)
-    pinv_sqrt = dec.pinv_power(0.5, tol)
-    a_tilde = core.hermitian_part(pinv_sqrt @ ha @ pinv_sqrt)
-    b_tilde = core.hermitian_part(pinv_sqrt @ hb @ pinv_sqrt)
-    return Compression(a_tilde, b_tilde, j, dec.projector(tol), dec.range_basis(tol))
+    ha, hb, dec, q, s = _sum_range(a, b, tol)
+    j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * dec.kept(tol))
+    a_tilde, b_tilde = (core.hermitian_part(q @ _on_range(h, q, s) @ q.conj().T) for h in (ha, hb))
+    return Compression(a_tilde, b_tilde, j, dec.projector(tol), q)
 
 
 def _spectrum(a, b, tol: Tolerance):
     """Factor ``(x, w)``, ``a = x diag(w) x*`` and ``b = x diag(1 - w) x*``, with ``w`` ascending.
 
-    ``x = q s u``: ``q`` holds the kept eigenvectors of ``a + b``, ``s`` the
-    roots of their eigenvalues, and ``u diag(w) u*`` is the one eigh, of order
-    ``rank(a + b)``, of ``s^-1 q* a q s^-1`` (``a_tilde`` on the range of the sum).
+    ``x = q s u``, with ``q`` and ``s`` from `_sum_range` and ``u diag(w) u*`` the eigh of ``_on_range(a)``.
     """
-    ha, _, dec, keep = _sum_range(a, b, tol)
-    q = dec.vectors[:, keep]
-    s = np.sqrt(dec.eigenvalues[keep])
+    ha, _, _, q, s = _sum_range(a, b, tol)
     if s.size == 0:
         return q, s
-    y = q / s
-    inner = core.eig_hermitian(y.conj().T @ ha @ y, tol)
+    inner = core.eig_hermitian(core.hermitian_part(_on_range(ha, q, s)), tol)
     return (q * s) @ inner.vectors, inner.eigenvalues
 
 
@@ -300,7 +300,7 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     rounding, which the "candidate of the pair" check of the
     ``lattice.infimum`` catalogue entries guards.
     """
-    ap, bp = _reduced_pair(a, b, tol)
+    ap, bp = lebesgue._reduced_pair(a, b, tol)
     x, w = _spectrum(ap, bp, tol)
     cand = _candidate(x, w)
     low, high = _sides(w, tol)
@@ -308,13 +308,6 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
         return InfimumVerdict(True, bp if high else ap, cand, None, ap, bp)
     witness = _straddle_witness(x, w, tol)
     return InfimumVerdict(False, None, cand, witness, ap, bp)
-
-
-def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal parts ``([b]a, [a]b)``, each operand decomposed once."""
-    da = core.eig_hermitian(a, tol).require_psd(tol)
-    db = core.eig_hermitian(b, tol).require_psd(tol)
-    return lebesgue._shorted(da, db, tol)[0], lebesgue._shorted(db, da, tol)[0]
 
 
 def _sides(w: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:

@@ -158,6 +158,13 @@ def _shorted(db: core.EigDecomp, da: core.EigDecomp, tol: Tolerance):
     return core.hermitian_part(v @ np.linalg.solve(m, v.conj().T)), qb, y, m
 
 
+def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal parts ``([b]a, [a]b)``, each operand decomposed once; no singular part or projector."""
+    da = core.eig_hermitian(a, tol).require_psd(tol)
+    db = core.eig_hermitian(b, tol).require_psd(tol)
+    return _shorted(da, db, tol)[0], _shorted(db, da, tol)[0]
+
+
 def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     """Lebesgue decomposition of ``b`` with respect to ``a``.
 

@@ -207,6 +207,21 @@ class TestInfExists:
         with pytest.raises(po.ToleranceBreakdownError, match="witness window is empty"):
             po.inf_exists(a, b)
 
+    @pytest.mark.parametrize("small", [1e-7, 1e-8])
+    def test_ill_conditioned_sum(self, small):
+        """a <= b, rotated, with w = (1/3, 1/3, 1/4) and two eigenvalues of a + b near
+        ``small`` times its largest.  The r×r compression of ``a`` then carries rounding
+        of order eps / small, which must not be read as an asymmetric input."""
+        for seed in range(10):
+            q = np.linalg.qr(sampling.rng_from_seed(seed).standard_normal((3, 3)))[0]
+            a = q @ np.diag([1.0, small, small]) @ q.T
+            b = q @ np.diag([2.0, 2.0 * small, 3.0 * small]) @ q.T
+            v = po.inf_exists(a, b)
+            assert v.exists and v.inf is v.reduced_a
+            assert np.allclose(v.inf, a, rtol=0.0, atol=1e-15 / small)
+            assert po.spectral_criterion(a, b)
+            assert po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b))
+
     # Not 1e-12: there the absolute floor of the rank cutoffs still flips verdicts.
     @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8, 1e12])
     def test_verdict_is_scale_invariant(self, infimum_probe, scale):
