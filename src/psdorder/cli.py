@@ -83,21 +83,23 @@ class CliInputError(Exception):
 def to_obj(x) -> dict:
     """JSON envelope of a matrix (2-d) or vector (1-d) with finite entries."""
     a = core.as_matrix(x) if np.ndim(x) == 2 else core.as_vector(x)
-    if np.any(a.imag != 0.0):
+    if np.iscomplexobj(a):  # `core` keeps complex only a non-zero imaginary part
         return {"n": a.shape[0], "complex": True, "data": np.stack([a.real, a.imag], -1).tolist()}
-    return {"n": a.shape[0], "complex": False, "data": a.real.tolist()}
+    return {"n": a.shape[0], "complex": False, "data": a.tolist()}
 
 
 def _pack(x) -> dict:
     """Report node of a matrix or vector: `to_obj`'s envelope with its buffer in base64."""
     a = core.as_matrix(x) if np.ndim(x) == 2 else core.as_vector(x)
-    cplx = bool(np.any(a.imag != 0.0))  # the complex flag `to_obj` sets
-    raw = np.asarray(a if cplx else a.real, "<c16" if cplx else "<f8").tobytes()
+    cplx = np.iscomplexobj(a)  # the complex flag `to_obj` sets
+    raw = np.asarray(a, "<c16" if cplx else "<f8").tobytes()
     return {"n": a.shape[0], "complex": cplx, "f64le": base64.b64encode(raw).decode("ascii")}
 
 
 def from_obj(obj, kind: str) -> np.ndarray:
-    """Complex array of a ``data`` or ``f64le`` envelope of `kind` ("matrix" or "vector")."""
+    """Array of a ``data`` or ``f64le`` envelope of `kind` ("matrix" or "vector").
+
+    complex128 if the envelope is flagged ``complex``, float64 otherwise."""
     try:
         n = int(obj["n"])
         cplx = bool(obj["complex"])
@@ -107,7 +109,7 @@ def from_obj(obj, kind: str) -> np.ndarray:
             values = np.frombuffer(raw, "<c16" if cplx else "<f8")
             if values.size != math.prod(dims) or not np.all(np.isfinite(values)):
                 raise ValueError(f"the f64le payload must hold {dims} finite values")
-            return values.reshape(dims).astype(np.complex128)
+            return values.reshape(dims).astype(np.complex128 if cplx else np.float64)
         data = obj["data"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"malformed {kind} object: {exc}") from exc
@@ -124,7 +126,7 @@ def from_obj(obj, kind: str) -> np.ndarray:
         raise CliInputError(f"{kind} data must be a {dims} array of {entries}")
     if cplx:  # reinterpret the pairs, so that signed zeros survive
         return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)[..., 0]
-    return parts.astype(np.complex128)
+    return parts.astype(np.float64)
 
 
 def _parse_csv_matrix(text: str) -> np.ndarray:
@@ -139,7 +141,7 @@ def _parse_csv_matrix(text: str) -> np.ndarray:
             raise CliInputError(f"bad CSV entry: {exc}") from exc
     if not rows or any(len(r) != len(rows) for r in rows):
         raise CliInputError("CSV matrix must be square")
-    return np.array(rows, dtype=np.complex128)
+    return np.array(rows, dtype=np.float64)
 
 
 @dataclass

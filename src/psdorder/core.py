@@ -9,9 +9,12 @@ that the answers are consistent with each other.  Functions that only read
 an operand's spectrum also accept its `EigDecomp`.
 
 Matrices are plain square numpy arrays, accepted as anything
-``np.asarray`` can digest.  Inputs are validated to be Hermitian up to a
-small defect and symmetrized before use; results are returned exactly
-Hermitian.
+``np.asarray`` can digest.  The dtype follows the operands (`_real_or_complex`):
+real input, and complex input whose imaginary part is all zero, is float64,
+anything else complex128, and a mixed pair promotes through numpy's own
+arithmetic, so a real symmetric pair is decided in real arithmetic and
+gets real witnesses.  Inputs are validated to be Hermitian up to a small
+defect and symmetrized before use; results are returned exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -112,9 +115,21 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _real_or_complex(x) -> np.ndarray:
+    """``x`` as float64 if every value is real (a zero imaginary part counts), else as complex128."""
+    a = np.asarray(x)
+    if a.dtype.kind in "biuf":
+        return a.astype(np.float64, copy=False)
+    a = a.astype(np.complex128, copy=False)
+    if np.count_nonzero(a.imag):  # a NaN counts, so it stays complex and is rejected
+        return a
+    return a.real.copy()
+
+
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
-    a = np.asarray(m, dtype=np.complex128)
+    """Coerce to a square matrix with finite entries: float64 if every entry
+    is real (a zero imaginary part counts), else complex128."""
+    a = _real_or_complex(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
@@ -125,8 +140,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce to a 1-d complex vector with finite entries."""
-    v = np.asarray(x, dtype=np.complex128)
+    """Coerce to a 1-d vector with finite entries, float64 or complex128 as `as_matrix`."""
+    v = _real_or_complex(x)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):

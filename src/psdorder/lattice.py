@@ -129,7 +129,7 @@ def _first_orthogonal_basis_ray(e: np.ndarray) -> np.ndarray:
     """First standard basis vector not parallel to ``e``, orthogonalized."""
     n = e.size
     for i in range(n):
-        cand = np.zeros(n, dtype=np.complex128)
+        cand = np.zeros(n, dtype=e.dtype)
         cand[i] = 1.0
         cand = cand - e * np.vdot(e, cand)
         norm = float(np.linalg.norm(cand))

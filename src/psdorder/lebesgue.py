@@ -130,7 +130,7 @@ def parallel_sum(a, b) -> np.ndarray:
     wb = np.where(wb > cut_big, wb, 0.0)
     d = 1.0 / np.sqrt(np.clip(wb, gamma, None))
     # the sum in big's eigenbasis: exactly diagonal big plus rotated small
-    n_mat = np.diag(wb.astype(np.complex128)) + ub.conj().T @ small @ ub
+    n_mat = np.diag(wb) + ub.conj().T @ small @ ub
     m_bal = core.hermitian_part(n_mat * d[np.newaxis, :] * d[:, np.newaxis])
     w_bal = _machine_pinv(m_bal)
     # factored product a (t w t*) b with the dominant side applied

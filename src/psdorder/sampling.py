@@ -69,7 +69,7 @@ def random_vector(rng: np.random.Generator, n: int, complex_entries: bool = True
     g = rng.standard_normal(n)
     if complex_entries:
         g = g + 1j * rng.standard_normal(n)
-    return g.astype(np.complex128)
+    return g
 
 
 def random_ray_in_range(rng: np.random.Generator, a, complex_entries: bool = True) -> np.ndarray:

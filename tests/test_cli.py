@@ -112,7 +112,9 @@ class TestReportEnvelope:
         x = data.draw(arrays(np.complex128 if cplx else np.float64, SHAPES[kind], elements=ENTRIES[cplx]))
         node = json.loads(cli._dumps(cli._pack(x)))
         got = cli.from_obj(node, kind)
-        assert got.dtype == np.complex128 and got.shape == x.shape
+        # The dtype follows the complex flag.
+        assert got.dtype == (np.complex128 if node["complex"] else np.float64)
+        assert got.shape == x.shape
         assert bits(got) == bits(cli.from_obj(cli.to_obj(x), kind))  # what the v1 node decodes to
         if not cplx or np.any(x.imag != 0.0):  # an all-zero imaginary part makes a real node
             assert bits(got) == bits(x)

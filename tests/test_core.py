@@ -266,3 +266,102 @@ def test_loewner_order_respects_sums(g, h):
     b = a + h @ h.T
     assert po.loewner_leq(a, b)
     assert po.comparable(a, b) in (po.Comparison.LEQ, po.Comparison.EQUAL)
+
+
+def _dtype_instance():
+    """Real operands, n = 5: an incomparable full-rank pair and a comparable low-rank pair."""
+    rng = sampling.rng_from_seed(2024)
+    a = sampling.random_psd(rng, 5, complex_entries=False)
+    b = sampling.random_psd(rng, 5, complex_entries=False)
+    low = sampling.random_psd(rng, 5, rank=2, complex_entries=False)
+    up = low + sampling.random_psd(rng, 5, rank=1, complex_entries=False)
+    f = sampling.random_ray_in_range(rng, low, False)
+    assert po.comparable(a, b) is po.Comparison.INCOMPARABLE
+    # 2^30 b puts `parallel_sum` on its graded path.
+    return {"a": a, "b": b, "big_b": 2.0**30 * b, "low": low, "up": up, "f": f, "t": a + b + np.eye(5)}
+
+
+def _strength(a, f):
+    r = po.strength(a, f)
+    return r.value > 0.0, {"witness": r.witness}
+
+
+def _ac_part(a, b):
+    p = po.ac_part(b, a)
+    ranks = po.numeric_rank(p.ac), po.numeric_rank(p.sing)
+    return ranks, {"ac": p.ac, "sing": p.sing, "projector": p.projector}
+
+
+def _parallel_sum(a, b):
+    m = po.parallel_sum(a, b)
+    return po.numeric_rank(m), {"sum": m}
+
+
+def _inf_exists(a, b):
+    v = po.inf_exists(a, b)
+    parts = ("inf", "candidate", "ando_witness", "reduced_a", "reduced_b")
+    values = (v.inf, v.candidate, v.witness, v.reduced_a, v.reduced_b)
+    return v.exists, {k: x for k, x in zip(parts, values) if x is not None}
+
+
+def _compress(a, b):
+    c = po.compress(a, b)
+    parts = {"a_tilde": c.a_tilde, "b_tilde": c.b_tilde, "j": c.j, "range_proj": c.range_proj}
+    return c.range_basis.shape[1], parts
+
+
+# name -> (operand names, fn(*operands) -> (verdict, {name: output})).
+DTYPE_CASES = {
+    "comparable": (("a", "b"), lambda a, b: (po.comparable(a, b), {})),
+    "strength": (("low", "f"), _strength),
+    "ac_part": (("low", "b"), _ac_part),
+    "parallel_sum": (("a", "b"), _parallel_sum),
+    "parallel_sum-graded": (("a", "big_b"), _parallel_sum),
+    "inf_exists-exists": (("low", "up"), _inf_exists),
+    "inf_exists-witness": (("a", "b"), _inf_exists),
+    "kadison_witness": (("a", "b", "t"), lambda a, b, t: (True, {"s": po.kadison_witness(a, b, t)})),
+    "compress": (("a", "b"), _compress),
+    "form_inf_exists": (
+        ("a", "b"),
+        lambda a, b: (po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b)), {}),
+    ),
+}
+
+
+class TestDtypeFollowsOperands:
+    """Real operands are decided in float64; verdicts and witnesses follow a unitary congruence."""
+
+    @pytest.mark.parametrize("name", list(DTYPE_CASES))
+    def test_dtype_and_phase_congruence(self, name):
+        names, fn = DTYPE_CASES[name]
+        ops = [_dtype_instance()[k] for k in names]
+        verdict, outputs = fn(*ops)
+        assert all(x.dtype == np.float64 for x in outputs.values())
+        # The same values stored as complex128 are decided in the same float64 arithmetic.
+        zero_verdict, zero_outputs = fn(*(x.astype(np.complex128) for x in ops))
+        assert zero_verdict == verdict
+        for k, x in outputs.items():
+            assert zero_outputs[k].dtype == np.float64 and np.array_equal(zero_outputs[k], x), k
+
+        rng = sampling.rng_from_seed(7)
+        g = sampling.random_vector(rng, 5, True)
+        mixed = ops[:-1] + [ops[-1] + (np.outer(g, g.conj()) if ops[-1].ndim == 2 else ops[0] @ g)]
+        assert all(x.dtype == np.complex128 for x in fn(*mixed)[1].values())
+
+        d = np.exp(2j * np.pi * rng.random(5))
+        dd = np.outer(d, d.conj())
+        turned, turned_outputs = fn(*(x * dd if x.ndim == 2 else d * x for x in ops))
+        assert turned == verdict
+        assert turned_outputs.keys() == outputs.keys()
+        scale = max(1.0, max(float(np.max(np.abs(x))) for x in ops))
+        for k, x in outputs.items():
+            y = turned_outputs[k]
+            assert y.dtype == np.complex128
+            back = y * dd.conj() if y.ndim == 2 else d.conj() * y
+            if k != "ando_witness":
+                assert np.max(np.abs(back - x)) <= 1e-12 * scale, k
+                continue
+            # The witness couples eigenvectors of a~ through their phases, which the
+            # congruence changes; undone, it must still refute the real candidate.
+            assert po.is_psd(back) and po.is_psd(ops[0] - back) and po.is_psd(ops[1] - back)
+            assert po.comparable(back, outputs["candidate"]) is po.Comparison.INCOMPARABLE

@@ -7,7 +7,9 @@ singularity, the AC part, a shared range direction) is one SVD of the
 principal angles, so work moved from eigh to SVD stays visible.  The counter
 wraps `numpy.linalg.eigh` and `numpy.linalg.svd` for the duration of a test
 and records the shape of each decomposed matrix, so a decomposition moved to
-a smaller space stays visible too.
+a smaller space stays visible too.  It also records each matrix's dtype: a
+real instance must be decomposed in float64 alone, so a stray complex
+coercion fails here rather than only costing time.
 """
 
 import json
@@ -22,22 +24,28 @@ N = 4
 
 
 @pytest.fixture
-def linalg_calls(monkeypatch):
-    """``(name, shape)`` of the counted `numpy.linalg` calls, in order."""
-    calls = []
+def linalg_calls(monkeypatch, inst):
+    """``(name, shape)`` of the counted `numpy.linalg` calls, in order.
+
+    At teardown, every matrix a real `inst` sent to them must be float64.
+    """
+    calls, dtypes = [], []
 
     def counting(name):
         wrapped = getattr(np.linalg, name)
 
         def call(m, *args, **kwargs):
             calls.append((name, np.shape(m)))
+            dtypes.append((name, np.asarray(m).dtype))
             return wrapped(m, *args, **kwargs)
 
         return call
 
     for name in ("eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name))
-    return calls
+    yield calls
+    if not inst["complex"]:
+        assert dtypes and all(dtype == np.float64 for _, dtype in dtypes), dtypes
 
 
 def count(calls, fn, *args):
@@ -60,6 +68,7 @@ def inst(request):
     envelope = full_a + (pos_v * np.clip(pos_w, 0.0, None)) @ pos_v.conj().T
     assert po.comparable(full_a, full_b) is po.Comparison.INCOMPARABLE
     return {
+        "complex": cplx,
         "a": full_a,
         "b": full_b,
         "low": low,

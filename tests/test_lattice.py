@@ -73,6 +73,7 @@ class TestKadisonWitness:
     def test_shared_direction_ignores_the_intersection_basis(self, rng, monkeypatch, cplx):
         # ran(t - a) and ran(t - b) share ran w (dimension 2) in dimension 6;
         # any orthonormal basis of the zero-angle block must give one witness.
+        # The basis freedom is U(2) for a complex pair and O(2) for a real one.
         a = sampling.random_psd(rng, 6, rank=1, complex_entries=cplx)
         b = sampling.random_psd(rng, 6, rank=1, complex_entries=cplx)
         t = a + b + sampling.random_psd(rng, 6, rank=2, complex_entries=cplx)
@@ -83,7 +84,7 @@ class TestKadisonWitness:
             qb, sines, c = angles(da, db, tol)
             zero = sines <= tol.rel
             assert zero.sum() == 2
-            u, _ = np.linalg.qr(sampling.random_vector(rng, 4, True).reshape(2, 2))
+            u, _ = np.linalg.qr(sampling.random_vector(rng, 4, cplx).reshape(2, 2))
             c = c.copy()
             c[:, zero] = c[:, zero] @ u
             return qb, sines, c
