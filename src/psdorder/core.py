@@ -312,10 +312,15 @@ def comparable(a, b, tol: Tolerance = DEFAULT_TOL) -> Comparison:
 
     ``b - a`` and ``a - b`` share one decomposition and one PSD floor.
     """
-    ma = as_matrix(a)
-    mb = as_matrix(b)
-    _same_dim(ma, mb)
-    return _classify(eig_hermitian(mb - ma, tol), tol)
+    return _classify(_difference(a, b, tol)[2], tol)
+
+
+def _difference(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, EigDecomp]:
+    """Each operand validated as Hermitian, and the decomposition of ``b - a``."""
+    ha = as_hermitian(a, tol)
+    hb = as_hermitian(b, tol)
+    _same_dim(ha, hb)
+    return ha, hb, eig_hermitian(hb - ha, tol)
 
 
 def _classify(dec: EigDecomp, tol: Tolerance) -> Comparison:

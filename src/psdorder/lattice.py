@@ -180,8 +180,8 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if float(np.max(np.abs(tb))) <= tol.rel * scale:
         raise MatrixError("precondition failed: t coincides with b within tolerance")
 
-    qb, sines, c = lebesgue._angles(dta, dtb, tol)
-    shared = qb @ c[:, sines <= tol.rel]
+    qb, _, c0 = lebesgue._angles(dta, dtb, tol)
+    shared = qb @ c0
     if shared.size:
         # Shared range direction: strength along it is positive for both
         # gaps.  It is the projection onto ran(t - a) ∩ ran(t - b) of the
@@ -273,11 +273,9 @@ def spectral_criterion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     are not mutually absolutely continuous.
     """
     da = core.eig_hermitian(a, tol)
-    db = core.eig_hermitian(b, tol)
-    if not (
-        lebesgue.absolutely_continuous(da, db, tol)
-        and lebesgue.absolutely_continuous(db, da, tol)
-    ):
+    qb, _, c0 = lebesgue._angles(da, core.eig_hermitian(b, tol), tol)
+    # ran b inside ran a, and of the same dimension
+    if not (c0.shape[1] == qb.shape[1] == np.count_nonzero(da.kept(tol))):
         raise MatrixError("spectral criterion requires mutually absolutely continuous inputs")
     return not all(_sides(_spectrum(a, b, tol)[1], tol))
 

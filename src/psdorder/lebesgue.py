@@ -8,14 +8,15 @@ as saying the zero matrix is the only common Loewner minorant.
 
 Every range question is answered from the principal angles of ``ran b``
 against ``ran a`` (Björck & Golub, Math. Comp. 27, 1973): the singular
-values of ``Qb - Qa Qa* Qb`` are their sines, and an angle counts as zero
-when its sine is at most ``tol.rel``.  ``b << a`` iff every angle is zero,
-the pair is singular iff none is, and the zero angles span
-``ran a ∩ ran b``.  On that intersection `ac_part` builds the maximal part
-of ``b`` by the shorted-operator formula ``ac = V (V* b^+ V)^{-1} V*``
-(Anderson & Trapp, SIAM J. Appl. Math. 28, 1975); the same maximal part is
-the monotone limit of the parallel sums ``(n a) : b`` as ``n`` grows,
-which serves as an independent oracle.
+values of ``Qb - Qa Qa* Qb`` are their sines, and `_angles` alone counts an
+angle as zero when its sine is at most ``tol.rel``.  ``b << a`` iff every
+angle is zero, the pair is singular iff none is, and the zero angles span
+``ran a ∩ ran b``, computed once per pair.  On that intersection ``V``
+`ac_part` builds the maximal part of ``b`` by the shorted-operator formula
+``V (V* b^+ V)^{-1} V*`` (Anderson & Trapp, SIAM J. Appl. Math. 28, 1975),
+and `_reduced_pair` shorts both ``a`` and ``b`` to the one ``V``; the
+maximal part is also the monotone limit of the parallel sums ``(n a) : b``
+as ``n`` grows, which serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -51,30 +52,28 @@ class LebesgueParts:
 
 
 def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
-    """Principal angles of ``ran b`` against ``ran a``, one SVD.
+    """Principal angles of ``ran b`` against ``ran a``, one SVD, and the zero-angle rule.
 
-    Returns ``(qb, sines, c)``: the range basis of ``b``, the sines in
-    descending order, and the matching right singular vectors in ``qb``
-    coordinates, so ``qb @ c[:, sines <= tol.rel]`` is an orthonormal basis
-    of ``ran a ∩ ran b``.
+    Returns ``(qb, sines, c0)``: the range basis of ``b``, the sines in
+    descending order, and the zero angles' right singular vectors in ``qb``
+    coordinates, so ``qb @ c0`` is an orthonormal basis of ``ran a ∩ ran b``.
     """
     core._same_dim(da.vectors, db.vectors)
     qa = da.range_basis(tol)
     qb = db.range_basis(tol)
     _, sines, vh = np.linalg.svd(qb - qa @ (qa.conj().T @ qb), full_matrices=False)
-    return qb, sines, vh.conj().T
+    return qb, sines, vh.conj().T[:, sines <= tol.rel]
 
 
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran b`` is contained in ``ran a`` (so ``b << a``)."""
-    sines = _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[1]
-    return not np.any(sines > tol.rel)
+    qb, _, c0 = _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)
+    return c0.shape[1] == qb.shape[1]
 
 
 def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran a`` and ``ran b`` intersect only in ``{0}``."""
-    sines = _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[1]
-    return not np.any(sines <= tol.rel)
+    return _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[2].shape[1] == 0
 
 
 _GRADED_RATIO = float(2**20)
@@ -147,22 +146,21 @@ def parallel_sum(a, b) -> np.ndarray:
     return core.hermitian_part(left @ w_bal @ right)
 
 
-def _shorted(db: core.EigDecomp, da: core.EigDecomp, tol: Tolerance):
-    """`ac_part`'s shorted-operator step: ``ac`` and the ``qb, y, m`` its projector reads."""
-    qb, sines, c = _angles(da, db, tol)
-    c0 = c[:, sines <= tol.rel]
-    # y spans the coordinates z with b^{1/2} qb z in ran a; m = V* b^+ V
-    y = c0 / np.sqrt(db.eigenvalues[db.kept(tol)])[:, np.newaxis]
+def _shorted(d: core.EigDecomp, v: np.ndarray, tol: Tolerance):
+    """``(v m^{-1} v*, y, m)``: ``d`` shorted to ``ran v`` (``v`` orthonormal in ``ran d``),
+    with ``y`` the coordinates of ``(d^+)^{1/2} v`` in the range basis of ``d`` and ``m = y* y``."""
+    y = (d.range_basis(tol).conj().T @ v) / np.sqrt(d.eigenvalues[d.kept(tol)])[:, np.newaxis]
     m = y.conj().T @ y
-    v = qb @ c0
-    return core.hermitian_part(v @ np.linalg.solve(m, v.conj().T)), qb, y, m
+    return core.hermitian_part(v @ np.linalg.solve(m, v.conj().T)), y, m
 
 
 def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal parts ``([b]a, [a]b)``, each operand decomposed once; no singular part or projector."""
+    """Maximal parts ``([b]a, [a]b)``, both shorted to the one ``ran a ∩ ran b`` of `_angles`."""
     da = core.eig_hermitian(a, tol).require_psd(tol)
     db = core.eig_hermitian(b, tol).require_psd(tol)
-    return _shorted(da, db, tol)[0], _shorted(db, da, tol)[0]
+    qb, _, c0 = _angles(da, db, tol)
+    v = qb @ c0
+    return _shorted(da, v, tol)[0], _shorted(db, v, tol)[0]
 
 
 def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
@@ -173,7 +171,8 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     decompositions exist in general and are not enumerated.
     """
     db = core.eig_hermitian(b, tol).require_psd(tol)
-    ac, qb, y, m = _shorted(db, core.eig_hermitian(a, tol), tol)
+    qb, _, c0 = _angles(core.eig_hermitian(a, tol), db, tol)
+    ac, y, m = _shorted(db, qb @ c0, tol)
     qy = qb @ y
     p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ np.linalg.solve(m, qy.conj().T)
     return LebesgueParts(ac, core.hermitian_part(db.reconstruct() - ac), core.hermitian_part(p))

@@ -114,10 +114,7 @@ def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
 
 def _order_test(a, b, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | None]:
     """`core.comparable` and `order_witness`, read from one decomposition of ``b - a``."""
-    ha = core.as_hermitian(a, tol)
-    hb = core.as_hermitian(b, tol)
-    core._same_dim(ha, hb)
-    dec = core.eig_hermitian(hb - ha, tol)
+    ha, _, dec = core._difference(a, b, tol)
     cmp = core._classify(dec, tol)
     if dec.is_psd(tol):
         return cmp, None
@@ -160,27 +157,27 @@ def strength_dominates(
     ha = core.as_hermitian(a, tol)
     hb = core.as_hermitian(b, tol)
     ray = order_witness(ha, hb, tol)
-    verdict = ray is None
-    if verdict:
-        rng = np.random.default_rng(seed)
-        n = ha.shape[0]
-        for k in range(samples):
-            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            f = ha @ g if k % 2 else g
-            if float(np.linalg.norm(f)) <= tol.abs:
-                f = g
-            la = strength(ha, f, tol).value
-            lb = strength(hb, f, tol).value
-            if la > lb + 1e-8 * (1.0 + la):
-                raise ToleranceBreakdownError(
-                    f"sampled ray violates strength dominance despite a <= b "
-                    f"({la} > {lb})"
-                )
-    else:
-        la = strength(ha, ray, tol).value
-        lb = strength(hb, ray, tol).value
-        if not la > lb:
+    da = core.eig_hermitian(ha, tol)
+    db = core.eig_hermitian(hb, tol)
+    if ray is not None:
+        if not strength(da, ray, tol).value > strength(db, ray, tol).value:
+            raise ToleranceBreakdownError("order witness failed to produce a strength gap")
+        return False
+    rng = np.random.default_rng(seed)
+    n = ha.shape[0]
+    # real rays decide dominance for a real pair
+    cplx = np.iscomplexobj(ha) or np.iscomplexobj(hb)
+    for k in range(samples):
+        g = rng.standard_normal(n)
+        if cplx:
+            g = g + 1j * rng.standard_normal(n)
+        f = ha @ g if k % 2 else g
+        if float(np.linalg.norm(f)) <= tol.abs:
+            f = g
+        la = strength(da, f, tol).value
+        lb = strength(db, f, tol).value
+        if la > lb + 1e-8 * (1.0 + la):
             raise ToleranceBreakdownError(
-                "order witness failed to produce a strength gap"
+                f"sampled ray violates strength dominance despite a <= b ({la} > {lb})"
             )
-    return verdict
+    return True

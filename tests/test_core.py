@@ -180,6 +180,14 @@ class TestLoewnerOrder:
     def test_reflexive_transitive_sampled(self, rng):
         holds(rng, 24, "core.order")
 
+    @pytest.mark.parametrize("decide", [po.comparable, po.loewner_leq, po.sup_exists])
+    def test_each_operand_must_be_hermitian(self, decide):
+        """``b - a`` is Hermitian here, ``a`` is not."""
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for b in (m, m + np.eye(2)):
+            with pytest.raises(po.NotHermitianError):
+                decide(m, b)
+
 
 class TestRankOne:
     def test_basis_vector(self):

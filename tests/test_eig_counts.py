@@ -87,6 +87,14 @@ def test_order_witness(linalg_calls, inst):
     assert count(linalg_calls, po.order_witness, inst["a"], inst["b"])[0] == (1, 0)
 
 
+@pytest.mark.parametrize("lo, hi, leq", [("low", "up", True), ("a", "b", False)])
+def test_strength_dominates(linalg_calls, inst, lo, hi, leq):
+    """One decomposition of ``b - a`` and one of each operand, whatever the number of rays."""
+    calls, verdict = count(linalg_calls, po.strength_dominates, inst[lo], inst[hi])
+    assert verdict is leq
+    assert calls == (3, 0)
+
+
 def test_mutually_singular(linalg_calls, inst):
     assert count(linalg_calls, po.mutually_singular, inst["low"], inst["b"])[0] == (2, 1)
 
@@ -107,11 +115,11 @@ def test_ando_candidate_decomposes_a_tilde_on_the_range(linalg_calls, inst):
 
 
 def test_spectral_criterion(linalg_calls, inst):
-    assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 2)
+    assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 1)
 
 
 def test_ando_witness(linalg_calls, inst):
-    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (4, 2)
+    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (4, 1)
 
 
 @pytest.mark.parametrize("upper, singular", [("shared_t", False), ("disjoint_t", True)])
@@ -124,13 +132,13 @@ def test_kadison_witness_both_branches(linalg_calls, inst, upper, singular):
 def test_inf_exists_exists_path(linalg_calls, inst):
     calls, verdict = count(linalg_calls, po.inf_exists, inst["low"], inst["up"])
     assert verdict.exists
-    assert calls == (4, 2)
+    assert calls == (4, 1)
 
 
 def test_inf_exists_witness_path(linalg_calls, inst):
     calls, verdict = count(linalg_calls, po.inf_exists, inst["a"], inst["b"])
     assert not verdict.exists
-    assert calls == (4, 2)
+    assert calls == (4, 1)
 
 
 @pytest.mark.parametrize("lo, hi, exists", [("low", "up", True), ("a", "b", False)])
@@ -138,7 +146,7 @@ def test_form_inf_exists_both_paths(linalg_calls, inst, lo, hi, exists):
     forms = po.SesquilinearForm(inst[lo]), po.SesquilinearForm(inst[hi])
     calls, verdict = count(linalg_calls, po.form_inf_exists, *forms)
     assert verdict is exists
-    assert calls == (4, 2)
+    assert calls == (4, 1)
 
 
 def test_cli_sup_reads_one_comparison(linalg_calls, inst):
@@ -152,7 +160,7 @@ def test_cli_ando_witness_reads_candidate_and_witness_from_one_spectrum(linalg_c
     inputs = {"a": cli.memory_value("a", inst["a"]), "b": cli.memory_value("b", inst["b"])}
     calls, report = count(linalg_calls, cli.cmd_ando_witness, inputs, po.DEFAULT_TOL)
     assert set(report["witnesses"]) == {"candidate", "d"}
-    assert calls == (4, 2)
+    assert calls == (4, 1)
 
 
 def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst):

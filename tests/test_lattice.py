@@ -21,6 +21,31 @@ def infimum_probe():
     return pairs, [po.inf_exists(a, b).exists for a, b in pairs]
 
 
+def edge_pair(t):
+    """Ranges that share ``ran x`` and the directions ``u``, ``w`` at an angle
+    within 3e-5 relative of ``tol.rel``, so the intersection is ``ran x`` or
+    one dimension more, depending on how the edge angle is read.
+
+    Returns ``(a, b, exists)``: ``exists`` is the verdict under both readings,
+    or ``None`` where the two readings give different verdicts.
+    """
+    rng = np.random.default_rng([19, t])
+    n = int(rng.integers(3, 7))
+    q = sampling.random_unitary(rng, n, bool(t % 2))
+    delta = po.DEFAULT_TOL.rel * (1.0 + rng.uniform(-3e-5, 3e-5))
+    k = int(rng.integers(1, n - 1))
+    alpha, beta = rng.uniform(0.5, 2.0, 2)
+    p, r = rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, k)
+    u, w = q[:, 0], np.cos(delta) * q[:, 0] + np.sin(delta) * q[:, 1]
+    x = q[:, 2 : 2 + k]
+    a = alpha * np.outer(u, u.conj()) + (x * p) @ x.conj().T
+    b = beta * np.outer(w, w.conj()) + (x * r) @ x.conj().T
+    if not (np.all(p <= r) or np.all(p >= r)):
+        return a, b, False
+    # with u ~ w the shared direction must be ordered the same way as ran x
+    return a, b, (True if np.all(p <= r) == (alpha <= beta) else None)
+
+
 class TestSupExists:
     def test_incomparable_projections(self):
         v = po.sup_exists(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
@@ -81,13 +106,10 @@ class TestKadisonWitness:
         angles = lebesgue._angles
 
         def rotated(da, db, tol):
-            qb, sines, c = angles(da, db, tol)
-            zero = sines <= tol.rel
-            assert zero.sum() == 2
+            qb, sines, c0 = angles(da, db, tol)
+            assert c0.shape[1] == 2
             u, _ = np.linalg.qr(sampling.random_vector(rng, 4, cplx).reshape(2, 2))
-            c = c.copy()
-            c[:, zero] = c[:, zero] @ u
-            return qb, sines, c
+            return qb, sines, c0 @ u
 
         monkeypatch.setattr(lebesgue, "_angles", rotated)
         other = po.kadison_witness(a, b, t)
@@ -222,6 +244,28 @@ class TestInfExists:
             assert np.allclose(v.inf, a, rtol=0.0, atol=1e-15 / small)
             assert po.spectral_criterion(a, b)
             assert po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b))
+
+    @pytest.mark.parametrize(
+        "trial", [1451, 6142, 7038, 8513, 8649, 8861, 9344, 11071, 15379, 17947, 19193, 19555]
+    )
+    def test_edge_angle_pair(self, trial):
+        """Both maximal parts are shorted to one intersection, so an edge angle
+        read one way for ``[b]a`` and the other for ``[a]b`` cannot break the pair."""
+        a, b, exists = edge_pair(trial)
+        assert exists is not None
+        assert po.inf_exists(a, b).exists is exists
+        assert po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b)) is exists
+
+    def test_edge_angle_sweep(self):
+        wrong = []
+        for t in range(400):
+            a, b, exists = edge_pair(t)
+            if exists is None:
+                continue
+            forms = po.SesquilinearForm(a), po.SesquilinearForm(b)
+            if (po.inf_exists(a, b).exists, po.form_inf_exists(*forms)) != (exists, exists):
+                wrong.append(t)
+        assert wrong == []
 
     # Not 1e-12: there the absolute floor of the rank cutoffs still flips verdicts.
     @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8, 1e12])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ class TestStrengthDominates:
         assert po.strength_dominates(a, a.copy(), samples=20, seed=7)
         assert po.strength_dominates(a.copy(), a, samples=20, seed=8)
         assert po.comparable(a, a.copy()) is po.Comparison.EQUAL
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_rays_are_real_for_a_real_pair(self, rng, monkeypatch, cplx):
+        module = sys.modules["psdorder.strength"]
+        rays = []
+
+        def spy(a, f, tol=po.DEFAULT_TOL):
+            rays.append(np.asarray(f).dtype)
+            return po.strength(a, f, tol)
+
+        monkeypatch.setattr(module, "strength", spy)
+        a = sampling.random_psd(rng, 3, complex_entries=cplx)
+        assert po.strength_dominates(a, a + np.eye(3))
+        assert len(rays) == 40
+        assert set(rays) == {np.dtype(np.complex128 if cplx else np.float64)}
 
 
 class TestOrderWitness:
