@@ -98,8 +98,9 @@ class Tolerance:
 
     An eigenvalue counts as zero when it is at most ``rel * max|eig| + abs``;
     a Hermitian matrix counts as PSD when its minimum eigenvalue is at least
-    ``-rel * max(1, max|eig|)``; a principal angle between two ranges counts
-    as zero when its sine is at most ``rel``.
+    ``-rel * max(1, max|eig|)``; a principal angle between two ranges, or
+    the angle between a ray and a range, counts as zero when its sine is at
+    most ``rel``.
     """
 
     rel: float = 1e-10
@@ -242,12 +243,16 @@ def eig_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> EigDecomp:
         return m
     h = as_hermitian(m, tol)
     w, v = np.linalg.eigh(h)
-    # Largest component of a unit column is nonzero, so the division is safe.
+    scale = max(1.0, float(np.max(np.abs(w))))
+    return EigDecomp(w, _phase_normalized(v), scale)
+
+
+def _phase_normalized(v: np.ndarray) -> np.ndarray:
+    """``v`` with each non-zero column's largest-magnitude component made real positive."""
+    # A non-zero column has a non-zero largest component, so the division is safe.
     idx = np.argmax(np.abs(v), axis=0)
     lead = v[idx, np.arange(v.shape[1])]
-    v = v * (lead.conj() / np.abs(lead))[np.newaxis, :]
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return EigDecomp(w, v, scale)
+    return v * (lead.conj() / np.abs(lead))[np.newaxis, :]
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core, lattice, lebesgue
+from . import core, lattice
 from .core import DEFAULT_TOL, DimensionMismatchError, Tolerance
 
 __all__ = [
@@ -74,7 +74,7 @@ def form_inf_exists(
     """Infimum of two nonnegative forms exists iff their AC parts are comparable.
 
     Reads `lattice`'s rule on the Gram matrices, as ``lattice.inf_exists``
-    does, but builds no candidate or witness.
+    does, but builds no n×n matrix past the two Gram matrices' decompositions.
     """
-    w = lattice._spectrum(*lebesgue._reduced_pair(t.gram, s.gram, tol), tol)[1]
+    *_, w = lattice._reduced_spectrum(t.gram, s.gram, tol)
     return not all(lattice._sides(w, tol))

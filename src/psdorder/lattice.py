@@ -8,14 +8,17 @@ with ``t``, so no candidate can be least.
 
 Infima are subtler (Ando's theorem): ``a`` and ``b`` have an infimum
 exactly when the absolutely continuous parts ``[b]a`` and ``[a]b`` are
-comparable, and then the infimum is the smaller part.  The decision factors
-that reduced pair as ``[b]a = x diag(w) x*`` and ``[a]b = x diag(1 - w) x*``
-(`_spectrum`), where ``w`` is the spectrum of the contraction ``a~`` that
-represents ``[b]a`` on the range of the sum, so ``[b]a <= [a]b`` iff ``w``
-lies in ``[0, 1/2]``.  Every infimum decision reads one rule on ``w``, in
-units that a common scaling of the pair leaves unchanged: ``w`` reaches a
-side of ``1/2`` iff it has an eigenvalue more than ``tol.rel`` beyond
-``1/2`` on that side (`_sides`).  The infimum exists iff ``w`` does not
+comparable, and then the infimum is the smaller part.  Both parts live on
+the r-dimensional ``ran a ∩ ran b``, so `lebesgue._reduced_pair` keeps them
+as r×r factors ``(ma, mb)`` in an orthonormal basis ``v`` of it.  The
+decision factors that r×r pair (`_spectrum`) and lifts the factor by ``v``,
+as ``[b]a = x diag(w) x*`` and ``[a]b = x diag(1 - w) x*``, where ``w`` is
+the spectrum of the contraction ``a~`` that represents ``[b]a`` on the
+range of the sum, so ``[b]a <= [a]b`` iff ``w`` lies in ``[0, 1/2]``.
+Every infimum decision reads one rule on ``w``, in units that a common
+scaling of the pair leaves unchanged: ``w`` reaches a side of ``1/2`` iff
+it has an eigenvalue more than ``tol.rel`` beyond ``1/2`` on that side
+(`_sides`).  The infimum exists iff ``w`` does not
 reach both sides, and is ``[a]b`` iff it reaches the high one.  The factor
 also gives the candidate ``x diag(min(w, 1 - w)) x*`` and, if ``w`` reaches
 both sides, `ando_witness`: a common lower bound not comparable with the
@@ -242,6 +245,8 @@ def _spectrum(a, b, tol: Tolerance):
     """Factor ``(x, w)``, ``a = x diag(w) x*`` and ``b = x diag(1 - w) x*``, with ``w`` ascending.
 
     ``x = q s u``, with ``q`` and ``s`` from `_sum_range` and ``u diag(w) u*`` the eigh of ``_on_range(a)``.
+    `inf_exists` passes the r×r factors of its reduced pair: their sum has the
+    nonzero spectrum of the n×n sum, so the same ``kept`` cutoff.
     """
     ha, _, _, q, s = _sum_range(a, b, tol)
     if s.size == 0:
@@ -284,10 +289,12 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     """Infimum decision: exists iff the AC parts of the pair are comparable.
 
     The reduction replaces ``(a, b)`` by the mutually absolutely continuous
-    pair ``(a', b')`` of maximal parts.  One `_spectrum` of that pair gives
-    the verdict and the side by the module's rule, the candidate and, when
-    no infimum exists, the `ando_witness`; ``(a, b)`` itself is never
-    compressed.
+    pair ``(a', b') = (v ma v*, v mb v*)`` of maximal parts.  One `_spectrum`
+    of the r×r pair ``(ma, mb)``, lifted as ``x = v x_r`` with each column's
+    largest component real positive (so the witness does not depend on the
+    basis ``v``), gives the verdict and the side by the module's rule, the
+    candidate and, when no infimum exists, the `ando_witness`; ``(a, b)``
+    itself is never compressed, and only the verdict is built n×n.
 
     The candidate of a pair equals that of its reduced pair.  With ``P``
     the projector onto the eigenvectors of ``a~`` strictly inside (0, 1),
@@ -298,14 +305,24 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     rounding, which the "candidate of the pair" check of the
     ``lattice.infimum`` catalogue entries guards.
     """
-    ap, bp = lebesgue._reduced_pair(a, b, tol)
-    x, w = _spectrum(ap, bp, tol)
+    v, ma, mb, x, w = _reduced_spectrum(a, b, tol)
+    x = core._phase_normalized(v @ x)
+    ap, bp = (core.hermitian_part(v @ m @ v.conj().T) for m in (ma, mb))
     cand = _candidate(x, w)
     low, high = _sides(w, tol)
     if not (low and high):
         return InfimumVerdict(True, bp if high else ap, cand, None, ap, bp)
     witness = _straddle_witness(x, w, tol)
     return InfimumVerdict(False, None, cand, witness, ap, bp)
+
+
+def _reduced_spectrum(a, b, tol: Tolerance):
+    """``(v, ma, mb, x, w)``: `lebesgue._reduced_pair` and the `_spectrum` factor of ``(ma, mb)``,
+    so ``[b]a = (v x) diag(w) (v x)*``; with no intersection ``x`` is 0×0 and ``w`` empty."""
+    v, ma, mb = lebesgue._reduced_pair(a, b, tol)
+    if v.shape[1] == 0:
+        return v, ma, mb, np.zeros((0, 0)), np.zeros(0)
+    return (v, ma, mb, *_spectrum(ma, mb, tol))
 
 
 def _sides(w: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:

@@ -7,16 +7,18 @@ mutually singular iff their ranges intersect trivially, which is the same
 as saying the zero matrix is the only common Loewner minorant.
 
 Every range question is answered from the principal angles of ``ran b``
-against ``ran a`` (Björck & Golub, Math. Comp. 27, 1973): the singular
-values of ``Qb - Qa Qa* Qb`` are their sines, and `_angles` alone counts an
-angle as zero when its sine is at most ``tol.rel``.  ``b << a`` iff every
-angle is zero, the pair is singular iff none is, and the zero angles span
+against ``ran a`` (Björck & Golub, Math. Comp. 27, 1973): with ``Qa⊥`` the
+eigenvectors of ``a`` outside its range, the singular values of
+``Qa⊥* Qb`` are their sines, and `_angles` alone counts an angle as zero
+when its sine is at most ``tol.rel``.  ``b << a`` iff every angle is zero,
+the pair is singular iff none is, and the zero angles span
 ``ran a ∩ ran b``, computed once per pair.  On that intersection ``V``
 `ac_part` builds the maximal part of ``b`` by the shorted-operator formula
 ``V (V* b^+ V)^{-1} V*`` (Anderson & Trapp, SIAM J. Appl. Math. 28, 1975),
-and `_reduced_pair` shorts both ``a`` and ``b`` to the one ``V``; the
-maximal part is also the monotone limit of the parallel sums ``(n a) : b``
-as ``n`` grows, which serves as an independent oracle.
+and `_reduced_pair` shorts both ``a`` and ``b`` to the one ``V``, keeping
+only the r×r middle factors; the maximal part is also the monotone limit of
+the parallel sums ``(n a) : b`` as ``n`` grows, which serves as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -52,17 +54,24 @@ class LebesgueParts:
 
 
 def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
-    """Principal angles of ``ran b`` against ``ran a``, one SVD, and the zero-angle rule.
+    """Principal angles of ``ran b`` against ``ran a``, at most one SVD, and the zero-angle rule.
 
-    Returns ``(qb, sines, c0)``: the range basis of ``b``, the sines in
-    descending order, and the zero angles' right singular vectors in ``qb``
-    coordinates, so ``qb @ c0`` is an orthonormal basis of ``ran a ∩ ran b``.
+    Returns ``(qb, sines, c0)``: the range basis of ``b``, its ``r_b`` sines
+    in descending order, and the zero angles' right singular vectors in
+    ``qb`` coordinates, so ``qb @ c0`` is an orthonormal basis of
+    ``ran a ∩ ran b``.  The sines are the singular values of
+    ``Qa⊥* qb``, (n - r_a)×r_b, padded with zeros when ``n - r_a < r_b``;
+    when ``ran a`` is the whole space no SVD runs and ``c0`` is the identity.
     """
     core._same_dim(da.vectors, db.vectors)
-    qa = da.range_basis(tol)
     qb = db.range_basis(tol)
-    _, sines, vh = np.linalg.svd(qb - qa @ (qa.conj().T @ qb), full_matrices=False)
-    return qb, sines, vh.conj().T[:, sines <= tol.rel]
+    rb = qb.shape[1]
+    z = da.vectors[:, ~da.kept(tol)].conj().T @ qb
+    sines, c = np.zeros(rb), np.eye(rb)
+    if z.size:
+        _, s, vh = np.linalg.svd(z, full_matrices=z.shape[0] < rb)
+        sines[: s.size], c = s, vh.conj().T
+    return qb, sines, c[:, sines <= tol.rel]
 
 
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -147,20 +156,21 @@ def parallel_sum(a, b) -> np.ndarray:
 
 
 def _shorted(d: core.EigDecomp, v: np.ndarray, tol: Tolerance):
-    """``(v m^{-1} v*, y, m)``: ``d`` shorted to ``ran v`` (``v`` orthonormal in ``ran d``),
+    """``(m^{-1}, y)``: ``d`` shorted to ``ran v`` (``v`` orthonormal in ``ran d``) is ``v m^{-1} v*``,
     with ``y`` the coordinates of ``(d^+)^{1/2} v`` in the range basis of ``d`` and ``m = y* y``."""
     y = (d.range_basis(tol).conj().T @ v) / np.sqrt(d.eigenvalues[d.kept(tol)])[:, np.newaxis]
-    m = y.conj().T @ y
-    return core.hermitian_part(v @ np.linalg.solve(m, v.conj().T)), y, m
+    mi = np.linalg.inv(y.conj().T @ y)
+    return 0.5 * (mi + mi.conj().T), y
 
 
-def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal parts ``([b]a, [a]b)``, both shorted to the one ``ran a ∩ ran b`` of `_angles`."""
+def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(v, ma, mb)``: the maximal parts ``[b]a = v ma v*`` and ``[a]b = v mb v*``,
+    both shorted to the one orthonormal basis ``v`` of ``ran a ∩ ran b`` from `_angles`."""
     da = core.eig_hermitian(a, tol).require_psd(tol)
     db = core.eig_hermitian(b, tol).require_psd(tol)
     qb, _, c0 = _angles(da, db, tol)
     v = qb @ c0
-    return _shorted(da, v, tol)[0], _shorted(db, v, tol)[0]
+    return v, _shorted(da, v, tol)[0], _shorted(db, v, tol)[0]
 
 
 def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
@@ -172,7 +182,9 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     """
     db = core.eig_hermitian(b, tol).require_psd(tol)
     qb, _, c0 = _angles(core.eig_hermitian(a, tol), db, tol)
-    ac, y, m = _shorted(db, qb @ c0, tol)
+    v = qb @ c0
+    mi, y = _shorted(db, v, tol)
+    ac = core.hermitian_part(v @ mi @ v.conj().T)
     qy = qb @ y
-    p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ np.linalg.solve(m, qy.conj().T)
+    p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ mi @ qy.conj().T
     return LebesgueParts(ac, core.hermitian_part(db.reconstruct() - ac), core.hermitian_part(p))

@@ -49,8 +49,9 @@ class StrengthResult:
 def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     """Largest ``t >= 0`` with ``t * f f* <= a``, plus certificates.
 
-    Zero when ``f`` is outside the range of ``a`` (tested against the
-    projector onto the numeric range); otherwise ``1 / (f* a^+ f)``.
+    Zero when ``f`` is outside the numeric range of ``a``, i.e. when the
+    sine ``||f_perp|| / ||f||`` of its angle with that range exceeds
+    ``tol.rel``; otherwise ``1 / (f* a^+ f)``.
     Rejects ``f = 0``: the strength is only defined along non-zero rays.
     """
     v = core.as_vector(f)
@@ -65,7 +66,7 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     keep = dec.kept(tol)
     coeff = dec.vectors.conj().T @ v
     outside = float(np.linalg.norm(coeff[~keep]))
-    if not keep.any() or outside > tol.rel * max(1.0, nf):
+    if not keep.any() or outside > tol.rel * nf:
         return StrengthResult(0.0, None, None)
     ck = coeff[keep]
     wk = dec.eigenvalues[keep]

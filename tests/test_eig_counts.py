@@ -4,7 +4,8 @@ Every rank, projector, root and PSD verdict about an operand is read from one
 `EigDecomp`, so eigh counts only grow when a new distinct matrix enters a
 decision.  Every range question about a pair (absolute continuity,
 singularity, the AC part, a shared range direction) is one SVD of the
-principal angles, so work moved from eigh to SVD stays visible.  The counter
+principal angles, so work moved from eigh to SVD stays visible; it runs
+only when ``ran a`` is not the whole space, so full-rank pairs need none.  The counter
 wraps `numpy.linalg.eigh` and `numpy.linalg.svd` for the duration of a test
 and records the shape of each decomposed matrix, so a decomposition moved to
 a smaller space stays visible too.  It also records each matrix's dtype: a
@@ -115,38 +116,59 @@ def test_ando_candidate_decomposes_a_tilde_on_the_range(linalg_calls, inst):
 
 
 def test_spectral_criterion(linalg_calls, inst):
-    assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 1)
+    assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 0)
 
 
 def test_ando_witness(linalg_calls, inst):
-    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (4, 1)
+    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (4, 0)
 
 
-@pytest.mark.parametrize("upper, singular", [("shared_t", False), ("disjoint_t", True)])
-def test_kadison_witness_both_branches(linalg_calls, inst, upper, singular):
+@pytest.mark.parametrize(
+    "upper, singular, calls",
+    [("shared_t", False, (2, 0)), ("disjoint_t", True, (2, 1))],
+    ids=["shared_t-False", "disjoint_t-True"],
+)
+def test_kadison_witness_both_branches(linalg_calls, inst, upper, singular, calls):
+    """Both gaps are full rank under ``shared_t``, so no SVD runs there."""
     t = inst[upper]
     assert po.mutually_singular(t - inst["a"], t - inst["b"]) is singular
-    assert count(linalg_calls, po.kadison_witness, inst["a"], inst["b"], t)[0] == (2, 1)
+    assert count(linalg_calls, po.kadison_witness, inst["a"], inst["b"], t)[0] == calls
 
 
 def test_inf_exists_exists_path(linalg_calls, inst):
+    """ran low ∩ ran up = ran low has dimension 2."""
     calls, verdict = count(linalg_calls, po.inf_exists, inst["low"], inst["up"])
     assert verdict.exists
     assert calls == (4, 1)
+    assert_operands_then_intersection(linalg_calls, 2)
 
 
 def test_inf_exists_witness_path(linalg_calls, inst):
+    """A full-rank pair meets in the whole space, so no SVD runs."""
     calls, verdict = count(linalg_calls, po.inf_exists, inst["a"], inst["b"])
     assert not verdict.exists
-    assert calls == (4, 1)
+    assert calls == (4, 0)
+    assert_operands_then_intersection(linalg_calls, N)
 
 
-@pytest.mark.parametrize("lo, hi, exists", [("low", "up", True), ("a", "b", False)])
-def test_form_inf_exists_both_paths(linalg_calls, inst, lo, hi, exists):
+@pytest.mark.parametrize(
+    "lo, hi, exists, r, calls",
+    [("low", "up", True, 2, (4, 1)), ("a", "b", False, N, (4, 0))],
+    ids=["low-up-True", "a-b-False"],
+)
+def test_form_inf_exists_both_paths(linalg_calls, inst, lo, hi, exists, r, calls):
     forms = po.SesquilinearForm(inst[lo]), po.SesquilinearForm(inst[hi])
-    calls, verdict = count(linalg_calls, po.form_inf_exists, *forms)
+    got, verdict = count(linalg_calls, po.form_inf_exists, *forms)
     assert verdict is exists
-    assert calls == (4, 1)
+    assert got == calls
+    assert_operands_then_intersection(linalg_calls, r)
+
+
+def assert_operands_then_intersection(calls, r):
+    """eigh sees the two n×n operands, then nothing larger than r×r, the intersection's dimension."""
+    shapes = [shape for name, shape in calls if name == "eigh"]
+    assert shapes[:2] == [(N, N), (N, N)]
+    assert shapes[2:] and all(shape[0] <= r for shape in shapes[2:]), shapes
 
 
 def test_cli_sup_reads_one_comparison(linalg_calls, inst):
@@ -160,7 +182,7 @@ def test_cli_ando_witness_reads_candidate_and_witness_from_one_spectrum(linalg_c
     inputs = {"a": cli.memory_value("a", inst["a"]), "b": cli.memory_value("b", inst["b"])}
     calls, report = count(linalg_calls, cli.cmd_ando_witness, inputs, po.DEFAULT_TOL)
     assert set(report["witnesses"]) == {"candidate", "d"}
-    assert calls == (4, 1)
+    assert calls == (4, 0)
 
 
 def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst):
@@ -171,7 +193,7 @@ def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst
     assert calls == (1, 0)
 
 
-@pytest.mark.parametrize("lo, hi, exists, calls", [("low", "up", True, (6, 2)), ("a", "b", False, (8, 2))])
+@pytest.mark.parametrize("lo, hi, exists, calls", [("low", "up", True, (6, 2)), ("a", "b", False, (8, 0))])
 def test_reverify_inf_report_decomposes_each_node_once(linalg_calls, inst, lo, hi, exists, calls):
     """The two `abs_continuous` claims share one decomposition of each reduced part."""
     inputs = {"a": cli.memory_value("a", inst[lo]), "b": cli.memory_value("b", inst[hi])}

@@ -201,6 +201,29 @@ def test_recorded_kadison_witness_is_the_first_basis_construction(case_id, name)
     assert float(np.max(np.abs(s - want))) <= 1e-12 * max(1.0, float(np.max(np.abs(t))))
 
 
+def _spectral_candidate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``j g(j^-1 a j^-1) j`` with ``j = (a + b)^{1/2}`` and ``g(t) = min(t, 1 - t)``, for a full-rank sum."""
+    w, u = np.linalg.eigh(a + b)
+    j = (u * np.sqrt(w)) @ u.conj().T
+    ji = (u / np.sqrt(w)) @ u.conj().T
+    t, v = np.linalg.eigh(ji @ a @ ji)
+    return j @ (v * np.minimum(t, 1.0 - t)) @ v.conj().T @ j
+
+
+@pytest.mark.parametrize("case_id, name", [("inf-witness-complex", "witness"), ("ando-witness-complex", "d")])
+def test_recorded_ando_witness_refutes_the_candidate(case_id, name):
+    """The recorded witness is PSD, below ``a`` and ``b``, and strictly incomparable
+    with the candidate, which numpy computes here from ``a`` and ``b`` alone."""
+    case = _case(case_id)
+    a, b = _input(case, "a"), _input(case, "b")
+    d = _value(case["report"]["witnesses"][name])
+    floor = 1e-10 * max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    for upper in (d, a - d, b - d):
+        assert np.linalg.eigvalsh(upper)[0] >= -floor
+    w = np.linalg.eigvalsh(_spectral_candidate(a, b) - d)
+    assert w[0] < -floor and w[-1] > floor
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_golden_stdout_is_canonical(case, tmp_path, capsys):
     """The printed bytes are exactly ``json.dumps(report, sort_keys=True, separators=(",", ":"))``."""

@@ -230,6 +230,30 @@ class TestInfExists:
         with pytest.raises(po.ToleranceBreakdownError, match="witness window is empty"):
             po.inf_exists(a, b)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_witness_ignores_the_intersection_basis(self, rng, monkeypatch, cplx):
+        # ran a ∩ ran b has dimension 3 in dimension 6 and the reduced pair is
+        # incomparable; any orthonormal basis of the zero-angle block must give
+        # one verdict.  The basis freedom is U(3) for a complex pair and O(3) for a real one.
+        a, b = sampling.shared_core_pair(rng, 6, 3, cplx, tails=True)
+        v = po.inf_exists(a, b)
+        assert not v.exists
+        angles = lebesgue._angles
+
+        def rotated(da, db, tol):
+            qb, sines, c0 = angles(da, db, tol)
+            assert c0.shape[1] == 3
+            u, _ = np.linalg.qr(sampling.random_vector(rng, 9, cplx).reshape(3, 3))
+            return qb, sines, c0 @ u
+
+        monkeypatch.setattr(lebesgue, "_angles", rotated)
+        scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        for _ in range(8):  # a real witness could match one rotation by the luck of its signs
+            other = po.inf_exists(a, b)
+            for name in ("witness", "candidate", "reduced_a", "reduced_b"):
+                moved = np.max(np.abs(getattr(other, name) - getattr(v, name)))
+                assert moved <= 1e-12 * scale, name
+
     @pytest.mark.parametrize("small", [1e-7, 1e-8])
     def test_ill_conditioned_sum(self, small):
         """a <= b, rotated, with w = (1/3, 1/3, 1/4) and two eigenvalues of a + b near

@@ -128,11 +128,48 @@ class TestRangeQuestions:
         for t in range(1000):
             sampler = _mixed_pair if t % 2 else _psd_pair
             a, b = sampler(rng, t // 2, False)
-            da, db = core.eig_hermitian(a), core.eig_hermitian(b)
-            qa = da.range_basis()
-            qb, sines, _ = lebesgue._angles(da, db, po.DEFAULT_TOL)
-            k = min(qa.shape[1], qb.shape[1])
-            want = np.sin(linalg.subspace_angles(qb, qa))
-            assert np.max(np.abs(sines[-k:] - want)) <= 1e-7, t
-            shared = int(np.count_nonzero(sines <= po.DEFAULT_TOL.rel))
-            assert shared == int(np.count_nonzero(want <= 1e-6)), t
+            _check_sines(linalg, a, b, t)
+
+    def test_sines_on_every_complement_shape(self, monkeypatch):
+        """Full-rank ``a`` (no SVD), ``n - r_a < r_b`` (padded sines), ``b = 0``,
+        and a real ``a`` against a complex ``b``."""
+        linalg = pytest.importorskip("scipy.linalg")
+        svds = []
+        svd = np.linalg.svd
+
+        def counting(m, *args, **kwargs):
+            svds.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        rng = sampling.rng_from_seed(79)
+        for t in range(200):
+            n = 2 + t % 5
+            ra, rb = int(rng.integers(1, n + 1)), int(rng.integers(0, n + 1))
+            kind = t % 4
+            if kind == 0:
+                ra = n
+            elif kind == 1:
+                ra, rb = int(rng.integers(1, n)), n
+            a = sampling.random_psd(rng, n, rank=ra, complex_entries=False)
+            b = sampling.random_psd(rng, n, rank=rb, complex_entries=kind == 3) if rb else np.zeros((n, n))
+            svds.clear()
+            _check_sines(linalg, a, b, t)
+            # the complement of ran a is (n - r_a)-dimensional: no SVD without one
+            assert svds == ([] if ra == n or rb == 0 else [(n - ra, rb)]), t
+
+
+def _check_sines(linalg, a, b, t):
+    """``_angles`` against scipy: the 1e-7 sine bound, the zero-angle count, and ``c0``'s shape."""
+    da, db = core.eig_hermitian(a), core.eig_hermitian(b)
+    qa = da.range_basis()
+    qb, sines, c0 = lebesgue._angles(da, db, po.DEFAULT_TOL)
+    assert sines.shape == (qb.shape[1],), t
+    assert np.all(np.diff(sines) <= 0.0), t
+    k = min(qa.shape[1], qb.shape[1])
+    want = np.sin(linalg.subspace_angles(qb, qa)) if k else np.zeros(0)
+    assert np.max(np.abs(sines[sines.size - k :] - want), initial=0.0) <= 1e-7, t
+    shared = int(np.count_nonzero(sines <= po.DEFAULT_TOL.rel))
+    assert shared == int(np.count_nonzero(want <= 1e-6)), t
+    assert c0.shape == (qb.shape[1], shared), t
+    np.testing.assert_allclose(c0.conj().T @ c0, np.eye(shared), atol=1e-12)

@@ -39,6 +39,25 @@ class TestStrengthExamples:
     def test_zero_matrix(self):
         assert po.strength(np.zeros((2, 2)), [1.0, 0.0]).value == 0.0
 
+    @pytest.mark.parametrize("c", [1.0, 1e-4, 1e4])
+    def test_range_test_is_a_sine(self, c):
+        """``f = (1, 1e-7)`` leaves ``ran diag(1, 0)`` at a sine of 1e-7 > ``rel``
+        whatever its length, even at c = 1e-4, where ``||f_perp|| = 1e-11 < rel``."""
+        assert po.strength(np.diag([1.0, 0.0]), c * np.array([1.0, 1e-7])).value == 0.0
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_ray_scale_homogeneity(self, rng, cplx):
+        """``strength(a, c f) = strength(a, f) / c^2`` for c = 2^k, k in -40..40,
+        on rays in the range, just outside it (sine 1e-7) and inside within rel (sine 1e-12)."""
+        a = sampling.random_psd(rng, 4, rank=2, complex_entries=cplx)
+        inside = sampling.random_ray_in_range(rng, a, cplx)
+        perp = np.linalg.eigh(a)[1][:, 0] * np.linalg.norm(inside)
+        for f in (inside, inside + 1e-7 * perp, inside + 1e-12 * perp):
+            base = po.strength(a, f).value
+            for k in range(-40, 41):
+                c = 2.0**k
+                assert po.strength(a, c * f).value * c**2 == pytest.approx(base, rel=1e-12), k
+
 
 class TestStrengthInvariants:
     def test_result_certificates_consistent(self, rng):
