@@ -377,7 +377,7 @@ def _check_claim(claim: dict, resolve, decompose, tol: Tolerance) -> bool:
 
     kind = claim["kind"]
     if kind == "psd":
-        return dec("subject").is_psd(tol)
+        return core.is_psd(get("subject"), tol)
     if kind in ("leq", "geq"):
         x, y = get("subject"), get("other")
         return core.loewner_leq(x, y, tol) if kind == "leq" else core.loewner_leq(y, x, tol)

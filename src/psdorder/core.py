@@ -4,9 +4,12 @@ Everything downstream (strength functions, Lebesgue decomposition, lattice
 decisions) reduces to the primitives in this module: a Hermitian
 eigendecomposition, pseudo-inverses and square roots built from it, range
 projectors, and Loewner-order comparisons.  All rank and positivity
-decisions go through one `Tolerance`, applied by `EigDecomp` alone, so
-that the answers are consistent with each other.  Functions that only read
-an operand's spectrum also accept its `EigDecomp`.
+decisions go through one `Tolerance`, applied by `EigDecomp`, so that the
+answers are consistent with each other.  `_psd_band` certifies the same
+rule without an eigendecomposition wherever a Cholesky factor or a diagonal
+entry settles it beyond rounding, and defers to `EigDecomp` inside that
+band; `is_psd`, `as_psd` and `comparable` ask it first.  Functions that
+only read an operand's spectrum also accept its `EigDecomp`.
 
 Matrices are plain square numpy arrays, accepted as anything
 ``np.asarray`` can digest.  The dtype follows the operands (`_real_or_complex`):
@@ -100,7 +103,8 @@ class Tolerance:
     a Hermitian matrix counts as PSD when its minimum eigenvalue is at least
     ``-rel * max(1, max|eig|)``; a principal angle between two ranges, or
     the angle between a ray and a range, counts as zero when its sine is at
-    most ``rel``.
+    most ``rel``.  `EigDecomp` applies the first two rules to a computed
+    spectrum; `_psd_band` certifies the same verdicts without one, or defers.
     """
 
     rel: float = 1e-10
@@ -179,7 +183,8 @@ class EigDecomp:
     orthonormal eigenvectors in its columns, and ``source_scale`` is
     ``max(1, max|eigenvalue|)`` of the decomposed matrix, the scale used for
     tolerance decisions about it.  The rank cutoff (`kept`) and the PSD
-    floor (`is_psd`) are applied here and nowhere else.
+    floor (`is_psd`) are applied here, and certified without a
+    decomposition by `_psd_band` alone.
     """
 
     eigenvalues: np.ndarray
@@ -255,15 +260,72 @@ def _phase_normalized(v: np.ndarray) -> np.ndarray:
     return v * (lead.conj() / np.abs(lead))[np.newaxis, :]
 
 
+def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | None:
+    """`EigDecomp.is_psd` of the exactly Hermitian ``x``, certified without eigh, or ``None``.
+
+    With ``full_rank`` the verdict is instead whether every eigenvalue is
+    `kept`.  Either verdict asks whether eigh's smallest computed eigenvalue
+    clears a threshold read from its largest ``|eigenvalue|``, which lies
+    within ``drift = n ε ‖x‖_F`` of ``‖x‖₂``, so between the largest column
+    norm and ``‖x‖_F`` widened by ``drift``: the threshold lies in
+    ``[lo, hi]``.  ``drift`` also bounds eigh's own eigenvalue error, a
+    modest multiple of ``ε ‖x‖₂`` for LAPACK's backward-stable solvers, and
+    the rounding of the norms; it is the one eigh-error constant.
+
+    * "No" needs a diagonal entry below ``lo - drift``: the entry's basis
+      vector is a ray whose Rayleigh quotient bounds ``λ_min`` from above.
+    * "Yes" needs the Cholesky ``L L*`` of ``x - σ I``, ``σ = hi + |hi|/2``,
+      to succeed, so ``λ_min(x) >= σ - err`` with ``err = 2 γ_{n+1} ‖L‖_F²``
+      plus the rounding of the shift (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, Thm 10.3; Rump, BIT 46, 2006), and
+      ``σ - err - drift`` to clear ``hi``.  For the PSD floor ``σ`` is half
+      its lower bound, ``x + floor_lo/2 I``.
+
+    A failed Cholesky proves nothing: inside the band the answer is ``None``
+    and the caller decomposes.
+    """
+    n = x.shape[0]
+    eps = np.finfo(np.float64).eps
+    cols = np.linalg.norm(x, axis=0)
+    fro = float(np.linalg.norm(cols))
+    if not np.isfinite(fro):
+        return None
+    drift = n * eps * fro
+    top_lo, top_hi = max(float(cols.max()) - drift, 0.0), fro + drift
+    if full_rank:  # `kept`: above rel * max|eig| + abs
+        lo, hi = tol.rel * top_lo + tol.abs, tol.rel * top_hi + tol.abs
+    else:  # `is_psd`: at least -rel * max(1, max|eig|)
+        lo, hi = -tol.rel * max(1.0, top_hi), -tol.rel * max(1.0, top_lo)
+    d = x.diagonal().real
+    if float(d.min()) < lo - drift:
+        return False
+    shift = hi + 0.5 * abs(hi)
+    y = x.copy()
+    np.fill_diagonal(y, d - shift)
+    try:
+        l = np.linalg.cholesky(y)
+    except np.linalg.LinAlgError:
+        return None
+    u = eps / 2.0
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    err = 2.0 * gamma * float(np.linalg.norm(l)) ** 2 + u * (float(np.max(np.abs(d))) + abs(shift))
+    return True if shift - err - drift > hi else None
+
+
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the minimum eigenvalue clears ``-rel * max(1, max|eig|)``."""
-    return eig_hermitian(m, tol).is_psd(tol)
+    """True iff the minimum eigenvalue clears ``-rel * max(1, max|eig|)``; `_psd_band` first."""
+    if isinstance(m, EigDecomp):
+        return m.is_psd(tol)
+    h = as_hermitian(m, tol)
+    verdict = _psd_band(h, tol)
+    return eig_hermitian(h, tol).is_psd(tol) if verdict is None else verdict
 
 
 def as_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate PSD-ness and return the symmetrized matrix (entries unchanged)."""
     h = as_hermitian(m, tol)
-    eig_hermitian(h, tol).require_psd(tol)
+    if not _psd_band(h, tol):  # eigh decides, and words the `NotPsdError`
+        eig_hermitian(h, tol).require_psd(tol)
     return h
 
 
@@ -315,30 +377,42 @@ class Comparison(Enum):
 def comparable(a, b, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     """Classify the pair under the Loewner order.
 
-    ``b - a`` and ``a - b`` share one decomposition and one PSD floor.
+    ``b - a`` and ``a - b`` share one PSD floor: `_psd_band` decides each,
+    and if it defers on either, one decomposition of ``b - a`` decides both.
     """
-    return _classify(_difference(a, b, tol)[2], tol)
+    ha, hb = _pair(a, b, tol)
+    return _compare(hb - ha, tol)[0]
 
 
-def _difference(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, EigDecomp]:
-    """Each operand validated as Hermitian, and the decomposition of ``b - a``."""
+def _pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Each operand validated as Hermitian, of one dimension."""
     ha = as_hermitian(a, tol)
     hb = as_hermitian(b, tol)
     _same_dim(ha, hb)
-    return ha, hb, eig_hermitian(hb - ha, tol)
+    return ha, hb
 
 
-def _classify(dec: EigDecomp, tol: Tolerance) -> Comparison:
-    """How ``a`` compares with ``b``, read from the decomposition of ``b - a``."""
-    le = dec.is_psd(tol)
-    ge = float(dec.eigenvalues[-1]) <= dec.psd_floor(tol)
-    if le and ge:
-        return Comparison.EQUAL
-    if le:
-        return Comparison.LEQ
-    if ge:
-        return Comparison.GEQ
-    return Comparison.INCOMPARABLE
+def _compare(d: np.ndarray, tol: Tolerance) -> tuple[Comparison, EigDecomp | None]:
+    """`comparable`'s verdict on ``d = b - a``, and the decomposition of ``d`` if one was needed.
+
+    ``a <= b`` iff ``d`` is PSD, and ``b <= a`` iff ``-d`` is, which eigh
+    reads as ``max eig(d) <= psd_floor``.
+    """
+    dec = None
+    le = _psd_band(d, tol)
+    ge = None if le is None else _psd_band(-d, tol)
+    if ge is None:
+        dec = eig_hermitian(d, tol)
+        le, ge = dec.is_psd(tol), float(dec.eigenvalues[-1]) <= dec.psd_floor(tol)
+    return _COMPARISONS[le, ge], dec
+
+
+_COMPARISONS = {
+    (True, True): Comparison.EQUAL,
+    (True, False): Comparison.LEQ,
+    (False, True): Comparison.GEQ,
+    (False, False): Comparison.INCOMPARABLE,
+}
 
 
 def rank_one(f) -> np.ndarray:

@@ -157,6 +157,11 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     * the ranges are disjoint: pick strength-scaled rays ``e``, ``f`` in
       them with ``e e* <= t - a`` and ``f f* <= t - b`` and perturb by a
       third of the indefinite ``s0 = e e* + 2 e f* + 2 f e* + f f*``.
+
+    When `core._psd_band` certifies both gaps full rank, the shared
+    direction is the first basis vector ``e0`` and ``f = e1``, so the
+    witness is built from two Cholesky factors (`_strength_along_e0`) with
+    no eigendecomposition.
     """
     ha = core.as_hermitian(a, tol)
     hb = core.as_hermitian(b, tol)
@@ -168,20 +173,27 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise MatrixError(
             "no witness in dimension 1: all PSD matrices are comparable"
         )
-    ta = core.hermitian_part(ht - ha)
-    tb = core.hermitian_part(ht - hb)
-    # Every PSD check, rank, projector and strength below reads these two.
-    dta = core.eig_hermitian(ta, tol)
-    if not dta.is_psd(tol):
-        raise MatrixError("precondition failed: t >= a does not hold")
-    dtb = core.eig_hermitian(tb, tol)
-    if not dtb.is_psd(tol):
-        raise MatrixError("precondition failed: t >= b does not hold")
+    ta = ht - ha
+    tb = ht - hb
+    lam = _strength_along_e0(ta, tb, tol)
+    if lam is None:
+        # Every PSD check, rank, projector and strength below reads these two.
+        dta = core.eig_hermitian(ta, tol)
+        if not dta.is_psd(tol):
+            raise MatrixError("precondition failed: t >= a does not hold")
+        dtb = core.eig_hermitian(tb, tol)
+        if not dtb.is_psd(tol):
+            raise MatrixError("precondition failed: t >= b does not hold")
     scale = max(1.0, float(np.max(np.abs(ht))))
     if float(np.max(np.abs(ta))) <= tol.rel * scale:
         raise MatrixError("precondition failed: t coincides with a within tolerance")
     if float(np.max(np.abs(tb))) <= tol.rel * scale:
         raise MatrixError("precondition failed: t coincides with b within tolerance")
+    if lam is not None:
+        s = ht.copy()
+        s[0, 0] -= lam
+        s[1, 1] += 1.0
+        return s
 
     qb, _, c0 = lebesgue._angles(dta, dtb, tol)
     shared = qb @ c0
@@ -210,6 +222,23 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         s0 = core.rank_one(e) + 2.0 * ef + 2.0 * ef.conj().T + core.rank_one(f)
         s = ht + s0 / 3.0
     return core.hermitian_part(s)
+
+
+def _strength_along_e0(ta: np.ndarray, tb: np.ndarray, tol: Tolerance) -> float | None:
+    """The smaller strength of the gaps along ``e0``, if `core._psd_band` certifies both full rank.
+
+    Each strength is ``1 / (gap^-1)_00``, the Schur complement of the rest
+    of the gap in entry 0: the last pivot squared of a Cholesky that orders
+    index 0 last.  ``None`` sends `kadison_witness` down its eigh path.
+    """
+    if not (core._psd_band(ta, tol, full_rank=True) and core._psd_band(tb, tol, full_rank=True)):
+        return None
+    last = np.roll(np.arange(ta.shape[0]), -1)
+    try:
+        pivots = [np.linalg.cholesky(g[np.ix_(last, last)])[-1, -1].real for g in (ta, tb)]
+    except np.linalg.LinAlgError:
+        return None
+    return float(min(pivots)) ** 2
 
 
 def _sum_range(a, b, tol: Tolerance):

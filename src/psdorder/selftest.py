@@ -736,3 +736,63 @@ def _reports(c, a, b, f, above, x, y):
         failures = cli.reverify_report(json.loads(once))
         c(not failures, f"{name} report re-verifies" + "".join(f": {m}" for m in failures[:1]))
         c(once == cli._dumps(json.loads(once)), f"{name} report serialization stable")
+
+
+# ---------------------------------------------------------------------------
+# core: the certified band, registered last so that every entry above keeps
+# its `run_selftest` stream
+
+_BAND_SCALES = (-40, -20, 0, 20, 40)
+
+
+def _band_operands(rng, t, pinned):
+    """``(matrices, edges)`` for `core._psd_band`.
+
+    ``matrices`` are the square operands of an instance of every other
+    entry's sampler in turn (trial ``t // k`` of sampler ``t % k``), the
+    difference of the first two, the singular PSD gap of ``(a, a + f f*)``,
+    the zero gap of ``(a, a)`` and a random 1×1 matrix.  ``edges`` are
+    ``(q, w, full_rank, side)`` with n >= 2: a random basis ``q`` and a
+    spectrum ``w`` at scale 2^0, 2^20 or 2^40 whose first eigenvalue the
+    check puts 1e-3 relative below (``side = -1``) or above the PSD floor
+    (``full_rank`` false) or the rank cutoff of its tolerance.
+    """
+    samplers = list(dict.fromkeys(e.sample for e in CATALOGUE.values() if e.sample is not _band_operands))
+    instance = samplers[t % len(samplers)](rng, t // len(samplers), pinned)
+    ops = [core.as_hermitian(m) for m in instance if isinstance(m, np.ndarray) and m.ndim == 2]
+    n, cplx = ops[0].shape[0], any(np.iscomplexobj(m) for m in ops)
+    f = random_vector(rng, n, cplx)
+    matrices = ops + [m - ops[0] for m in ops[1:2]]
+    matrices += [(ops[0] + core.rank_one(f)) - ops[0], ops[0] - ops[0], rng.standard_normal((1, 1))]
+    m = max(2, n)
+    edges = []
+    for k in _BAND_SCALES[2:]:
+        for full_rank in (False, True):
+            for side in (-1.0, 1.0):
+                q = np.linalg.qr(random_vector(rng, m * m, cplx).reshape(m, m))[0]
+                edges.append((q, 2.0**k * rng.uniform(0.3, 3.0, m), full_rank, side))
+    return matrices, edges
+
+
+@_entry("core.band", _band_operands)
+def _band(c, matrices, edges):
+    """`core._psd_band` gives eigh's verdict or defers, at every scale of
+    `_BAND_SCALES`: PSD (`EigDecomp.is_psd`), the reverse order
+    (``max eig <= psd_floor``, the band's verdict on ``-x``, as `core.comparable`
+    reads it) and full rank (`EigDecomp.kept`).  At the edges it defers."""
+    for x in matrices:
+        for k in _BAND_SCALES:
+            y = 2.0**k * x
+            dec = core.eig_hermitian(y, c.tol)
+            for got, want, what in (
+                (core._psd_band(y, c.tol), dec.is_psd(c.tol), "psd"),
+                (core._psd_band(-y, c.tol), dec.eigenvalues[-1] <= dec.psd_floor(c.tol), "reverse order"),
+                (core._psd_band(y, c.tol, full_rank=True), dec.kept(c.tol).all(), "full rank"),
+            ):
+                verdict = "defers" if got is None else "agrees with eigh"
+                c(got is None or got == want, f"{what} band {verdict}")
+    for q, w, full_rank, side in edges:
+        top = w[1:].max()
+        edge = c.tol.rel * top + c.tol.abs if full_rank else -c.tol.rel * max(1.0, top)
+        x = core.hermitian_part((q * np.r_[edge * (1.0 + side * 1e-3), w[1:]]) @ q.conj().T)
+        c(core._psd_band(x, c.tol, full_rank) is None, "band defers at the edge")

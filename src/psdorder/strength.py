@@ -114,11 +114,14 @@ def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
 
 
 def _order_test(a, b, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | None]:
-    """`core.comparable` and `order_witness`, read from one decomposition of ``b - a``."""
-    ha, _, dec = core._difference(a, b, tol)
-    cmp = core._classify(dec, tol)
-    if dec.is_psd(tol):
+    """`core.comparable` and `order_witness`; ``b - a`` is decomposed only for the ray, at most once."""
+    ha, hb = core._pair(a, b, tol)
+    d = hb - ha
+    cmp, dec = core._compare(d, tol)
+    if cmp in (core.Comparison.LEQ, core.Comparison.EQUAL):
         return cmp, None
+    if dec is None:
+        dec = core.eig_hermitian(d, tol)
     floor = dec.psd_floor(tol)
     entry_scale = max(1.0, float(np.max(np.abs(ha))))
     for i in range(dec.n):

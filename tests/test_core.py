@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import psdorder as po
-from psdorder import sampling
+from psdorder import core, sampling
 from psdorder.selftest import eig_scale
 from conftest import holds
 
@@ -107,6 +107,93 @@ class TestIsPsd:
 
     def test_tiny_negative_within_tolerance(self):
         assert po.is_psd(np.diag([1.0, -1e-14]))
+
+
+def _dense_pool(n=128, per_combo=2):
+    """The pairs of the benchmark's ``dense`` pool at seed 1, drawn in its order:
+    five families at n = 128, real and complex, each pair followed by its ray."""
+    rng = sampling.rng_from_seed(1)
+    pairs = []
+    for _ in range(per_combo):
+        for cplx in (False, True):
+            for family in range(5):
+                if family == 0:
+                    a, b = sampling.incomparable_pair(rng, n, cplx)
+                elif family == 1:
+                    a = sampling.random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+                    b = a + sampling.random_psd(rng, n, rank=1, complex_entries=cplx)
+                elif family in (2, 3):
+                    core_rank = int(rng.integers(1, n - 1 if family == 2 else n + 1))
+                    a, b = sampling.shared_core_pair(rng, n, core_rank, cplx, tails=family == 2)
+                else:
+                    for _ in range(20):  # the sampler rejects draws whose ranks nearly fill the space
+                        try:
+                            a, b = sampling.disjoint_projector_pair(rng, n, cplx)
+                            break
+                        except po.MatrixError:
+                            continue
+                sampling.random_ray_in_range(rng, a, cplx)
+                pairs.append((a, b))
+    return pairs
+
+
+class TestPsdBand:
+    """`core._psd_band` returns eigh's verdict or ``None``, never another verdict."""
+
+    def test_catalogue_entry(self):
+        """Every catalogue sampler, singular PSD gaps, ``(a, a)``, n = 1, and the edges."""
+        labels = holds(0, 200, "core.band").labels
+        for what in ("psd", "reverse order", "full rank"):
+            assert labels[f"{what} band agrees with eigh"] > labels[f"{what} band defers"]
+        assert labels["band defers at the edge"] == 200 * 12
+
+    def test_dense_pool_at_every_scale(self):
+        """Both orders of each pair, and full rank of the gaps ``t - a``, ``t - b`` of
+        ``t = a + b + I``, as `comparable` and `kadison_witness` ask them.  The band
+        settles `comparable` on 15 of the 20 pairs; the other five have a diagonal
+        ``b - a`` of one sign and an indefinite spectrum, which only eigh decides."""
+        tol = po.DEFAULT_TOL
+        for k in (-40, -20, 0, 20, 40):
+            s = 2.0**k
+            settled = 0
+            for a, b in _dense_pool():
+                d = s * b - s * a
+                dec = po.eig_hermitian(d)
+                le, ge = core._psd_band(d, tol), core._psd_band(-d, tol)
+                assert le is None or le == dec.is_psd(tol)
+                assert ge is None or ge == (float(dec.eigenvalues[-1]) <= dec.psd_floor(tol))
+                settled += le is not None and ge is not None
+                for gap in (s * b + s * np.eye(len(a)), s * a + s * np.eye(len(a))):
+                    got = core._psd_band(gap, tol, full_rank=True)
+                    assert got is None or got == bool(po.eig_hermitian(gap).kept(tol).all())
+                    assert got or k < 0
+            assert settled >= 15
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["inside", "outside"])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_edge_of_the_floor_runs_eigh(self, monkeypatch, side, cplx):
+        """``λ_min = -floor (1 ± 1e-3)`` in a random basis: the band defers and
+        `is_psd` reads eigh, which is PSD just inside the floor and not just outside."""
+        rng = sampling.rng_from_seed(7 + cplx)
+        q = np.linalg.qr(sampling.random_vector(rng, 36, cplx).reshape(6, 6))[0]
+        w = rng.uniform(0.3, 3.0, 6)
+        w[0] = -po.DEFAULT_TOL.rel * w[1:].max() * (1.0 + side * 1e-3)
+        x = core.hermitian_part((q * w) @ q.conj().T)
+        assert core._psd_band(x, po.DEFAULT_TOL) is None
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        assert po.is_psd(x) is (side < 0)
+        assert len(calls) == 1
+
+    def test_defers_where_cholesky_rounding_covers_the_floor(self):
+        """At n = 1024 the factor's bound ``2 γ_{n+1} ‖L‖_F²`` of a unit-diagonal PSD
+        matrix exceeds half the floor, so no PSD verdict is certified."""
+        rng = sampling.rng_from_seed(3)
+        g = rng.standard_normal((1024, 1024))
+        x = g @ g.T / np.sum(g * g, axis=1)[:, None] ** 0.5 / np.sum(g * g, axis=1)[None, :] ** 0.5
+        for m in (np.eye(1024), core.hermitian_part(x)):
+            assert core._psd_band(m, po.DEFAULT_TOL) is None
 
 
 class TestSqrtPinv:

@@ -1,12 +1,14 @@
-"""Hermitian eigendecompositions and SVDs per call.
+"""Hermitian eigendecompositions, SVDs and Cholesky factorizations per call.
 
 Every rank, projector, root and PSD verdict about an operand is read from one
 `EigDecomp`, so eigh counts only grow when a new distinct matrix enters a
-decision.  Every range question about a pair (absolute continuity,
+decision.  A PSD or full-rank verdict that `core._psd_band` certifies from a
+diagonal entry or a Cholesky factor needs no `EigDecomp` at all, so a
+comparison that the band settles runs no eigh.  Every range question about a pair (absolute continuity,
 singularity, the AC part, a shared range direction) is one SVD of the
 principal angles, so work moved from eigh to SVD stays visible; it runs
 only when ``ran a`` is not the whole space, so full-rank pairs need none.  The counter
-wraps `numpy.linalg.eigh` and `numpy.linalg.svd` for the duration of a test
+wraps `numpy.linalg.eigh`, `numpy.linalg.svd` and `numpy.linalg.cholesky` for the duration of a test
 and records the shape of each decomposed matrix, so a decomposition moved to
 a smaller space stays visible too.  It also records each matrix's dtype: a
 real instance must be decomposed in float64 alone, so a stray complex
@@ -42,7 +44,7 @@ def linalg_calls(monkeypatch, inst):
 
         return call
 
-    for name in ("eigh", "svd"):
+    for name in ("eigh", "svd", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     yield calls
     if not inst["complex"]:
@@ -50,11 +52,11 @@ def linalg_calls(monkeypatch, inst):
 
 
 def count(calls, fn, *args):
-    """``((eigh calls, svd calls), result)`` of one call."""
+    """``((eigh calls, svd calls, cholesky calls), result)`` of one call."""
     calls.clear()
     result = fn(*args)
     names = [name for name, _ in calls]
-    return (names.count("eigh"), names.count("svd")), result
+    return (names.count("eigh"), names.count("svd"), names.count("cholesky")), result
 
 
 @pytest.fixture(params=[False, True], ids=["real", "complex"])
@@ -79,33 +81,44 @@ def inst(request):
     }
 
 
+def incomparable_calls(inst, decomposed):
+    """Calls that decide the incomparable pair ``(a, b)``: the real ``b - a`` has
+    diagonal entries of both signs, which refute both orders; the complex one has
+    only negative ones, so its failed Cholesky of ``a - b`` leaves that order to
+    eigh, which also gives the ray."""
+    return (1, 0, 1) if inst["complex"] else (1 if decomposed else 0, 0, 0)
+
+
 def test_comparable(linalg_calls, inst):
-    assert count(linalg_calls, po.comparable, inst["a"], inst["b"])[0] == (1, 0)
-    assert count(linalg_calls, po.loewner_leq, inst["low"], inst["up"])[0] == (1, 0)
+    """``low <= up`` is one Cholesky of ``up - low``; a negative diagonal entry of
+    ``low - up`` refutes the reverse order."""
+    assert count(linalg_calls, po.comparable, inst["a"], inst["b"])[0] == incomparable_calls(inst, False)
+    assert count(linalg_calls, po.loewner_leq, inst["low"], inst["up"])[0] == (0, 0, 1)
 
 
 def test_order_witness(linalg_calls, inst):
-    assert count(linalg_calls, po.order_witness, inst["a"], inst["b"])[0] == (1, 0)
+    assert count(linalg_calls, po.order_witness, inst["a"], inst["b"])[0] == incomparable_calls(inst, True)
 
 
 @pytest.mark.parametrize("lo, hi, leq", [("low", "up", True), ("a", "b", False)])
 def test_strength_dominates(linalg_calls, inst, lo, hi, leq):
-    """One decomposition of ``b - a`` and one of each operand, whatever the number of rays."""
+    """One decomposition of each operand, and of ``b - a`` only for the ray, whatever the number of rays."""
     calls, verdict = count(linalg_calls, po.strength_dominates, inst[lo], inst[hi])
     assert verdict is leq
-    assert calls == (3, 0)
+    order = (0, 0, 1) if leq else incomparable_calls(inst, True)
+    assert calls == (order[0] + 2, 0, order[2])
 
 
 def test_mutually_singular(linalg_calls, inst):
-    assert count(linalg_calls, po.mutually_singular, inst["low"], inst["b"])[0] == (2, 1)
+    assert count(linalg_calls, po.mutually_singular, inst["low"], inst["b"])[0] == (2, 1, 0)
 
 
 def test_ac_part(linalg_calls, inst):
-    assert count(linalg_calls, po.ac_part, inst["b"], inst["low"])[0] == (2, 1)
+    assert count(linalg_calls, po.ac_part, inst["b"], inst["low"])[0] == (2, 1, 0)
 
 
 def test_compress(linalg_calls, inst):
-    assert count(linalg_calls, po.compress, inst["a"], inst["b"])[0] == (1, 0)
+    assert count(linalg_calls, po.compress, inst["a"], inst["b"])[0] == (1, 0, 0)
 
 
 def test_ando_candidate_decomposes_a_tilde_on_the_range(linalg_calls, inst):
@@ -116,20 +129,23 @@ def test_ando_candidate_decomposes_a_tilde_on_the_range(linalg_calls, inst):
 
 
 def test_spectral_criterion(linalg_calls, inst):
-    assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 0)
+    assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 0, 0)
 
 
 def test_ando_witness(linalg_calls, inst):
-    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (4, 0)
+    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (4, 0, 0)
 
 
 @pytest.mark.parametrize(
     "upper, singular, calls",
-    [("shared_t", False, (2, 0)), ("disjoint_t", True, (2, 1))],
+    [("shared_t", False, (0, 0, 4)), ("disjoint_t", True, (2, 1, 1))],
     ids=["shared_t-False", "disjoint_t-True"],
 )
 def test_kadison_witness_both_branches(linalg_calls, inst, upper, singular, calls):
-    """Both gaps are full rank under ``shared_t``, so no SVD runs there."""
+    """Both gaps are full rank under ``shared_t``: the band certifies each with one
+    Cholesky and a second gives its strength along ``e0``, so no eigh or SVD runs.
+    Under ``disjoint_t`` the gap ``t - a`` is singular, so its shifted Cholesky fails
+    and the witness takes the eigh path."""
     t = inst[upper]
     assert po.mutually_singular(t - inst["a"], t - inst["b"]) is singular
     assert count(linalg_calls, po.kadison_witness, inst["a"], inst["b"], t)[0] == calls
@@ -139,7 +155,7 @@ def test_inf_exists_exists_path(linalg_calls, inst):
     """ran low ∩ ran up = ran low has dimension 2."""
     calls, verdict = count(linalg_calls, po.inf_exists, inst["low"], inst["up"])
     assert verdict.exists
-    assert calls == (4, 1)
+    assert calls == (4, 1, 0)
     assert_operands_then_intersection(linalg_calls, 2)
 
 
@@ -147,13 +163,13 @@ def test_inf_exists_witness_path(linalg_calls, inst):
     """A full-rank pair meets in the whole space, so no SVD runs."""
     calls, verdict = count(linalg_calls, po.inf_exists, inst["a"], inst["b"])
     assert not verdict.exists
-    assert calls == (4, 0)
+    assert calls == (4, 0, 0)
     assert_operands_then_intersection(linalg_calls, N)
 
 
 @pytest.mark.parametrize(
     "lo, hi, exists, r, calls",
-    [("low", "up", True, 2, (4, 1)), ("a", "b", False, N, (4, 0))],
+    [("low", "up", True, 2, (4, 1, 0)), ("a", "b", False, N, (4, 0, 0))],
     ids=["low-up-True", "a-b-False"],
 )
 def test_form_inf_exists_both_paths(linalg_calls, inst, lo, hi, exists, r, calls):
@@ -175,14 +191,14 @@ def test_cli_sup_reads_one_comparison(linalg_calls, inst):
     inputs = {"a": cli.memory_value("a", inst["low"]), "b": cli.memory_value("b", inst["up"])}
     calls, report = count(linalg_calls, cli.cmd_sup, inputs, po.DEFAULT_TOL)
     assert report["verdict"] == {"exists": True, "comparison": "leq"}
-    assert calls == (1, 0)
+    assert calls == (0, 0, 1)
 
 
 def test_cli_ando_witness_reads_candidate_and_witness_from_one_spectrum(linalg_calls, inst):
     inputs = {"a": cli.memory_value("a", inst["a"]), "b": cli.memory_value("b", inst["b"])}
     calls, report = count(linalg_calls, cli.cmd_ando_witness, inputs, po.DEFAULT_TOL)
     assert set(report["witnesses"]) == {"candidate", "d"}
-    assert calls == (4, 0)
+    assert calls == (4, 0, 0)
 
 
 def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst):
@@ -190,12 +206,16 @@ def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst
     calls, report = count(linalg_calls, cli.cmd_leq, inputs, po.DEFAULT_TOL)
     assert report["verdict"] == {"leq": False, "comparison": "incomparable"}
     assert "ray" in report["witnesses"]
-    assert calls == (1, 0)
+    assert calls == incomparable_calls(inst, True)
 
 
-@pytest.mark.parametrize("lo, hi, exists, calls", [("low", "up", True, (6, 2)), ("a", "b", False, (8, 0))])
+@pytest.mark.parametrize(
+    "lo, hi, exists, calls", [("low", "up", True, (2, 2, 6)), ("a", "b", False, (3, 0, 6))]
+)
 def test_reverify_inf_report_decomposes_each_node_once(linalg_calls, inst, lo, hi, exists, calls):
-    """The two `abs_continuous` claims share one decomposition of each reduced part."""
+    """The two `abs_continuous` claims share one decomposition of each reduced part;
+    the band settles every `leq` and `psd` claim, so eigh sees only the reduced parts
+    and, on the witness path, the witness against the candidate."""
     inputs = {"a": cli.memory_value("a", inst[lo]), "b": cli.memory_value("b", inst[hi])}
     report = json.loads(cli._dumps(cli.cmd_inf(inputs, po.DEFAULT_TOL)))
     assert report["verdict"]["exists"] is exists

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import psdorder as po
-from psdorder import lebesgue, sampling
+from psdorder import lattice, lebesgue, sampling
 from psdorder.selftest import CATALOGUE
 from conftest import holds
 
@@ -67,6 +69,18 @@ class TestSupExists:
         assert po.comparable(v.witness, t) is po.Comparison.INCOMPARABLE
 
 
+def _exact_strength_along_e0(g: np.ndarray) -> Fraction:
+    """``1 / (g^-1)_00`` of a real float matrix, exactly: the Schur complement of
+    entries 1..n-1 in entry 0, by elimination over `Fraction`."""
+    order = list(range(1, len(g))) + [0]
+    m = [[Fraction(float(g[i, j])) for j in order] for i in order]
+    for k in range(len(m) - 1):
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return m[-1][-1]
+
+
 class TestKadisonWitness:
     def test_fixed_2x2_fixture(self):
         a, b, t = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
@@ -114,6 +128,48 @@ class TestKadisonWitness:
         monkeypatch.setattr(lebesgue, "_angles", rotated)
         other = po.kadison_witness(a, b, t)
         assert np.max(np.abs(other - s)) <= 1e-12 * max(1.0, float(np.max(np.abs(t))))
+
+    def test_strength_along_e0_against_exact_schur_complement(self):
+        """Integer-built ``a = V V*``, ``b = W W*``, ``t = a + b + 2^-j I`` at scale 2^k:
+        on full-rank gaps ``lam`` is within ``4 n ε κ`` relative of the exact
+        ``min 1 / (gap^-1)_00``, and the witness is ``t - lam e0 e0* + e1 e1*``."""
+        rng = sampling.rng_from_seed(21)
+        checked = 0
+        for trial in range(300):
+            n = 2 + trial % 4
+            v, w = (rng.integers(-3, 4, (n, n)).astype(float) for _ in range(2))
+            a, b = v @ v.T, w @ w.T
+            t = a + b + 2.0 ** -int(rng.integers(0, 21)) * np.eye(n)
+            a, b, t = (2.0 ** (20 * (trial % 5 - 2)) * m for m in (a, b, t))
+            lam = lattice._strength_along_e0(t - a, t - b, po.DEFAULT_TOL)
+            if lam is None:
+                continue
+            checked += 1
+            exact = min(_exact_strength_along_e0(t - a), _exact_strength_along_e0(t - b))
+            kappa = max(np.linalg.cond(t - a), np.linalg.cond(t - b))
+            assert abs(Fraction(lam) - exact) <= 4 * n * np.finfo(float).eps * kappa * exact
+            if trial % 5 < 2:  # below scale 1 the max(1, ·) floor has t coincide with a and b
+                continue
+            want = t.copy()
+            want[0, 0] -= lam
+            want[1, 1] += 1.0
+            assert np.array_equal(po.kadison_witness(a, b, t), want)
+        assert checked >= 200
+
+    def test_strength_along_e0_on_an_ill_conditioned_gap(self):
+        """A 3×3 pair at scale 2^36 with κ(t - a) = 1.85e8.  Read from eigendecompositions
+        of the gaps, the strength was 0.0129 off the exact 450559.70971698…; the
+        Cholesky pivot is within 1e-6."""
+        a = 2.0**36 * np.array([[10.0, 7, 7], [7, 22, 16], [7, 16, 14]])
+        b = 2.0**36 * np.array([[10.0, 0, 1], [0, 10, 3], [1, 3, 1]])
+        t = a + b + 2.0**12 * np.eye(3)
+        assert 1.8e8 < np.linalg.cond(t - a) < 1.9e8
+        exact = min(_exact_strength_along_e0(t - a), _exact_strength_along_e0(t - b))
+        assert abs(float(exact) - 450559.7097169856) < 1e-9
+        lam = lattice._strength_along_e0(t - a, t - b, po.DEFAULT_TOL)
+        assert abs(Fraction(lam) - exact) < 1e-6
+        s = po.kadison_witness(a, b, t)
+        assert s[0, 0] == t[0, 0] - lam
 
     def test_preconditions(self, rng):
         a = sampling.random_psd(rng, 2)
