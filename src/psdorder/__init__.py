@@ -41,12 +41,10 @@ from .lattice import (
     Compression,
     InfimumVerdict,
     SupremumVerdict,
-    ando_candidate,
     ando_witness,
     compress,
     inf_exists,
     kadison_witness,
-    spectral_criterion,
     sup_exists,
 )
 from .lebesgue import (
@@ -60,8 +58,21 @@ from .strength import (
     StrengthResult,
     order_witness,
     strength,
-    strength_bisection,
-    strength_dominates,
 )
+
+__all__ = [
+    "DEFAULT_TOL", "Comparison", "DimensionMismatchError", "EigDecomp",
+    "MatrixError", "NotHermitianError", "NotPsdError", "Tolerance",
+    "ToleranceBreakdownError", "as_hermitian", "as_psd", "comparable",
+    "eig_hermitian", "hermitian_part", "is_psd", "loewner_leq", "numeric_rank",
+    "pinv_psd", "pinv_sqrt_psd", "range_projector", "rank_one", "sqrt_psd",
+    "SesquilinearForm", "form_inf_exists", "form_leq", "form_sup_exists",
+    "from_operator", "to_operator",
+    "Compression", "InfimumVerdict", "SupremumVerdict", "ando_witness", "compress",
+    "inf_exists", "kadison_witness", "sup_exists",
+    "LebesgueParts", "absolutely_continuous", "ac_part", "mutually_singular",
+    "parallel_sum",
+    "StrengthResult", "order_witness", "strength",
+]
 
 __version__ = "0.1.0"

@@ -48,8 +48,6 @@ __all__ = [
     "sup_exists",
     "kadison_witness",
     "compress",
-    "ando_candidate",
-    "spectral_criterion",
     "inf_exists",
     "ando_witness",
 ]
@@ -95,10 +93,12 @@ class InfimumVerdict:
 
     ``reduced_a`` / ``reduced_b`` are the mutually absolutely continuous
     parts the decision reduces to.  ``candidate`` is the spectral candidate
-    read from their factor (`_spectrum`); it equals ``ando_candidate(a, b)``.
-    ``exists``, and which reduced part is ``inf``, read the module's rule on
-    that factor.  ``inf`` (which agrees with ``candidate``) is set iff
-    the infimum exists, ``witness`` (an `ando_witness`) iff it does not.
+    ``j g(a~) j``, ``g(t) = min(t, 1 - t)``, read from their factor
+    (`_spectrum`): always a common lower bound of the pair, and the infimum
+    whenever one exists.  ``exists``, and which reduced part is ``inf``,
+    read the module's rule on that factor.  ``inf`` (which agrees with
+    ``candidate``) is set iff the infimum exists, ``witness`` (an
+    `ando_witness`) iff it does not.
     """
 
     exists: bool
@@ -262,9 +262,10 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
 
     ``a_tilde = s^{+1/2} a s^{+1/2}`` with ``s = a + b``; when ``a`` and
     ``b`` are mutually absolutely continuous the spectrum of ``a_tilde``
-    on the range of ``s`` lies strictly inside ``(0, 1)``.
+    on the range of ``s`` lies strictly inside ``(0, 1)``.  Rejects
+    operands that are not PSD (`core.as_psd`).
     """
-    ha, hb, dec, q, s = _sum_range(a, b, tol)
+    ha, hb, dec, q, s = _sum_range(core.as_psd(a, tol), core.as_psd(b, tol), tol)
     j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * dec.kept(tol))
     a_tilde, b_tilde = (core.hermitian_part(q @ _on_range(h, q, s) @ q.conj().T) for h in (ha, hb))
     return Compression(a_tilde, b_tilde, j, dec.projector(tol), q)
@@ -290,32 +291,11 @@ def _candidate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return core.hermitian_part((x * g) @ x.conj().T)
 
 
-def ando_candidate(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Spectral candidate for the infimum: ``j g(a_tilde) j``, ``g(t) = min(t, 1-t)``.
-
-    Always a common lower bound of ``a`` and ``b``; equals the infimum
-    whenever the infimum exists.
-    """
-    return _candidate(*_spectrum(a, b, tol))
-
-
-def spectral_criterion(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Spectral form of the infimum decision for mutually AC pairs.
-
-    True iff the spectrum of ``a_tilde`` on the range of ``a + b`` does not
-    reach both sides of ``1/2`` by the module's rule.  Rejects pairs that
-    are not mutually absolutely continuous.
-    """
-    da = core.eig_hermitian(a, tol)
-    qb, _, c0 = lebesgue._angles(da, core.eig_hermitian(b, tol), tol)
-    # ran b inside ran a, and of the same dimension
-    if not (c0.shape[1] == qb.shape[1] == np.count_nonzero(da.kept(tol))):
-        raise MatrixError("spectral criterion requires mutually absolutely continuous inputs")
-    return not all(_sides(_spectrum(a, b, tol)[1], tol))
-
-
 def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     """Infimum decision: exists iff the AC parts of the pair are comparable.
+
+    The one public entry for the infimum: ``exists`` is the verdict and
+    ``candidate`` the spectral candidate.  Rejects operands that are not PSD.
 
     The reduction replaces ``(a, b)`` by the mutually absolutely continuous
     pair ``(a', b') = (v ma v*, v mb v*)`` of maximal parts.  One `_spectrum`
@@ -332,7 +312,8 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     projector on whose range ``x`` is injective; as ``g(0) = g(1) = 0``,
     both candidates are ``j g(a~) P j``.  In floating point they agree to
     rounding, which the "candidate of the pair" check of the
-    ``lattice.infimum`` catalogue entries guards.
+    ``lattice.infimum`` catalogue entries guards against the candidate of
+    the full pair's `_spectrum`.
     """
     v, ma, mb, x, w = _reduced_spectrum(a, b, tol)
     x = core._phase_normalized(v @ x)

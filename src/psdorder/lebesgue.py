@@ -74,15 +74,20 @@ def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     return qb, sines, c[:, sines <= tol.rel]
 
 
+def _psd_angles(a, b, tol: Tolerance):
+    """`_angles` of two operands, each decomposed once and required PSD."""
+    return _angles(*(core.eig_hermitian(m, tol).require_psd(tol) for m in (a, b)), tol)
+
+
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``ran b`` is contained in ``ran a`` (so ``b << a``)."""
-    qb, _, c0 = _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)
+    """True iff ``ran b`` is contained in ``ran a`` (so ``b << a``); both must be PSD."""
+    qb, _, c0 = _psd_angles(a, b, tol)
     return c0.shape[1] == qb.shape[1]
 
 
 def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``ran a`` and ``ran b`` intersect only in ``{0}``."""
-    return _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[2].shape[1] == 0
+    """True iff ``ran a`` and ``ran b`` intersect only in ``{0}``; both must be PSD."""
+    return _psd_angles(a, b, tol)[2].shape[1] == 0
 
 
 _GRADED_RATIO = float(2**20)
@@ -105,7 +110,7 @@ def _machine_pinv(m: np.ndarray) -> np.ndarray:
 
 
 def parallel_sum(a, b) -> np.ndarray:
-    """Parallel sum ``a (a + b)^+ b``.
+    """Parallel sum ``a (a + b)^+ b`` of two PSD matrices (`core.as_psd`).
 
     Symmetric in its arguments and a lower bound of both.  When the two
     operands differ in scale by many orders of magnitude, the sum is
@@ -117,8 +122,8 @@ def parallel_sum(a, b) -> np.ndarray:
     ``s = a + b`` satisfies ``a w b = a s^+ b`` (the kernel of ``s`` lies
     in the kernels of both operands).
     """
-    ha = core.as_hermitian(a)
-    hb = core.as_hermitian(b)
+    ha = core.as_psd(a)
+    hb = core.as_psd(b)
     core._same_dim(ha, hb)
     na = float(np.max(np.abs(ha)))
     nb = float(np.max(np.abs(hb)))
@@ -178,10 +183,11 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
 
     Returns the maximal decomposition: ``ac`` is the largest PSD matrix
     satisfying ``ac <= b`` and ``ac << a``.  Alternative (non-maximal)
-    decompositions exist in general and are not enumerated.
+    decompositions exist in general and are not enumerated.  Both ``b``
+    and the reference ``a`` must be PSD.
     """
     db = core.eig_hermitian(b, tol).require_psd(tol)
-    qb, _, c0 = _angles(core.eig_hermitian(a, tol), db, tol)
+    qb, _, c0 = _angles(core.eig_hermitian(a, tol).require_psd(tol), db, tol)
     v = qb @ c0
     mi, y = _shorted(db, v, tol)
     ac = core.hermitian_part(v @ mi @ v.conj().T)

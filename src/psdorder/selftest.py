@@ -27,7 +27,7 @@ import numpy as np
 from . import core, forms, lattice, lebesgue, sampling
 from .core import DEFAULT_TOL, MatrixError, Tolerance
 from .sampling import incomparable_pair, random_psd, random_ray_in_range, random_vector
-from .strength import order_witness, strength, strength_bisection, strength_dominates
+from .strength import order_witness, strength
 
 __all__ = [
     "CATALOGUE",
@@ -182,6 +182,59 @@ def _lam(a, f, tol: Tolerance) -> float:
 
 def _pos_part(m):
     return core.eig_hermitian(m).apply(lambda w: np.clip(w, 0.0, None))
+
+
+def _bisect_strength(a, f, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Strength located by 60 bisection steps on ``t -> is_psd(a - t f f*)``.
+
+    The oracle of ``strength.bisection``: independent of the closed form in
+    `strength`, it only consumes PSD verdicts.  The bracket
+    ``[0, max_eig(a) / ||f||^2 + 1]`` always straddles the supremum.
+    """
+    v = core.as_vector(f)
+    ff = core.rank_one(v)  # rejects f = 0
+    dec = core.eig_hermitian(a, tol)
+    hi = max(float(dec.eigenvalues[-1]), 0.0) / float(np.linalg.norm(v)) ** 2 + 1.0
+    lo = 0.0
+    h = dec.reconstruct()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if core.is_psd(h - mid * ff, tol):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _dominates(a, b, tol: Tolerance = DEFAULT_TOL, samples: int = 20, seed: int = 0) -> bool:
+    """Whether strength functions put ``a`` below ``b``: ``strength(a, f) <= strength(b, f)``.
+
+    The oracle of ``strength.dominance`` and ``strength.order_witness``.  If
+    `order_witness` finds a ray, that ray decides: dominance fails iff it
+    shows a strict gap.  Otherwise each of ``samples`` rays drawn from
+    ``default_rng(seed)`` (real for a real pair, every other one in ``ran a``)
+    must satisfy it to ``1e-8`` relative.
+    """
+    if samples < 1:  # an empty sample would vouch for any pair
+        raise MatrixError("samples must be at least 1")
+    ha = core.as_hermitian(a, tol)
+    da, db = core.eig_hermitian(ha, tol), core.eig_hermitian(b, tol)
+    ray = order_witness(ha, b, tol)
+    if ray is not None:
+        return not _lam(da, ray, tol) > _lam(db, ray, tol)
+    rng = np.random.default_rng(seed)
+    cplx = np.iscomplexobj(da.vectors) or np.iscomplexobj(db.vectors)
+    for k in range(samples):
+        g = rng.standard_normal(da.n)
+        if cplx:
+            g = g + 1j * rng.standard_normal(da.n)
+        f = ha @ g if k % 2 else g
+        if float(np.linalg.norm(f)) <= tol.abs:
+            f = g
+        la = _lam(da, f, tol)
+        if la > _lam(db, f, tol) + 1e-8 * (1.0 + la):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +470,7 @@ def _rank_one(c, a, rank, cplx):
 @_entry("strength.bisection", _operator_and_ray)
 def _bisection(c, a, f):
     lam = _lam(a, f, c.tol)
-    c(abs(strength_bisection(a, f, c.tol) - lam) <= 1e-6 * (1.0 + lam), "bisection oracle")
+    c(abs(_bisect_strength(a, f, c.tol) - lam) <= 1e-6 * (1.0 + lam), "bisection oracle")
 
 
 @_entry("strength.supremum", _operator_and_ray)
@@ -451,8 +504,7 @@ def _penrose(c, a, f):
 
 @_entry("strength.dominance", _ordered_pair)
 def _dominance(c, a, b):
-    # strength_dominates raises ToleranceBreakdownError on any violating ray
-    c(strength_dominates(a, b, c.tol, samples=50, seed=7000 + c.t), "dominance on 50 rays")
+    c(_dominates(a, b, c.tol, samples=50, seed=7000 + c.t), "dominance on 50 rays")
     c(order_witness(a, b, c.tol) is None, "no order witness")
 
 
@@ -465,7 +517,7 @@ def _order_witness(c, a, b):
     la = _lam(a, f, c.tol)
     c(la - _lam(b, f, c.tol) > 1e-9 * eig_scale(a, b), "strict strength gap")
     c(abs(la - 1.0) <= 1e-8, "unit strength along the witness")
-    c(not strength_dominates(a, b, c.tol, samples=4, seed=2000 + c.t), "no dominance")
+    c(not _dominates(a, b, c.tol, samples=4, seed=2000 + c.t), "no dominance")
 
 
 @_entry("strength.homogeneity", _operator_pair_and_ray)
@@ -620,7 +672,7 @@ def _compress(c, a, b, *_):
 @_entry("lattice.candidate.incomparable", _incomparable)
 @_entry("lattice.candidate", _psd_pair)
 def _candidate(c, a, b, *_):
-    cand = lattice.ando_candidate(a, b, c.tol)
+    cand = lattice._candidate(*lattice._spectrum(a, b, c.tol))
     c(core.loewner_leq(cand, a, c.tol) and core.loewner_leq(cand, b, c.tol), "candidate below both")
 
 
@@ -631,7 +683,10 @@ def _infimum(c, a, b, *_):
     """Three routes agree, the candidate is the pair's, an infimum dominates
     sampled lower bounds and a witness is a lower bound incomparable with it."""
     v = lattice.inf_exists(a, b, c.tol)
-    c(lattice.spectral_criterion(v.reduced_a, v.reduced_b, c.tol) == v.exists, "spectral route agrees")
+    da, db = (core.eig_hermitian(m, c.tol) for m in (v.reduced_a, v.reduced_b))
+    mutual = lebesgue.absolutely_continuous(db, da, c.tol) and lebesgue.absolutely_continuous(da, db, c.tol)
+    straddles = all(lattice._sides(lattice._spectrum(v.reduced_a, v.reduced_b, c.tol)[1], c.tol))
+    c(mutual and straddles != v.exists, "spectral route agrees")
     try:
         lattice.ando_witness(a, b, c.tol)
         witness_feasible = True
@@ -639,7 +694,8 @@ def _infimum(c, a, b, *_):
         witness_feasible = False
     c(witness_feasible == (not v.exists), "witness route agrees")
     sc = eig_scale(a, b)
-    c(_close(v.candidate, lattice.ando_candidate(a, b, c.tol), 1e-10 * sc), "candidate of the pair")
+    pair = lattice._candidate(*lattice._spectrum(a, b, c.tol))
+    c(_close(v.candidate, pair, 1e-10 * sc), "candidate of the pair")
     if not v.exists:
         d = v.witness
         floor = 1e-9 * sc

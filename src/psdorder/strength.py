@@ -8,7 +8,10 @@ satisfying ``A^{1/2} w = f`` and ``strength = 1 / ||w||^2``.
 
 Strength functions characterize the Loewner order: ``A <= B`` iff the
 strength of ``A`` never exceeds that of ``B`` along any ray.  When the order
-fails, `order_witness` constructs a ray certifying the failure.
+fails, `order_witness` constructs a ray certifying the failure; the
+``strength.*`` entries of `psdorder.selftest` cross-check both against
+independent oracles.  `strength` requires a PSD operand (`NotPsdError`
+otherwise); `order_witness`, like `core.comparable`, takes any Hermitian pair.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .core import DEFAULT_TOL, MatrixError, Tolerance, ToleranceBreakdownError
 __all__ = [
     "StrengthResult",
     "strength",
-    "strength_bisection",
-    "strength_dominates",
     "order_witness",
 ]
 
@@ -52,13 +53,14 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     Zero when ``f`` is outside the numeric range of ``a``, i.e. when the
     sine ``||f_perp|| / ||f||`` of its angle with that range exceeds
     ``tol.rel``; otherwise ``1 / (f* a^+ f)``.
-    Rejects ``f = 0``: the strength is only defined along non-zero rays.
+    Rejects ``f = 0``, and an ``a`` that is not PSD: the strength is only
+    defined along non-zero rays of a PSD matrix.
     """
     v = core.as_vector(f)
     nf = float(np.linalg.norm(v))
     if nf == 0.0:
         raise MatrixError("strength is only defined along a non-zero ray")
-    dec = core.eig_hermitian(a, tol)
+    dec = core.eig_hermitian(a, tol).require_psd(tol)
     if dec.n != v.size:
         raise core.DimensionMismatchError(
             f"dimension mismatch: matrix is {dec.n}, ray has {v.size}"
@@ -75,31 +77,6 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
         raise ToleranceBreakdownError("in-range ray produced a non-positive bound")
     witness = dec.vectors[:, keep] @ (ck / np.sqrt(wk))
     return StrengthResult(1.0 / m, witness, m)
-
-
-def strength_bisection(a, f, tol: Tolerance = DEFAULT_TOL, iterations: int = 60) -> float:
-    """Strength located by bisection on ``t -> is_psd(a - t f f*)``.
-
-    Independent of the closed form in `strength`: it only consumes PSD
-    verdicts.  The bracket ``[0, max_eig(a) / ||f||^2 + 1]`` always
-    straddles the supremum.
-    """
-    v = core.as_vector(f)
-    nf2 = float(np.linalg.norm(v)) ** 2
-    if nf2 == 0.0:
-        raise MatrixError("strength is only defined along a non-zero ray")
-    ff = core.rank_one(v)
-    dec = core.eig_hermitian(a, tol)
-    hi = max(float(dec.eigenvalues[-1]), 0.0) / nf2 + 1.0
-    lo = 0.0
-    h = dec.reconstruct()
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if core.is_psd(h - mid * ff, tol):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
@@ -140,48 +117,3 @@ def _order_test(a, b, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | Non
         "inconsistent with positivity of the right-hand side"
     )
 
-
-def strength_dominates(
-    a,
-    b,
-    tol: Tolerance = DEFAULT_TOL,
-    samples: int = 20,
-    seed: int = 0,
-) -> bool:
-    """Decide ``a <= b`` and cross-check it through strength functions.
-
-    Returns the Loewner verdict.  When the order holds, `samples` seeded
-    random rays are checked for dominance ``strength(a, f) <= strength(b, f)``;
-    a violation raises `ToleranceBreakdownError` since it contradicts the
-    verdict.  When the order fails, the deterministic `order_witness` ray is
-    required to exhibit a strict strength gap.
-    """
-    if samples < 1:
-        raise MatrixError("samples must be at least 1")
-    ha = core.as_hermitian(a, tol)
-    hb = core.as_hermitian(b, tol)
-    ray = order_witness(ha, hb, tol)
-    da = core.eig_hermitian(ha, tol)
-    db = core.eig_hermitian(hb, tol)
-    if ray is not None:
-        if not strength(da, ray, tol).value > strength(db, ray, tol).value:
-            raise ToleranceBreakdownError("order witness failed to produce a strength gap")
-        return False
-    rng = np.random.default_rng(seed)
-    n = ha.shape[0]
-    # real rays decide dominance for a real pair
-    cplx = np.iscomplexobj(ha) or np.iscomplexobj(hb)
-    for k in range(samples):
-        g = rng.standard_normal(n)
-        if cplx:
-            g = g + 1j * rng.standard_normal(n)
-        f = ha @ g if k % 2 else g
-        if float(np.linalg.norm(f)) <= tol.abs:
-            f = g
-        la = strength(da, f, tol).value
-        lb = strength(db, f, tol).value
-        if la > lb + 1e-8 * (1.0 + la):
-            raise ToleranceBreakdownError(
-                f"sampled ray violates strength dominance despite a <= b ({la} > {lb})"
-            )
-    return True

@@ -327,6 +327,13 @@ class TestExitCodes:
         assert cli.main(["lebesgue", "--a", files["id2"], "--b", indefinite]) == 2
         assert "precondition rejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["strength", "lebesgue", "parsum", "compress"])
+    def test_indefinite_a_rejected(self, capsys, files, tmp_path, command):
+        indefinite = write_matrix(tmp_path / "indef.json", np.diag([1.0, -1.0]))
+        other = ["--f", files["e1"]] if command == "strength" else ["--b", files["id2"]]
+        assert cli.main([command, "--a", indefinite] + other) == 2
+        assert "precondition rejected" in capsys.readouterr().err
+
     def test_dimension_mismatch(self, capsys, files, tmp_path):
         three = write_matrix(tmp_path / "id3.json", np.eye(3))
         assert cli.main(["leq", "--a", files["id2"], "--b", three]) == 2
@@ -524,6 +531,22 @@ class TestReverifyTampered:
                 claim["atol_scale"] = 1e300
         failures = cli.reverify_report(report)
         assert [msg.split(":")[0] for msg in failures] == ["claims", "sandwich", "sandwich"]
+
+    def test_leq_report_over_an_indefinite_a(self, capsys, files, tmp_path):
+        """`leq` takes any Hermitian pair, so it reports on ``a = diag(1, -1)``.  Below
+        ``I`` its `leq` claim re-verifies; against ``diag(0, 1)`` its `strength_gap`
+        claim reads `strength` of ``a``, which rejects the operand, so the report fails."""
+        indefinite = write_matrix(tmp_path / "indef.json", np.diag([1.0, -1.0]))
+        code, report = run_json(capsys, ["leq", "--a", indefinite, "--b", files["id2"]])
+        assert code == 0 and report["verdict"]["leq"] is True
+        assert cli.reverify_report(report) == []
+        code, report = run_json(capsys, ["leq", "--a", indefinite, "--b", files["q"]])
+        assert code == 0 and report["verdict"] == {"leq": False, "comparison": "incomparable"}
+        failures = cli.reverify_report(report)
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            "strength_gap: error during re-verification: matrix is not positive semidefinite"
+        )
 
     def test_claim_without_kind_is_a_failure(self, capsys, files):
         code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])

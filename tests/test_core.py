@@ -109,6 +109,27 @@ class TestIsPsd:
         assert po.is_psd(np.diag([1.0, -1e-14]))
 
 
+# Entry points whose contract assumes a PSD operand, each fed an indefinite one
+# against the identity (or along the ray e0).
+PSD_ENTRIES = {
+    "strength": lambda x: po.strength(x, [1.0, 0.0]),
+    "ac_part": lambda x: po.ac_part(np.eye(2), x),
+    "absolutely_continuous": lambda x: po.absolutely_continuous(np.eye(2), x),
+    "mutually_singular": lambda x: po.mutually_singular(x, np.eye(2)),
+    "parallel_sum": lambda x: po.parallel_sum(x, np.eye(2)),
+    "compress": lambda x: po.compress(x, np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name", list(PSD_ENTRIES))
+def test_indefinite_operand_is_rejected(name, cplx):
+    """``diag(1, -1)``, or a complex Hermitian matrix with eigenvalues ``±√1.25``, is not PSD."""
+    x = np.array([[1.0, 0.5j], [-0.5j, -1.0]]) if cplx else np.diag([1.0, -1.0])
+    with pytest.raises(po.NotPsdError):
+        PSD_ENTRIES[name](x)
+
+
 def _dense_pool(n=128, per_combo=2):
     """The pairs of the benchmark's ``dense`` pool at seed 1, drawn in its order:
     five families at n = 128, real and complex, each pair followed by its ray."""

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import psdorder as po
-from psdorder import cli, sampling
+from psdorder import cli, lattice, sampling
 
 N = 4
 
@@ -100,15 +100,6 @@ def test_order_witness(linalg_calls, inst):
     assert count(linalg_calls, po.order_witness, inst["a"], inst["b"])[0] == incomparable_calls(inst, True)
 
 
-@pytest.mark.parametrize("lo, hi, leq", [("low", "up", True), ("a", "b", False)])
-def test_strength_dominates(linalg_calls, inst, lo, hi, leq):
-    """One decomposition of each operand, and of ``b - a`` only for the ray, whatever the number of rays."""
-    calls, verdict = count(linalg_calls, po.strength_dominates, inst[lo], inst[hi])
-    assert verdict is leq
-    order = (0, 0, 1) if leq else incomparable_calls(inst, True)
-    assert calls == (order[0] + 2, 0, order[2])
-
-
 def test_mutually_singular(linalg_calls, inst):
     assert count(linalg_calls, po.mutually_singular, inst["low"], inst["b"])[0] == (2, 1, 0)
 
@@ -118,18 +109,16 @@ def test_ac_part(linalg_calls, inst):
 
 
 def test_compress(linalg_calls, inst):
-    assert count(linalg_calls, po.compress, inst["a"], inst["b"])[0] == (1, 0, 0)
+    """One eigh of the sum; `core.as_psd` validates each full-rank operand with one band Cholesky."""
+    assert count(linalg_calls, po.compress, inst["a"], inst["b"])[0] == (1, 0, 2)
 
 
 def test_ando_candidate_decomposes_a_tilde_on_the_range(linalg_calls, inst):
-    """One eigh of the sum, then one of ``a_tilde`` on the sum's range only."""
+    """The candidate of the full pair: one eigh of the sum, then one of ``a_tilde`` on the sum's range only."""
     assert po.numeric_rank(inst["low"] + inst["up"]) == 3
-    count(linalg_calls, po.ando_candidate, inst["low"], inst["up"])
+    linalg_calls.clear()
+    lattice._candidate(*lattice._spectrum(inst["low"], inst["up"], po.DEFAULT_TOL))
     assert linalg_calls == [("eigh", (N, N)), ("eigh", (3, 3))]
-
-
-def test_spectral_criterion(linalg_calls, inst):
-    assert count(linalg_calls, po.spectral_criterion, inst["a"], inst["b"])[0] == (4, 0, 0)
 
 
 def test_ando_witness(linalg_calls, inst):

@@ -9,6 +9,11 @@ from psdorder.selftest import CATALOGUE
 from conftest import holds
 
 
+def straddles(a, b):
+    """Whether the spectrum of the full pair, by the private `lattice._spectrum`, reaches both sides of 1/2."""
+    return all(lattice._sides(lattice._spectrum(a, b, po.DEFAULT_TOL)[1], po.DEFAULT_TOL))
+
+
 @pytest.fixture(scope="module")
 def infimum_probe():
     """1540 pairs and their verdicts at scale 1: the three ``lattice.infimum``
@@ -194,9 +199,6 @@ class TestCompress:
         a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         comp = po.compress(a, b)
         np.testing.assert_allclose(comp.a_tilde, np.diag([1.0, 0.0]), atol=1e-12)
-        # the pair is not mutually AC, so the spectral route rejects it
-        with pytest.raises(po.MatrixError):
-            po.spectral_criterion(a, b)
 
     def test_invariants_random(self, rng):
         holds(rng, 15, "lattice.compress")
@@ -217,14 +219,14 @@ class TestCompress:
 
 class TestAndoCandidate:
     def test_equal_identity(self):
-        np.testing.assert_allclose(po.ando_candidate(np.eye(2), np.eye(2)), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(po.inf_exists(np.eye(2), np.eye(2)).candidate, np.eye(2), atol=1e-12)
 
     def test_diagonal_pair(self):
-        got = po.ando_candidate(np.diag([2.0, 1.0]), np.diag([1.0, 2.0]))
+        got = po.inf_exists(np.diag([2.0, 1.0]), np.diag([1.0, 2.0])).candidate
         np.testing.assert_allclose(got, np.eye(2), atol=1e-12)
 
     def test_disjoint_projections(self):
-        got = po.ando_candidate(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        got = po.inf_exists(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])).candidate
         assert np.max(np.abs(got)) <= 1e-12
 
     def test_always_lower_bound(self, rng):
@@ -234,13 +236,13 @@ class TestAndoCandidate:
 class TestSpectralCriterion:
     def test_equal_pair(self, rng):
         a = sampling.random_psd(rng, 3)
-        assert po.spectral_criterion(a, a)
+        assert po.inf_exists(a, a).exists
 
     def test_straddling_diagonals(self):
-        assert not po.spectral_criterion(np.diag([2.0, 1.0]), np.diag([1.0, 2.0]))
+        assert not po.inf_exists(np.diag([2.0, 1.0]), np.diag([1.0, 2.0])).exists
 
     def test_one_sided_diagonals(self):
-        assert po.spectral_criterion(np.diag([1.0, 1.0]), np.diag([2.0, 3.0]))
+        assert po.inf_exists(np.diag([1.0, 1.0]), np.diag([2.0, 3.0])).exists
 
 
 class TestInfExists:
@@ -281,7 +283,7 @@ class TestInfExists:
         if rotate:
             q = np.linalg.qr(sampling.rng_from_seed(11).standard_normal((3, 3)))[0]
             a, b = q @ a @ q.T, q @ b @ q.T
-        assert not po.spectral_criterion(a, b)
+        assert straddles(a, b)
         assert not po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b))
         with pytest.raises(po.ToleranceBreakdownError, match="witness window is empty"):
             po.inf_exists(a, b)
@@ -322,7 +324,7 @@ class TestInfExists:
             v = po.inf_exists(a, b)
             assert v.exists and v.inf is v.reduced_a
             assert np.allclose(v.inf, a, rtol=0.0, atol=1e-15 / small)
-            assert po.spectral_criterion(a, b)
+            assert not straddles(a, b)
             assert po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b))
 
     @pytest.mark.parametrize(
@@ -375,7 +377,7 @@ class TestAndoWitness:
     def test_fixture_contracts(self):
         a, b = np.diag([2.0, 1.0]), np.diag([1.0, 2.0])
         d = po.ando_witness(a, b)
-        cand = po.ando_candidate(a, b)
+        cand = po.inf_exists(a, b).candidate
         assert po.is_psd(d)
         assert po.loewner_leq(d, a)
         assert po.loewner_leq(d, b)

@@ -1,10 +1,8 @@
-import sys
-
 import numpy as np
 import pytest
 
 import psdorder as po
-from psdorder import sampling
+from psdorder import sampling, selftest
 from conftest import holds
 
 
@@ -27,14 +25,14 @@ class TestStrengthExamples:
         f = np.array([1.0, 1.0])
         res = po.strength(a, f)
         assert res.value == pytest.approx(1.0, abs=1e-12)
-        oracle = po.strength_bisection(a, f)
+        oracle = selftest._bisect_strength(a, f)
         assert oracle == pytest.approx(res.value, abs=1e-6 * (1 + res.value))
 
     def test_rejects_zero_ray(self):
         with pytest.raises(po.MatrixError):
             po.strength(np.eye(2), [0.0, 0.0])
         with pytest.raises(po.MatrixError):
-            po.strength_bisection(np.eye(2), [0.0, 0.0])
+            selftest._bisect_strength(np.eye(2), [0.0, 0.0])
 
     def test_zero_matrix(self):
         assert po.strength(np.zeros((2, 2)), [1.0, 0.0]).value == 0.0
@@ -80,39 +78,40 @@ class TestStrengthInvariants:
 
 
 class TestStrengthDominates:
+    """`selftest._dominates`, the sampled strength-dominance oracle of the ``strength.*`` entries."""
+
     def test_ordered_diagonal(self):
-        assert po.strength_dominates(np.diag([1.0, 1.0]), np.diag([2.0, 1.0]))
+        assert selftest._dominates(np.diag([1.0, 1.0]), np.diag([2.0, 1.0]))
 
     def test_unordered_diagonal(self):
-        assert not po.strength_dominates(np.diag([2.0, 1.0]), np.diag([1.0, 2.0]))
+        assert not selftest._dominates(np.diag([2.0, 1.0]), np.diag([1.0, 2.0]))
 
     def test_identity_pair(self, rng):
         a = sampling.random_psd(rng, 3)
-        assert po.strength_dominates(a, a, samples=30, seed=5)
+        assert selftest._dominates(a, a, samples=30, seed=5)
 
     def test_rejects_bad_samples(self):
         with pytest.raises(po.MatrixError):
-            po.strength_dominates(np.eye(2), np.eye(2), samples=0)
+            selftest._dominates(np.eye(2), np.eye(2), samples=0)
 
     def test_equal_strengths_imply_equal_matrices(self, rng):
         # dominance in both directions pins the matrices together
         a = sampling.random_psd(rng, 3)
-        assert po.strength_dominates(a, a.copy(), samples=20, seed=7)
-        assert po.strength_dominates(a.copy(), a, samples=20, seed=8)
+        assert selftest._dominates(a, a.copy(), samples=20, seed=7)
+        assert selftest._dominates(a.copy(), a, samples=20, seed=8)
         assert po.comparable(a, a.copy()) is po.Comparison.EQUAL
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_rays_are_real_for_a_real_pair(self, rng, monkeypatch, cplx):
-        module = sys.modules["psdorder.strength"]
         rays = []
 
         def spy(a, f, tol=po.DEFAULT_TOL):
             rays.append(np.asarray(f).dtype)
             return po.strength(a, f, tol)
 
-        monkeypatch.setattr(module, "strength", spy)
+        monkeypatch.setattr(selftest, "strength", spy)
         a = sampling.random_psd(rng, 3, complex_entries=cplx)
-        assert po.strength_dominates(a, a + np.eye(3))
+        assert selftest._dominates(a, a + np.eye(3))
         assert len(rays) == 40
         assert set(rays) == {np.dtype(np.complex128 if cplx else np.float64)}
 
@@ -130,8 +129,8 @@ class TestOrderWitness:
         assert la > lb
         assert la / lb == pytest.approx(2.0, rel=1e-9)
         # bisection confirms both values
-        assert po.strength_bisection(a, f) == pytest.approx(la, abs=1e-6 * (1 + la))
-        assert po.strength_bisection(b, f) == pytest.approx(lb, abs=1e-6 * (1 + lb))
+        assert selftest._bisect_strength(a, f) == pytest.approx(la, abs=1e-6 * (1 + la))
+        assert selftest._bisect_strength(b, f) == pytest.approx(lb, abs=1e-6 * (1 + lb))
 
     def test_absent_when_ordered(self, rng):
         holds(rng, 12, "strength.dominance")
