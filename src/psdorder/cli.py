@@ -149,15 +149,14 @@ class LoadedValue:
     """Input matrix or vector with its provenance descriptor."""
 
     kind: str  # "matrix" | "vector"
-    value: np.ndarray
+    value: core.EigDecomp | np.ndarray  # a matrix's validated operand, which handlers pass on
     descriptor: dict  # {"path", "sha256", "kind", "value": obj}
 
 
-def _loaded(kind: str, value: np.ndarray, path: str, raw: bytes) -> LoadedValue:
+def _loaded(kind: str, value, path: str, raw: bytes) -> LoadedValue:
     digest = hashlib.sha256(raw).hexdigest()
-    return LoadedValue(
-        kind, value, {"path": path, "sha256": digest, "kind": kind, "value": _pack(value)}
-    )
+    node = _pack(value.matrix if kind == "matrix" else value)
+    return LoadedValue(kind, value, {"path": path, "sha256": digest, "kind": kind, "value": node})
 
 
 def _load_file(path: str, kind: str, tol: Tolerance) -> LoadedValue:
@@ -174,7 +173,7 @@ def _load_file(path: str, kind: str, tol: Tolerance) -> LoadedValue:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliInputError(f"cannot parse {path}: {exc}") from exc
     try:
-        value = core.as_hermitian(value, tol) if kind == "matrix" else core.as_vector(value)
+        value = core.eig_hermitian(value, tol) if kind == "matrix" else core.as_vector(value)
     except MatrixError as exc:
         raise CliInputError(f"load error for {path}: {exc}") from exc
     return _loaded(kind, value, path, raw)
@@ -190,8 +189,8 @@ def load_vector_file(path: str, tol: Tolerance) -> LoadedValue:
 
 def memory_value(name: str, value, kind: str = "matrix") -> LoadedValue:
     """Descriptor for an in-memory input (used by the self-test suites)."""
-    value = core.as_matrix(value) if kind == "matrix" else core.as_vector(value)
-    raw = _dumps(to_obj(value)).encode("utf-8")
+    value = core.eig_hermitian(value) if kind == "matrix" else core.as_vector(value)
+    raw = _dumps(to_obj(value.matrix if kind == "matrix" else value)).encode("utf-8")
     return _loaded(kind, value, f"<memory:{name}>", raw)
 
 
@@ -319,7 +318,8 @@ def reverify_report(report: dict) -> list[str]:
     serialized form alone, at the report's own stated tolerance, so a consumer must check
     ``tolerance`` themselves.  A stated tolerance that is missing, non-finite or not
     positive, or a command and verdict with no claims, is a failure, not raised.  Each
-    referenced input or witness is decoded once, and eigendecomposed at most once.
+    referenced input or witness is decoded once, a matrix into its operand
+    (`core.eig_hermitian`), so it is validated once and eigendecomposed at most once.
     """
     try:
         stated = report["tolerance"]
@@ -332,16 +332,12 @@ def reverify_report(report: dict) -> list[str]:
         return [f"claims: no claims are fixed for this command and verdict: {exc!r}"]
 
     @functools.cache
-    def resolve(ref) -> np.ndarray:
+    def resolve(ref) -> core.EigDecomp | np.ndarray:
         domain, _, name = ref.partition(":")
         node = report[{"input": "inputs", "witness": "witnesses"}[domain]][name]
         value = from_obj(node["value"], node["kind"])
         value.flags.writeable = False  # shared by every claim that names it
-        return value
-
-    @functools.cache
-    def decompose(ref) -> core.EigDecomp:
-        return core.eig_hermitian(resolve(ref), tol)
+        return core.eig_hermitian(value, tol) if node["kind"] == "matrix" else value
 
     failures: list[str] = []
     # Compared as text: True == 1.0 in Python, but not in a report.
@@ -349,7 +345,7 @@ def reverify_report(report: dict) -> list[str]:
         failures.append("claims: the listed claims are not the ones its command and verdict fix")
     for claim in claims:
         try:
-            ok = _check_claim(claim, resolve, decompose, tol)
+            ok = _check_claim(claim, resolve, tol)
         except (
             ValueError, TypeError, KeyError, OverflowError, CliInputError, ToleranceBreakdownError
         ) as exc:
@@ -368,12 +364,9 @@ def _residual_ok(residual: np.ndarray, *scale_by) -> bool:
     return float(np.max(np.abs(residual))) <= CLOSE_ATOL_SCALE * _norm_scale(*scale_by)
 
 
-def _check_claim(claim: dict, resolve, decompose, tol: Tolerance) -> bool:
-    def get(key):
-        return resolve(claim[key])
-
-    def dec(key):
-        return decompose(claim[key])
+def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
+    def get(key):  # a matrix operand, as `resolve` decoded it; a vector in its place fails here
+        return core.eig_hermitian(resolve(claim[key]), tol)
 
     kind = claim["kind"]
     if kind == "psd":
@@ -384,26 +377,26 @@ def _check_claim(claim: dict, resolve, decompose, tol: Tolerance) -> bool:
     if kind == "incomparable":
         return core.comparable(get("subject"), get("other"), tol) is Comparison.INCOMPARABLE
     if kind == "close":
-        a, b = get("subject"), get("other")
+        a, b = get("subject").matrix, get("other").matrix
         return _residual_ok(a - b, a, b)
     if kind == "sum_equals":
-        parts = [resolve(ref) for ref in claim["parts"]]
-        total = get("total")
+        parts = [core.eig_hermitian(resolve(ref), tol).matrix for ref in claim["parts"]]
+        total = get("total").matrix
         return _residual_ok(sum(parts) - total, total)
     if kind == "sandwich":
-        outer, mid, target = get("outer"), get("mid"), get("target")
+        outer, mid, target = (get(key).matrix for key in ("outer", "mid", "target"))
         return _residual_ok(outer @ mid @ outer - target, target)
     if kind == "abs_continuous":
-        return lebesgue.absolutely_continuous(dec("subject"), dec("other"), tol)
+        return lebesgue.absolutely_continuous(get("subject"), get("other"), tol)
     if kind == "singular":
-        return lebesgue.mutually_singular(dec("subject"), dec("other"), tol)
+        return lebesgue.mutually_singular(get("subject"), get("other"), tol)
     if kind == "sqrt_image":
-        op, vec, target = get("operator"), get("vector"), get("target")
-        image = core.sqrt_psd(dec("operator"), tol) @ vec
-        limit = tol.rel * _norm_scale(op) * max(1.0, float(np.linalg.norm(target)))
+        op, vec, target = get("operator"), resolve(claim["vector"]), resolve(claim["target"])
+        image = core.sqrt_psd(op, tol) @ vec
+        limit = tol.rel * _norm_scale(op.matrix) * max(1.0, float(np.linalg.norm(target)))
         return float(np.linalg.norm(image - target)) <= max(limit, tol.abs)
     if kind == "strength_supremum":
-        op, ray = get("operator"), get("ray")
+        op, ray = get("operator").matrix, resolve(claim["ray"])
         if type(claim["value"]) not in (int, float):  # a JSON boolean is not a number here
             raise CliInputError(f"strength_supremum value {claim['value']!r} is not a number")
         lam = float(claim["value"])
@@ -412,7 +405,7 @@ def _check_claim(claim: dict, resolve, decompose, tol: Tolerance) -> bool:
         at = core.is_psd(op - lam * ff, tol)
         above = core.is_psd(op - (lam + delta) * ff, tol)
         return at and not above
-    hi, lo, ray = get("hi"), get("lo"), get("ray")  # strength_gap
+    hi, lo, ray = get("hi"), get("lo"), resolve(claim["ray"])  # strength_gap
     return strength(hi, ray, tol).value > strength(lo, ray, tol).value
 
 
@@ -428,9 +421,12 @@ def cmd_strength(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> d
 
 
 def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    # One decomposition of b - a gives the comparison and the ray; loaded
-    # inputs are exactly Hermitian, so the comparison is `core.comparable`'s.
-    cmp, ray = _order_test(inputs["a"].value, inputs["b"].value, tol)
+    # A refuted order's `strength_gap` claim reads both operands' strengths, so
+    # both must be PSD; one decomposition of b - a gives the comparison and the ray.
+    a, b = inputs["a"].value, inputs["b"].value
+    for operand in (a, b):
+        core.as_psd(operand, tol)
+    cmp, ray = _order_test(a, b, tol)
     leq = cmp in (Comparison.LEQ, Comparison.EQUAL)
     verdict = {"leq": leq, "comparison": cmp.value}
     return _report("leq", inputs, tol, seed, verdict, {"ray": None if leq else ray})
@@ -622,7 +618,7 @@ def run(argv) -> int:
                 continue
             raise CliInputError(f"subcommand {args.command} requires --{name}")
         inputs[name] = (load_vector_file if name in vectors else load_matrix_file)(path, tol)
-    dims = {lv.value.shape[0] for lv in inputs.values()}
+    dims = {lv.descriptor["value"]["n"] for lv in inputs.values()}
     if len(dims) > 1:
         raise MatrixError(f"inputs disagree on dimension: {sorted(dims)}")
 

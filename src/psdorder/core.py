@@ -8,22 +8,27 @@ decisions go through one `Tolerance`, applied by `EigDecomp`, so that the
 answers are consistent with each other.  `_psd_band` certifies the same
 rule without an eigendecomposition wherever a Cholesky factor or a diagonal
 entry settles it beyond rounding, and defers to `EigDecomp` inside that
-band; `is_psd`, `as_psd` and `comparable` ask it first.  Functions that
-only read an operand's spectrum also accept its `EigDecomp`.
+band; `is_psd`, `as_psd` and `comparable` ask it first.
 
 Matrices are plain square numpy arrays, accepted as anything
 ``np.asarray`` can digest.  The dtype follows the operands (`_real_or_complex`):
 real input, and complex input whose imaginary part is all zero, is float64,
 anything else complex128, and a mixed pair promotes through numpy's own
 arithmetic, so a real symmetric pair is decided in real arithmetic and
-gets real witnesses.  Inputs are validated to be Hermitian up to a small
-defect and symmetrized before use; results are returned exactly Hermitian.
+gets real witnesses.  Results are returned exactly Hermitian.
+
+An `EigDecomp` is the validated operand.  A public entry point validates
+each matrix argument once, by `eig_hermitian` (finite, square, Hermitian up
+to a small defect, then symmetrized), and hands the operand down; private
+helpers never validate.  A sum or difference of operands becomes one by
+`_exact`, a product Hermitian up to rounding is made exact by `_symmetrized`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -155,8 +160,13 @@ def as_vector(x) -> np.ndarray:
 
 
 def hermitian_part(m) -> np.ndarray:
-    """Exactly Hermitian average ``(m + m*) / 2``."""
-    a = as_matrix(m)
+    """Exactly Hermitian average ``(m + m*) / 2`` of a finite square matrix."""
+    return _symmetrized(as_matrix(m))
+
+
+def _symmetrized(m) -> np.ndarray:
+    """`hermitian_part` without validation, for a product that is Hermitian up to rounding."""
+    a = _real_or_complex(m)
     return 0.5 * (a + a.conj().T)
 
 
@@ -170,30 +180,41 @@ def as_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
+def _same_dim(*ms: np.ndarray) -> None:
+    if len({m.shape for m in ms}) > 1:
+        raise DimensionMismatchError("dimension mismatch: " + " vs ".join(str(m.shape) for m in ms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigDecomp:
-    """Eigendecomposition of a Hermitian matrix.
+    """A validated Hermitian operand, and its eigendecomposition on first read.
 
-    ``eigenvalues`` are real and ascending, ``vectors`` holds the matching
-    orthonormal eigenvectors in its columns, and ``source_scale`` is
-    ``max(1, max|eigenvalue|)`` of the decomposed matrix, the scale used for
-    tolerance decisions about it.  The rank cutoff (`kept`) and the PSD
-    floor (`is_psd`) are applied here, and certified without a
-    decomposition by `_psd_band` alone.
+    ``matrix`` is exactly Hermitian, float64 or complex128 by
+    `_real_or_complex`.  `eig_hermitian` validates an input into one; the
+    library's private helpers build one directly only from a matrix that is
+    exactly Hermitian by construction (`_exact`, `_symmetrized`).  The
+    first read of ``eigenvalues``, ``vectors`` or ``source_scale`` runs the
+    one eigh of ``matrix``: ``eigenvalues`` are real and ascending,
+    ``vectors`` holds the matching orthonormal eigenvectors in its columns,
+    phase-normalized (largest-magnitude component real positive) so that
+    witnesses built from them are reproducible, and ``source_scale`` is
+    ``max(1, max|eigenvalue|)``, the scale used for tolerance decisions
+    about the matrix.  The rank cutoff (`kept`) and the PSD floor
+    (`is_psd`) are applied here, and certified without a decomposition by
+    `_psd_band` alone.
     """
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    source_scale: float
+    matrix: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray, float]:
+        w, v = np.linalg.eigh(self.matrix)
+        return w, _phase_normalized(v), max(1.0, float(np.max(np.abs(w))))
+
+    eigenvalues = property(lambda self: self._eigh[0])
+    vectors = property(lambda self: self._eigh[1])
+    source_scale = property(lambda self: self._eigh[2])
+    n = property(lambda self: self.matrix.shape[0])
 
     def reconstruct(self) -> np.ndarray:
         v = self.vectors
@@ -202,7 +223,7 @@ class EigDecomp:
     def apply(self, fn) -> np.ndarray:
         """Hermitian matrix with the same eigenvectors and eigenvalues ``fn(w)``."""
         v = self.vectors
-        return hermitian_part((v * fn(self.eigenvalues)) @ v.conj().T)
+        return _symmetrized((v * fn(self.eigenvalues)) @ v.conj().T)
 
     def rank_cutoff(self, tol: Tolerance = DEFAULT_TOL) -> float:
         return tol.rel * float(np.max(np.abs(self.eigenvalues))) + tol.abs
@@ -219,7 +240,7 @@ class EigDecomp:
 
     def projector(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         basis = self.range_basis(tol)
-        return hermitian_part(basis @ basis.conj().T)
+        return _symmetrized(basis @ basis.conj().T)
 
     def pinv_power(self, p: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Pseudo-inverse of the ``p``-th power: kept eigenvalues become ``w^-p``."""
@@ -237,19 +258,23 @@ class EigDecomp:
 
 
 def eig_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> EigDecomp:
-    """Eigendecomposition of a Hermitian matrix, deterministic for fixed input.
+    """The validated operand of a Hermitian matrix, decomposed on first read.
 
-    Rejects inputs whose asymmetry exceeds the tolerance.  Eigenvector
-    phases are normalized (largest-magnitude component real positive) so
-    that witnesses built from them are reproducible.  An `EigDecomp` is
-    returned unchanged.
+    Validates at once, by `as_hermitian`: rejects a non-square or non-finite
+    input, and one whose asymmetry exceeds the tolerance.  The
+    eigendecomposition is deterministic for fixed input and runs when the
+    result's spectrum is first read.  An `EigDecomp` is returned unchanged.
     """
-    if isinstance(m, EigDecomp):
-        return m
-    h = as_hermitian(m, tol)
-    w, v = np.linalg.eigh(h)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return EigDecomp(w, _phase_normalized(v), scale)
+    return m if isinstance(m, EigDecomp) else EigDecomp(as_hermitian(m, tol))
+
+
+def _exact(m: np.ndarray) -> EigDecomp:
+    """The operand of ``m``, a sum or difference of operands' matrices, so exactly
+    Hermitian: only the dtype rule applies, and a sum that overflowed is rejected."""
+    h = _real_or_complex(m)
+    if not np.all(np.isfinite(h)):
+        raise MatrixError("a sum or difference of the operands overflows")
+    return EigDecomp(h)
 
 
 def _phase_normalized(v: np.ndarray) -> np.ndarray:
@@ -314,19 +339,17 @@ def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the minimum eigenvalue clears ``-rel * max(1, max|eig|)``; `_psd_band` first."""
-    if isinstance(m, EigDecomp):
-        return m.is_psd(tol)
-    h = as_hermitian(m, tol)
-    verdict = _psd_band(h, tol)
-    return eig_hermitian(h, tol).is_psd(tol) if verdict is None else verdict
+    dec = eig_hermitian(m, tol)
+    verdict = _psd_band(dec.matrix, tol)
+    return dec.is_psd(tol) if verdict is None else verdict
 
 
 def as_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate PSD-ness and return the symmetrized matrix (entries unchanged)."""
-    h = as_hermitian(m, tol)
-    if not _psd_band(h, tol):  # eigh decides, and words the `NotPsdError`
-        eig_hermitian(h, tol).require_psd(tol)
-    return h
+    dec = eig_hermitian(m, tol)
+    if not _psd_band(dec.matrix, tol):  # eigh decides, and words the `NotPsdError`
+        dec.require_psd(tol)
+    return dec.matrix
 
 
 def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -380,31 +403,24 @@ def comparable(a, b, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     ``b - a`` and ``a - b`` share one PSD floor: `_psd_band` decides each,
     and if it defers on either, one decomposition of ``b - a`` decides both.
     """
-    ha, hb = _pair(a, b, tol)
-    return _compare(hb - ha, tol)[0]
+    return _compare(eig_hermitian(a, tol), eig_hermitian(b, tol), tol)[0]
 
 
-def _pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Each operand validated as Hermitian, of one dimension."""
-    ha = as_hermitian(a, tol)
-    hb = as_hermitian(b, tol)
-    _same_dim(ha, hb)
-    return ha, hb
-
-
-def _compare(d: np.ndarray, tol: Tolerance) -> tuple[Comparison, EigDecomp | None]:
-    """`comparable`'s verdict on ``d = b - a``, and the decomposition of ``d`` if one was needed.
+def _compare(da: EigDecomp, db: EigDecomp, tol: Tolerance) -> tuple[Comparison, EigDecomp]:
+    """`comparable`'s verdict on two operands, and the operand ``d = b - a``.
 
     ``a <= b`` iff ``d`` is PSD, and ``b <= a`` iff ``-d`` is, which eigh
-    reads as ``max eig(d) <= psd_floor``.
+    reads as ``max eig(d) <= psd_floor``.  The bands read ``b - a`` as
+    subtracted, before the dtype rule.
     """
-    dec = None
-    le = _psd_band(d, tol)
-    ge = None if le is None else _psd_band(-d, tol)
+    _same_dim(da.matrix, db.matrix)
+    h = db.matrix - da.matrix
+    d = _exact(h)
+    le = _psd_band(h, tol)
+    ge = None if le is None else _psd_band(-h, tol)
     if ge is None:
-        dec = eig_hermitian(d, tol)
-        le, ge = dec.is_psd(tol), float(dec.eigenvalues[-1]) <= dec.psd_floor(tol)
-    return _COMPARISONS[le, ge], dec
+        le, ge = d.is_psd(tol), float(d.eigenvalues[-1]) <= d.psd_floor(tol)
+    return _COMPARISONS[le, ge], d
 
 
 _COMPARISONS = {

@@ -4,7 +4,8 @@ A nonnegative form ``t`` on C^n in a fixed basis is carried by its PSD
 Gram matrix through ``t(x, y) = y* G x`` (conjugation on the second
 argument, matching the pairing convention of `core.rank_one`).  The
 correspondence is an order isomorphism with PSD matrices, so suprema and
-infima of forms delegate to the operator-level decisions.
+infima of forms delegate to the operator-level decisions, on the operands
+(`core.EigDecomp`) of the Gram matrices, each validated once.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ def from_operator(m, label: str = "", tol: Tolerance = DEFAULT_TOL) -> Sesquilin
 
 def form_leq(t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Pointwise order of forms, decided on the Gram matrices."""
-    return core.loewner_leq(to_operator(t, tol), to_operator(s, tol), tol)
+    return core.loewner_leq(*(core.EigDecomp(to_operator(f, tol)) for f in (t, s)), tol)
 
 
 def form_sup_exists(
     t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Supremum of two nonnegative forms exists iff they are comparable."""
-    return lattice.sup_exists(to_operator(t, tol), to_operator(s, tol), tol).exists
+    return lattice.sup_exists(*(core.EigDecomp(to_operator(f, tol)) for f in (t, s)), tol).exists
 
 
 def form_inf_exists(
@@ -76,5 +77,5 @@ def form_inf_exists(
     Reads `lattice`'s rule on the Gram matrices, as ``lattice.inf_exists``
     does, but builds no n×n matrix past the two Gram matrices' decompositions.
     """
-    *_, w = lattice._reduced_spectrum(t.gram, s.gram, tol)
+    *_, w = lattice._reduced_spectrum(*(core.eig_hermitian(f.gram, tol) for f in (t, s)), tol)
     return not all(lattice._sides(w, tol))

@@ -27,6 +27,7 @@ candidate, so no candidate is least.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +116,15 @@ def sup_exists(a, b, tol: Tolerance = DEFAULT_TOL, refute=None) -> SupremumVerdi
     With ``refute`` set to a strict upper bound of both inputs, a failed
     verdict additionally carries a `kadison_witness` for it.
     """
-    cmp = core.comparable(a, b, tol)
+    ops = [core.eig_hermitian(m, tol) for m in (a, b) + (() if refute is None else (refute,))]
+    core._same_dim(*(op.matrix for op in ops))
+    cmp = core.comparable(ops[0], ops[1], tol)
     if cmp is not Comparison.INCOMPARABLE:
-        sup = core.as_hermitian(b if cmp is Comparison.LEQ else a, tol)
-        return SupremumVerdict(True, sup, None, cmp)
+        return SupremumVerdict(True, (ops[1] if cmp is Comparison.LEQ else ops[0]).matrix, None, cmp)
     witness = None
     if refute is not None:
-        try:
-            witness = kadison_witness(a, b, refute, tol)
-        except MatrixError:
-            witness = None
+        with contextlib.suppress(MatrixError):  # refute is not a strict upper bound of the pair
+            witness = kadison_witness(*ops, tol)
     return SupremumVerdict(False, None, witness, cmp)
 
 
@@ -163,27 +163,18 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     witness is built from two Cholesky factors (`_strength_along_e0`) with
     no eigendecomposition.
     """
-    ha = core.as_hermitian(a, tol)
-    hb = core.as_hermitian(b, tol)
-    ht = core.as_hermitian(t, tol)
-    core._same_dim(ha, hb)
-    core._same_dim(ha, ht)
-    n = ha.shape[0]
-    if n == 1:
-        raise MatrixError(
-            "no witness in dimension 1: all PSD matrices are comparable"
-        )
-    ta = ht - ha
-    tb = ht - hb
+    ha, hb, ht = (core.eig_hermitian(m, tol).matrix for m in (a, b, t))
+    core._same_dim(ha, hb, ht)
+    if ha.shape[0] == 1:
+        raise MatrixError("no witness in dimension 1: all PSD matrices are comparable")
+    ta, tb = ht - ha, ht - hb
     lam = _strength_along_e0(ta, tb, tol)
     if lam is None:
         # Every PSD check, rank, projector and strength below reads these two.
-        dta = core.eig_hermitian(ta, tol)
-        if not dta.is_psd(tol):
-            raise MatrixError("precondition failed: t >= a does not hold")
-        dtb = core.eig_hermitian(tb, tol)
-        if not dtb.is_psd(tol):
-            raise MatrixError("precondition failed: t >= b does not hold")
+        dta, dtb = core._exact(ta), core._exact(tb)
+        for gap, name in ((dta, "a"), (dtb, "b")):
+            if not gap.is_psd(tol):
+                raise MatrixError(f"precondition failed: t >= {name} does not hold")
     scale = max(1.0, float(np.max(np.abs(ht))))
     if float(np.max(np.abs(ta))) <= tol.rel * scale:
         raise MatrixError("precondition failed: t coincides with a within tolerance")
@@ -221,7 +212,7 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         ef = np.outer(e, f.conj())
         s0 = core.rank_one(e) + 2.0 * ef + 2.0 * ef.conj().T + core.rank_one(f)
         s = ht + s0 / 3.0
-    return core.hermitian_part(s)
+    return core._symmetrized(s)
 
 
 def _strength_along_e0(ta: np.ndarray, tb: np.ndarray, tol: Tolerance) -> float | None:
@@ -241,14 +232,12 @@ def _strength_along_e0(ta: np.ndarray, tb: np.ndarray, tol: Tolerance) -> float 
     return float(min(pivots)) ** 2
 
 
-def _sum_range(a, b, tol: Tolerance):
-    """Validated ``a``, ``b``, eigh of the sum, its kept vectors ``q`` and roots ``s`` of their eigenvalues."""
-    ha = core.as_hermitian(a, tol)
-    hb = core.as_hermitian(b, tol)
-    core._same_dim(ha, hb)
-    dec = core.eig_hermitian(ha + hb, tol)
+def _sum_range(ha: np.ndarray, hb: np.ndarray, tol: Tolerance):
+    """The operand ``ha + hb`` of two exactly Hermitian matrices, its kept vectors ``q``
+    and roots ``s`` of their eigenvalues."""
+    dec = core._exact(ha + hb)
     keep = dec.kept(tol)
-    return ha, hb, dec, dec.vectors[:, keep], np.sqrt(dec.eigenvalues[keep])
+    return dec, dec.vectors[:, keep], np.sqrt(dec.eigenvalues[keep])
 
 
 def _on_range(h: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -265,30 +254,33 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     on the range of ``s`` lies strictly inside ``(0, 1)``.  Rejects
     operands that are not PSD (`core.as_psd`).
     """
-    ha, hb, dec, q, s = _sum_range(core.as_psd(a, tol), core.as_psd(b, tol), tol)
+    ha, hb = core.as_psd(a, tol), core.as_psd(b, tol)
+    core._same_dim(ha, hb)
+    dec, q, s = _sum_range(ha, hb, tol)
     j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * dec.kept(tol))
-    a_tilde, b_tilde = (core.hermitian_part(q @ _on_range(h, q, s) @ q.conj().T) for h in (ha, hb))
+    a_tilde, b_tilde = (core._symmetrized(q @ _on_range(h, q, s) @ q.conj().T) for h in (ha, hb))
     return Compression(a_tilde, b_tilde, j, dec.projector(tol), q)
 
 
-def _spectrum(a, b, tol: Tolerance):
+def _spectrum(a: np.ndarray, b: np.ndarray, tol: Tolerance):
     """Factor ``(x, w)``, ``a = x diag(w) x*`` and ``b = x diag(1 - w) x*``, with ``w`` ascending.
 
-    ``x = q s u``, with ``q`` and ``s`` from `_sum_range` and ``u diag(w) u*`` the eigh of ``_on_range(a)``.
+    ``a`` and ``b`` are exactly Hermitian.  ``x = q s u``, with ``q`` and
+    ``s`` from `_sum_range` and ``u diag(w) u*`` the eigh of ``_on_range(a)``.
     `inf_exists` passes the r×r factors of its reduced pair: their sum has the
     nonzero spectrum of the n×n sum, so the same ``kept`` cutoff.
     """
-    ha, _, _, q, s = _sum_range(a, b, tol)
+    _, q, s = _sum_range(a, b, tol)
     if s.size == 0:
         return q, s
-    inner = core.eig_hermitian(core.hermitian_part(_on_range(ha, q, s)), tol)
+    inner = core.EigDecomp(core._symmetrized(_on_range(a, q, s)))
     return (q * s) @ inner.vectors, inner.eigenvalues
 
 
 def _candidate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``j g(a_tilde) j`` as ``x diag(g(w)) x*``, from the factor of `_spectrum`."""
     g = np.clip(np.minimum(w, 1.0 - w), 0.0, None)
-    return core.hermitian_part((x * g) @ x.conj().T)
+    return core._symmetrized((x * g) @ x.conj().T)
 
 
 def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
@@ -315,9 +307,9 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ``lattice.infimum`` catalogue entries guards against the candidate of
     the full pair's `_spectrum`.
     """
-    v, ma, mb, x, w = _reduced_spectrum(a, b, tol)
+    v, ma, mb, x, w = _reduced_spectrum(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)
     x = core._phase_normalized(v @ x)
-    ap, bp = (core.hermitian_part(v @ m @ v.conj().T) for m in (ma, mb))
+    ap, bp = (core._symmetrized(v @ m @ v.conj().T) for m in (ma, mb))
     cand = _candidate(x, w)
     low, high = _sides(w, tol)
     if not (low and high):
@@ -326,10 +318,10 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     return InfimumVerdict(False, None, cand, witness, ap, bp)
 
 
-def _reduced_spectrum(a, b, tol: Tolerance):
+def _reduced_spectrum(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     """``(v, ma, mb, x, w)``: `lebesgue._reduced_pair` and the `_spectrum` factor of ``(ma, mb)``,
     so ``[b]a = (v x) diag(w) (v x)*``; with no intersection ``x`` is 0×0 and ``w`` empty."""
-    v, ma, mb = lebesgue._reduced_pair(a, b, tol)
+    v, ma, mb = lebesgue._reduced_pair(da, db, tol)
     if v.shape[1] == 0:
         return v, ma, mb, np.zeros((0, 0)), np.zeros(0)
     return (v, ma, mb, *_spectrum(ma, mb, tol))
@@ -390,4 +382,4 @@ def _straddle_witness(x: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarra
     # d~ in the eigenbasis of a~; v maps eigenvector i_low[i] to i_high[i].
     dd = np.diag(np.where(low, w - eps, 0.0) + np.where(high, 1.0 - w - eps, 0.0))
     dd[i_high, i_low] = dd[i_low, i_high] = np.sqrt(2.0) * eps
-    return core.hermitian_part((x @ dd) @ x.conj().T)
+    return core._symmetrized((x @ dd) @ x.conj().T)

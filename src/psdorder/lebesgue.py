@@ -62,8 +62,11 @@ def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     ``ran a ∩ ran b``.  The sines are the singular values of
     ``Qa⊥* qb``, (n - r_a)×r_b, padded with zeros when ``n - r_a < r_b``;
     when ``ran a`` is the whole space no SVD runs and ``c0`` is the identity.
+    Both operands must be PSD (`NotPsdError` otherwise).
     """
-    core._same_dim(da.vectors, db.vectors)
+    core._same_dim(da.matrix, db.matrix)
+    da.require_psd(tol)
+    db.require_psd(tol)
     qb = db.range_basis(tol)
     rb = qb.shape[1]
     z = da.vectors[:, ~da.kept(tol)].conj().T @ qb
@@ -74,38 +77,38 @@ def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     return qb, sines, c[:, sines <= tol.rel]
 
 
-def _psd_angles(a, b, tol: Tolerance):
-    """`_angles` of two operands, each decomposed once and required PSD."""
-    return _angles(*(core.eig_hermitian(m, tol).require_psd(tol) for m in (a, b)), tol)
-
-
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran b`` is contained in ``ran a`` (so ``b << a``); both must be PSD."""
-    qb, _, c0 = _psd_angles(a, b, tol)
+    qb, _, c0 = _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)
     return c0.shape[1] == qb.shape[1]
 
 
 def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran a`` and ``ran b`` intersect only in ``{0}``; both must be PSD."""
-    return _psd_angles(a, b, tol)[2].shape[1] == 0
+    return _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[2].shape[1] == 0
 
 
 _GRADED_RATIO = float(2**20)
 
 
-def _machine_pinv(m: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse with a machine-precision rank cutoff.
+def _machine_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of ``m`` with each eigenvalue at most ``100 n ε max|w|`` set to zero.
 
-    The policy cutoff of `core.pinv_psd` is relative to the largest
-    eigenvalue; callers of `parallel_sum` scale one argument by huge
-    factors (e.g. ``2^30``) when using it as a limit oracle, and a
-    relative cutoff at that scale would null genuinely informative
-    eigenvalues of the sum.
+    This machine-precision rank cutoff is `parallel_sum`'s own: the policy
+    cutoff of `core.pinv_psd` is relative to the largest eigenvalue, callers
+    of `parallel_sum` scale one argument by huge factors (e.g. ``2^30``) when
+    using it as a limit oracle, and a relative cutoff at that scale would null
+    genuinely informative eigenvalues of the sum.
     """
     w, v = np.linalg.eigh(m)
-    top = max(float(np.max(np.abs(w))), 0.0) if w.size else 0.0
-    cut = 100.0 * m.shape[0] * np.finfo(float).eps * top
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
+    cut = 100.0 * m.shape[0] * np.finfo(float).eps * float(np.max(np.abs(w)))
+    return np.where(w > cut, w, 0.0), v
+
+
+def _machine_pinv(m: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse with `_machine_eigh`'s rank cutoff."""
+    w, v = _machine_eigh(m)
+    inv = np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)
     return (v * inv) @ v.conj().T
 
 
@@ -122,29 +125,26 @@ def parallel_sum(a, b) -> np.ndarray:
     ``s = a + b`` satisfies ``a w b = a s^+ b`` (the kernel of ``s`` lies
     in the kernels of both operands).
     """
-    ha = core.as_psd(a)
-    hb = core.as_psd(b)
+    ha, hb = core.as_psd(a), core.as_psd(b)
     core._same_dim(ha, hb)
     na = float(np.max(np.abs(ha)))
     nb = float(np.max(np.abs(hb)))
     if na == 0.0 or nb == 0.0:
         return np.zeros_like(ha)
     if max(na, nb) <= _GRADED_RATIO * min(na, nb):
-        spinv = _machine_pinv(core.hermitian_part(ha + hb))
-        return core.hermitian_part(ha @ spinv @ hb)
+        spinv = _machine_pinv(core._real_or_complex(ha + hb))
+        return core._symmetrized(ha @ spinv @ hb)
     swapped = na < nb
     big, small = (hb, ha) if swapped else (ha, hb)
     gamma = float(np.max(np.abs(small)))
-    wb, ub = np.linalg.eigh(big)
     # machine-rank truncation of the dominant spectrum: eigh noise on the
     # kernel of `big` would otherwise masquerade as content at a scale far
     # above machine precision relative to `small`
-    cut_big = 100.0 * big.shape[0] * np.finfo(float).eps * float(np.max(np.abs(wb)))
-    wb = np.where(wb > cut_big, wb, 0.0)
+    wb, ub = _machine_eigh(big)
     d = 1.0 / np.sqrt(np.clip(wb, gamma, None))
     # the sum in big's eigenbasis: exactly diagonal big plus rotated small
     n_mat = np.diag(wb) + ub.conj().T @ small @ ub
-    m_bal = core.hermitian_part(n_mat * d[np.newaxis, :] * d[:, np.newaxis])
+    m_bal = core._symmetrized(n_mat * d[np.newaxis, :] * d[:, np.newaxis])
     w_bal = _machine_pinv(m_bal)
     # factored product a (t w t*) b with the dominant side applied
     # spectrally: forming `big @ t` entrywise would cancel 1e9-scale terms
@@ -157,22 +157,19 @@ def parallel_sum(a, b) -> np.ndarray:
     else:
         left = big_factor
         right = t.conj().T @ hb
-    return core.hermitian_part(left @ w_bal @ right)
+    return core._symmetrized(left @ w_bal @ right)
 
 
 def _shorted(d: core.EigDecomp, v: np.ndarray, tol: Tolerance):
     """``(m^{-1}, y)``: ``d`` shorted to ``ran v`` (``v`` orthonormal in ``ran d``) is ``v m^{-1} v*``,
     with ``y`` the coordinates of ``(d^+)^{1/2} v`` in the range basis of ``d`` and ``m = y* y``."""
     y = (d.range_basis(tol).conj().T @ v) / np.sqrt(d.eigenvalues[d.kept(tol)])[:, np.newaxis]
-    mi = np.linalg.inv(y.conj().T @ y)
-    return 0.5 * (mi + mi.conj().T), y
+    return core._symmetrized(np.linalg.inv(y.conj().T @ y)), y
 
 
-def _reduced_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reduced_pair(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     """``(v, ma, mb)``: the maximal parts ``[b]a = v ma v*`` and ``[a]b = v mb v*``,
     both shorted to the one orthonormal basis ``v`` of ``ran a ∩ ran b`` from `_angles`."""
-    da = core.eig_hermitian(a, tol).require_psd(tol)
-    db = core.eig_hermitian(b, tol).require_psd(tol)
     qb, _, c0 = _angles(da, db, tol)
     v = qb @ c0
     return v, _shorted(da, v, tol)[0], _shorted(db, v, tol)[0]
@@ -186,11 +183,11 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     decompositions exist in general and are not enumerated.  Both ``b``
     and the reference ``a`` must be PSD.
     """
-    db = core.eig_hermitian(b, tol).require_psd(tol)
-    qb, _, c0 = _angles(core.eig_hermitian(a, tol).require_psd(tol), db, tol)
+    db = core.eig_hermitian(b, tol)
+    qb, _, c0 = _angles(core.eig_hermitian(a, tol), db, tol)
     v = qb @ c0
     mi, y = _shorted(db, v, tol)
-    ac = core.hermitian_part(v @ mi @ v.conj().T)
+    ac = core._symmetrized(v @ mi @ v.conj().T)
     qy = qb @ y
     p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ mi @ qy.conj().T
-    return LebesgueParts(ac, core.hermitian_part(db.reconstruct() - ac), core.hermitian_part(p))
+    return LebesgueParts(ac, core._symmetrized(db.reconstruct() - ac), core._symmetrized(p))

@@ -217,9 +217,8 @@ def _dominates(a, b, tol: Tolerance = DEFAULT_TOL, samples: int = 20, seed: int 
     """
     if samples < 1:  # an empty sample would vouch for any pair
         raise MatrixError("samples must be at least 1")
-    ha = core.as_hermitian(a, tol)
-    da, db = core.eig_hermitian(ha, tol), core.eig_hermitian(b, tol)
-    ray = order_witness(ha, b, tol)
+    da, db = core.eig_hermitian(a, tol), core.eig_hermitian(b, tol)
+    ha, ray = da.matrix, order_witness(da, db, tol)
     if ray is not None:
         return not _lam(da, ray, tol) > _lam(db, ray, tol)
     rng = np.random.default_rng(seed)

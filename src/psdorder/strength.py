@@ -87,19 +87,16 @@ def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     while ``strength(b, f) < 1``, by the Cauchy-Schwarz inequality for the
     form of ``a``.
     """
-    return _order_test(a, b, tol)[1]
+    return _order_test(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[1]
 
 
-def _order_test(a, b, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | None]:
-    """`core.comparable` and `order_witness`; ``b - a`` is decomposed only for the ray, at most once."""
-    ha, hb = core._pair(a, b, tol)
-    d = hb - ha
-    cmp, dec = core._compare(d, tol)
+def _order_test(da, db, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | None]:
+    """`core.comparable` and `order_witness` of two `core.EigDecomp` operands; ``b - a`` is
+    decomposed only for the ray, at most once."""
+    cmp, dec = core._compare(da, db, tol)
     if cmp in (core.Comparison.LEQ, core.Comparison.EQUAL):
         return cmp, None
-    if dec is None:
-        dec = core.eig_hermitian(d, tol)
-    floor = dec.psd_floor(tol)
+    ha, floor = da.matrix, dec.psd_floor(tol)
     entry_scale = max(1.0, float(np.max(np.abs(ha))))
     for i in range(dec.n):
         if dec.eigenvalues[i] >= -floor:

@@ -327,7 +327,7 @@ class TestExitCodes:
         assert cli.main(["lebesgue", "--a", files["id2"], "--b", indefinite]) == 2
         assert "precondition rejected" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["strength", "lebesgue", "parsum", "compress"])
+    @pytest.mark.parametrize("command", ["strength", "leq", "lebesgue", "parsum", "compress"])
     def test_indefinite_a_rejected(self, capsys, files, tmp_path, command):
         indefinite = write_matrix(tmp_path / "indef.json", np.diag([1.0, -1.0]))
         other = ["--f", files["e1"]] if command == "strength" else ["--b", files["id2"]]
@@ -533,20 +533,13 @@ class TestReverifyTampered:
         assert [msg.split(":")[0] for msg in failures] == ["claims", "sandwich", "sandwich"]
 
     def test_leq_report_over_an_indefinite_a(self, capsys, files, tmp_path):
-        """`leq` takes any Hermitian pair, so it reports on ``a = diag(1, -1)``.  Below
-        ``I`` its `leq` claim re-verifies; against ``diag(0, 1)`` its `strength_gap`
-        claim reads `strength` of ``a``, which rejects the operand, so the report fails."""
+        """A refuted `leq` report is certified by its `strength_gap` claim, which reads
+        `strength` of both operands, so `leq` rejects an indefinite ``a = diag(1, -1)``
+        or ``b`` with status 2, whatever the verdict, rather than print a report that
+        cannot re-verify."""
         indefinite = write_matrix(tmp_path / "indef.json", np.diag([1.0, -1.0]))
-        code, report = run_json(capsys, ["leq", "--a", indefinite, "--b", files["id2"]])
-        assert code == 0 and report["verdict"]["leq"] is True
-        assert cli.reverify_report(report) == []
-        code, report = run_json(capsys, ["leq", "--a", indefinite, "--b", files["q"]])
-        assert code == 0 and report["verdict"] == {"leq": False, "comparison": "incomparable"}
-        failures = cli.reverify_report(report)
-        assert len(failures) == 1
-        assert failures[0].startswith(
-            "strength_gap: error during re-verification: matrix is not positive semidefinite"
-        )
+        for a, b in ((indefinite, files["id2"]), (indefinite, files["q"]), (files["id2"], indefinite)):
+            assert run_json(capsys, ["leq", "--a", a, "--b", b]) == (2, None)
 
     def test_claim_without_kind_is_a_failure(self, capsys, files):
         code, report = run_json(capsys, ["parsum", "--a", files["id2"], "--b", files["id2"]])

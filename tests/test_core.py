@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,17 +80,65 @@ class TestNonFinite:
             po.core.as_matrix(m)
         with pytest.raises(po.MatrixError):
             po.core.as_vector([1.0, bad])
+        with pytest.raises(po.MatrixError):
+            po.strength(np.eye(2), [bad, 1.0])
 
-    def test_decisions_reject_nan_instead_of_answering(self):
-        nan = np.diag([np.nan, 1.0])
-        with pytest.raises(po.MatrixError):
-            po.as_hermitian(nan)
-        with pytest.raises(po.MatrixError):
-            po.comparable(nan, np.eye(2))
-        with pytest.raises(po.MatrixError):
-            po.strength(nan, [1.0, 0.0])
-        with pytest.raises(po.MatrixError):
-            po.strength(np.eye(2), [np.nan, 1.0])
+
+def _forms(fn):
+    return lambda *grams: fn(*map(po.SesquilinearForm, grams))
+
+
+# Every public function whose contract takes a Hermitian matrix, but `hermitian_part`,
+# which symmetrizes by contract: the number of its matrix arguments, and a call on them.
+BOUNDARY = {
+    "as_hermitian": (1, po.as_hermitian), "as_psd": (1, po.as_psd),
+    "eig_hermitian": (1, po.eig_hermitian), "is_psd": (1, po.is_psd),
+    "numeric_rank": (1, po.numeric_rank), "pinv_psd": (1, po.pinv_psd),
+    "pinv_sqrt_psd": (1, po.pinv_sqrt_psd), "range_projector": (1, po.range_projector),
+    "sqrt_psd": (1, po.sqrt_psd), "comparable": (2, po.comparable),
+    "loewner_leq": (2, po.loewner_leq), "order_witness": (2, po.order_witness),
+    "strength": (1, lambda a: po.strength(a, [1.0, 0.0])),
+    "absolutely_continuous": (2, po.absolutely_continuous), "ac_part": (2, po.ac_part),
+    "mutually_singular": (2, po.mutually_singular), "parallel_sum": (2, po.parallel_sum),
+    "compress": (2, po.compress), "inf_exists": (2, po.inf_exists),
+    "ando_witness": (2, po.ando_witness), "kadison_witness": (3, po.kadison_witness),
+    "sup_exists": (3, lambda a, b, t: po.sup_exists(a, b, refute=t)),
+    "from_operator": (1, po.from_operator), "to_operator": (1, _forms(po.to_operator)),
+    "form_leq": (2, _forms(po.form_leq)), "form_sup_exists": (2, _forms(po.form_sup_exists)),
+    "form_inf_exists": (2, _forms(po.form_inf_exists)),
+}
+# A bad argument among good 2×2 ones, and what it must raise.
+BAD = {
+    "nan": (np.diag([np.nan, 1.0]), po.MatrixError, "finite"),
+    "asymmetric": (np.array([[2.0, 1.0], [0.0, 1.0]]), po.NotHermitianError, "not Hermitian"),
+    "non-square": (np.zeros((2, 3)), po.DimensionMismatchError, "square"),
+    "other-dimension": (np.eye(3), po.DimensionMismatchError, "dimension mismatch"),
+}
+
+
+def test_boundary_covers_every_public_matrix_function():
+    functions = {name for name in po.__all__ if inspect.isfunction(getattr(po, name))}
+    assert set(BOUNDARY) == functions - {"hermitian_part", "rank_one"}
+
+
+@pytest.mark.parametrize(
+    "name, position, bad",
+    [
+        (name, position, bad)
+        for name, (arity, _) in BOUNDARY.items()
+        for position in range(arity)
+        for bad in BAD
+        if bad != "other-dimension" or arity > 1
+    ],
+)
+def test_public_entry_rejects_bad_input(name, position, bad):
+    """A public entry point validates each matrix argument, in every position, before it decides."""
+    arity, fn = BOUNDARY[name]
+    matrix, error, words = BAD[bad]
+    args = [np.diag([2.0, 1.0])] * arity
+    args[position] = matrix
+    with pytest.raises(error, match=words):
+        fn(*args)
 
 
 class TestIsPsd:

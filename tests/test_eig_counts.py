@@ -13,6 +13,10 @@ and records the shape of each decomposed matrix, so a decomposition moved to
 a smaller space stays visible too.  It also records each matrix's dtype: a
 real instance must be decomposed in float64 alone, so a stray complex
 coercion fails here rather than only costing time.
+
+Validation is pinned the same way: a public entry point validates each
+matrix argument once, into the `EigDecomp` its callees share, so
+`core.as_hermitian` and `core.as_matrix` each run once per matrix argument.
 """
 
 import json
@@ -21,7 +25,7 @@ import numpy as np
 import pytest
 
 import psdorder as po
-from psdorder import cli, lattice, sampling
+from psdorder import cli, core, lattice, sampling
 
 N = 4
 
@@ -191,11 +195,14 @@ def test_cli_ando_witness_reads_candidate_and_witness_from_one_spectrum(linalg_c
 
 
 def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst):
+    """`comparable`'s calls, plus one band Cholesky per full-rank operand for `leq`'s
+    PSD precondition: a refuted report's `strength_gap` claim reads both strengths."""
     inputs = {"a": cli.memory_value("a", inst["a"]), "b": cli.memory_value("b", inst["b"])}
     calls, report = count(linalg_calls, cli.cmd_leq, inputs, po.DEFAULT_TOL)
     assert report["verdict"] == {"leq": False, "comparison": "incomparable"}
     assert "ray" in report["witnesses"]
-    assert calls == incomparable_calls(inst, True)
+    eigh, svd, cholesky = incomparable_calls(inst, True)
+    assert calls == (eigh, svd, cholesky + 2)
 
 
 @pytest.mark.parametrize(
@@ -211,3 +218,59 @@ def test_reverify_inf_report_decomposes_each_node_once(linalg_calls, inst, lo, h
     got, failures = count(linalg_calls, cli.reverify_report, report)
     assert failures == []
     assert got == calls
+
+
+def _forms(fn):
+    return lambda *grams: fn(*map(po.SesquilinearForm, grams))
+
+
+# Each public entry point with the matrix arguments it takes from ``inst``.
+VALIDATED = {
+    "as_psd": (po.as_psd, "a"),
+    "is_psd": (po.is_psd, "a"),
+    "sqrt_psd": (po.sqrt_psd, "low"),
+    "pinv_psd": (po.pinv_psd, "low"),
+    "pinv_sqrt_psd": (po.pinv_sqrt_psd, "low"),
+    "numeric_rank": (po.numeric_rank, "low"),
+    "range_projector": (po.range_projector, "low"),
+    "comparable": (po.comparable, "a", "b"),
+    "loewner_leq": (po.loewner_leq, "low", "up"),
+    "order_witness": (po.order_witness, "a", "b"),
+    "strength": (lambda a: po.strength(a, np.ones(N)), "a"),
+    "ac_part": (po.ac_part, "b", "low"),
+    "absolutely_continuous": (po.absolutely_continuous, "b", "low"),
+    "mutually_singular": (po.mutually_singular, "low", "b"),
+    "parallel_sum": (po.parallel_sum, "a", "b"),
+    "compress": (po.compress, "a", "b"),
+    "inf_exists": (po.inf_exists, "low", "up"),
+    "ando_witness": (po.ando_witness, "a", "b"),
+    "sup_exists": (po.sup_exists, "low", "up"),
+    "sup_exists-refute": (lambda a, b, t: po.sup_exists(a, b, refute=t), "a", "b", "shared_t"),
+    "kadison_witness-shared_t": (po.kadison_witness, "a", "b", "shared_t"),
+    "kadison_witness-disjoint_t": (po.kadison_witness, "a", "b", "disjoint_t"),
+    "from_operator": (po.from_operator, "a"),
+    "to_operator": (_forms(po.to_operator), "a"),
+    "form_leq": (_forms(po.form_leq), "low", "up"),
+    "form_sup_exists": (_forms(po.form_sup_exists), "a", "b"),
+    "form_inf_exists": (_forms(po.form_inf_exists), "a", "b"),
+}
+
+
+@pytest.mark.parametrize("entry", VALIDATED)
+def test_each_matrix_argument_is_validated_once(monkeypatch, inst, entry):
+    fn, *names = VALIDATED[entry]
+    calls = []
+
+    def counting(name):
+        wrapped = getattr(core, name)
+
+        def call(m, *args):
+            calls.append(name)
+            return wrapped(m, *args)
+
+        return call
+
+    for name in ("as_hermitian", "as_matrix"):
+        monkeypatch.setattr(core, name, counting(name))
+    fn(*(inst[name] for name in names))
+    assert (calls.count("as_hermitian"), calls.count("as_matrix")) == (len(names), len(names))
