@@ -356,12 +356,9 @@ def reverify_report(report: dict) -> list[str]:
     return failures
 
 
-def _norm_scale(*matrices) -> float:
-    return max([1.0] + [float(np.max(np.abs(m))) for m in matrices if m.size])
-
-
 def _residual_ok(residual: np.ndarray, *scale_by) -> bool:
-    return float(np.max(np.abs(residual))) <= CLOSE_ATOL_SCALE * _norm_scale(*scale_by)
+    scale = max([1.0] + [float(np.max(np.abs(m))) for m in scale_by if m.size])
+    return float(np.max(np.abs(residual))) <= CLOSE_ATOL_SCALE * scale
 
 
 def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
@@ -393,7 +390,7 @@ def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
     if kind == "sqrt_image":
         op, vec, target = get("operator"), resolve(claim["vector"]), resolve(claim["target"])
         image = core.sqrt_psd(op, tol) @ vec
-        limit = tol.rel * _norm_scale(op.matrix) * max(1.0, float(np.linalg.norm(target)))
+        limit = tol.floor(float(np.max(np.abs(op.matrix)))) * max(1.0, float(np.linalg.norm(target)))
         return float(np.linalg.norm(image - target)) <= max(limit, tol.abs)
     if kind == "strength_supremum":
         op, ray = get("operator").matrix, resolve(claim["ray"])

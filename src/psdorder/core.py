@@ -104,12 +104,12 @@ class ToleranceBreakdownError(RuntimeError):
 class Tolerance:
     """Relative threshold and absolute floor for rank/positivity decisions.
 
-    An eigenvalue counts as zero when it is at most ``rel * max|eig| + abs``;
-    a Hermitian matrix counts as PSD when its minimum eigenvalue is at least
-    ``-rel * max(1, max|eig|)``; a principal angle between two ranges, or
-    the angle between a ray and a range, counts as zero when its sine is at
-    most ``rel``.  `EigDecomp` applies the first two rules to a computed
-    spectrum; `_psd_band` certifies the same verdicts without one, or defers.
+    Each rule is stated once, on a top scale ``top`` (a largest ``|eigenvalue|``
+    or ``|entry|``, or a bound on it): `cutoff` is the rank rule; `floor` is the
+    PSD rule and the limit on an entry that counts as zero.  An angle between
+    two ranges, or between a ray and a range, is zero when its sine is at most
+    ``rel``.  `EigDecomp` applies the rules to a computed spectrum; `_psd_band`
+    certifies the same verdicts without one, or defers.
     """
 
     rel: float = 1e-10
@@ -120,6 +120,14 @@ class Tolerance:
             raise ValueError("Tolerance.rel must be positive")
         if not (self.abs > 0):
             raise ValueError("Tolerance.abs must be positive")
+
+    def cutoff(self, top: float) -> float:
+        """An eigenvalue at or below this counts as zero (the numeric rank)."""
+        return self.rel * top + self.abs
+
+    def floor(self, top: float) -> float:
+        """A PSD matrix has no eigenvalue below ``-floor``."""
+        return self.rel * max(1.0, top)
 
 
 DEFAULT_TOL = Tolerance()
@@ -165,19 +173,19 @@ def hermitian_part(m) -> np.ndarray:
 
 
 def _symmetrized(m) -> np.ndarray:
-    """`hermitian_part` without validation, for a product that is Hermitian up to rounding."""
+    """`hermitian_part` without validation; it halves before adding, so finite entries stay finite."""
     a = _real_or_complex(m)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * a + 0.5 * a.conj().T
 
 
 def as_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate Hermiticity within tolerance and return the symmetrized matrix."""
     a = as_matrix(m)
     defect = float(np.max(np.abs(a - a.conj().T)))
-    limit = tol.rel * max(1.0, float(np.max(np.abs(a)))) + tol.abs
+    limit = tol.floor(float(np.max(np.abs(a)))) + tol.abs
     if defect > limit:
         raise NotHermitianError(defect, limit)
-    return 0.5 * (a + a.conj().T)
+    return _symmetrized(a)
 
 
 def _same_dim(*ms: np.ndarray) -> None:
@@ -193,15 +201,13 @@ class EigDecomp:
     `_real_or_complex`.  `eig_hermitian` validates an input into one; the
     library's private helpers build one directly only from a matrix that is
     exactly Hermitian by construction (`_exact`, `_symmetrized`).  The
-    first read of ``eigenvalues``, ``vectors`` or ``source_scale`` runs the
-    one eigh of ``matrix``: ``eigenvalues`` are real and ascending,
-    ``vectors`` holds the matching orthonormal eigenvectors in its columns,
-    phase-normalized (largest-magnitude component real positive) so that
-    witnesses built from them are reproducible, and ``source_scale`` is
-    ``max(1, max|eigenvalue|)``, the scale used for tolerance decisions
-    about the matrix.  The rank cutoff (`kept`) and the PSD floor
-    (`is_psd`) are applied here, and certified without a decomposition by
-    `_psd_band` alone.
+    first read of ``eigenvalues`` or ``vectors`` runs the one eigh of
+    ``matrix``: ``eigenvalues`` are real and ascending, ``vectors`` holds
+    the matching orthonormal eigenvectors in its columns, phase-normalized
+    (largest-magnitude component real positive) so that witnesses built from
+    them are reproducible.  `kept` and `psd_floor` apply `Tolerance.cutoff`
+    and `Tolerance.floor` to ``max|eigenvalue|``; `_psd_band` certifies the
+    same verdicts without a decomposition.
     """
 
     matrix: np.ndarray
@@ -209,11 +215,10 @@ class EigDecomp:
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray, float]:
         w, v = np.linalg.eigh(self.matrix)
-        return w, _phase_normalized(v), max(1.0, float(np.max(np.abs(w))))
+        return w, _phase_normalized(v), float(np.max(np.abs(w)))
 
     eigenvalues = property(lambda self: self._eigh[0])
     vectors = property(lambda self: self._eigh[1])
-    source_scale = property(lambda self: self._eigh[2])
     n = property(lambda self: self.matrix.shape[0])
 
     def reconstruct(self) -> np.ndarray:
@@ -225,15 +230,12 @@ class EigDecomp:
         v = self.vectors
         return _symmetrized((v * fn(self.eigenvalues)) @ v.conj().T)
 
-    def rank_cutoff(self, tol: Tolerance = DEFAULT_TOL) -> float:
-        return tol.rel * float(np.max(np.abs(self.eigenvalues))) + tol.abs
-
     def psd_floor(self, tol: Tolerance = DEFAULT_TOL) -> float:
-        return tol.rel * self.source_scale
+        return tol.floor(self._eigh[2])
 
     def kept(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Mask of the eigenvalues above the rank cutoff (the numeric range)."""
-        return self.eigenvalues > self.rank_cutoff(tol)
+        return self.eigenvalues > tol.cutoff(self._eigh[2])
 
     def range_basis(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return self.vectors[:, self.kept(tol)]
@@ -290,12 +292,13 @@ def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | 
 
     With ``full_rank`` the verdict is instead whether every eigenvalue is
     `kept`.  Either verdict asks whether eigh's smallest computed eigenvalue
-    clears a threshold read from its largest ``|eigenvalue|``, which lies
-    within ``drift = n ε ‖x‖_F`` of ``‖x‖₂``, so between the largest column
-    norm and ``‖x‖_F`` widened by ``drift``: the threshold lies in
-    ``[lo, hi]``.  ``drift`` also bounds eigh's own eigenvalue error, a
-    modest multiple of ``ε ‖x‖₂`` for LAPACK's backward-stable solvers, and
-    the rounding of the norms; it is the one eigh-error constant.
+    clears a threshold, `Tolerance.cutoff` or ``-Tolerance.floor`` of its
+    largest ``|eigenvalue|``, which lies within ``drift = n ε ‖x‖_F`` of
+    ``‖x‖₂``, so between the largest column norm and ``‖x‖_F`` widened by
+    ``drift``: the threshold lies in ``[lo, hi]``.  ``drift`` also bounds
+    eigh's own eigenvalue error, a modest multiple of ``ε ‖x‖₂`` for
+    LAPACK's backward-stable solvers, and the rounding of the norms; it is
+    the one eigh-error constant.
 
     * "No" needs a diagonal entry below ``lo - drift``: the entry's basis
       vector is a ray whose Rayleigh quotient bounds ``λ_min`` from above.
@@ -306,21 +309,20 @@ def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | 
       ``σ - err - drift`` to clear ``hi``.  For the PSD floor ``σ`` is half
       its lower bound, ``x + floor_lo/2 I``.
 
-    A failed Cholesky proves nothing: inside the band the answer is ``None``
-    and the caller decomposes.
+    A failed Cholesky, or a norm that overflows, proves nothing: the answer
+    is ``None`` and the caller decomposes.
     """
     n = x.shape[0]
     eps = np.finfo(np.float64).eps
-    cols = np.linalg.norm(x, axis=0)
-    fro = float(np.linalg.norm(cols))
+    with np.errstate(over="ignore"):
+        cols = np.linalg.norm(x, axis=0)
+        fro = float(np.linalg.norm(cols))
     if not np.isfinite(fro):
         return None
     drift = n * eps * fro
     top_lo, top_hi = max(float(cols.max()) - drift, 0.0), fro + drift
-    if full_rank:  # `kept`: above rel * max|eig| + abs
-        lo, hi = tol.rel * top_lo + tol.abs, tol.rel * top_hi + tol.abs
-    else:  # `is_psd`: at least -rel * max(1, max|eig|)
-        lo, hi = -tol.rel * max(1.0, top_hi), -tol.rel * max(1.0, top_lo)
+    threshold = tol.cutoff if full_rank else (lambda top: -tol.floor(top))
+    lo, hi = sorted((threshold(top_lo), threshold(top_hi)))
     d = x.diagonal().real
     if float(d.min()) < lo - drift:
         return False
@@ -338,7 +340,7 @@ def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | 
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the minimum eigenvalue clears ``-rel * max(1, max|eig|)``; `_psd_band` first."""
+    """True iff no eigenvalue lies below ``-Tolerance.floor`` of ``max|eig|``; `_psd_band` first."""
     dec = eig_hermitian(m, tol)
     verdict = _psd_band(dec.matrix, tol)
     return dec.is_psd(tol) if verdict is None else verdict

@@ -175,10 +175,10 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         for gap, name in ((dta, "a"), (dtb, "b")):
             if not gap.is_psd(tol):
                 raise MatrixError(f"precondition failed: t >= {name} does not hold")
-    scale = max(1.0, float(np.max(np.abs(ht))))
-    if float(np.max(np.abs(ta))) <= tol.rel * scale:
+    coincide = tol.floor(float(np.max(np.abs(ht))))
+    if float(np.max(np.abs(ta))) <= coincide:
         raise MatrixError("precondition failed: t coincides with a within tolerance")
-    if float(np.max(np.abs(tb))) <= tol.rel * scale:
+    if float(np.max(np.abs(tb))) <= coincide:
         raise MatrixError("precondition failed: t coincides with b within tolerance")
     if lam is not None:
         s = ht.copy()

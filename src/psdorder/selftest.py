@@ -848,6 +848,6 @@ def _band(c, matrices, edges):
                 c(got is None or got == want, f"{what} band {verdict}")
     for q, w, full_rank, side in edges:
         top = w[1:].max()
-        edge = c.tol.rel * top + c.tol.abs if full_rank else -c.tol.rel * max(1.0, top)
+        edge = c.tol.cutoff(top) if full_rank else -c.tol.floor(top)
         x = core.hermitian_part((q * np.r_[edge * (1.0 + side * 1e-3), w[1:]]) @ q.conj().T)
         c(core._psd_band(x, c.tol, full_rank) is None, "band defers at the edge")

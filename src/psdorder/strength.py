@@ -97,13 +97,13 @@ def _order_test(da, db, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | N
     if cmp in (core.Comparison.LEQ, core.Comparison.EQUAL):
         return cmp, None
     ha, floor = da.matrix, dec.psd_floor(tol)
-    entry_scale = max(1.0, float(np.max(np.abs(ha))))
+    entry_floor = tol.floor(float(np.max(np.abs(ha))))
     for i in range(dec.n):
         if dec.eigenvalues[i] >= -floor:
             break
         x = dec.vectors[:, i]
         q = float(np.real(x.conj() @ ha @ x))
-        if q > tol.rel * entry_scale:
+        if q > entry_floor:
             x = x / np.sqrt(q)
             return cmp, ha @ x
     # A negative direction with x* a x = 0 would force x* b x < 0, which is

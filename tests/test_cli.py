@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import psdorder as po
 import test_acceptance
-from psdorder import cli, sampling
+from psdorder import cli, sampling, selftest
 
 
 def write_matrix(path, m):
@@ -237,6 +238,14 @@ class TestCommands:
         assert report["verdict"]["lambda"] == pytest.approx(1.0)
         assert cli.reverify_report(report) == []
 
+    def test_strength_report_at_the_float_limit(self, capsys, files):
+        big = write_matrix(files["tmp"] / "big.json", 1e308 * np.eye(2))
+        code = cli.main(["strength", "--a", big, "--f", files["e1"], "--json"])
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (code, err, report["verdict"]["lambda"]) == (0, "", 1e308)
+        assert cli.reverify_report(report) == []
+
     def test_inf_disjoint_projections(self, capsys, files):
         code, report = run_json(capsys, ["inf", "--a", files["p"], "--b", files["q"]])
         assert code == 0
@@ -404,6 +413,27 @@ class TestExitCodes:
         monkeypatch.setattr(cli.lattice, "inf_exists", breakdown)
         assert cli.main(["inf", "--a", files["d21"], "--b", files["d12"]]) == 3
         assert "internal diagnostic failure: forced" in capsys.readouterr().err
+
+
+class TestSelftestOutput:
+    SUITES = ("core", "strength", "lebesgue", "lattice", "forms", "reports")
+
+    def test_one_line_per_suite_then_the_total(self, capsys):
+        assert cli.main(["selftest", "--trials", "1", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(":")[0] for line in lines] == list(self.SUITES) + ["total"]
+        for line in lines[:-1]:
+            assert re.fullmatch(r"\w+: passed=[1-9]\d* failed=0 \[ok\]", line), line
+        assert re.fullmatch(r"total: passed=[1-9]\d* failed=0", lines[-1])
+
+    def test_a_failed_check_is_listed(self, capsys, monkeypatch):
+        entry = selftest.CATALOGUE["forms.roundtrip"]
+        forced = dataclasses.replace(entry, check=lambda tally, *instance: tally(False, "forced"))
+        monkeypatch.setitem(selftest.CATALOGUE, "forms.roundtrip", forced)
+        assert cli.main(["selftest", "--trials", "1", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^forms: passed=\d+ failed=1 \[FAIL\]\n  - forms.roundtrip trial 0: forced$", out, re.M)
+        assert re.search(r"^total: passed=\d+ failed=1$", out, re.M)
 
 
 TOP_HELP = """usage: psdorder [-h]

@@ -1,4 +1,8 @@
+import dataclasses
+import importlib
 import inspect
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ class TestEigHermitian:
         m = 0.5 * (g + g.conj().T)
         dec = po.eig_hermitian(m)
         err = np.max(np.abs(dec.reconstruct() - m))
-        assert err <= 1e-10 * dec.source_scale
+        assert err <= 1e-10 * eig_scale(m)
 
     def test_deterministic(self, rng):
         m = sampling.random_psd(rng, 4)
@@ -112,6 +116,7 @@ BAD = {
     "nan": (np.diag([np.nan, 1.0]), po.MatrixError, "finite"),
     "asymmetric": (np.array([[2.0, 1.0], [0.0, 1.0]]), po.NotHermitianError, "not Hermitian"),
     "non-square": (np.zeros((2, 3)), po.DimensionMismatchError, "square"),
+    "empty": (np.zeros((0, 0)), po.DimensionMismatchError, "at least 1"),
     "other-dimension": (np.eye(3), po.DimensionMismatchError, "dimension mismatch"),
 }
 
@@ -397,6 +402,43 @@ class TestTolerance:
             po.Tolerance(rel=0.0)
         with pytest.raises(ValueError):
             po.Tolerance(abs=-1e-9)
+
+    def test_each_rule_is_stated_once(self):
+        """The rank cutoff and the PSD floor are written out only in `Tolerance`'s methods."""
+        tol = po.Tolerance(rel=1e-10, abs=1e-12)
+        assert tol.cutoff(4.0) == 1e-10 * 4.0 + 1e-12
+        assert (tol.floor(0.5), tol.floor(4.0)) == (1e-10, 1e-10 * 4.0)
+        assert [f.name for f in dataclasses.fields(po.Tolerance)] == ["rel", "abs"]
+        modules = ("core", "strength", "lebesgue", "lattice", "forms")
+        source = "".join(inspect.getsource(importlib.import_module(f"psdorder.{m}")) for m in modules)
+        cutoff = re.compile(r"\brel \*[^\n]*\+[^\n]*\babs\b")
+        assert source.count("max(1") == 1 and "max(1" in inspect.getsource(po.Tolerance.floor)
+        assert len(cutoff.findall(source)) == 1 and cutoff.search(inspect.getsource(po.Tolerance.cutoff))
+        assert not any(hasattr(core.EigDecomp, name) for name in ("source_scale", "rank_cutoff"))
+
+
+class TestOverflow:
+    """Finite entries up to the float64 limit are symmetrized without overflow."""
+
+    big = 1e308 * np.eye(2)
+
+    def test_decisions_at_the_float_limit(self):
+        np.testing.assert_array_equal(po.as_hermitian(self.big), self.big)
+        assert po.is_psd(self.big) is True
+        assert po.numeric_rank(self.big) == 2
+        assert po.strength(self.big, [1.0, 0.0]).value == 1e308
+        assert po.comparable(self.big, 0.5 * self.big) is po.Comparison.GEQ
+
+    def test_a_sum_or_difference_that_overflows_is_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(po.MatrixError, match="overflows"):
+            po.comparable(self.big, -self.big)
+        with np.errstate(over="ignore"), pytest.raises(po.MatrixError, match="overflows"):
+            po.parallel_sum(self.big, self.big)
+
+    def test_band_defers_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core._psd_band(1e308 * np.eye(4), po.DEFAULT_TOL) is None
 
 
 @settings(max_examples=30, deadline=None)

@@ -178,8 +178,10 @@ class TestKadisonWitness:
 
     def test_preconditions(self, rng):
         a = sampling.random_psd(rng, 2)
-        with pytest.raises(po.MatrixError):
-            po.kadison_witness(a, a, a)  # t coincides with a
+        with pytest.raises(po.MatrixError, match="t coincides with a"):
+            po.kadison_witness(a, a, a)
+        with pytest.raises(po.MatrixError, match="t coincides with b"):
+            po.kadison_witness(np.diag([0.5, 0.0]), np.eye(2), np.eye(2))
         with pytest.raises(po.MatrixError):
             po.kadison_witness(a + np.eye(2), a, a)  # t >= a fails
         with pytest.raises(po.MatrixError):

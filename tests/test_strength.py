@@ -34,6 +34,13 @@ class TestStrengthExamples:
         with pytest.raises(po.MatrixError):
             selftest._bisect_strength(np.eye(2), [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "ray, words", [([1.0, 0.0, 0.0], "ray has 3"), (np.eye(2), "expected a vector")]
+    )
+    def test_rejects_a_ray_of_the_wrong_shape(self, ray, words):
+        with pytest.raises(po.DimensionMismatchError, match=words):
+            po.strength(np.eye(2), ray)
+
     def test_zero_matrix(self):
         assert po.strength(np.zeros((2, 2)), [1.0, 0.0]).value == 0.0
 
