@@ -3,76 +3,23 @@
 Strength functions along rays, Lebesgue decomposition into absolutely
 continuous and singular parts, and exact decision procedures (with
 constructive witnesses) for suprema and infima in the Loewner order.
+
+The public names are each module's ``__all__``, re-exported here.
 """
 
-from .core import (
-    DEFAULT_TOL,
-    Comparison,
-    DimensionMismatchError,
-    EigDecomp,
-    MatrixError,
-    NotHermitianError,
-    NotPsdError,
-    Tolerance,
-    ToleranceBreakdownError,
-    as_hermitian,
-    as_psd,
-    comparable,
-    eig_hermitian,
-    hermitian_part,
-    is_psd,
-    loewner_leq,
-    numeric_rank,
-    pinv_psd,
-    pinv_sqrt_psd,
-    range_projector,
-    rank_one,
-    sqrt_psd,
-)
-from .forms import (
-    SesquilinearForm,
-    form_inf_exists,
-    form_leq,
-    form_sup_exists,
-    from_operator,
-    to_operator,
-)
-from .lattice import (
-    Compression,
-    InfimumVerdict,
-    SupremumVerdict,
-    ando_witness,
-    compress,
-    inf_exists,
-    kadison_witness,
-    sup_exists,
-)
-from .lebesgue import (
-    LebesgueParts,
-    absolutely_continuous,
-    ac_part,
-    mutually_singular,
-    parallel_sum,
-)
-from .strength import (
-    StrengthResult,
-    order_witness,
-    strength,
-)
+from . import core as _core
+from . import forms as _forms
+from . import lattice as _lattice
+from . import lebesgue as _lebesgue
+from . import strength as _strength
+from .core import *
+from .forms import *
+from .lattice import *
+from .lebesgue import *
+from .strength import *  # last: rebinds the name `strength` from the module to the function
 
 __all__ = [
-    "DEFAULT_TOL", "Comparison", "DimensionMismatchError", "EigDecomp",
-    "MatrixError", "NotHermitianError", "NotPsdError", "Tolerance",
-    "ToleranceBreakdownError", "as_hermitian", "as_psd", "comparable",
-    "eig_hermitian", "hermitian_part", "is_psd", "loewner_leq", "numeric_rank",
-    "pinv_psd", "pinv_sqrt_psd", "range_projector", "rank_one", "sqrt_psd",
-    "SesquilinearForm", "form_inf_exists", "form_leq", "form_sup_exists",
-    "from_operator", "to_operator",
-    "Compression", "InfimumVerdict", "SupremumVerdict", "ando_witness", "compress",
-    "inf_exists", "kadison_witness", "sup_exists",
-    "LebesgueParts", "absolutely_continuous", "ac_part", "mutually_singular",
-    "parallel_sum",
-    "StrengthResult", "order_witness", "strength",
+    *_core.__all__, *_forms.__all__, *_lattice.__all__, *_lebesgue.__all__, *_strength.__all__
 ]
 
 __version__ = "0.1.0"

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import functools
 import hashlib
 import json
@@ -430,10 +431,14 @@ def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
 
 
 def cmd_sup(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    refute = inputs["t"].value if "t" in inputs else None
-    result = lattice.sup_exists(inputs["a"].value, inputs["b"].value, tol, refute=refute)
+    a, b = inputs["a"].value, inputs["b"].value
+    result = lattice.sup_exists(a, b, tol)
+    refutation = None
+    if "t" in inputs and not result.exists:
+        with contextlib.suppress(MatrixError):  # t is not a strict upper bound of the pair
+            refutation = lattice.kadison_witness(a, b, inputs["t"].value, tol)
     verdict = {"exists": result.exists, "comparison": result.comparison.value}
-    witnesses = {"sup": result.sup, "refutation": result.witness}
+    witnesses = {"sup": result.sup, "refutation": refutation}
     return _report("sup", inputs, tol, seed, verdict, witnesses)
 
 

@@ -42,8 +42,6 @@ __all__ = [
     "DEFAULT_TOL",
     "EigDecomp",
     "Comparison",
-    "as_matrix",
-    "as_vector",
     "hermitian_part",
     "as_hermitian",
     "eig_hermitian",
@@ -270,10 +268,12 @@ def eig_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> EigDecomp:
     return m if isinstance(m, EigDecomp) else EigDecomp(as_hermitian(m, tol))
 
 
-def _exact(m: np.ndarray) -> EigDecomp:
-    """The operand of ``m``, a sum or difference of operands' matrices, so exactly
-    Hermitian: only the dtype rule applies, and a sum that overflowed is rejected."""
-    h = _real_or_complex(m)
+def _exact(x: np.ndarray, y: np.ndarray, subtract: bool = False) -> EigDecomp:
+    """The operand of ``x + y`` (``x - y`` if ``subtract``) of two operands' matrices,
+    so exactly Hermitian: only the dtype rule applies, and a result that overflows
+    is rejected, without a numpy warning."""
+    with np.errstate(over="ignore"):
+        h = _real_or_complex(x - y if subtract else x + y)
     if not np.all(np.isfinite(h)):
         raise MatrixError("a sum or difference of the operands overflows")
     return EigDecomp(h)
@@ -412,14 +412,12 @@ def _compare(da: EigDecomp, db: EigDecomp, tol: Tolerance) -> tuple[Comparison, 
     """`comparable`'s verdict on two operands, and the operand ``d = b - a``.
 
     ``a <= b`` iff ``d`` is PSD, and ``b <= a`` iff ``-d`` is, which eigh
-    reads as ``max eig(d) <= psd_floor``.  The bands read ``b - a`` as
-    subtracted, before the dtype rule.
+    reads as ``max eig(d) <= psd_floor``.
     """
     _same_dim(da.matrix, db.matrix)
-    h = db.matrix - da.matrix
-    d = _exact(h)
-    le = _psd_band(h, tol)
-    ge = None if le is None else _psd_band(-h, tol)
+    d = _exact(db.matrix, da.matrix, subtract=True)
+    le = _psd_band(d.matrix, tol)
+    ge = None if le is None else _psd_band(-d.matrix, tol)
     if ge is None:
         le, ge = d.is_psd(tol), float(d.eigenvalues[-1]) <= d.psd_floor(tol)
     return _COMPARISONS[le, ge], d

@@ -10,7 +10,7 @@ infima of forms delegate to the operator-level decisions, on the operands
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class SesquilinearForm:
     """Nonnegative form given by its PSD Gram matrix in the standard basis."""
 
     gram: np.ndarray
-    label: str = field(default="")
 
     def evaluate(self, x, y) -> complex:
         """Value ``t(x, y) = y* gram x``; both vectors must match the Gram matrix."""
@@ -43,18 +42,15 @@ class SesquilinearForm:
             raise DimensionMismatchError(f"lengths {vx.size}, {vy.size} for a form on C^{len(g)}")
         return complex(vy.conj() @ g @ vx)
 
-    def __call__(self, x, y) -> complex:
-        return self.evaluate(x, y)
-
 
 def to_operator(t: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """PSD matrix representing the form (validated)."""
     return core.as_psd(t.gram, tol)
 
 
-def from_operator(m, label: str = "", tol: Tolerance = DEFAULT_TOL) -> SesquilinearForm:
+def from_operator(m, tol: Tolerance = DEFAULT_TOL) -> SesquilinearForm:
     """Form whose Gram matrix is the given PSD matrix (validated)."""
-    return SesquilinearForm(core.as_psd(m, tol), label)
+    return SesquilinearForm(core.as_psd(m, tol))
 
 
 def form_leq(t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> bool:

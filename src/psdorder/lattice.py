@@ -27,7 +27,6 @@ candidate, so no candidate is least.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +57,12 @@ __all__ = [
 class SupremumVerdict:
     """Outcome of the supremum decision.
 
-    ``sup`` is present iff ``exists``.  ``witness`` is only populated when
-    a candidate upper bound was supplied to `sup_exists` and refuted: it is
-    then a PSD upper bound of both inputs not comparable with the candidate.
-    ``comparison`` is the Loewner comparison of the pair that decides it.
+    ``sup`` is present iff ``exists``.  ``comparison`` is the Loewner
+    comparison of the pair that decides it.
     """
 
     exists: bool
     sup: np.ndarray | None
-    witness: np.ndarray | None
     comparison: Comparison
 
 
@@ -110,22 +106,16 @@ class InfimumVerdict:
     reduced_b: np.ndarray
 
 
-def sup_exists(a, b, tol: Tolerance = DEFAULT_TOL, refute=None) -> SupremumVerdict:
+def sup_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> SupremumVerdict:
     """Supremum of a PSD pair: exists iff the pair is comparable.
 
-    With ``refute`` set to a strict upper bound of both inputs, a failed
-    verdict additionally carries a `kadison_witness` for it.
+    `kadison_witness` refutes any strict upper bound of an incomparable pair.
     """
-    ops = [core.eig_hermitian(m, tol) for m in (a, b) + (() if refute is None else (refute,))]
-    core._same_dim(*(op.matrix for op in ops))
-    cmp = core.comparable(ops[0], ops[1], tol)
-    if cmp is not Comparison.INCOMPARABLE:
-        return SupremumVerdict(True, (ops[1] if cmp is Comparison.LEQ else ops[0]).matrix, None, cmp)
-    witness = None
-    if refute is not None:
-        with contextlib.suppress(MatrixError):  # refute is not a strict upper bound of the pair
-            witness = kadison_witness(*ops, tol)
-    return SupremumVerdict(False, None, witness, cmp)
+    da, db = core.eig_hermitian(a, tol), core.eig_hermitian(b, tol)
+    cmp = core.comparable(da, db, tol)
+    if cmp is Comparison.INCOMPARABLE:
+        return SupremumVerdict(False, None, cmp)
+    return SupremumVerdict(True, (db if cmp is Comparison.LEQ else da).matrix, cmp)
 
 
 def _first_orthogonal_basis_ray(e: np.ndarray) -> np.ndarray:
@@ -167,18 +157,17 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     core._same_dim(ha, hb, ht)
     if ha.shape[0] == 1:
         raise MatrixError("no witness in dimension 1: all PSD matrices are comparable")
-    ta, tb = ht - ha, ht - hb
-    lam = _strength_along_e0(ta, tb, tol)
+    # Every PSD check, rank, projector and strength below reads these two gaps.
+    dta, dtb = core._exact(ht, ha, subtract=True), core._exact(ht, hb, subtract=True)
+    lam = _strength_along_e0(dta.matrix, dtb.matrix, tol)
     if lam is None:
-        # Every PSD check, rank, projector and strength below reads these two.
-        dta, dtb = core._exact(ta), core._exact(tb)
         for gap, name in ((dta, "a"), (dtb, "b")):
             if not gap.is_psd(tol):
                 raise MatrixError(f"precondition failed: t >= {name} does not hold")
     coincide = tol.floor(float(np.max(np.abs(ht))))
-    if float(np.max(np.abs(ta))) <= coincide:
+    if float(np.max(np.abs(dta.matrix))) <= coincide:
         raise MatrixError("precondition failed: t coincides with a within tolerance")
-    if float(np.max(np.abs(tb))) <= coincide:
+    if float(np.max(np.abs(dtb.matrix))) <= coincide:
         raise MatrixError("precondition failed: t coincides with b within tolerance")
     if lam is not None:
         s = ht.copy()
@@ -235,7 +224,7 @@ def _strength_along_e0(ta: np.ndarray, tb: np.ndarray, tol: Tolerance) -> float 
 def _sum_range(ha: np.ndarray, hb: np.ndarray, tol: Tolerance):
     """The operand ``ha + hb`` of two exactly Hermitian matrices, its kept vectors ``q``
     and roots ``s`` of their eigenvalues."""
-    dec = core._exact(ha + hb)
+    dec = core._exact(ha, hb)
     keep = dec.kept(tol)
     return dec, dec.vectors[:, keep], np.sqrt(dec.eigenvalues[keep])
 

@@ -132,7 +132,7 @@ def parallel_sum(a, b) -> np.ndarray:
     if na == 0.0 or nb == 0.0:
         return np.zeros_like(ha)
     if max(na, nb) <= _GRADED_RATIO * min(na, nb):
-        spinv = _machine_pinv(core._exact(ha + hb).matrix)
+        spinv = _machine_pinv(core._exact(ha, hb).matrix)
         return core._symmetrized(ha @ spinv @ hb)
     swapped = na < nb
     big, small = (hb, ha) if swapped else (ha, hb)

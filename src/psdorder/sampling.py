@@ -48,11 +48,10 @@ def random_psd(
     n: int,
     rank: int | None = None,
     complex_entries: bool = True,
-    spread: tuple[float, float] = DEFAULT_SPREAD,
 ) -> np.ndarray:
     """PSD matrix ``q diag(values, 0...) q*`` with seeded unitary ``q``.
 
-    Eigenvalues are uniform in ``spread``; ``rank`` of them are positive,
+    Eigenvalues are uniform in ``DEFAULT_SPREAD``; ``rank`` of them are positive,
     the rest exactly zero.  ``rank`` must satisfy ``1 <= rank <= n``.
     """
     if rank is None:
@@ -60,7 +59,7 @@ def random_psd(
     if not 1 <= rank <= n:
         raise MatrixError(f"rank {rank} out of range 1..{n}")
     vals = np.zeros(n)
-    vals[:rank] = rng.uniform(spread[0], spread[1], size=rank)
+    vals[:rank] = rng.uniform(*DEFAULT_SPREAD, size=rank)
     q = random_unitary(rng, n, complex_entries)
     return core.hermitian_part((q * vals) @ q.conj().T)
 

@@ -10,9 +10,13 @@ unit tests run single entries under pytest.  Bounds live in the checks and
 nowhere else.  A name with a third part, such as ``lattice.infimum.incomparable``,
 runs the check of ``lattice.infimum`` on a further instance family.
 
-Some checks use oracles that never go through `core.EigDecomp`: SVD-based
-`numpy.linalg.pinv`, bisection on PSD verdicts, the parallel-sum limit at
-``2^30``, and the numpy eigenvalue helpers `eig_scale` and `min_eig`.
+Each oracle is independent of the route it checks, not of `core` as a
+whole.  SVD-based `numpy.linalg.pinv` and the eigenvalue helpers `eig_scale`
+and `min_eig` call numpy alone.  Bisection (`_bisect_strength`) reads
+`core.eig_hermitian` for its bracket and `core.is_psd` verdicts, but not
+`strength`'s range test or closed form.  The parallel-sum limit at ``2^30``
+validates through `core.as_psd`, but cuts ranks at machine precision, not
+by the `Tolerance` and principal angles that `lebesgue.ac_part` reads.
 """
 
 from __future__ import annotations
@@ -746,7 +750,7 @@ def _disjoint_infimum(c, p1, p2):
 
 @_entry("forms.agreement", _psd_pair)
 def _forms_agreement(c, a, b):
-    ta, tb = forms.from_operator(a, "a", c.tol), forms.from_operator(b, "b", c.tol)
+    ta, tb = forms.from_operator(a, c.tol), forms.from_operator(b, c.tol)
     c(forms.form_leq(ta, tb, c.tol) == core.loewner_leq(a, b, c.tol), "leq agrees")
     c(forms.form_leq(tb, ta, c.tol) == core.loewner_leq(b, a, c.tol), "geq agrees")
     c(forms.form_sup_exists(ta, tb, c.tol) == lattice.sup_exists(a, b, c.tol).exists, "sup agrees")
@@ -756,7 +760,7 @@ def _forms_agreement(c, a, b):
 @_entry("forms.roundtrip", _psd_pair)
 def _forms_roundtrip(c, a, b):
     for g in (a, b):
-        c(np.array_equal(forms.to_operator(forms.from_operator(g, "g", c.tol), c.tol), g), "round trip")
+        c(np.array_equal(forms.to_operator(forms.from_operator(g, c.tol), c.tol), g), "round trip")
 
 
 # ---------------------------------------------------------------------------

@@ -55,28 +55,47 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     ``tol.rel``; otherwise ``1 / (f* a^+ f)``.
     Rejects ``f = 0``, and an ``a`` that is not PSD: the strength is only
     defined along non-zero rays of a PSD matrix.
+
+    The decision reads ``f`` scaled by ``2^-e``, which brings its largest
+    real or imaginary part into ``[1/2, 1)``, and the kept eigenvalues of
+    ``a`` scaled by an even ``2^-s`` into ``(0, 1]``, so no intermediate of
+    an extreme ray or operand underflows or overflows.  The value, witness
+    and constant are scaled back exactly; one outside the float range raises
+    `MatrixError`.
     """
     v = core.as_vector(f)
-    nf = float(np.linalg.norm(v))
-    if nf == 0.0:
+    if not np.any(v):
         raise MatrixError("strength is only defined along a non-zero ray")
     dec = core.eig_hermitian(a, tol).require_psd(tol)
     if dec.n != v.size:
         raise core.DimensionMismatchError(
             f"dimension mismatch: matrix is {dec.n}, ray has {v.size}"
         )
+    e = int(np.frexp(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))[1])
+    v = _times_power_of_two(v, -e)
     keep = dec.kept(tol)
     coeff = dec.vectors.conj().T @ v
     outside = float(np.linalg.norm(coeff[~keep]))
-    if not keep.any() or outside > tol.rel * nf:
+    if not keep.any() or outside > tol.rel * float(np.linalg.norm(v)):
         return StrengthResult(0.0, None, None)
+    s = int(np.frexp(dec.eigenvalues[-1])[1])
+    s += s % 2
     ck = coeff[keep]
-    wk = dec.eigenvalues[keep]
+    wk = np.ldexp(dec.eigenvalues[keep], -s)
     m = float(np.sum(np.abs(ck) ** 2 / wk))
     if m <= 0.0:
         raise ToleranceBreakdownError("in-range ray produced a non-positive bound")
-    witness = dec.vectors[:, keep] @ (ck / np.sqrt(wk))
-    return StrengthResult(1.0 / m, witness, m)
+    with np.errstate(over="ignore"):
+        witness = _times_power_of_two(dec.vectors[:, keep] @ (ck / np.sqrt(wk)), e - s // 2)
+        value, constant = float(np.ldexp(1.0 / m, s - 2 * e)), float(np.ldexp(m, 2 * e - s))
+    if not (0.0 < value < np.inf and 0.0 < constant < np.inf and np.all(np.isfinite(witness))):
+        raise MatrixError("the strength or its certificates along this ray leave the float range")
+    return StrengthResult(value, witness, constant)
+
+
+def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
+    """``x * 2^k``, exact for real or complex ``x`` inside the float range; each factor is finite."""
+    return x * np.ldexp(1.0, k // 2) * np.ldexp(1.0, k - k // 2)
 
 
 def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:

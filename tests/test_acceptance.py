@@ -3,9 +3,10 @@
 Runnable standalone:  pytest -s -v tests/test_acceptance.py
 Criteria 1-8 and 10 run entries of the invariant catalogue
 (`psdorder.selftest.CATALOGUE`) at their pinned seeds and trial counts; the
-bounds are the catalogue's.  The independent oracles (bisection on PSD
-verdicts, SVD pseudo-inverse, parallel-sum limits, numpy eigenvalues, 2x2
-grid search) never share a code path with the closed forms they check.
+bounds are the catalogue's.  The oracles (bisection on PSD verdicts, SVD
+pseudo-inverse, parallel-sum limits, numpy eigenvalues, 2x2 grid search)
+are independent of the closed forms they check, as `psdorder.selftest`
+states for each; bisection and the parallel-sum limit still read `core`.
 """
 
 import numpy as np

@@ -246,6 +246,13 @@ class TestCommands:
         assert (code, err, report["verdict"]["lambda"]) == (0, "", 1e308)
         assert cli.reverify_report(report) == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inf_whose_sum_overflows_is_rejected_without_a_warning(self, capsys, files):
+        big = write_matrix(files["tmp"] / "big.json", 1e308 * np.eye(2))
+        code = cli.main(["inf", "--a", big, "--b", big, "--json"])
+        rejection = "precondition rejected: a sum or difference of the operands overflows\n"
+        assert (code, *capsys.readouterr()) == (2, "", rejection)
+
     def test_inf_disjoint_projections(self, capsys, files):
         code, report = run_json(capsys, ["inf", "--a", files["p"], "--b", files["q"]])
         assert code == 0

@@ -106,7 +106,7 @@ BOUNDARY = {
     "mutually_singular": (2, po.mutually_singular), "parallel_sum": (2, po.parallel_sum),
     "compress": (2, po.compress), "inf_exists": (2, po.inf_exists),
     "ando_witness": (2, po.ando_witness), "kadison_witness": (3, po.kadison_witness),
-    "sup_exists": (3, lambda a, b, t: po.sup_exists(a, b, refute=t)),
+    "sup_exists": (2, po.sup_exists),
     "from_operator": (1, po.from_operator), "to_operator": (1, _forms(po.to_operator)),
     "form_leq": (2, _forms(po.form_leq)), "form_sup_exists": (2, _forms(po.form_sup_exists)),
     "form_inf_exists": (2, _forms(po.form_inf_exists)),
@@ -430,10 +430,14 @@ class TestOverflow:
         assert po.comparable(self.big, 0.5 * self.big) is po.Comparison.GEQ
 
     def test_a_sum_or_difference_that_overflows_is_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(po.MatrixError, match="overflows"):
-            po.comparable(self.big, -self.big)
-        with np.errstate(over="ignore"), pytest.raises(po.MatrixError, match="overflows"):
-            po.parallel_sum(self.big, self.big)
+        """Rejected cleanly: numpy's overflow warning is never raised on the way."""
+        big = self.big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for decide, pair in ((po.comparable, (big, -big)), (po.inf_exists, (big, big)),
+                                 (po.parallel_sum, (big, big))):
+                with pytest.raises(po.MatrixError, match="overflows"):
+                    decide(*pair)
 
     def test_band_defers_without_a_warning(self):
         with warnings.catch_warnings():

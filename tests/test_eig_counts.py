@@ -245,7 +245,6 @@ VALIDATED = {
     "inf_exists": (po.inf_exists, "low", "up"),
     "ando_witness": (po.ando_witness, "a", "b"),
     "sup_exists": (po.sup_exists, "low", "up"),
-    "sup_exists-refute": (lambda a, b, t: po.sup_exists(a, b, refute=t), "a", "b", "shared_t"),
     "kadison_witness-shared_t": (po.kadison_witness, "a", "b", "shared_t"),
     "kadison_witness-disjoint_t": (po.kadison_witness, "a", "b", "disjoint_t"),
     "from_operator": (po.from_operator, "a"),

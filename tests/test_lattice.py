@@ -68,10 +68,9 @@ class TestSupExists:
     def test_refutation_witness(self):
         a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         t = np.eye(2) * 1.5
-        v = po.sup_exists(a, b, refute=t)
-        assert not v.exists
-        assert v.witness is not None
-        assert po.comparable(v.witness, t) is po.Comparison.INCOMPARABLE
+        assert not po.sup_exists(a, b).exists
+        s = po.kadison_witness(a, b, t)
+        assert po.comparable(s, t) is po.Comparison.INCOMPARABLE
 
 
 def _exact_strength_along_e0(g: np.ndarray) -> Fraction:

@@ -50,9 +50,29 @@ class TestStrengthExamples:
         whatever its length, even at c = 1e-4, where ``||f_perp|| = 1e-11 < rel``."""
         assert po.strength(np.diag([1.0, 0.0]), c * np.array([1.0, 1e-7])).value == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ray", [[1e-170, 0.0], [1e160, 0.0]])
+    def test_extreme_ray_whose_certificate_is_no_float(self, ray):
+        """Both rays are non-zero and decided, but the value 1e340 of the first and the
+        constant 1e320 of the second are not floats: rejected, without a warning."""
+        with pytest.raises(po.MatrixError, match="float range"):
+            po.strength(np.eye(2), ray)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_rays_are_decided_and_scaled_back(self):
+        """Rays whose norm overflows or underflows get the value, witness and constant
+        of a moderate ray, scaled by powers of two."""
+        res = po.strength(1e300 * np.eye(2), [1e160, 0.0])
+        assert (res.value, res.constant) == pytest.approx((1e-20, 1e20), rel=1e-15)
+        np.testing.assert_allclose(res.witness, [1e10, 0.0], rtol=1e-15)
+        res = po.strength(1e-100 * np.eye(2), [1e-170, 0.0], po.Tolerance(abs=1e-300))
+        assert (res.value, res.constant) == pytest.approx((1e240, 1e-240), rel=1e-15)
+        np.testing.assert_allclose(res.witness, [1e-120, 0.0], rtol=1e-15)
+        assert po.strength(np.diag([1.0, 0.0]), [1e-170, 1e-170]).value == 0.0
+
     @pytest.mark.parametrize("cplx", [False, True])
     def test_ray_scale_homogeneity(self, rng, cplx):
-        """``strength(a, c f) = strength(a, f) / c^2`` for c = 2^k, k in -40..40,
+        """``strength(a, c f) = strength(a, f) / c^2`` exactly for c = 2^k, k in -40..40,
         on rays in the range, just outside it (sine 1e-7) and inside within rel (sine 1e-12)."""
         a = sampling.random_psd(rng, 4, rank=2, complex_entries=cplx)
         inside = sampling.random_ray_in_range(rng, a, cplx)
@@ -61,7 +81,7 @@ class TestStrengthExamples:
             base = po.strength(a, f).value
             for k in range(-40, 41):
                 c = 2.0**k
-                assert po.strength(a, c * f).value * c**2 == pytest.approx(base, rel=1e-12), k
+                assert po.strength(a, c * f).value * c**2 == base, k
 
 
 class TestStrengthInvariants:
