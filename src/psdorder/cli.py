@@ -37,7 +37,9 @@ human-readable form adds the runtime.
 
 Exit codes: 0 success, 1 I/O or parse errors (a flag the subcommand does
 not read among them), 2 precondition rejection, 3 internal tolerance
-breakdown (`ToleranceBreakdownError`).
+breakdown (`ToleranceBreakdownError`).  The CLI fails closed: `run` passes
+every report through `reverify_report` before printing it, and a report
+with a failed claim is not printed; its failures go to stderr, with exit 3.
 """
 
 from __future__ import annotations
@@ -460,7 +462,7 @@ def cmd_lebesgue(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> d
 
 
 def cmd_parsum(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    p = lebesgue.parallel_sum(inputs["a"].value, inputs["b"].value)
+    p = lebesgue.parallel_sum(inputs["a"].value, inputs["b"].value, tol)
     verdict = {"rank": core.numeric_rank(p, tol)}
     return _report("parsum", inputs, tol, seed, verdict, {"parallel_sum": p})
 
@@ -625,6 +627,9 @@ def run(argv) -> int:
         raise MatrixError(f"inputs disagree on dimension: {sorted(dims)}")
 
     report = handler(inputs, tol, seed=args.seed)
+    failures = reverify_report(report)
+    if failures:  # fail closed: a report that fails its own claims is never printed
+        raise ToleranceBreakdownError("the report fails re-verification: " + "; ".join(failures))
     if args.json:
         print(_dumps(report))
     else:

@@ -436,8 +436,14 @@ def rank_one(f) -> np.ndarray:
 
     With the pairing ``<f|x> = sum_i f_i conj(x_i)``, this is the matrix of
     the map ``x -> conj(<f|x>) f``; its quadratic form is ``|<f|x>|^2``.
+    A product that overflows, or underflows to 0, is rejected without a
+    numpy warning.
     """
     v = as_vector(f)
-    if float(np.linalg.norm(v)) == 0.0:
+    if not v.any():
         raise MatrixError("rank_one requires a non-zero vector")
-    return np.outer(v, v.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.outer(v, v.conj())
+    if not (np.all(np.isfinite(m)) and m.any()):
+        raise MatrixError("the rank-one product of this vector leaves the float range")
+    return m

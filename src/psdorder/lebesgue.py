@@ -16,9 +16,11 @@ the pair is singular iff none is, and the zero angles span
 `ac_part` builds the maximal part of ``b`` by the shorted-operator formula
 ``V (V* b^+ V)^{-1} V*`` (Anderson & Trapp, SIAM J. Appl. Math. 28, 1975),
 and `_reduced_pair` shorts both ``a`` and ``b`` to the one ``V``, keeping
-only the r×r middle factors; the maximal part is also the monotone limit of
-the parallel sums ``(n a) : b`` as ``n`` grows, which serves as an
-independent oracle.
+only the r×r middle factors.  `parallel_sum` reads the same pair, so it
+shares the rank and zero-angle rule and forms no sum of the operands.  The
+maximal part ``[a]b`` is also the monotone limit of the parallel sums
+``(n a) : b`` as ``n`` grows (Ando, Acta Sci. Math. 38, 1976); the
+self-test checks `ac_part` against that limit with an oracle of its own.
 """
 
 from __future__ import annotations
@@ -88,78 +90,6 @@ def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[2].shape[1] == 0
 
 
-_GRADED_RATIO = float(2**20)
-
-
-def _machine_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of ``m`` with each eigenvalue at most ``100 n ε max|w|`` set to zero.
-
-    This machine-precision rank cutoff is `parallel_sum`'s own: the policy
-    cutoff of `core.pinv_psd` is relative to the largest eigenvalue, callers
-    of `parallel_sum` scale one argument by huge factors (e.g. ``2^30``) when
-    using it as a limit oracle, and a relative cutoff at that scale would null
-    genuinely informative eigenvalues of the sum.
-    """
-    w, v = np.linalg.eigh(m)
-    cut = 100.0 * m.shape[0] * np.finfo(float).eps * float(np.max(np.abs(w)))
-    return np.where(w > cut, w, 0.0), v
-
-
-def _machine_pinv(m: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse with `_machine_eigh`'s rank cutoff."""
-    w, v = _machine_eigh(m)
-    inv = np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)
-    return (v * inv) @ v.conj().T
-
-
-def parallel_sum(a, b) -> np.ndarray:
-    """Parallel sum ``a (a + b)^+ b`` of two PSD matrices (`core.as_psd`).
-
-    Symmetric in its arguments and a lower bound of both.  When the two
-    operands differ in scale by many orders of magnitude, the sum is
-    never formed directly: adding ``2^30 a`` to ``b`` entrywise rounds
-    away the`` b``-level information that the limit oracle depends on.
-    Instead the inverse is computed through a congruence that balances
-    the sum in the eigenbasis of the dominant operand, which yields the
-    same product because any Hermitian reflexive inverse ``w`` of
-    ``s = a + b`` satisfies ``a w b = a s^+ b`` (the kernel of ``s`` lies
-    in the kernels of both operands).
-    """
-    ha, hb = core.as_psd(a), core.as_psd(b)
-    core._same_dim(ha, hb)
-    na = float(np.max(np.abs(ha)))
-    nb = float(np.max(np.abs(hb)))
-    if na == 0.0 or nb == 0.0:
-        return np.zeros_like(ha)
-    if max(na, nb) <= _GRADED_RATIO * min(na, nb):
-        spinv = _machine_pinv(core._exact(ha, hb).matrix)
-        return core._symmetrized(ha @ spinv @ hb)
-    swapped = na < nb
-    big, small = (hb, ha) if swapped else (ha, hb)
-    gamma = float(np.max(np.abs(small)))
-    # machine-rank truncation of the dominant spectrum: eigh noise on the
-    # kernel of `big` would otherwise masquerade as content at a scale far
-    # above machine precision relative to `small`
-    wb, ub = _machine_eigh(big)
-    d = 1.0 / np.sqrt(np.clip(wb, gamma, None))
-    # the sum in big's eigenbasis: exactly diagonal big plus rotated small
-    n_mat = np.diag(wb) + ub.conj().T @ small @ ub
-    m_bal = core._symmetrized(n_mat * d[np.newaxis, :] * d[:, np.newaxis])
-    w_bal = _machine_pinv(m_bal)
-    # factored product a (t w t*) b with the dominant side applied
-    # spectrally: forming `big @ t` entrywise would cancel 1e9-scale terms
-    # down to order one and lose the small-operand information again
-    big_factor = ub * (wb * d)[np.newaxis, :]
-    t = ub * d[np.newaxis, :]
-    if swapped:
-        left = ha @ t
-        right = big_factor.conj().T
-    else:
-        left = big_factor
-        right = t.conj().T @ hb
-    return core._symmetrized(left @ w_bal @ right)
-
-
 def _shorted(d: core.EigDecomp, v: np.ndarray, tol: Tolerance):
     """``(m^{-1}, y)``: ``d`` shorted to ``ran v`` (``v`` orthonormal in ``ran d``) is ``v m^{-1} v*``,
     with ``y`` the coordinates of ``(d^+)^{1/2} v`` in the range basis of ``d`` and ``m = y* y``."""
@@ -173,6 +103,22 @@ def _reduced_pair(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     qb, _, c0 = _angles(da, db, tol)
     v = qb @ c0
     return v, _shorted(da, v, tol)[0], _shorted(db, v, tol)[0]
+
+
+def parallel_sum(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Parallel sum ``a : b = a (a + b)^+ b`` of two PSD matrices, read from `_reduced_pair`.
+
+    Its range is ``ran a ∩ ran b``, and on that intersection it is the
+    parallel sum of the maximal parts: ``a : b = v (ma^{-1} + mb^{-1})^{-1} v*``
+    (Anderson & Duffin, J. Math. Anal. Appl. 26, 1969).  So it shares the
+    rank and zero-angle rule of `ac_part`, is symmetric in its arguments and
+    a lower bound of both, and never forms ``a + b``: operands that differ in
+    scale by many orders of magnitude keep the smaller one's information.
+    Both operands must be PSD (`NotPsdError` otherwise).
+    """
+    v, ma, mb = _reduced_pair(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)
+    m = np.linalg.inv(np.linalg.inv(ma) + np.linalg.inv(mb))
+    return core._symmetrized(v @ m @ v.conj().T)
 
 
 def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:

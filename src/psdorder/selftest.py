@@ -15,8 +15,9 @@ whole.  SVD-based `numpy.linalg.pinv` and the eigenvalue helpers `eig_scale`
 and `min_eig` call numpy alone.  Bisection (`_bisect_strength`) reads
 `core.eig_hermitian` for its bracket and `core.is_psd` verdicts, but not
 `strength`'s range test or closed form.  The parallel-sum limit at ``2^30``
-validates through `core.as_psd`, but cuts ranks at machine precision, not
-by the `Tolerance` and principal angles that `lebesgue.ac_part` reads.
+(`_graded_parallel_sum`) calls numpy alone and cuts ranks at machine
+precision, not by the `Tolerance` and principal angles that `lebesgue.ac_part`
+and `lebesgue.parallel_sum` read.
 """
 
 from __future__ import annotations
@@ -238,6 +239,33 @@ def _dominates(a, b, tol: Tolerance = DEFAULT_TOL, samples: int = 20, seed: int 
         if la > _lam(db, f, tol) + 1e-8 * (1.0 + la):
             return False
     return True
+
+
+def _graded_parallel_sum(big, small) -> np.ndarray:
+    """``big : small`` for PSD ``big`` far above a non-zero PSD ``small`` in scale, by numpy alone.
+
+    The oracle of ``lebesgue.limit``.  Adding ``big`` to ``small`` entrywise
+    would round away the ``small``-level information, so the sum is inverted
+    through a congruence that balances it in the eigenbasis of ``big``; that
+    gives the same product, because any Hermitian reflexive inverse ``w`` of
+    ``s = big + small`` satisfies ``big w small = big s^+ small``.  Ranks are
+    cut at machine precision (``100 n ε max|eigenvalue|``), not by a `Tolerance`.
+    """
+
+    def eigh(m):
+        w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+        return np.where(w > 100.0 * m.shape[0] * np.finfo(float).eps * np.max(np.abs(w)), w, 0.0), u
+
+    wb, ub = eigh(big)
+    d = 1.0 / np.sqrt(np.clip(wb, np.max(np.abs(small)), None))
+    # the sum in big's eigenbasis, exactly diagonal big plus rotated small, balanced by d
+    w, u = eigh((np.diag(wb) + ub.conj().T @ small @ ub) * d[np.newaxis, :] * d[:, np.newaxis])
+    inv = np.where(w > 0.0, 1.0 / np.where(w > 0.0, w, 1.0), 0.0)
+    # big applied spectrally: forming ``big @ ub d`` entrywise would cancel
+    # large terms down to order one and lose the small operand again
+    left = (ub * (wb * d)[np.newaxis, :]) @ ((u * inv) @ u.conj().T)
+    p = left @ ((ub * d[np.newaxis, :]).conj().T @ small)
+    return 0.5 * (p + p.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +593,7 @@ def _decomposition(c, a, b, cplx):
 
 @_entry("lebesgue.limit", _reference_pair)
 def _limit(c, a, b, cplx):
-    limit = lebesgue.parallel_sum(float(2**30) * a, b)
+    limit = _graded_parallel_sum(float(2**30) * a, b)
     ac = lebesgue.ac_part(b, a, c.tol).ac
     c(_close(limit, ac, 1e-6 * eig_scale(a, b)), "2^30 parallel-sum limit")
 
@@ -590,15 +618,15 @@ def _maximality(c, a, b, cplx):
 
 @_entry("lebesgue.monotone", _reference_pair)
 def _monotone(c, a, b, cplx):
-    sums = [lebesgue.parallel_sum(k * a, b) for k in (1.0, 4.0, 16.0, 64.0, 256.0)]
+    sums = [lebesgue.parallel_sum(k * a, b, c.tol) for k in (1.0, 4.0, 16.0, 64.0, 256.0)]
     for lo, hi in zip(sums, sums[1:]):
         c(core.loewner_leq(lo, hi, c.tol), "parallel sum monotone in the scale")
 
 
 @_entry("lebesgue.parallel_sum", _reference_pair)
 def _parallel_sum(c, a, b, cplx):
-    ps = lebesgue.parallel_sum(a, b)
-    c(_close(ps, lebesgue.parallel_sum(b, a), 1e-10 * eig_scale(a, b)), "parallel sum symmetric")
+    ps = lebesgue.parallel_sum(a, b, c.tol)
+    c(_close(ps, lebesgue.parallel_sum(b, a, c.tol), 1e-10 * eig_scale(a, b)), "parallel sum symmetric")
     c(core.loewner_leq(ps, a, c.tol) and core.loewner_leq(ps, b, c.tol), "parallel sum below both")
 
 
@@ -719,7 +747,7 @@ def _infimum(c, a, b, *_):
         kind = k % 3
         if kind == 0:
             low = float(rng.uniform(0, 1)) * lebesgue.parallel_sum(
-                float(rng.uniform(0.2, 1.0)) * a, float(rng.uniform(0.2, 1.0)) * b
+                float(rng.uniform(0.2, 1.0)) * a, float(rng.uniform(0.2, 1.0)) * b, c.tol
             )
         elif kind == 1:
             low = float(rng.uniform(0, 1)) * v.candidate

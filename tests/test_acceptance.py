@@ -6,7 +6,8 @@ Criteria 1-8 and 10 run entries of the invariant catalogue
 bounds are the catalogue's.  The oracles (bisection on PSD verdicts, SVD
 pseudo-inverse, parallel-sum limits, numpy eigenvalues, 2x2 grid search)
 are independent of the closed forms they check, as `psdorder.selftest`
-states for each; bisection and the parallel-sum limit still read `core`.
+states for each; bisection still reads `core`, and the parallel-sum limit
+calls numpy alone, not `lebesgue`.
 """
 
 import numpy as np

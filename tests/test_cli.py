@@ -288,6 +288,19 @@ class TestCommands:
             assert code == 0, argv
             assert cli.reverify_report(report) == [], argv
 
+    def test_parsum_reads_the_tolerance(self, capsys, files):
+        """``u u* : w w*`` for rays ``1e-6`` apart: ``ran a ∩ ran b`` is one line at
+        ``--tol 1e-4``, where the two ranges count as one, and ``{0}`` by default."""
+        w = [np.cos(1e-6), np.sin(1e-6), 0.0]
+        a = write_matrix(files["tmp"] / "uu.json", po.rank_one([1.0, 0.0, 0.0]))
+        b = write_matrix(files["tmp"] / "ww.json", po.rank_one(w))
+        ranks = []
+        for tol in ([], ["--tol", "1e-4"]):
+            code, report = run_json(capsys, ["parsum", "--a", a, "--b", b] + tol)
+            assert (code, cli.reverify_report(report)) == (0, [])
+            ranks.append(report["verdict"]["rank"])
+        assert ranks == [0, 1]
+
     def test_kadison_fixture_via_cli(self, capsys, files):
         code, report = run_json(
             capsys, ["kadison-witness", "--a", files["p"], "--b", files["q"], "--t", files["id2"]]
@@ -412,6 +425,19 @@ class TestExitCodes:
         path.write_text(text)
         assert cli.main(["leq", "--a", str(path), "--b", files["id2"]]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_report_that_fails_reverification_is_not_printed(self, capsys, files):
+        """At k = 1e16 the unit bump of Kadison's witness rounds away, so ``s`` is
+        comparable with ``t`` and the report's ``incomparable`` claim fails."""
+        k = 1e16
+        a, b, t = (
+            write_matrix(files["tmp"] / f"{name}.json", m)
+            for name, m in (("a", np.diag([k, 0.0])), ("b", np.diag([0.0, k])), ("t", 1.5 * k * np.eye(2)))
+        )
+        code = cli.main(["kadison-witness", "--a", a, "--b", b, "--t", t, "--json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("internal diagnostic failure: the report fails re-verification: incomparable:")
 
     def test_tolerance_breakdown_exit_status(self, capsys, files, monkeypatch):
         def breakdown(*args, **kwargs):

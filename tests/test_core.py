@@ -372,6 +372,14 @@ class TestRankOne:
         with pytest.raises(po.MatrixError):
             po.rank_one([0.0, 0.0])
 
+    @pytest.mark.parametrize("f", [[1e160, 0.0], [1e-170, 0.0], [1e160j, 0.0]])
+    def test_product_outside_the_float_range_is_rejected(self, f):
+        """``f f*`` overflows or underflows to 0: rejected as such, without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(po.MatrixError, match="float range"):
+                po.rank_one(f)
+
     def test_trace_is_norm_squared(self, rng):
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         assert np.trace(po.rank_one(f)).real == pytest.approx(np.linalg.norm(f) ** 2)
@@ -434,10 +442,15 @@ class TestOverflow:
         big = self.big
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for decide, pair in ((po.comparable, (big, -big)), (po.inf_exists, (big, big)),
-                                 (po.parallel_sum, (big, big))):
+            for decide, pair in ((po.comparable, (big, -big)), (po.inf_exists, (big, big))):
                 with pytest.raises(po.MatrixError, match="overflows"):
                     decide(*pair)
+
+    def test_parallel_sum_forms_no_sum(self):
+        """``a : b`` is read from the reduced pair, so ``1e308 I : 1e308 I`` is decided."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(po.parallel_sum(self.big, self.big), 5e307 * np.eye(2))
 
     def test_band_defers_without_a_warning(self):
         with warnings.catch_warnings():
@@ -489,7 +502,7 @@ def _dtype_instance():
     up = low + sampling.random_psd(rng, 5, rank=1, complex_entries=False)
     f = sampling.random_ray_in_range(rng, low, False)
     assert po.comparable(a, b) is po.Comparison.INCOMPARABLE
-    # 2^30 b puts `parallel_sum` on its graded path.
+    # 2^30 b puts the operands of `parallel_sum` thirty binary orders apart.
     return {"a": a, "b": b, "big_b": 2.0**30 * b, "low": low, "up": up, "f": f, "t": a + b + np.eye(5)}
 
 

@@ -112,6 +112,13 @@ def test_ac_part(linalg_calls, inst):
     assert count(linalg_calls, po.ac_part, inst["b"], inst["low"])[0] == (2, 1, 0)
 
 
+def test_parallel_sum(linalg_calls, inst):
+    """Read from the reduced pair: one eigh per operand, the angles' SVD only when
+    ``ran a`` is not the whole space, and no decomposition of the sum."""
+    assert count(linalg_calls, po.parallel_sum, inst["low"], inst["b"])[0] == (2, 1, 0)
+    assert count(linalg_calls, po.parallel_sum, inst["a"], inst["b"])[0] == (2, 0, 0)
+
+
 def test_compress(linalg_calls, inst):
     """One eigh of the sum; `core.as_psd` validates each full-rank operand with one band Cholesky."""
     assert count(linalg_calls, po.compress, inst["a"], inst["b"])[0] == (1, 0, 2)

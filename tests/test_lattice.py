@@ -273,6 +273,11 @@ class TestInfExists:
     def test_inf_is_smaller_part_and_candidate(self, rng):
         holds(rng, 5, "lattice.infimum")
 
+    def test_parallel_sum_lower_bounds_at_seed_407(self):
+        """Trial 91 draws ``s (x a : y b)`` lower bounds; a parallel sum formed
+        from ``a + b`` once missed the infimum by rounding at the PSD floor."""
+        holds(407, 100, "lattice.infimum.incomparable")
+
     def test_reduction_identity(self, rng):
         holds(rng, 20, "lattice.reduction")
 

@@ -56,13 +56,28 @@ class TestParallelSum:
     def test_symmetric_and_below(self, rng):
         holds(rng, 20, "lebesgue.parallel_sum")
 
+    def test_monotone_on_the_selftest_seed_0_stream(self):
+        """Seed 19 is the stream `psdorder selftest --seed 0` draws for this entry; at
+        trial 52 a parallel sum formed from ``a + b`` once missed monotonicity."""
+        holds(19, 100, "lebesgue.monotone")
+
+    def test_shares_the_intersection_rule(self):
+        """``rank(a : b)`` is the dimension of ``ran a ∩ ran b`` that `mutually_singular`
+        and `ac_part` read at the same tolerance."""
+        u, w = np.eye(3)[0], np.array([np.cos(1e-6), np.sin(1e-6), 0.0])
+        a, b = po.rank_one(u), po.rank_one(w)
+        for tol, shared in ((po.DEFAULT_TOL, 0), (po.Tolerance(1e-4, 1e-6), 1)):
+            rank = po.numeric_rank(po.parallel_sum(a, b, tol), tol)
+            assert rank == shared == po.numeric_rank(po.ac_part(b, a, tol).ac, tol)
+            assert po.mutually_singular(a, b, tol) is (shared == 0)
+
 
 class TestAcPart:
     def test_split_diagonal(self):
         parts = po.ac_part(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
         np.testing.assert_allclose(parts.ac, np.diag([1.0, 0.0]), atol=1e-12)
         np.testing.assert_allclose(parts.sing, np.diag([0.0, 1.0]), atol=1e-12)
-        # parallel-sum limit oracle agrees
+        # Ando's limit: (2^30 a) : b is within 1e-6 of [a]b
         limit = po.parallel_sum(float(2**30) * np.diag([1.0, 0.0]), np.diag([1.0, 1.0]))
         assert np.max(np.abs(limit - parts.ac)) <= 1e-6
 
