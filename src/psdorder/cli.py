@@ -151,7 +151,6 @@ def _parse_csv_matrix(text: str) -> np.ndarray:
 class LoadedValue:
     """Input matrix or vector with its provenance descriptor."""
 
-    kind: str  # "matrix" | "vector"
     value: core.EigDecomp | np.ndarray  # a matrix's validated operand, which handlers pass on
     descriptor: dict  # {"path", "sha256", "kind", "value": obj}
 
@@ -159,7 +158,7 @@ class LoadedValue:
 def _loaded(kind: str, value, path: str, raw: bytes) -> LoadedValue:
     digest = hashlib.sha256(raw).hexdigest()
     node = _pack(value.matrix if kind == "matrix" else value)
-    return LoadedValue(kind, value, {"path": path, "sha256": digest, "kind": kind, "value": node})
+    return LoadedValue(value, {"path": path, "sha256": digest, "kind": kind, "value": node})
 
 
 def _load_file(path: str, kind: str, tol: Tolerance) -> LoadedValue:
@@ -326,7 +325,7 @@ def reverify_report(report: dict) -> list[str]:
     """
     try:
         stated = report["tolerance"]
-        tol = _finite_tolerance(float(stated["rel"]), float(stated["abs"]))
+        tol = Tolerance(rel=float(stated["rel"]), abs=float(stated["abs"]))
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         return [f"tolerance: no usable stated tolerance: {exc!r}"]
     try:
@@ -568,23 +567,19 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _finite_tolerance(rel: float, abs_: float) -> Tolerance:
-    if not (np.isfinite(rel) and np.isfinite(abs_) and rel > 0 and abs_ > 0):
-        raise MatrixError("tolerance must be finite and positive")
-    return Tolerance(rel=rel, abs=abs_)
-
-
 def _tolerance_from(args) -> Tolerance:
     if getattr(args, "tol", None) is None:
         return core.DEFAULT_TOL
     # abs = tol / 100 must not underflow to zero.
-    return _finite_tolerance(args.tol, args.tol / 100.0)
+    return Tolerance(rel=args.tol, abs=args.tol / 100.0)
 
 
 def run(argv) -> int:
     """Dispatch one command line; returns the exit status."""
     args = _parse_args(argv)
     started = time.perf_counter()
+    if args.command in ("gen", "selftest") and args.seed < 0:  # numpy takes no negative seed
+        raise CliInputError(f"--seed must be a non-negative integer, got {args.seed}")
 
     if args.command == "gen":
         rank = args.rank if args.rank is not None else args.dim

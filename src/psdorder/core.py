@@ -3,12 +3,12 @@
 Everything downstream (strength functions, Lebesgue decomposition, lattice
 decisions) reduces to the primitives in this module: a Hermitian
 eigendecomposition, pseudo-inverses and square roots built from it, range
-projectors, and Loewner-order comparisons.  All rank and positivity
-decisions go through one `Tolerance`, applied by `EigDecomp`, so that the
-answers are consistent with each other.  `_psd_band` certifies the same
-rule without an eigendecomposition wherever a Cholesky factor or a diagonal
-entry settles it beyond rounding, and defers to `EigDecomp` inside that
-band; `is_psd`, `as_psd` and `comparable` ask it first.
+projectors, and Loewner-order comparisons.  Every threshold decision is a
+method of one `Tolerance` (the rank rule is `EigDecomp.kept`), so that the
+answers are consistent with each other.  `_psd_band` certifies the rank and
+PSD rules without an eigendecomposition wherever a Cholesky factor or a
+diagonal entry settles them beyond rounding, and defers to `EigDecomp`
+inside that band; `is_psd`, `as_psd` and `comparable` ask it first.
 
 Matrices are plain square numpy arrays, accepted as anything
 ``np.asarray`` can digest.  The dtype follows the operands (`_real_or_complex`):
@@ -100,24 +100,21 @@ class ToleranceBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative threshold and absolute floor for rank/positivity decisions.
+    """Relative threshold and absolute floor, and the rules that compare with them.
 
-    Each rule is stated once, on a top scale ``top`` (a largest ``|eigenvalue|``
-    or ``|entry|``, or a bound on it): `cutoff` is the rank rule; `floor` is the
-    PSD rule and the limit on an entry that counts as zero.  An angle between
-    two ranges, or between a ray and a range, is zero when its sine is at most
-    ``rel``.  `EigDecomp` applies the rules to a computed spectrum; `_psd_band`
-    certifies the same verdicts without one, or defers.
+    Each threshold is stated once, on a top scale ``top`` (a largest
+    ``|eigenvalue|`` or ``|entry|``, or a bound on it): `cutoff` for the rank
+    rule (`EigDecomp.kept`), `floor` for the rest.  Each other rule is one
+    method, the only code that compares a quantity with a threshold: `psd`,
+    `negligible`, `zero_angle` and `sides`.  Both values are finite and positive.
     """
 
     rel: float = 1e-10
     abs: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel > 0):
-            raise ValueError("Tolerance.rel must be positive")
-        if not (self.abs > 0):
-            raise ValueError("Tolerance.abs must be positive")
+        if not (0 < self.rel < np.inf and 0 < self.abs < np.inf):  # NaN fails too
+            raise MatrixError("tolerance must be finite and positive")
 
     def cutoff(self, top: float) -> float:
         """An eigenvalue at or below this counts as zero (the numeric rank)."""
@@ -126,6 +123,22 @@ class Tolerance:
     def floor(self, top: float) -> float:
         """A PSD matrix has no eigenvalue below ``-floor``."""
         return self.rel * max(1.0, top)
+
+    def psd(self, x: float, top: float) -> bool:
+        """The PSD rule: ``x`` is not below ``-floor(top)``."""
+        return x >= -self.floor(top)
+
+    def negligible(self, x: float, top: float) -> bool:
+        """A magnitude ``x`` on the scale ``top`` counts as zero."""
+        return x <= self.floor(top)
+
+    def zero_angle(self, sine, length: float = 1.0):
+        """Elementwise: the angle whose sine is ``sine / length`` is zero (the sine is at most ``rel``)."""
+        return sine <= self.rel * length
+
+    def sides(self, w: np.ndarray) -> tuple[bool, bool]:
+        """Whether ``w`` reaches below, then above, ``1/2`` by more than ``rel``."""
+        return bool(np.any(w < 0.5 - self.rel)), bool(np.any(w > 0.5 + self.rel))
 
 
 DEFAULT_TOL = Tolerance()
@@ -203,9 +216,9 @@ class EigDecomp:
     ``matrix``: ``eigenvalues`` are real and ascending, ``vectors`` holds
     the matching orthonormal eigenvectors in its columns, phase-normalized
     (largest-magnitude component real positive) so that witnesses built from
-    them are reproducible.  `kept` and `psd_floor` apply `Tolerance.cutoff`
-    and `Tolerance.floor` to ``max|eigenvalue|``; `_psd_band` certifies the
-    same verdicts without a decomposition.
+    them are reproducible.  ``top`` is ``max|eigenvalue|``, the scale on
+    which `kept` applies `Tolerance.cutoff` and `is_psd` `Tolerance.psd`;
+    `_psd_band` certifies the same verdicts without a decomposition.
     """
 
     matrix: np.ndarray
@@ -217,6 +230,7 @@ class EigDecomp:
 
     eigenvalues = property(lambda self: self._eigh[0])
     vectors = property(lambda self: self._eigh[1])
+    top = property(lambda self: self._eigh[2])
     n = property(lambda self: self.matrix.shape[0])
 
     def reconstruct(self) -> np.ndarray:
@@ -228,12 +242,9 @@ class EigDecomp:
         v = self.vectors
         return _symmetrized((v * fn(self.eigenvalues)) @ v.conj().T)
 
-    def psd_floor(self, tol: Tolerance = DEFAULT_TOL) -> float:
-        return tol.floor(self._eigh[2])
-
     def kept(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Mask of the eigenvalues above the rank cutoff (the numeric range)."""
-        return self.eigenvalues > tol.cutoff(self._eigh[2])
+        return self.eigenvalues > tol.cutoff(self.top)
 
     def range_basis(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return self.vectors[:, self.kept(tol)]
@@ -248,12 +259,12 @@ class EigDecomp:
         return self.apply(lambda w: np.where(keep, 1.0 / np.where(keep, w, 1.0) ** p, 0.0))
 
     def is_psd(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return float(self.eigenvalues[0]) >= -self.psd_floor(tol)
+        return tol.psd(float(self.eigenvalues[0]), self.top)
 
     def require_psd(self, tol: Tolerance = DEFAULT_TOL) -> "EigDecomp":
         """This decomposition, or `NotPsdError` if the matrix is not PSD."""
         if not self.is_psd(tol):
-            raise NotPsdError(float(self.eigenvalues[0]), self.psd_floor(tol))
+            raise NotPsdError(float(self.eigenvalues[0]), tol.floor(self.top))
         return self
 
 
@@ -412,14 +423,14 @@ def _compare(da: EigDecomp, db: EigDecomp, tol: Tolerance) -> tuple[Comparison, 
     """`comparable`'s verdict on two operands, and the operand ``d = b - a``.
 
     ``a <= b`` iff ``d`` is PSD, and ``b <= a`` iff ``-d`` is, which eigh
-    reads as ``max eig(d) <= psd_floor``.
+    reads as `Tolerance.psd` of ``-max eig(d)``.
     """
     _same_dim(da.matrix, db.matrix)
     d = _exact(db.matrix, da.matrix, subtract=True)
     le = _psd_band(d.matrix, tol)
     ge = None if le is None else _psd_band(-d.matrix, tol)
     if ge is None:
-        le, ge = d.is_psd(tol), float(d.eigenvalues[-1]) <= d.psd_floor(tol)
+        le, ge = d.is_psd(tol), tol.psd(-float(d.eigenvalues[-1]), d.top)
     return _COMPARISONS[le, ge], d
 
 

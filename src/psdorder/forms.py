@@ -74,4 +74,4 @@ def form_inf_exists(
     does, but builds no n×n matrix past the two Gram matrices' decompositions.
     """
     *_, w = lattice._reduced_spectrum(*(core.eig_hermitian(f.gram, tol) for f in (t, s)), tol)
-    return not all(lattice._sides(w, tol))
+    return not all(tol.sides(w))

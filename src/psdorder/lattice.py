@@ -18,7 +18,7 @@ range of the sum, so ``[b]a <= [a]b`` iff ``w`` lies in ``[0, 1/2]``.
 Every infimum decision reads one rule on ``w``, in units that a common
 scaling of the pair leaves unchanged: ``w`` reaches a side of ``1/2`` iff
 it has an eigenvalue more than ``tol.rel`` beyond ``1/2`` on that side
-(`_sides`).  The infimum exists iff ``w`` does not
+(`Tolerance.sides`).  The infimum exists iff ``w`` does not
 reach both sides, and is ``[a]b`` iff it reaches the high one.  The factor
 also gives the candidate ``x diag(min(w, 1 - w)) x*`` and, if ``w`` reaches
 both sides, `ando_witness`: a common lower bound not comparable with the
@@ -164,11 +164,10 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         for gap, name in ((dta, "a"), (dtb, "b")):
             if not gap.is_psd(tol):
                 raise MatrixError(f"precondition failed: t >= {name} does not hold")
-    coincide = tol.floor(float(np.max(np.abs(ht))))
-    if float(np.max(np.abs(dta.matrix))) <= coincide:
-        raise MatrixError("precondition failed: t coincides with a within tolerance")
-    if float(np.max(np.abs(dtb.matrix))) <= coincide:
-        raise MatrixError("precondition failed: t coincides with b within tolerance")
+    top = float(np.max(np.abs(ht)))
+    for gap, name in ((dta, "a"), (dtb, "b")):
+        if tol.negligible(float(np.max(np.abs(gap.matrix))), top):
+            raise MatrixError(f"precondition failed: t coincides with {name} within tolerance")
     if lam is not None:
         s = ht.copy()
         s[0, 0] -= lam
@@ -300,7 +299,7 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     x = core._phase_normalized(v @ x)
     ap, bp = (core._symmetrized(v @ m @ v.conj().T) for m in (ma, mb))
     cand = _candidate(x, w)
-    low, high = _sides(w, tol)
+    low, high = tol.sides(w)
     if not (low and high):
         return InfimumVerdict(True, bp if high else ap, cand, None, ap, bp)
     witness = _straddle_witness(x, w, tol)
@@ -314,11 +313,6 @@ def _reduced_spectrum(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     if v.shape[1] == 0:
         return v, ma, mb, np.zeros((0, 0)), np.zeros(0)
     return (v, ma, mb, *_spectrum(ma, mb, tol))
-
-
-def _sides(w: np.ndarray, tol: Tolerance) -> tuple[bool, bool]:
-    """The module's rule: whether ``w`` reaches below, then above, ``1/2`` by more than ``tol.rel``."""
-    return bool(np.any(w < 0.5 - tol.rel)), bool(np.any(w > 0.5 + tol.rel))
 
 
 def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

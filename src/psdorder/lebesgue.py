@@ -9,8 +9,8 @@ as saying the zero matrix is the only common Loewner minorant.
 Every range question is answered from the principal angles of ``ran b``
 against ``ran a`` (Björck & Golub, Math. Comp. 27, 1973): with ``Qa⊥`` the
 eigenvectors of ``a`` outside its range, the singular values of
-``Qa⊥* Qb`` are their sines, and `_angles` alone counts an angle as zero
-when its sine is at most ``tol.rel``.  ``b << a`` iff every angle is zero,
+``Qa⊥* Qb`` are their sines, and `_angles` alone applies the zero-angle
+rule, `Tolerance.zero_angle`.  ``b << a`` iff every angle is zero,
 the pair is singular iff none is, and the zero angles span
 ``ran a ∩ ran b``, computed once per pair.  On that intersection ``V``
 `ac_part` builds the maximal part of ``b`` by the shorted-operator formula
@@ -76,7 +76,7 @@ def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     if z.size:
         _, s, vh = np.linalg.svd(z, full_matrices=z.shape[0] < rb)
         sines[: s.size], c = s, vh.conj().T
-    return qb, sines, c[:, sines <= tol.rel]
+    return qb, sines, c[:, tol.zero_angle(sines)]
 
 
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -716,7 +716,7 @@ def _infimum(c, a, b, *_):
     v = lattice.inf_exists(a, b, c.tol)
     da, db = (core.eig_hermitian(m, c.tol) for m in (v.reduced_a, v.reduced_b))
     mutual = lebesgue.absolutely_continuous(db, da, c.tol) and lebesgue.absolutely_continuous(da, db, c.tol)
-    straddles = all(lattice._sides(lattice._spectrum(v.reduced_a, v.reduced_b, c.tol)[1], c.tol))
+    straddles = all(c.tol.sides(lattice._spectrum(v.reduced_a, v.reduced_b, c.tol)[1]))
     c(mutual and straddles != v.exists, "spectral route agrees")
     try:
         lattice.ando_witness(a, b, c.tol)
@@ -865,7 +865,7 @@ def _band_operands(rng, t, pinned):
 def _band(c, matrices, edges):
     """`core._psd_band` gives eigh's verdict or defers, at every scale of
     `_BAND_SCALES`: PSD (`EigDecomp.is_psd`), the reverse order
-    (``max eig <= psd_floor``, the band's verdict on ``-x``, as `core.comparable`
+    (`Tolerance.psd` of ``-max eig``, the band's verdict on ``-x``, as `core.comparable`
     reads it) and full rank (`EigDecomp.kept`).  At the edges it defers."""
     for x in matrices:
         for k in _BAND_SCALES:
@@ -873,7 +873,7 @@ def _band(c, matrices, edges):
             dec = core.eig_hermitian(y, c.tol)
             for got, want, what in (
                 (core._psd_band(y, c.tol), dec.is_psd(c.tol), "psd"),
-                (core._psd_band(-y, c.tol), dec.eigenvalues[-1] <= dec.psd_floor(c.tol), "reverse order"),
+                (core._psd_band(-y, c.tol), c.tol.psd(-dec.eigenvalues[-1], dec.top), "reverse order"),
                 (core._psd_band(y, c.tol, full_rank=True), dec.kept(c.tol).all(), "full rank"),
             ):
                 verdict = "defers" if got is None else "agrees with eigh"

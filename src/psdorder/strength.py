@@ -12,6 +12,7 @@ fails, `order_witness` constructs a ray certifying the failure; the
 ``strength.*`` entries of `psdorder.selftest` cross-check both against
 independent oracles.  `strength` requires a PSD operand (`NotPsdError`
 otherwise); `order_witness`, like `core.comparable`, takes any Hermitian pair.
+Every threshold they compare with is a `Tolerance` rule.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class StrengthResult:
 def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     """Largest ``t >= 0`` with ``t * f f* <= a``, plus certificates.
 
-    Zero when ``f`` is outside the numeric range of ``a``, i.e. when the
-    sine ``||f_perp|| / ||f||`` of its angle with that range exceeds
-    ``tol.rel``; otherwise ``1 / (f* a^+ f)``.
+    Zero when ``f`` is outside the numeric range of ``a``, i.e. when its
+    angle with that range (sine ``||f_perp|| / ||f||``) is not zero by
+    `Tolerance.zero_angle`; otherwise ``1 / (f* a^+ f)``.
     Rejects ``f = 0``, and an ``a`` that is not PSD: the strength is only
     defined along non-zero rays of a PSD matrix.
 
@@ -76,7 +77,7 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     keep = dec.kept(tol)
     coeff = dec.vectors.conj().T @ v
     outside = float(np.linalg.norm(coeff[~keep]))
-    if not keep.any() or outside > tol.rel * float(np.linalg.norm(v)):
+    if not keep.any() or not tol.zero_angle(outside, float(np.linalg.norm(v))):
         return StrengthResult(0.0, None, None)
     s = int(np.frexp(dec.eigenvalues[-1])[1])
     s += s % 2
@@ -115,14 +116,13 @@ def _order_test(da, db, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | N
     cmp, dec = core._compare(da, db, tol)
     if cmp in (core.Comparison.LEQ, core.Comparison.EQUAL):
         return cmp, None
-    ha, floor = da.matrix, dec.psd_floor(tol)
-    entry_floor = tol.floor(float(np.max(np.abs(ha))))
+    ha, top = da.matrix, float(np.max(np.abs(da.matrix)))
     for i in range(dec.n):
-        if dec.eigenvalues[i] >= -floor:
+        if tol.psd(dec.eigenvalues[i], dec.top):
             break
         x = dec.vectors[:, i]
         q = float(np.real(x.conj() @ ha @ x))
-        if q > entry_floor:
+        if not tol.negligible(q, top):
             x = x / np.sqrt(q)
             return cmp, ha @ x
     # A negative direction with x* a x = 0 would force x* b x < 0, which is

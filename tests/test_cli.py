@@ -739,6 +739,11 @@ class TestGen:
         loaded = cli.load_matrix_file(str(f), po.DEFAULT_TOL)
         assert po.is_psd(loaded.value)
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert cli.main(["gen", "--dim", "2", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
 
 class TestDeterminism:
     def test_json_reports_byte_identical(self, capsys, files):
@@ -774,6 +779,11 @@ class TestSelftestCommand:
         assert cli.main(["selftest", "--trials", "2", "--json"]) == 0
         out = capsys.readouterr().out
         assert out == canonical(out)
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert cli.main(["selftest", "--trials", "1", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_seed_variation_same_verdict(self, capsys):
         code1, s1 = run_json(capsys, ["selftest", "--trials", "2", "--seed", "11"])

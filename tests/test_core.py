@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -237,7 +238,7 @@ class TestPsdBand:
                 dec = po.eig_hermitian(d)
                 le, ge = core._psd_band(d, tol), core._psd_band(-d, tol)
                 assert le is None or le == dec.is_psd(tol)
-                assert ge is None or ge == (float(dec.eigenvalues[-1]) <= dec.psd_floor(tol))
+                assert ge is None or ge == tol.psd(-float(dec.eigenvalues[-1]), dec.top)
                 settled += le is not None and ge is not None
                 for gap in (s * b + s * np.eye(len(a)), s * a + s * np.eye(len(a))):
                     got = core._psd_band(gap, tol, full_rank=True)
@@ -410,9 +411,39 @@ class TestTolerance:
             po.Tolerance(rel=0.0)
         with pytest.raises(ValueError):
             po.Tolerance(abs=-1e-9)
+        for bad in (np.inf, -np.inf, np.nan):
+            for field in ("rel", "abs"):
+                with pytest.raises(po.MatrixError, match="tolerance must be finite and positive"):
+                    po.Tolerance(**{field: bad})
+
+    def test_psd_rule_at_the_floor(self):
+        tol, top = po.Tolerance(rel=1e-10, abs=1e-12), 4.0
+        edge = -tol.floor(top)
+        assert tol.psd(edge, top) and not tol.psd(np.nextafter(edge, -np.inf), top)
+
+    def test_negligible_rule_at_the_floor(self):
+        tol, top = po.Tolerance(rel=1e-10, abs=1e-12), 0.5
+        edge = tol.floor(top)
+        assert tol.negligible(edge, top) and not tol.negligible(np.nextafter(edge, np.inf), top)
+
+    def test_zero_angle_rule_at_rel(self):
+        tol = po.Tolerance(rel=1e-10, abs=1e-12)
+        sines = np.array([tol.rel, np.nextafter(tol.rel, np.inf)])
+        assert tol.zero_angle(sines).tolist() == [True, False]
+        assert tol.zero_angle(3.0 * tol.rel, 3.0) and not tol.zero_angle(np.nextafter(3.0 * tol.rel, 1.0), 3.0)
+
+    def test_sides_rule_at_rel_from_one_half(self):
+        tol = po.Tolerance(rel=1e-10, abs=1e-12)
+        low, high = 0.5 - tol.rel, 0.5 + tol.rel
+        assert tol.sides(np.array([low, 0.5, high])) == (False, False)
+        assert tol.sides(np.array([np.nextafter(low, 0.0), high])) == (True, False)
+        assert tol.sides(np.array([low, np.nextafter(high, 1.0)])) == (False, True)
+        assert tol.sides(np.zeros(0)) == (False, False)
 
     def test_each_rule_is_stated_once(self):
-        """The rank cutoff and the PSD floor are written out only in `Tolerance`'s methods."""
+        """The rank cutoff and the PSD floor are written out only in `Tolerance`'s methods,
+        and no decision module outside `core` reads ``rel``, ``cutoff`` or ``floor``: each
+        comparison with a threshold is a `Tolerance` rule method."""
         tol = po.Tolerance(rel=1e-10, abs=1e-12)
         assert tol.cutoff(4.0) == 1e-10 * 4.0 + 1e-12
         assert (tol.floor(0.5), tol.floor(4.0)) == (1e-10, 1e-10 * 4.0)
@@ -422,7 +453,21 @@ class TestTolerance:
         cutoff = re.compile(r"\brel \*[^\n]*\+[^\n]*\babs\b")
         assert source.count("max(1") == 1 and "max(1" in inspect.getsource(po.Tolerance.floor)
         assert len(cutoff.findall(source)) == 1 and cutoff.search(inspect.getsource(po.Tolerance.cutoff))
-        assert not any(hasattr(core.EigDecomp, name) for name in ("source_scale", "rank_cutoff"))
+        assert not any(hasattr(core.EigDecomp, name) for name in ("source_scale", "rank_cutoff", "psd_floor"))
+        assert not hasattr(po.lattice, "_sides") and not hasattr(importlib.import_module("psdorder.cli"), "_finite_tolerance")
+
+        def reads(node):  # attribute reads of a threshold; a docstring is a constant, not a read
+            return [(n.lineno, n.attr) for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                    and n.attr in ("rel", "cutoff", "floor")]
+
+        outside = {}
+        for m in ("strength", "lebesgue", "lattice", "forms"):
+            tree = ast.parse(inspect.getsource(importlib.import_module(f"psdorder.{m}")))
+            # The one exception: `_straddle_witness`'s window guard, ``eps <= rel / 3``.
+            exempt = [r for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                      and f.name == "_straddle_witness" for r in reads(f)]
+            outside[m] = [r for r in reads(tree) if r not in exempt]
+        assert outside == dict.fromkeys(outside, [])
 
 
 class TestOverflow:

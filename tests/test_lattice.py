@@ -11,7 +11,7 @@ from conftest import holds
 
 def straddles(a, b):
     """Whether the spectrum of the full pair, by the private `lattice._spectrum`, reaches both sides of 1/2."""
-    return all(lattice._sides(lattice._spectrum(a, b, po.DEFAULT_TOL)[1], po.DEFAULT_TOL))
+    return all(po.DEFAULT_TOL.sides(lattice._spectrum(a, b, po.DEFAULT_TOL)[1]))
 
 
 @pytest.fixture(scope="module")
