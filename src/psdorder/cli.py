@@ -104,8 +104,9 @@ def from_obj(obj, kind: str) -> np.ndarray:
 
     complex128 if the envelope is flagged ``complex``, float64 otherwise."""
     try:
-        n = int(obj["n"])
-        cplx = bool(obj["complex"])
+        n, cplx = obj["n"], obj["complex"]
+        if type(n) is not int or type(cplx) is not bool:  # exact: isinstance takes JSON true for an int
+            raise TypeError(f"n must be an integer and complex a boolean, got {n!r} and {cplx!r}")
         dims = {"matrix": (n, n), "vector": (n,)}[kind]
         if "f64le" in obj:  # a report node; b64decode raises TypeError on any JSON non-string
             raw = base64.b64decode(obj["f64le"], validate=True)
@@ -114,7 +115,7 @@ def from_obj(obj, kind: str) -> np.ndarray:
                 raise ValueError(f"the f64le payload must hold {dims} finite values")
             return values.reshape(dims).astype(np.complex128 if cplx else np.float64)
         data = obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"malformed {kind} object: {exc}") from exc
     try:
         parts = np.array(data)

@@ -1,14 +1,14 @@
 """The invariant catalogue: every randomized check of the paper's claims.
 
 Each entry of `CATALOGUE` names its suite (the part of its name before the
-dot), a sampler ``(rng, trial, pinned) -> instance`` and a check ``(tally,
-*instance)`` that records each verdict with ``tally(ok, label)``.  The same
-entries run three ways: `run_selftest` runs every entry on its own seeded
-stream (``psdorder selftest``); the acceptance suite runs groups of entries
-on each criterion's pinned stream (seed, trial count, ``pinned=True``); the
-unit tests run single entries under pytest.  Bounds live in the checks and
-nowhere else.  A name with a third part, such as ``lattice.infimum.incomparable``,
-runs the check of ``lattice.infimum`` on a further instance family.
+dot), a sampler ``(rng, trial) -> instance`` and a check ``(tally,
+*instance)`` that records each verdict with ``tally(ok, label)``.  Every
+sampler has one instance stream: `run_selftest` runs each entry on its own
+seed (``psdorder selftest``), the acceptance suite runs groups of entries at
+each criterion's seed and trial count, and the unit tests run single entries
+under pytest.  Bounds live in the checks and nowhere else.  A name with a
+third part, such as ``lattice.infimum.incomparable``, runs the check of
+``lattice.infimum`` on a further instance family.
 
 Each oracle is independent of the route it checks, not of `core` as a
 whole.  SVD-based `numpy.linalg.pinv` and the eigenvalue helpers `eig_scale`
@@ -127,14 +127,12 @@ def check_invariants(
     trials: int,
     tol: Tolerance = DEFAULT_TOL,
     tally: Tally | None = None,
-    pinned: bool = False,
 ) -> Tally:
     """Run the named entries on one stream of ``trials`` instances from ``rng``.
 
     The entries must share a sampler.  Each trial draws one instance and
     every entry checks it in the given order, so checks that draw further
     values (rays, minorants) consume the generator in a fixed sequence.
-    ``pinned`` draws the acceptance suite's instance streams.
     """
     entries = [CATALOGUE[name] for name in names]
     sample = entries[0].sample
@@ -143,7 +141,7 @@ def check_invariants(
     tally = tally if tally is not None else Tally(entries[0].suite)
     tally.rng, tally.tol = rng, tol
     for t in range(trials):
-        instance = sample(rng, t, pinned)
+        instance = sample(rng, t)
         tally.t = t
         for e in entries:
             tally.entry = e.name
@@ -269,104 +267,87 @@ def _graded_parallel_sum(big, small) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# samplers ``(rng, t, pinned) -> instance``: dimension 1 + t % 6, or 2 + t % 5
-# where pairs must be incomparable.  With ``pinned`` they draw the acceptance
-# streams bit for bit: complex on odd t, ranks from a fixed profile, rays in
-# range on every other t.  Otherwise every (dimension, real/complex, in range)
-# combination occurs within 36 trials, and ranks are uniform in 1..n.
+# samplers ``(rng, t) -> instance``: dimension 1 + t % 6, or 2 + t % 5 where
+# pairs must be incomparable; ranks uniform in 1..n; `_ray` in ran A on two
+# trials in three; every (dimension, real/complex, in range) combination within
+# 36 trials.  A sampler that calls another draws that one's values first.
 
 
-def _is_complex(t: int, pinned: bool) -> bool:
-    return bool(t % 2) if pinned else bool((t + t // 6) % 2)
+def _is_complex(t: int) -> bool:
+    return bool((t + t // 6) % 2)
 
 
-def _rank(rng, n: int, t: int, pinned: bool) -> int:
-    if pinned:
-        return (n, max(1, n - 1), max(1, n // 2), 1, n)[t % 5]
-    return int(rng.integers(1, n + 1))
+def _draw_psd(rng, n: int, cplx: bool) -> np.ndarray:
+    return random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
 
 
-def _inside(t: int, odd: bool, pinned: bool) -> bool:
-    """Whether trial t draws a ray in ran A; pinned streams take t % 2 == odd."""
-    return t % 2 == odd if pinned else bool((t + t // 6) % 3)
+def _ray(rng, a, t: int, cplx: bool) -> np.ndarray:
+    return random_ray_in_range(rng, a, cplx) if (t + t // 6) % 3 else random_vector(rng, len(a), cplx)
 
 
-def _psd(rng, t, pinned):
+def _psd(rng, t):
     n = 1 + t % 6
-    cplx = _is_complex(t, pinned)
+    cplx = _is_complex(t)
     rank = int(rng.integers(1, n + 1))
     return random_psd(rng, n, rank=rank, complex_entries=cplx), rank, cplx
 
 
-def _operator_and_ray(rng, t, pinned):
+def _operator_and_ray(rng, t):
     """(A, f); A = 0 sometimes."""
     n = 1 + t % 6
-    cplx = _is_complex(t, pinned)
-    if t % 50 == 17:
-        a = np.zeros((n, n))
-    else:
-        a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
-    inside = _inside(t, False, pinned)
-    f = random_ray_in_range(rng, a, cplx) if inside else random_vector(rng, n, cplx)
-    return a, f
+    cplx = _is_complex(t)
+    a = np.zeros((n, n)) if t % 50 == 17 else _draw_psd(rng, n, cplx)
+    return a, _ray(rng, a, t, cplx)
 
 
-def _ray_in_range(rng, t, pinned):
-    n = 1 + t % 6
-    cplx = _is_complex(t, pinned)
-    a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
+def _ray_in_range(rng, t):
+    a, _, cplx = _psd(rng, t)
     return a, random_ray_in_range(rng, a, cplx)
 
 
-def _ordered_pair(rng, t, pinned):
+def _psd_pair(rng, t):
     n = 1 + t % 6
-    cplx = _is_complex(t, pinned)
-    a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
-    p = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-    return a, a + p
+    cplx = _is_complex(t)
+    return _draw_psd(rng, n, cplx), _draw_psd(rng, n, cplx)
 
 
-def _not_below(rng, t, pinned):
+def _ordered_pair(rng, t):
+    a, b = _psd_pair(rng, t)
+    return a, a + b
+
+
+def _not_below(rng, t):
     """Pairs with a <= b false: incomparable, or a > b for t % 4 == 3."""
     n = 2 + t % 5
-    cplx = _is_complex(t, pinned)
+    cplx = _is_complex(t)
     if t % 4 == 3:
         b = random_psd(rng, n, complex_entries=cplx)
         return b + random_psd(rng, n, complex_entries=cplx), b
     return incomparable_pair(rng, n, cplx)
 
 
-def _operator_pair_and_ray(rng, t, pinned):
-    n = 1 + t % 6
-    cplx = _is_complex(t, pinned)
-    a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
-    b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-    inside = _inside(t, True, pinned)
-    f = random_ray_in_range(rng, a, cplx) if inside else random_vector(rng, n, cplx)
-    return a, b, f
+def _operator_pair_and_ray(rng, t):
+    a, b = _psd_pair(rng, t)
+    return a, b, _ray(rng, a, t, _is_complex(t))
 
 
-def _reference_pair(rng, t, pinned):
+def _reference_pair(rng, t):
     """(a, b) for decomposing b against a; a = 0 sometimes."""
     n = 1 + t % 6
-    cplx = _is_complex(t, pinned)
-    zero_a = t % 25 == 13
-    a = np.zeros((n, n)) if zero_a else random_psd(
-        rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx
-    )
-    b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-    return a, b, cplx
+    cplx = _is_complex(t)
+    a = np.zeros((n, n)) if t % 25 == 13 else _draw_psd(rng, n, cplx)
+    return a, _draw_psd(rng, n, cplx), cplx
 
 
-def _incomparable(rng, t, pinned):
-    cplx = _is_complex(t, pinned)
+def _incomparable(rng, t):
+    cplx = _is_complex(t)
     return (*incomparable_pair(rng, 2 + t % 5, cplx), cplx)
 
 
-def _mixed_pair(rng, t, pinned):
+def _mixed_pair(rng, t):
     """Five families in turn, so infima exist on some trials and not on others."""
     family = t % 5
-    cplx = _is_complex(t, pinned)
+    cplx = _is_complex(t)
     if family == 0:  # full rank, mutually AC
         a, b = incomparable_pair(rng, 2 + t % 5, cplx)
         a = a + 0.3 * np.eye(a.shape[0])
@@ -378,43 +359,31 @@ def _mixed_pair(rng, t, pinned):
         n = 3 + t % 4
         a, b = sampling.shared_core_pair(rng, n, int(rng.integers(1, n - 1)), cplx, tails=True)
     elif family == 3:  # comparable
-        n = 1 + t % 6
-        a = random_psd(rng, n, rank=_rank(rng, n, t, pinned), complex_entries=cplx)
-        b = a + random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+        a, b = _ordered_pair(rng, t)
     else:  # mutually singular (scaled disjoint projectors)
-        n = 2 + t % 5
-        p1, p2 = sampling.disjoint_projector_pair(rng, n, cplx)
+        p1, p2 = _disjoint(rng, t)
         a, b = float(rng.uniform(0.5, 2.0)) * p1, float(rng.uniform(0.5, 2.0)) * p2
     return a, b
 
 
-def _shared_core(rng, t, pinned):
+def _shared_core(rng, t):
     """Pairs on one core subspace; on every third trial, private tails where they fit."""
     n = 2 + t % 5
     rank = int(rng.integers(1, n + 1))
     tails = t % 3 == 0 and rank + 2 <= n
-    return sampling.shared_core_pair(rng, n, rank, _is_complex(t, pinned), tails=tails)
+    return sampling.shared_core_pair(rng, n, rank, _is_complex(t), tails=tails)
 
 
-def _disjoint(rng, t, pinned):
-    return sampling.disjoint_projector_pair(rng, 2 + t % 5, complex_entries=_is_complex(t, pinned))
+def _disjoint(rng, t):
+    return sampling.disjoint_projector_pair(rng, 2 + t % 5, complex_entries=_is_complex(t))
 
 
-def _psd_pair(rng, t, pinned):
-    n = 1 + t % 6
-    cplx = _is_complex(t, pinned)
-    a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-    b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-    return a, b
-
-
-def _report_inputs(rng, t, pinned):
+def _report_inputs(rng, t):
     """Operands for every subcommand: a, b, a ray in ran a, a + p >= a, and
     an incomparable pair x, y."""
     n = 2 + t % 5
-    cplx = _is_complex(t, pinned)
-    a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
-    b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=cplx)
+    cplx = _is_complex(t)
+    a, b = _draw_psd(rng, n, cplx), _draw_psd(rng, n, cplx)
     f = random_ray_in_range(rng, a, cplx)
     above = a + random_psd(rng, n, rank=1, complex_entries=cplx)
     x, y = incomparable_pair(rng, n, cplx)
@@ -832,7 +801,7 @@ def _reports(c, a, b, f, above, x, y):
 _BAND_SCALES = (-40, -20, 0, 20, 40)
 
 
-def _band_operands(rng, t, pinned):
+def _band_operands(rng, t):
     """``(matrices, edges)`` for `core._psd_band`.
 
     ``matrices`` are the square operands of an instance of every other
@@ -845,7 +814,7 @@ def _band_operands(rng, t, pinned):
     (``full_rank`` false) or the rank cutoff of its tolerance.
     """
     samplers = list(dict.fromkeys(e.sample for e in CATALOGUE.values() if e.sample is not _band_operands))
-    instance = samplers[t % len(samplers)](rng, t // len(samplers), pinned)
+    instance = samplers[t % len(samplers)](rng, t // len(samplers))
     ops = [core.as_hermitian(m) for m in instance if isinstance(m, np.ndarray) and m.ndim == 2]
     n, cplx = ops[0].shape[0], any(np.iscomplexobj(m) for m in ops)
     f = random_vector(rng, n, cplx)

@@ -15,10 +15,10 @@ class _FirstFailureRaises(Tally):
         super().__call__(ok, label)
 
 
-def holds(seed, trials, *names, pinned=False):
+def holds(seed, trials, *names):
     """Run catalogue entries on one instance stream; the first failed check raises.
 
     ``seed`` is an int or a generator, which is drawn from in place.
     """
     rng = sampling.rng_from_seed(seed)
-    return check_invariants(names, rng, trials, tally=_FirstFailureRaises("pytest"), pinned=pinned)
+    return check_invariants(names, rng, trials, tally=_FirstFailureRaises("pytest"))

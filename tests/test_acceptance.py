@@ -2,12 +2,13 @@
 
 Runnable standalone:  pytest -s -v tests/test_acceptance.py
 Criteria 1-8 and 10 run entries of the invariant catalogue
-(`psdorder.selftest.CATALOGUE`) at their pinned seeds and trial counts; the
-bounds are the catalogue's.  The oracles (bisection on PSD verdicts, SVD
-pseudo-inverse, parallel-sum limits, numpy eigenvalues, 2x2 grid search)
-are independent of the closed forms they check, as `psdorder.selftest`
-states for each; bisection still reads `core`, and the parallel-sum limit
-calls numpy alone, not `lebesgue`.
+(`psdorder.selftest.CATALOGUE`) at each criterion's seed and trial count, on
+the one instance stream of each sampler that ``psdorder selftest`` and the
+unit tests also draw; the bounds are the catalogue's.  The oracles
+(bisection on PSD verdicts, SVD pseudo-inverse, parallel-sum limits, numpy
+eigenvalues, 2x2 grid search) are independent of the closed forms they
+check, as `psdorder.selftest` states for each; bisection still reads
+`core`, and the parallel-sum limit calls numpy alone, not `lebesgue`.
 """
 
 import numpy as np
@@ -18,44 +19,39 @@ from psdorder import sampling
 from conftest import holds
 
 
-def criterion(seed, trials, *names):
-    """Run catalogue entries on a criterion's pinned instance stream."""
-    return holds(seed, trials, *names, pinned=True)
-
-
 def test_criterion_01_strength_closed_form_vs_oracle():
-    criterion(101, 500, "strength.bisection", "strength.supremum")
+    holds(101, 500, "strength.bisection", "strength.supremum")
     print("ACCEPTANCE 1: PASS: closed-form strength matches bisection oracle, "
           "supremum property holds (500 trials)")
 
 
 def test_criterion_02_strength_times_penrose_form_is_one():
-    criterion(202, 500, "strength.penrose")
+    holds(202, 500, "strength.penrose")
     print("ACCEPTANCE 2: PASS: strength * (f* A^+ f) = 1 within 1e-8 (500 trials)")
 
 
 def test_criterion_03_order_iff_strength_dominance():
     rng = sampling.rng_from_seed(303)
-    criterion(rng, 200, "strength.dominance")
-    criterion(rng, 200, "strength.order_witness")
+    holds(rng, 200, "strength.dominance")
+    holds(rng, 200, "strength.order_witness")
     print("ACCEPTANCE 3: PASS: dominance on 50 rays for 200 ordered pairs; "
           "strict witness gap for 200 non-ordered pairs")
 
 
 def test_criterion_04_remark_properties():
-    criterion(404, 200, "strength.homogeneity", "strength.superadditivity", "strength.concavity")
+    holds(404, 200, "strength.homogeneity", "strength.superadditivity", "strength.concavity")
     print("ACCEPTANCE 4: PASS: homogeneity exact to 1e-12, superadditivity and "
           "concavity within 1e-8*scale (200 trials)")
 
 
 def test_criterion_05_lebesgue_decomposition():
-    criterion(505, 200, "lebesgue.decomposition", "lebesgue.limit", "lebesgue.maximality")
+    holds(505, 200, "lebesgue.decomposition", "lebesgue.limit", "lebesgue.maximality")
     print("ACCEPTANCE 5: PASS: decomposition, AC/singular certificates, 2^30 "
           "parallel-sum limit, maximality vs 100 minorants (200 trials)")
 
 
 def test_criterion_06_anti_lattice_witnesses():
-    criterion(606, 200, "lattice.kadison")
+    holds(606, 200, "lattice.kadison")
     # fixed fixture
     s = po.kadison_witness(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2))
     np.testing.assert_allclose(s, [[4 / 3, 2 / 3], [2 / 3, 4 / 3]], atol=1e-12)
@@ -67,7 +63,7 @@ def test_criterion_06_anti_lattice_witnesses():
 
 
 def test_criterion_07_infimum_three_way_agreement():
-    tally = criterion(707, 300, "lattice.infimum")
+    tally = holds(707, 300, "lattice.infimum")
     exists_count = tally.labels["infimum is the candidate"]
     witness_count = tally.labels["witness incomparable with the candidate"]
     assert exists_count >= 60 and witness_count >= 60, "mix did not cover both outcomes"
@@ -80,7 +76,7 @@ def test_criterion_07_infimum_three_way_agreement():
 
 
 def test_criterion_08_disjoint_projections_have_zero_infimum():
-    criterion(808, 100, "lattice.disjoint")
+    holds(808, 100, "lattice.disjoint")
     print("ACCEPTANCE 8: PASS: infimum of 100 disjoint-range projector pairs is 0")
 
 
@@ -170,6 +166,6 @@ def test_criterion_09_exhaustive_2x2_grid_oracle():
 
 
 def test_criterion_10_forms_corollary_agreement():
-    criterion(1010, 100, "forms.agreement")
+    holds(1010, 100, "forms.agreement")
     print("ACCEPTANCE 10: PASS: form-level and operator-level verdicts agree "
           "exactly on 100 Gram pairs")

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -187,7 +188,7 @@ class TestReportEnvelope:
         failures = cli.reverify_report(report)
         assert len(failures) == 1 and "error during re-verification" in failures[0]
 
-    @pytest.mark.parametrize("n", [1, 3, -2])
+    @pytest.mark.parametrize("n", [1, 3, -2, 2.0, "2"])
     def test_matrix_payload_must_fill_n_by_n(self, n):
         with pytest.raises(cli.CliInputError):
             cli.from_obj({"n": n, "complex": False, "f64le": b64(np.eye(2))}, "matrix")
@@ -409,6 +410,10 @@ class TestExitCodes:
             '{"n": 2, "complex": false, "data": [[1.0, 0.0], [0.0]]}',
             '{"n": 1, "complex": true, "data": [[[1.0, 0.0, 0.0]]]}',
             '{"n": 1, "complex": false, "data": [[1' + "0" * 400 + "]]}",
+            '{"n": 2.7, "complex": false, "data": [[1, 0], [0, 1]]}',
+            '{"n": true, "complex": false, "data": [[1.0]]}',
+            '{"n": 1, "complex": [], "data": [[1.0]]}',
+            '{"n": 1, "complex": "false", "data": [[[1.0, 0.0]]]}',
         ],
         ids=[
             "string-in-pair",
@@ -418,6 +423,10 @@ class TestExitCodes:
             "ragged",
             "triple",
             "int-beyond-float",
+            "float-n",
+            "bool-n",
+            "list-complex",
+            "string-complex",
         ],
     )
     def test_malformed_json_matrix_is_parse_error(self, capsys, files, tmp_path, text):
@@ -774,6 +783,14 @@ class TestSelftestCommand:
             "forms",
             "reports",
         }
+
+    def test_every_sampler_draws_one_stream(self):
+        """Each sampler is ``(rng, t) -> instance``.  `core.band` cycles through
+        the 13 other distinct samplers, so merging two of them would move its
+        stream."""
+        samplers = list(dict.fromkeys(e.sample for e in selftest.CATALOGUE.values()))
+        assert [list(inspect.signature(s).parameters) for s in samplers] == [["rng", "t"]] * 14
+        assert samplers[-1] is selftest.CATALOGUE["core.band"].sample  # after the other 13
 
     def test_summary_is_canonical(self, capsys):
         assert cli.main(["selftest", "--trials", "2", "--json"]) == 0

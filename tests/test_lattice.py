@@ -22,7 +22,7 @@ def infimum_probe():
     for name in ("lattice.infimum", "lattice.infimum.incomparable", "lattice.infimum.shared_core"):
         for seed in range(200, 205):
             rng = sampling.rng_from_seed(seed)
-            pairs += [CATALOGUE[name].sample(rng, t, False)[:2] for t in range(100)]
+            pairs += [CATALOGUE[name].sample(rng, t)[:2] for t in range(100)]
     rng = sampling.rng_from_seed(3)
     pairs += [sampling.incomparable_pair(rng, 4)[:2] for _ in range(40)]
     return pairs, [po.inf_exists(a, b).exists for a, b in pairs]

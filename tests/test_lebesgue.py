@@ -124,7 +124,7 @@ class TestRangeQuestions:
 
     def test_range_verdicts_do_not_change_under_scaling(self):
         rng = sampling.rng_from_seed(77)
-        pairs = [_mixed_pair(rng, t, False) for t in range(200)]
+        pairs = [_mixed_pair(rng, t) for t in range(200)]
 
         def verdicts(s):
             return [
@@ -142,7 +142,7 @@ class TestRangeQuestions:
         rng = sampling.rng_from_seed(78)
         for t in range(1000):
             sampler = _mixed_pair if t % 2 else _psd_pair
-            a, b = sampler(rng, t // 2, False)
+            a, b = sampler(rng, t // 2)
             _check_sines(linalg, a, b, t)
 
     def test_sines_on_every_complement_shape(self, monkeypatch):
