@@ -423,9 +423,7 @@ def cmd_strength(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> d
 def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
     # A refuted order's `strength_gap` claim reads both operands' strengths, so
     # both must be PSD; one decomposition of b - a gives the comparison and the ray.
-    a, b = inputs["a"].value, inputs["b"].value
-    for operand in (a, b):
-        core.as_psd(operand, tol)
+    a, b = core._operands(inputs["a"].value, inputs["b"].value, tol=tol, psd=True)
     cmp, ray = _order_test(a, b, tol)
     leq = cmp in (Comparison.LEQ, Comparison.EQUAL)
     verdict = {"leq": leq, "comparison": cmp.value}
@@ -437,8 +435,9 @@ def cmd_sup(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
     result = lattice.sup_exists(a, b, tol)
     refutation = None
     if "t" in inputs and not result.exists:
+        operands = core._operands(a, b, inputs["t"].value, tol=tol)
         with contextlib.suppress(MatrixError):  # t is not a strict upper bound of the pair
-            refutation = lattice.kadison_witness(a, b, inputs["t"].value, tol)
+            refutation = lattice.kadison_witness(*operands, tol)
     verdict = {"exists": result.exists, "comparison": result.comparison.value}
     witnesses = {"sup": result.sup, "refutation": refutation}
     return _report("sup", inputs, tol, seed, verdict, witnesses)

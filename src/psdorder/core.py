@@ -19,9 +19,10 @@ gets real witnesses.  Results are returned exactly Hermitian.
 
 An `EigDecomp` is the validated operand.  A public entry point validates
 each matrix argument once, by `eig_hermitian` (finite, square, Hermitian up
-to a small defect, then symmetrized), and hands the operand down; private
-helpers never validate.  A sum or difference of operands becomes one by
-`_exact`, a product Hermitian up to rounding is made exact by `_symmetrized`.
+to a small defect, then symmetrized), all of a call's at once by `_operands`,
+and hands the operands down; private helpers never validate, and assume one
+dimension.  A sum or difference of operands becomes one by `_exact`, a
+product Hermitian up to rounding is made exact by `_symmetrized`.
 """
 
 from __future__ import annotations
@@ -199,11 +200,6 @@ def as_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _symmetrized(a)
 
 
-def _same_dim(*ms: np.ndarray) -> None:
-    if len({m.shape for m in ms}) > 1:
-        raise DimensionMismatchError("dimension mismatch: " + " vs ".join(str(m.shape) for m in ms))
-
-
 @dataclass(frozen=True, eq=False)
 class EigDecomp:
     """A validated Hermitian operand, and its eigendecomposition on first read.
@@ -277,6 +273,16 @@ def eig_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> EigDecomp:
     result's spectrum is first read.  An `EigDecomp` is returned unchanged.
     """
     return m if isinstance(m, EigDecomp) else EigDecomp(as_hermitian(m, tol))
+
+
+def _operands(*ms, tol: Tolerance, psd: bool = False) -> tuple[EigDecomp, ...]:
+    """Each operand of one call by `eig_hermitian`, all of one dimension, then `as_psd` if ``psd``."""
+    ds = tuple(eig_hermitian(m, tol) for m in ms)
+    if len({d.n for d in ds}) > 1:
+        raise DimensionMismatchError("dimension mismatch: " + " vs ".join(str(d.matrix.shape) for d in ds))
+    for d in ds if psd else ():
+        as_psd(d, tol)
+    return ds
 
 
 def _exact(x: np.ndarray, y: np.ndarray, subtract: bool = False) -> EigDecomp:
@@ -416,7 +422,7 @@ def comparable(a, b, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     ``b - a`` and ``a - b`` share one PSD floor: `_psd_band` decides each,
     and if it defers on either, one decomposition of ``b - a`` decides both.
     """
-    return _compare(eig_hermitian(a, tol), eig_hermitian(b, tol), tol)[0]
+    return _compare(*_operands(a, b, tol=tol), tol)[0]
 
 
 def _compare(da: EigDecomp, db: EigDecomp, tol: Tolerance) -> tuple[Comparison, EigDecomp]:
@@ -425,7 +431,6 @@ def _compare(da: EigDecomp, db: EigDecomp, tol: Tolerance) -> tuple[Comparison, 
     ``a <= b`` iff ``d`` is PSD, and ``b <= a`` iff ``-d`` is, which eigh
     reads as `Tolerance.psd` of ``-max eig(d)``.
     """
-    _same_dim(da.matrix, db.matrix)
     d = _exact(db.matrix, da.matrix, subtract=True)
     le = _psd_band(d.matrix, tol)
     ge = None if le is None else _psd_band(-d.matrix, tol)

@@ -55,14 +55,14 @@ def from_operator(m, tol: Tolerance = DEFAULT_TOL) -> SesquilinearForm:
 
 def form_leq(t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Pointwise order of forms, decided on the Gram matrices."""
-    return core.loewner_leq(*(core.EigDecomp(to_operator(f, tol)) for f in (t, s)), tol)
+    return core.loewner_leq(*core._operands(t.gram, s.gram, tol=tol, psd=True), tol)
 
 
 def form_sup_exists(
     t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Supremum of two nonnegative forms exists iff they are comparable."""
-    return lattice.sup_exists(*(core.EigDecomp(to_operator(f, tol)) for f in (t, s)), tol).exists
+    return lattice.sup_exists(*core._operands(t.gram, s.gram, tol=tol, psd=True), tol).exists
 
 
 def form_inf_exists(
@@ -73,5 +73,5 @@ def form_inf_exists(
     Reads `lattice`'s rule on the Gram matrices, as ``lattice.inf_exists``
     does, but builds no n×n matrix past the two Gram matrices' decompositions.
     """
-    *_, w = lattice._reduced_spectrum(*(core.eig_hermitian(f.gram, tol) for f in (t, s)), tol)
+    *_, w = lattice._reduced_spectrum(*core._operands(t.gram, s.gram, tol=tol), tol)
     return not all(tol.sides(w))

@@ -111,8 +111,8 @@ def sup_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> SupremumVerdict:
 
     `kadison_witness` refutes any strict upper bound of an incomparable pair.
     """
-    da, db = core.eig_hermitian(a, tol), core.eig_hermitian(b, tol)
-    cmp = core.comparable(da, db, tol)
+    da, db = core._operands(a, b, tol=tol)
+    cmp = core._compare(da, db, tol)[0]
     if cmp is Comparison.INCOMPARABLE:
         return SupremumVerdict(False, None, cmp)
     return SupremumVerdict(True, (db if cmp is Comparison.LEQ else da).matrix, cmp)
@@ -153,8 +153,7 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     witness is built from two Cholesky factors (`_strength_along_e0`) with
     no eigendecomposition.
     """
-    ha, hb, ht = (core.eig_hermitian(m, tol).matrix for m in (a, b, t))
-    core._same_dim(ha, hb, ht)
+    ha, hb, ht = (d.matrix for d in core._operands(a, b, t, tol=tol))
     if ha.shape[0] == 1:
         raise MatrixError("no witness in dimension 1: all PSD matrices are comparable")
     # Every PSD check, rank, projector and strength below reads these two gaps.
@@ -242,8 +241,7 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     on the range of ``s`` lies strictly inside ``(0, 1)``.  Rejects
     operands that are not PSD (`core.as_psd`).
     """
-    ha, hb = core.as_psd(a, tol), core.as_psd(b, tol)
-    core._same_dim(ha, hb)
+    ha, hb = (d.matrix for d in core._operands(a, b, tol=tol, psd=True))
     dec, q, s = _sum_range(ha, hb, tol)
     j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * dec.kept(tol))
     a_tilde, b_tilde = (core._symmetrized(q @ _on_range(h, q, s) @ q.conj().T) for h in (ha, hb))
@@ -295,7 +293,7 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ``lattice.infimum`` catalogue entries guards against the candidate of
     the full pair's `_spectrum`.
     """
-    v, ma, mb, x, w = _reduced_spectrum(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)
+    v, ma, mb, x, w = _reduced_spectrum(*core._operands(a, b, tol=tol), tol)
     x = core._phase_normalized(v @ x)
     ap, bp = (core._symmetrized(v @ m @ v.conj().T) for m in (ma, mb))
     cand = _candidate(x, w)

@@ -66,7 +66,6 @@ def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     when ``ran a`` is the whole space no SVD runs and ``c0`` is the identity.
     Both operands must be PSD (`NotPsdError` otherwise).
     """
-    core._same_dim(da.matrix, db.matrix)
     da.require_psd(tol)
     db.require_psd(tol)
     qb = db.range_basis(tol)
@@ -81,13 +80,13 @@ def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
 
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran b`` is contained in ``ran a`` (so ``b << a``); both must be PSD."""
-    qb, _, c0 = _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)
+    qb, _, c0 = _angles(*core._operands(a, b, tol=tol), tol)
     return c0.shape[1] == qb.shape[1]
 
 
 def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran a`` and ``ran b`` intersect only in ``{0}``; both must be PSD."""
-    return _angles(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[2].shape[1] == 0
+    return _angles(*core._operands(a, b, tol=tol), tol)[2].shape[1] == 0
 
 
 def _shorted(d: core.EigDecomp, v: np.ndarray, tol: Tolerance):
@@ -116,7 +115,7 @@ def parallel_sum(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     scale by many orders of magnitude keep the smaller one's information.
     Both operands must be PSD (`NotPsdError` otherwise).
     """
-    v, ma, mb = _reduced_pair(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)
+    v, ma, mb = _reduced_pair(*core._operands(a, b, tol=tol), tol)
     m = np.linalg.inv(np.linalg.inv(ma) + np.linalg.inv(mb))
     return core._symmetrized(v @ m @ v.conj().T)
 
@@ -129,8 +128,8 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     decompositions exist in general and are not enumerated.  Both ``b``
     and the reference ``a`` must be PSD.
     """
-    db = core.eig_hermitian(b, tol)
-    qb, _, c0 = _angles(core.eig_hermitian(a, tol), db, tol)
+    db, da = core._operands(b, a, tol=tol)
+    qb, _, c0 = _angles(da, db, tol)
     v = qb @ c0
     mi, y = _shorted(db, v, tol)
     ac = core._symmetrized(v @ mi @ v.conj().T)

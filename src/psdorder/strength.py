@@ -67,11 +67,10 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     v = core.as_vector(f)
     if not np.any(v):
         raise MatrixError("strength is only defined along a non-zero ray")
-    dec = core.eig_hermitian(a, tol).require_psd(tol)
+    dec = core.eig_hermitian(a, tol)
     if dec.n != v.size:
-        raise core.DimensionMismatchError(
-            f"dimension mismatch: matrix is {dec.n}, ray has {v.size}"
-        )
+        raise core.DimensionMismatchError(f"dimension mismatch: matrix is {dec.n}, ray has {v.size}")
+    dec.require_psd(tol)
     e = int(np.frexp(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))[1])
     v = _times_power_of_two(v, -e)
     keep = dec.kept(tol)
@@ -107,7 +106,7 @@ def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     while ``strength(b, f) < 1``, by the Cauchy-Schwarz inequality for the
     form of ``a``.
     """
-    return _order_test(core.eig_hermitian(a, tol), core.eig_hermitian(b, tol), tol)[1]
+    return _order_test(*core._operands(a, b, tol=tol), tol)[1]
 
 
 def _order_test(da, db, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | None]:

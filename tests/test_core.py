@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import psdorder as po
 from psdorder import core, sampling
 from psdorder.selftest import eig_scale
-from conftest import holds
+from conftest import ENTRIES, holds
 
 
 class TestEigHermitian:
@@ -89,29 +89,8 @@ class TestNonFinite:
             po.strength(np.eye(2), [bad, 1.0])
 
 
-def _forms(fn):
-    return lambda *grams: fn(*map(po.SesquilinearForm, grams))
-
-
-# Every public function whose contract takes a Hermitian matrix, but `hermitian_part`,
-# which symmetrizes by contract: the number of its matrix arguments, and a call on them.
-BOUNDARY = {
-    "as_hermitian": (1, po.as_hermitian), "as_psd": (1, po.as_psd),
-    "eig_hermitian": (1, po.eig_hermitian), "is_psd": (1, po.is_psd),
-    "numeric_rank": (1, po.numeric_rank), "pinv_psd": (1, po.pinv_psd),
-    "pinv_sqrt_psd": (1, po.pinv_sqrt_psd), "range_projector": (1, po.range_projector),
-    "sqrt_psd": (1, po.sqrt_psd), "comparable": (2, po.comparable),
-    "loewner_leq": (2, po.loewner_leq), "order_witness": (2, po.order_witness),
-    "strength": (1, lambda a: po.strength(a, [1.0, 0.0])),
-    "absolutely_continuous": (2, po.absolutely_continuous), "ac_part": (2, po.ac_part),
-    "mutually_singular": (2, po.mutually_singular), "parallel_sum": (2, po.parallel_sum),
-    "compress": (2, po.compress), "inf_exists": (2, po.inf_exists),
-    "ando_witness": (2, po.ando_witness), "kadison_witness": (3, po.kadison_witness),
-    "sup_exists": (2, po.sup_exists),
-    "from_operator": (1, po.from_operator), "to_operator": (1, _forms(po.to_operator)),
-    "form_leq": (2, _forms(po.form_leq)), "form_sup_exists": (2, _forms(po.form_sup_exists)),
-    "form_inf_exists": (2, _forms(po.form_inf_exists)),
-}
+# Each public matrix entry by function name: the number of its matrix arguments, and a call on them.
+BOUNDARY = {name.split("-")[0]: (len(names), fn) for name, (fn, *names) in ENTRIES.items()}
 # A bad argument among good 2×2 ones, and what it must raise.
 BAD = {
     "nan": (np.diag([np.nan, 1.0]), po.MatrixError, "finite"),

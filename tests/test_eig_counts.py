@@ -17,6 +17,9 @@ coercion fails here rather than only costing time.
 Validation is pinned the same way: a public entry point validates each
 matrix argument once, into the `EigDecomp` its callees share, so
 `core.as_hermitian` and `core.as_matrix` each run once per matrix argument.
+Operands of different dimensions are rejected before any eigh, SVD,
+Cholesky or `numpy.linalg.inv` runs.  Both of these tests read their
+public entries from `conftest.ENTRIES`, as `test_core`'s boundary test does.
 """
 
 import json
@@ -26,16 +29,12 @@ import pytest
 
 import psdorder as po
 from psdorder import cli, core, lattice, sampling
+from conftest import ENTRIES, N
 
-N = 4
 
-
-@pytest.fixture
-def linalg_calls(monkeypatch, inst):
-    """``(name, shape)`` of the counted `numpy.linalg` calls, in order.
-
-    At teardown, every matrix a real `inst` sent to them must be float64.
-    """
+def recorded(monkeypatch, *names):
+    """``(calls, dtypes)``: ``(name, shape)`` and ``(name, dtype)`` of each matrix that the
+    `numpy.linalg` functions ``names`` see for the rest of the test, in order."""
     calls, dtypes = [], []
 
     def counting(name):
@@ -48,8 +47,18 @@ def linalg_calls(monkeypatch, inst):
 
         return call
 
-    for name in ("eigh", "svd", "cholesky"):
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls, dtypes
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch, inst):
+    """``(name, shape)`` of the counted `numpy.linalg` calls, in order.
+
+    At teardown, every matrix a real `inst` sent to them must be float64.
+    """
+    calls, dtypes = recorded(monkeypatch, "eigh", "svd", "cholesky")
     yield calls
     if not inst["complex"]:
         assert dtypes and all(dtype == np.float64 for _, dtype in dtypes), dtypes
@@ -227,44 +236,13 @@ def test_reverify_inf_report_decomposes_each_node_once(linalg_calls, inst, lo, h
     assert got == calls
 
 
-def _forms(fn):
-    return lambda *grams: fn(*map(po.SesquilinearForm, grams))
-
-
-# Each public entry point with the matrix arguments it takes from ``inst``.
-VALIDATED = {
-    "as_psd": (po.as_psd, "a"),
-    "is_psd": (po.is_psd, "a"),
-    "sqrt_psd": (po.sqrt_psd, "low"),
-    "pinv_psd": (po.pinv_psd, "low"),
-    "pinv_sqrt_psd": (po.pinv_sqrt_psd, "low"),
-    "numeric_rank": (po.numeric_rank, "low"),
-    "range_projector": (po.range_projector, "low"),
-    "comparable": (po.comparable, "a", "b"),
-    "loewner_leq": (po.loewner_leq, "low", "up"),
-    "order_witness": (po.order_witness, "a", "b"),
-    "strength": (lambda a: po.strength(a, np.ones(N)), "a"),
-    "ac_part": (po.ac_part, "b", "low"),
-    "absolutely_continuous": (po.absolutely_continuous, "b", "low"),
-    "mutually_singular": (po.mutually_singular, "low", "b"),
-    "parallel_sum": (po.parallel_sum, "a", "b"),
-    "compress": (po.compress, "a", "b"),
-    "inf_exists": (po.inf_exists, "low", "up"),
-    "ando_witness": (po.ando_witness, "a", "b"),
-    "sup_exists": (po.sup_exists, "low", "up"),
-    "kadison_witness-shared_t": (po.kadison_witness, "a", "b", "shared_t"),
-    "kadison_witness-disjoint_t": (po.kadison_witness, "a", "b", "disjoint_t"),
-    "from_operator": (po.from_operator, "a"),
-    "to_operator": (_forms(po.to_operator), "a"),
-    "form_leq": (_forms(po.form_leq), "low", "up"),
-    "form_sup_exists": (_forms(po.form_sup_exists), "a", "b"),
-    "form_inf_exists": (_forms(po.form_inf_exists), "a", "b"),
-}
+# The validators themselves are left out: each is the validation it would count.
+VALIDATED = [name for name in ENTRIES if name not in ("as_hermitian", "eig_hermitian")]
 
 
 @pytest.mark.parametrize("entry", VALIDATED)
 def test_each_matrix_argument_is_validated_once(monkeypatch, inst, entry):
-    fn, *names = VALIDATED[entry]
+    fn, *names = ENTRIES[entry]
     calls = []
 
     def counting(name):
@@ -280,3 +258,25 @@ def test_each_matrix_argument_is_validated_once(monkeypatch, inst, entry):
         monkeypatch.setattr(core, name, counting(name))
     fn(*(inst[name] for name in names))
     assert (calls.count("as_hermitian"), calls.count("as_matrix")) == (len(names), len(names))
+
+
+# Each entry with several matrix operands, with the odd one in each position;
+# `strength`'s ray is its second operand.
+MISMATCHED = [
+    (entry, position)
+    for entry, (_, *names) in ENTRIES.items()
+    if len(names) > 1
+    for position in range(len(names))
+] + [("strength", 0)]
+
+
+@pytest.mark.parametrize("entry, position", MISMATCHED)
+def test_dimension_mismatch_is_rejected_before_any_factorization(monkeypatch, inst, entry, position):
+    """Operands of different dimensions are rejected before any eigh, SVD, Cholesky or inverse."""
+    fn, *names = ENTRIES[entry]
+    args = [inst[name] for name in names]
+    args[position] = np.eye(N + 1)
+    calls, _ = recorded(monkeypatch, "eigh", "svd", "cholesky", "inv")
+    with pytest.raises(po.DimensionMismatchError, match="dimension mismatch"):
+        fn(*args)
+    assert calls == []
