@@ -431,13 +431,13 @@ def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
 
 
 def cmd_sup(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    a, b = inputs["a"].value, inputs["b"].value
+    names = ("a", "b", "t") if "t" in inputs else ("a", "b")
+    a, b, *t = core._operands(*(inputs[name].value for name in names), tol=tol)
     result = lattice.sup_exists(a, b, tol)
     refutation = None
-    if "t" in inputs and not result.exists:
-        operands = core._operands(a, b, inputs["t"].value, tol=tol)
+    if t and not result.exists:
         with contextlib.suppress(MatrixError):  # t is not a strict upper bound of the pair
-            refutation = lattice.kadison_witness(*operands, tol)
+            refutation = lattice.kadison_witness(a, b, *t, tol)
     verdict = {"exists": result.exists, "comparison": result.comparison.value}
     witnesses = {"sup": result.sup, "refutation": refutation}
     return _report("sup", inputs, tol, seed, verdict, witnesses)
@@ -617,9 +617,6 @@ def run(argv) -> int:
                 continue
             raise CliInputError(f"subcommand {args.command} requires --{name}")
         inputs[name] = (load_vector_file if name in vectors else load_matrix_file)(path, tol)
-    dims = {lv.descriptor["value"]["n"] for lv in inputs.values()}
-    if len(dims) > 1:
-        raise MatrixError(f"inputs disagree on dimension: {sorted(dims)}")
 
     report = handler(inputs, tol, seed=args.seed)
     failures = reverify_report(report)

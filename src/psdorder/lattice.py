@@ -10,8 +10,9 @@ Infima are subtler (Ando's theorem): ``a`` and ``b`` have an infimum
 exactly when the absolutely continuous parts ``[b]a`` and ``[a]b`` are
 comparable, and then the infimum is the smaller part.  Both parts live on
 the r-dimensional ``ran a ∩ ran b``, so `lebesgue._reduced_pair` keeps them
-as r×r factors ``(ma, mb)`` in an orthonormal basis ``v`` of it.  The
-decision factors that r×r pair (`_spectrum`) and lifts the factor by ``v``,
+as r×r Gram factors ``(ga, gb)`` in an orthonormal basis ``v`` of it, with
+``[b]a = v ga^{-1} v*`` and ``[a]b = v gb^{-1} v*``.  The decision factors
+the r×r pair of inverses (`_spectrum`) and lifts the factor by ``v``,
 as ``[b]a = x diag(w) x*`` and ``[a]b = x diag(1 - w) x*``, where ``w`` is
 the spectrum of the contraction ``a~`` that represents ``[b]a`` on the
 range of the sum, so ``[b]a <= [a]b`` iff ``w`` lies in ``[0, 1/2]``.
@@ -119,16 +120,15 @@ def sup_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> SupremumVerdict:
 
 
 def _first_orthogonal_basis_ray(e: np.ndarray) -> np.ndarray:
-    """First standard basis vector not parallel to ``e``, orthogonalized."""
-    n = e.size
-    for i in range(n):
-        cand = np.zeros(n, dtype=e.dtype)
+    """``e0`` orthogonalized against the unit ray ``e``, or ``e1`` if ``e`` is parallel to ``e0``:
+    a unit ``e`` is parallel to at most one basis vector."""
+    for i in (0, 1):
+        cand = np.zeros(e.size, dtype=e.dtype)
         cand[i] = 1.0
         cand = cand - e * np.vdot(e, cand)
         norm = float(np.linalg.norm(cand))
-        if norm > 1e-6:
+        if norm > 1e-6 or i == 1:
             return cand / norm
-    raise ToleranceBreakdownError("no basis direction independent of the given ray")
 
 
 def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -191,11 +191,9 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         f = _first_orthogonal_basis_ray(e)
         s = ht - lam * core.rank_one(e) + core.rank_one(f)
     else:
-        # Disjoint ranges: strength-scaled rays from each gap.
-        u = dta.vectors[:, -1]
-        e = np.sqrt(strength(dta, u, tol).value) * u
-        v = dtb.vectors[:, -1]
-        f = np.sqrt(strength(dtb, v, tol).value) * v
+        # Disjoint ranges: each gap's top eigenvector, scaled by the root of its
+        # eigenvalue, which is the gap's strength along that eigenvector.
+        e, f = (np.sqrt(gap.eigenvalues[-1]) * gap.vectors[:, -1] for gap in (dta, dtb))
         ef = np.outer(e, f.conj())
         s0 = core.rank_one(e) + 2.0 * ef + 2.0 * ef.conj().T + core.rank_one(f)
         s = ht + s0 / 3.0
@@ -305,9 +303,11 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
 
 
 def _reduced_spectrum(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
-    """``(v, ma, mb, x, w)``: `lebesgue._reduced_pair` and the `_spectrum` factor of ``(ma, mb)``,
+    """``(v, ma, mb, x, w)``: the maximal parts ``[b]a = v ma v*`` and ``[a]b = v mb v*``, each Gram
+    factor of `lebesgue._reduced_pair` inverted once, and the `_spectrum` factor of ``(ma, mb)``,
     so ``[b]a = (v x) diag(w) (v x)*``; with no intersection ``x`` is 0×0 and ``w`` empty."""
-    v, ma, mb = lebesgue._reduced_pair(da, db, tol)
+    v, ga, gb = lebesgue._reduced_pair(da, db, tol)
+    ma, mb = (core._symmetrized(np.linalg.inv(g)) for g in (ga, gb))
     if v.shape[1] == 0:
         return v, ma, mb, np.zeros((0, 0)), np.zeros(0)
     return (v, ma, mb, *_spectrum(ma, mb, tol))

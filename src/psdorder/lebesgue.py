@@ -16,8 +16,9 @@ the pair is singular iff none is, and the zero angles span
 `ac_part` builds the maximal part of ``b`` by the shorted-operator formula
 ``V (V* b^+ V)^{-1} V*`` (Anderson & Trapp, SIAM J. Appl. Math. 28, 1975),
 and `_reduced_pair` shorts both ``a`` and ``b`` to the one ``V``, keeping
-only the r×r middle factors.  `parallel_sum` reads the same pair, so it
-shares the rank and zero-angle rule and forms no sum of the operands.  The
+only the r×r Gram factors ``V* a^+ V`` and ``V* b^+ V``.  `parallel_sum`
+reads them as ``a : b = V (V* a^+ V + V* b^+ V)^{-1} V*`` (Anderson & Duffin,
+J. Math. Anal. Appl. 26, 1969): one inverse and no sum of the operands.  The
 maximal part ``[a]b`` is also the monotone limit of the parallel sums
 ``(n a) : b`` as ``n`` grows (Ando, Acta Sci. Math. 38, 1976); the
 self-test checks `ac_part` against that limit with an oracle of its own.
@@ -90,14 +91,14 @@ def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _shorted(d: core.EigDecomp, v: np.ndarray, tol: Tolerance):
-    """``(m^{-1}, y)``: ``d`` shorted to ``ran v`` (``v`` orthonormal in ``ran d``) is ``v m^{-1} v*``,
-    with ``y`` the coordinates of ``(d^+)^{1/2} v`` in the range basis of ``d`` and ``m = y* y``."""
+    """``(g, y)``: ``d`` shorted to ``ran v`` (``v`` orthonormal in ``ran d``) is ``v g^{-1} v*``, with
+    ``g = y* y = v* d^+ v`` and ``y`` the coordinates of ``(d^+)^{1/2} v`` in the range basis of ``d``."""
     y = (d.range_basis(tol).conj().T @ v) / np.sqrt(d.eigenvalues[d.kept(tol)])[:, np.newaxis]
-    return core._symmetrized(np.linalg.inv(y.conj().T @ y)), y
+    return y.conj().T @ y, y
 
 
 def _reduced_pair(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
-    """``(v, ma, mb)``: the maximal parts ``[b]a = v ma v*`` and ``[a]b = v mb v*``,
+    """``(v, ga, gb)``: the maximal parts ``[b]a = v ga^{-1} v*`` and ``[a]b = v gb^{-1} v*``,
     both shorted to the one orthonormal basis ``v`` of ``ran a ∩ ran b`` from `_angles`."""
     qb, _, c0 = _angles(da, db, tol)
     v = qb @ c0
@@ -108,16 +109,15 @@ def parallel_sum(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Parallel sum ``a : b = a (a + b)^+ b`` of two PSD matrices, read from `_reduced_pair`.
 
     Its range is ``ran a ∩ ran b``, and on that intersection it is the
-    parallel sum of the maximal parts: ``a : b = v (ma^{-1} + mb^{-1})^{-1} v*``
-    (Anderson & Duffin, J. Math. Anal. Appl. 26, 1969).  So it shares the
-    rank and zero-angle rule of `ac_part`, is symmetric in its arguments and
-    a lower bound of both, and never forms ``a + b``: operands that differ in
-    scale by many orders of magnitude keep the smaller one's information.
+    parallel sum of the maximal parts, ``a : b = v (ga + gb)^{-1} v*`` with
+    one r×r inverse.  So it shares the rank and zero-angle rule of
+    `ac_part`, is symmetric in its arguments and a lower bound of both, and
+    never forms ``a + b``: operands that differ in scale by many orders of
+    magnitude keep the smaller one's information.
     Both operands must be PSD (`NotPsdError` otherwise).
     """
-    v, ma, mb = _reduced_pair(*core._operands(a, b, tol=tol), tol)
-    m = np.linalg.inv(np.linalg.inv(ma) + np.linalg.inv(mb))
-    return core._symmetrized(v @ m @ v.conj().T)
+    v, ga, gb = _reduced_pair(*core._operands(a, b, tol=tol), tol)
+    return core._symmetrized(v @ np.linalg.inv(ga + gb) @ v.conj().T)
 
 
 def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
@@ -131,7 +131,8 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     db, da = core._operands(b, a, tol=tol)
     qb, _, c0 = _angles(da, db, tol)
     v = qb @ c0
-    mi, y = _shorted(db, v, tol)
+    g, y = _shorted(db, v, tol)
+    mi = core._symmetrized(np.linalg.inv(g))
     ac = core._symmetrized(v @ mi @ v.conj().T)
     qy = qb @ y
     p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ mi @ qy.conj().T

@@ -370,7 +370,7 @@ class TestExitCodes:
 
     def test_sup_rejects_an_upper_bound_of_another_dimension(self, capsys, files, tmp_path):
         """Only "t is not a strict upper bound" leaves a `sup` report without its refutation:
-        a ``t`` of another dimension is rejected by the handler, and at load with status 2."""
+        a ``t`` of another dimension is rejected by the handler, so the CLI exits with status 2."""
         pair = {"a": cli.memory_value("a", np.diag([2.0, 1.0])), "b": cli.memory_value("b", np.diag([1.0, 2.0]))}
         report = cli.cmd_sup({**pair, "t": cli.memory_value("t", 5.0 * np.eye(2))}, po.DEFAULT_TOL)
         assert "refutation" in report["witnesses"]
@@ -378,6 +378,14 @@ class TestExitCodes:
             cli.cmd_sup({**pair, "t": cli.memory_value("t", 5.0 * np.eye(3))}, po.DEFAULT_TOL)
         t3 = write_matrix(tmp_path / "t3.json", 5.0 * np.eye(3))
         assert cli.main(["sup", "--a", files["d21"], "--b", files["d12"], "--t", t3]) == 2
+
+    def test_sup_rejects_an_upper_bound_of_another_dimension_for_a_comparable_pair(self, capsys, files, tmp_path):
+        """A comparable pair needs no refutation, yet its ``t`` of another dimension is rejected."""
+        t3 = write_matrix(tmp_path / "t3.json", 5.0 * np.eye(3))
+        assert cli.main(["sup", "--a", files["id2"], "--b", files["d21"], "--t", t3, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "dimension mismatch" in err
 
     def test_gen_rank_out_of_range(self, capsys):
         assert cli.main(["gen", "--dim", "2", "--rank", "3"]) == 2

@@ -128,6 +128,18 @@ def test_parallel_sum(linalg_calls, inst):
     assert count(linalg_calls, po.parallel_sum, inst["a"], inst["b"])[0] == (2, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "entry, lo, hi, shapes",
+    [("parallel_sum", "low", "b", [(2, 2)]), ("ac_part", "b", "low", [(2, 2)]), ("inf_exists", "a", "b", [(N, N)] * 2)],
+)
+def test_each_gram_factor_is_inverted_once(monkeypatch, inst, entry, lo, hi, shapes):
+    """The reduced pair keeps the r×r Gram factors ``v* a^+ v`` and ``v* b^+ v``: the parallel
+    sum inverts their sum once, and `ac_part` and `inf_exists` invert once each part they output."""
+    calls, _ = recorded(monkeypatch, "inv")
+    getattr(po, entry)(inst[lo], inst[hi])
+    assert calls == [("inv", shape) for shape in shapes]
+
+
 def test_compress(linalg_calls, inst):
     """One eigh of the sum; `core.as_psd` validates each full-rank operand with one band Cholesky."""
     assert count(linalg_calls, po.compress, inst["a"], inst["b"])[0] == (1, 0, 2)

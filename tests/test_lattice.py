@@ -175,6 +175,19 @@ class TestKadisonWitness:
         s = po.kadison_witness(a, b, t)
         assert s[0, 0] == t[0, 0] - lam
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_first_orthogonal_basis_ray(self, rng, cplx):
+        """``e0`` orthogonalized against a generic unit ``e``; ``e1`` for ``e = phase·e0``."""
+        e = sampling.random_vector(rng, 4, cplx)
+        e /= np.linalg.norm(e)
+        f = lattice._first_orthogonal_basis_ray(e)
+        e0 = np.eye(4)[0]
+        want = e0 - e * np.vdot(e, e0)
+        np.testing.assert_allclose(f, want / np.linalg.norm(want), rtol=0, atol=1e-15)
+        assert abs(np.vdot(e, f)) <= 1e-15
+        phase = np.exp(0.7j) if cplx else -1.0
+        assert np.array_equal(lattice._first_orthogonal_basis_ray(phase * e0), np.eye(4)[1])
+
     def test_preconditions(self, rng):
         a = sampling.random_psd(rng, 2)
         with pytest.raises(po.MatrixError, match="t coincides with a"):
