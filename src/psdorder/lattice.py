@@ -120,15 +120,12 @@ def sup_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> SupremumVerdict:
 
 
 def _first_orthogonal_basis_ray(e: np.ndarray) -> np.ndarray:
-    """``e0`` orthogonalized against the unit ray ``e``, or ``e1`` if ``e`` is parallel to ``e0``:
-    a unit ``e`` is parallel to at most one basis vector."""
-    for i in (0, 1):
-        cand = np.zeros(e.size, dtype=e.dtype)
-        cand[i] = 1.0
-        cand = cand - e * np.vdot(e, cand)
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-6 or i == 1:
-            return cand / norm
+    """``e0`` orthogonalized against the unit ray ``e`` if ``|e_0|^2 <= 1/2``, else ``e1``:
+    a unit ``e`` has ``|e_i|^2 <= 1/2`` for one of them, so the ray keeps norm ``>= 1/sqrt(2)``."""
+    cand = np.zeros(e.size, dtype=e.dtype)
+    cand[0 if abs(e[0]) ** 2 <= 0.5 else 1] = 1.0
+    cand = cand - e * np.vdot(e, cand)
+    return cand / np.linalg.norm(cand)
 
 
 def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -141,17 +138,18 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Two constructions cover the two possible geometries:
 
-    * the ranges of ``t - a`` and ``t - b`` share a direction ``e``: subtract
-      the common strength along ``e`` and add an independent rank-one bump,
-      ``s = t - lam e e* + f f*``;
+    * the ranges of ``t - a`` and ``t - b`` share a direction ``e``: move
+      their common strength ``lam`` along ``e`` to the orthogonal ray ``f``
+      of `_first_orthogonal_basis_ray`, ``s = t - lam e e* + lam f f*``, so
+      ``s - t`` has the eigenvalues ``-lam`` and ``lam`` at every scale;
     * the ranges are disjoint: pick strength-scaled rays ``e``, ``f`` in
       them with ``e e* <= t - a`` and ``f f* <= t - b`` and perturb by a
       third of the indefinite ``s0 = e e* + 2 e f* + 2 f e* + f f*``.
 
     When `core._psd_band` certifies both gaps full rank, the shared
-    direction is the first basis vector ``e0`` and ``f = e1``, so the
-    witness is built from two Cholesky factors (`_strength_along_e0`) with
-    no eigendecomposition.
+    direction is the first basis vector ``e0`` and ``f = e1``, with ``lam``
+    from two Cholesky factors (`_strength_along_e0`) and no
+    eigendecomposition.
     """
     ha, hb, ht = (d.matrix for d in core._operands(a, b, t, tol=tol))
     if ha.shape[0] == 1:
@@ -168,14 +166,17 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         if tol.negligible(float(np.max(np.abs(gap.matrix))), top):
             raise MatrixError(f"precondition failed: t coincides with {name} within tolerance")
     if lam is not None:
-        s = ht.copy()
-        s[0, 0] -= lam
-        s[1, 1] += 1.0
-        return s
-
-    qb, _, c0 = lebesgue._angles(dta, dtb, tol)
-    shared = qb @ c0
-    if shared.size:
+        e, f = np.eye(2, ht.shape[0])
+    else:
+        qb, _, c0 = lebesgue._angles(dta, dtb, tol)
+        shared = qb @ c0
+        if not shared.size:
+            # Disjoint ranges: each gap's top eigenvector, scaled by the root of its
+            # eigenvalue, which is the gap's strength along that eigenvector.
+            e, f = (np.sqrt(gap.eigenvalues[-1]) * gap.vectors[:, -1] for gap in (dta, dtb))
+            ef = np.outer(e, f.conj())
+            s0 = core.rank_one(e) + 2.0 * ef + 2.0 * ef.conj().T + core.rank_one(f)
+            return core._symmetrized(ht + s0 / 3.0)
         # Shared range direction: strength along it is positive for both
         # gaps.  It is the projection onto ran(t - a) ∩ ran(t - b) of the
         # first basis vector keeping half the largest such norm, so it does
@@ -189,15 +190,7 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
                 "shared range direction carries no strength; angle and strength tests disagree"
             )
         f = _first_orthogonal_basis_ray(e)
-        s = ht - lam * core.rank_one(e) + core.rank_one(f)
-    else:
-        # Disjoint ranges: each gap's top eigenvector, scaled by the root of its
-        # eigenvalue, which is the gap's strength along that eigenvector.
-        e, f = (np.sqrt(gap.eigenvalues[-1]) * gap.vectors[:, -1] for gap in (dta, dtb))
-        ef = np.outer(e, f.conj())
-        s0 = core.rank_one(e) + 2.0 * ef + 2.0 * ef.conj().T + core.rank_one(f)
-        s = ht + s0 / 3.0
-    return core._symmetrized(s)
+    return core._symmetrized(ht + lam * (core.rank_one(f) - core.rank_one(e)))
 
 
 def _strength_along_e0(ta: np.ndarray, tb: np.ndarray, tol: Tolerance) -> float | None:
@@ -317,17 +310,17 @@ def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Common lower bound of ``a`` and ``b`` not comparable with the candidate.
 
     Precondition: the pair has no infimum (else `MatrixError`), so the
-    compressed spectrum of its reduced pair reaches both sides of ``1/2``.
-    Take the largest ``eps`` for which the windows ``[1/2 + 3 eps, 1 - 3 eps]``
-    and ``[3 eps, 1/2 - 3 eps]`` both catch eigenvalues, couple the two
-    window subspaces by a partial isometry ``v`` and map
+    compressed spectrum ``w`` of its reduced pair reaches both sides of
+    ``1/2``.  Couple the eigenpair ``i`` deepest inside ``(0, 1/2)`` with the
+    one, ``j``, deepest inside ``(1/2, 1)``; with ``eps`` the smaller of
+    their margins over 3 and ``x_k`` the columns of ``x`` of `_spectrum`,
 
-        d~ = (x~ - eps) p2 + (y~ - eps) p1 + sqrt(2) eps (v p2 + p2 v*)
+        d = (w_i - eps) x_i x_i* + (1 - w_j - eps) x_j x_j* + sqrt(2) eps (x_i x_j* + x_j x_i*).
 
-    back through ``x`` of `_spectrum`, with the two contractions swapped if
-    needed so that the low window is the smaller one.  When ``eps`` is at
-    most ``tol.rel / 3`` (one side's eigenvalues all lie within ``tol.rel``
-    of 0 or 1, where one part is about ``1/tol.rel`` times the other), no
+    Then ``d``, ``[b]a - d`` and ``[a]b - d`` are PSD, and the candidate
+    minus ``d`` is ``eps [[1, -sqrt(2)], [-sqrt(2), 1]]``, indefinite, in the
+    basis ``x_i, x_j``.  When ``3 eps`` is negligible on the scale 1 of
+    ``w`` (one side's eigenvalues all lie within ``tol.rel`` of 0 or 1), no
     witness is built and `ToleranceBreakdownError` is raised.
     """
     return _refutation(a, b, tol).witness
@@ -343,24 +336,13 @@ def _refutation(a, b, tol: Tolerance) -> InfimumVerdict:
 
 def _straddle_witness(x: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarray:
     """`ando_witness`, ``x D x*``, from the factor of a reduced pair whose ``w`` straddles 1/2."""
-    eps_low = float(np.max(np.minimum(w, 0.5 - w))) / 3.0
-    eps_high = float(np.max(np.minimum(w - 0.5, 1.0 - w))) / 3.0
-    eps = min(eps_low, eps_high)
-    if eps <= tol.rel / 3.0:
-        raise ToleranceBreakdownError(
-            f"spectrum straddles 1/2 but a witness window is empty (margin {eps:.3g})"
-        )
-    slack = 1e-12
-    low = (w >= 3.0 * eps - slack) & (w <= 0.5 - 3.0 * eps + slack)
-    high = (w >= 0.5 + 3.0 * eps - slack) & (w <= 1.0 - 3.0 * eps + slack)
-    if np.count_nonzero(low) > np.count_nonzero(high):
-        w, low, high = 1.0 - w, high, low
-
-    i_low = np.flatnonzero(low)
-    i_high = np.flatnonzero(high)[: i_low.size]
-    if i_low.size == 0 or i_high.size < i_low.size:
-        raise ToleranceBreakdownError("spectral windows lost their eigenvalues")
-    # d~ in the eigenbasis of a~; v maps eigenvector i_low[i] to i_high[i].
-    dd = np.diag(np.where(low, w - eps, 0.0) + np.where(high, 1.0 - w - eps, 0.0))
-    dd[i_high, i_low] = dd[i_low, i_high] = np.sqrt(2.0) * eps
-    return core._symmetrized((x @ dd) @ x.conj().T)
+    low, high = np.minimum(w, 0.5 - w), np.minimum(w - 0.5, 1.0 - w)
+    i, j = int(np.argmax(low)), int(np.argmax(high))
+    eps = min(low[i], high[j]) / 3.0
+    if tol.negligible(3.0 * eps, 1.0):
+        raise ToleranceBreakdownError(f"spectrum straddles 1/2 but the witness margin {eps:.3g} is negligible")
+    # d on the eigenvectors i and j of a~, in their basis
+    r = np.sqrt(2.0) * eps
+    dd = np.array([[w[i] - eps, r], [r, 1.0 - w[j] - eps]])
+    xs = x[:, [i, j]]
+    return core._symmetrized((xs @ dd) @ xs.conj().T)

@@ -11,10 +11,10 @@ third part, such as ``lattice.infimum.incomparable``, runs the check of
 ``lattice.infimum`` on a further instance family.
 
 Each oracle is independent of the route it checks, not of `core` as a
-whole.  SVD-based `numpy.linalg.pinv` and the eigenvalue helpers `eig_scale`
-and `min_eig` call numpy alone.  Bisection (`_bisect_strength`) reads
-`core.eig_hermitian` for its bracket and `core.is_psd` verdicts, but not
-`strength`'s range test or closed form.  The parallel-sum limit at ``2^30``
+whole.  SVD-based `numpy.linalg.pinv`, the eigenvalue helpers `eig_scale`
+and `min_eig` and the kernel vectors `_kernel` call numpy alone.  Bisection
+(`_bisect_strength`) reads `core.eig_hermitian` for its bracket and
+`core.is_psd` verdicts, but not `strength`'s range test or closed form.  The parallel-sum limit at ``2^30``
 (`_graded_parallel_sum`) calls numpy alone and cuts ranks at machine
 precision, not by the `Tolerance` and principal angles that `lebesgue.ac_part`
 and `lebesgue.parallel_sum` read.
@@ -467,18 +467,37 @@ def _rank_one(c, a, rank, cplx):
 # strength
 
 
+def _kernel(a, f):
+    """``(k, k* f)`` for the numpy eigenvectors ``k`` of ``a`` with eigenvalue at most ``1e-12 eig_scale(a)``."""
+    w, u = np.linalg.eigh(0.5 * (a + a.conj().T))
+    k = u[:, w <= 1e-12 * eig_scale(a)]
+    return k, k.conj().T @ f
+
+
 @_entry("strength.bisection", _operator_and_ray)
 def _bisection(c, a, f):
     lam = _lam(a, f, c.tol)
-    c(abs(_bisect_strength(a, f, c.tol) - lam) <= 1e-6 * (1.0 + lam), "bisection oracle")
+    perp = float(np.linalg.norm(_kernel(a, f)[1])) ** 2 if lam == 0.0 else 0.0
+    # For strength 0 the PSD floor accepts a - t f f* for each t up to floor / |f⊥|^2.
+    overshoot = c.tol.floor(eig_scale(a)) / perp if perp > 0.0 else 0.0
+    c(abs(_bisect_strength(a, f, c.tol) - lam) <= 1e-6 * (1.0 + lam) + overshoot, "bisection oracle")
 
 
 @_entry("strength.supremum", _operator_and_ray)
 def _supremum(c, a, f):
     lam = _lam(a, f, c.tol)
     ff = core.rank_one(f)
+    delta = lam + 1e-6 * (1.0 + lam)
     c(core.is_psd(a - lam * ff, c.tol), "supremum attained")
-    c(not core.is_psd(a - (lam + 1e-6 * (1.0 + lam)) * ff, c.tol), "supremum strict")
+    if lam > 0.0:
+        strict = not core.is_psd(a - delta * ff, c.tol)
+    else:
+        # Strength 0 by its kernel certificate: the kernel vector x with the
+        # largest |x*f| has x*(a - delta f f*)x < 0, computed with no PSD floor.
+        k, along = _kernel(a, f)
+        x = k[:, np.argmax(np.abs(along))] if along.size else np.zeros_like(f)
+        strict = float(np.real(x.conj() @ (a - delta * ff) @ x)) < 0.0
+    c(strict, "supremum strict")
 
 
 @_entry("strength.certificate", _operator_and_ray)

@@ -454,18 +454,32 @@ class TestExitCodes:
         assert cli.main(["leq", "--a", str(path), "--b", files["id2"]]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_a_report_that_fails_reverification_is_not_printed(self, capsys, files):
-        """At k = 1e16 the unit bump of Kadison's witness rounds away, so ``s`` is
-        comparable with ``t`` and the report's ``incomparable`` claim fails."""
-        k = 1e16
-        a, b, t = (
-            write_matrix(files["tmp"] / f"{name}.json", m)
+    @staticmethod
+    def _kadison_example(files, k):
+        """``diag(k, 0)``, ``diag(0, k)`` and the strict upper bound ``1.5 k I``, written as files."""
+        return [
+            arg
             for name, m in (("a", np.diag([k, 0.0])), ("b", np.diag([0.0, k])), ("t", 1.5 * k * np.eye(2)))
-        )
-        code = cli.main(["kadison-witness", "--a", a, "--b", b, "--t", t, "--json"])
+            for arg in (f"--{name}", write_matrix(files["tmp"] / f"{name}.json", m))
+        ]
+
+    def test_a_report_that_fails_reverification_is_not_printed(self, capsys, files, monkeypatch):
+        """A witness equal to ``t`` is comparable with it, so the report's
+        ``incomparable`` claim fails and nothing is printed."""
+        monkeypatch.setattr(cli.lattice, "kadison_witness", lambda a, b, t, tol: t.matrix)
+        code = cli.main(["kadison-witness", *self._kadison_example(files, 1.0), "--json"])
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err.startswith("internal diagnostic failure: the report fails re-verification: incomparable:")
+
+    @pytest.mark.parametrize("k", [1e11, 1e16, 1e300])
+    def test_kadison_witness_at_large_scale_reverifies(self, capsys, files, k):
+        """The bump of Kadison's witness is the shared strength, so ``s - t`` has
+        the eigenvalues ``±lam`` and ``s`` stays incomparable with ``t`` at any scale."""
+        code = cli.main(["kadison-witness", *self._kadison_example(files, k), "--json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert cli.reverify_report(json.loads(out)) == []
 
     def test_tolerance_breakdown_exit_status(self, capsys, files, monkeypatch):
         def breakdown(*args, **kwargs):

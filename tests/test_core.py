@@ -439,13 +439,8 @@ class TestTolerance:
             return [(n.lineno, n.attr) for n in ast.walk(node) if isinstance(n, ast.Attribute)
                     and n.attr in ("rel", "cutoff", "floor")]
 
-        outside = {}
-        for m in ("strength", "lebesgue", "lattice", "forms"):
-            tree = ast.parse(inspect.getsource(importlib.import_module(f"psdorder.{m}")))
-            # The one exception: `_straddle_witness`'s window guard, ``eps <= rel / 3``.
-            exempt = [r for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-                      and f.name == "_straddle_witness" for r in reads(f)]
-            outside[m] = [r for r in reads(tree) if r not in exempt]
+        outside = {m: reads(ast.parse(inspect.getsource(importlib.import_module(f"psdorder.{m}"))))
+                   for m in ("strength", "lebesgue", "lattice", "forms")}
         assert outside == dict.fromkeys(outside, [])
 
 

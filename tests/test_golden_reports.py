@@ -188,7 +188,7 @@ def test_recorded_kadison_witness_refutes_t(case_id, name):
 def test_recorded_kadison_witness_is_the_first_basis_construction(case_id, name):
     """Both gaps are full rank, so the shared direction is the first basis vector.
 
-    The witness is then ``t - lam e0 e0* + e1 e1*`` with ``lam`` the smaller
+    The witness is then ``t - lam e0 e0* + lam e1 e1*`` with ``lam`` the smaller
     strength of the two gaps along ``e0``, ``1 / (gap^-1)_00``.
     """
     case = _case(case_id)
@@ -196,7 +196,7 @@ def test_recorded_kadison_witness_is_the_first_basis_construction(case_id, name)
     lam = min(1.0 / np.linalg.inv(t - x)[0, 0].real for x in (a, b))
     want = t.astype(np.complex128)
     want[0, 0] -= lam
-    want[1, 1] += 1.0
+    want[1, 1] += lam
     s = _value(case["report"]["witnesses"][name])
     assert float(np.max(np.abs(s - want))) <= 1e-12 * max(1.0, float(np.max(np.abs(t))))
 
@@ -210,7 +210,10 @@ def _spectral_candidate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return j @ (v * np.minimum(t, 1.0 - t)) @ v.conj().T @ j
 
 
-@pytest.mark.parametrize("case_id, name", [("inf-witness-complex", "witness"), ("ando-witness-complex", "d")])
+@pytest.mark.parametrize(
+    "case_id, name",
+    [(f"{k}-{tag}", w) for tag in ("real", "complex") for k, w in (("inf-witness", "witness"), ("ando-witness", "d"))],
+)
 def test_recorded_ando_witness_refutes_the_candidate(case_id, name):
     """The recorded witness is PSD, below ``a`` and ``b``, and strictly incomparable
     with the candidate, which numpy computes here from ``a`` and ``b`` alone."""

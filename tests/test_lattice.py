@@ -136,7 +136,7 @@ class TestKadisonWitness:
     def test_strength_along_e0_against_exact_schur_complement(self):
         """Integer-built ``a = V V*``, ``b = W W*``, ``t = a + b + 2^-j I`` at scale 2^k:
         on full-rank gaps ``lam`` is within ``4 n ε κ`` relative of the exact
-        ``min 1 / (gap^-1)_00``, and the witness is ``t - lam e0 e0* + e1 e1*``."""
+        ``min 1 / (gap^-1)_00``, and the witness is ``t - lam e0 e0* + lam e1 e1*``."""
         rng = sampling.rng_from_seed(21)
         checked = 0
         for trial in range(300):
@@ -156,7 +156,7 @@ class TestKadisonWitness:
                 continue
             want = t.copy()
             want[0, 0] -= lam
-            want[1, 1] += 1.0
+            want[1, 1] += lam
             assert np.array_equal(po.kadison_witness(a, b, t), want)
         assert checked >= 200
 
@@ -177,16 +177,19 @@ class TestKadisonWitness:
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_first_orthogonal_basis_ray(self, rng, cplx):
-        """``e0`` orthogonalized against a generic unit ``e``; ``e1`` for ``e = phase·e0``."""
-        e = sampling.random_vector(rng, 4, cplx)
-        e /= np.linalg.norm(e)
-        f = lattice._first_orthogonal_basis_ray(e)
-        e0 = np.eye(4)[0]
-        want = e0 - e * np.vdot(e, e0)
-        np.testing.assert_allclose(f, want / np.linalg.norm(want), rtol=0, atol=1e-15)
-        assert abs(np.vdot(e, f)) <= 1e-15
+        """``e0`` orthogonalized against a unit ``e`` with ``|e_0|^2 <= 1/2``, else ``e1``;
+        before normalizing, the orthogonalized vector has norm at least ``1/sqrt(2)``."""
         phase = np.exp(0.7j) if cplx else -1.0
-        assert np.array_equal(lattice._first_orthogonal_basis_ray(phase * e0), np.eye(4)[1])
+        rest = sampling.random_vector(rng, 3, cplx)
+        rest /= np.linalg.norm(rest)
+        for p, i in ((0.3, 0), (0.49, 0), (0.51, 1), (1.0, 1)):
+            e = np.concatenate([[np.sqrt(p) * phase], np.sqrt(1.0 - p) * rest])
+            f = lattice._first_orthogonal_basis_ray(e)
+            want = np.eye(4)[i] - e * np.vdot(e, np.eye(4)[i])
+            assert np.linalg.norm(want) >= np.sqrt(0.5) - 1e-15
+            np.testing.assert_allclose(f, want / np.linalg.norm(want), rtol=0, atol=1e-15)
+            assert abs(np.vdot(e, f)) <= 1e-15
+        assert np.array_equal(lattice._first_orthogonal_basis_ray(phase * np.eye(4)[0]), np.eye(4)[1])
 
     def test_preconditions(self, rng):
         a = sampling.random_psd(rng, 2)
@@ -304,7 +307,7 @@ class TestInfExists:
             a, b = q @ a @ q.T, q @ b @ q.T
         assert straddles(a, b)
         assert not po.form_inf_exists(po.SesquilinearForm(a), po.SesquilinearForm(b))
-        with pytest.raises(po.ToleranceBreakdownError, match="witness window is empty"):
+        with pytest.raises(po.ToleranceBreakdownError, match="witness margin .* is negligible"):
             po.inf_exists(a, b)
 
     @pytest.mark.parametrize("cplx", [False, True])

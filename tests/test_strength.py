@@ -103,6 +103,26 @@ class TestStrengthInvariants:
     def test_bisection_matches_closed_form(self, rng):
         holds(rng, 20, "strength.bisection")
 
+    def test_ray_just_outside_a_rank_one_range(self):
+        """The instance of ``strength.supremum`` trial 31 at seed 0, which is also
+        ``strength.bisection`` trial 31 at seed 1: ``a`` has eigenvalues 0 and 1.41,
+        and ``f`` leaves ``ran a`` at a sine of 2.85e-3, so ``|f⊥|^2 = 4.22e-6``.
+        The strength 0 is exact.  The PSD floor ``1e-10 max(1, |a|)`` accepts
+        ``a - t f f*`` up to ``t = floor / |f⊥|^2 = 3.35e-5``, where bisection
+        stops; the kernel certificate refutes every ``t > 0``."""
+        a = np.array([[1.1244674073781353, 0.5683200001864678], [0.5683200001864678, 0.28723609105313325]])
+        f = np.array([0.6432778732254583, 0.32742230686691515])
+        assert po.strength(a, f).value == 0.0
+        w, u = np.linalg.eigh(a)
+        perp = abs(u[:, 0] @ f) ** 2
+        assert 4.2e-6 < perp < 4.25e-6
+        assert 1e-6 < selftest._bisect_strength(a, f) <= 1e-10 * w[-1] / perp
+        tally = selftest.Tally("strength")
+        for name in ("strength.bisection", "strength.supremum"):
+            tally.entry = name
+            selftest.CATALOGUE[name].check(tally, a, f)
+        assert (tally.passed, tally.failures) == (3, [])
+
 
 class TestStrengthDominates:
     """`selftest._dominates`, the sampled strength-dominance oracle of the ``strength.*`` entries."""
