@@ -396,15 +396,20 @@ def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
         limit = tol.floor(float(np.max(np.abs(op.matrix)))) * max(1.0, float(np.linalg.norm(target)))
         return float(np.linalg.norm(image - target)) <= max(limit, tol.abs)
     if kind == "strength_supremum":
-        op, ray = get("operator").matrix, resolve(claim["ray"])
+        dec, ray = get("operator"), resolve(claim["ray"])
         if type(claim["value"]) not in (int, float):  # a JSON boolean is not a number here
             raise CliInputError(f"strength_supremum value {claim['value']!r} is not a number")
         lam = float(claim["value"])
         ff = core.rank_one(ray)
-        delta = SUPREMUM_DELTA_SCALE * (1.0 + lam)
-        at = core.is_psd(op - lam * ff, tol)
-        above = core.is_psd(op - (lam + delta) * ff, tol)
-        return at and not above
+        at = core.is_psd(dec.matrix - lam * ff, tol)
+        above = dec.matrix - (lam + SUPREMUM_DELTA_SCALE * (1.0 + lam)) * ff
+        if lam != 0.0 or not at:
+            return at and not core.is_psd(above, tol)
+        # Strength 0, which the PSD floor cannot refute for a ray just outside the range, by a kernel
+        # certificate: an eigenvector x outside the kept range with x* above x below 2 n eps |above|_F.
+        x = dec.vectors[:, ~dec.kept(tol)]
+        quad = np.einsum("ij,ik,kj->j", x.conj(), above, x).real
+        return bool(np.any(quad < -2.0 * dec.n * np.finfo(np.float64).eps * np.linalg.norm(above)))
     hi, lo, ray = get("hi"), get("lo"), resolve(claim["ray"])  # strength_gap
     return strength(hi, ray, tol).value > strength(lo, ray, tol).value
 

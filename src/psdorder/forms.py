@@ -70,8 +70,8 @@ def form_inf_exists(
 ) -> bool:
     """Infimum of two nonnegative forms exists iff their AC parts are comparable.
 
-    Reads `lattice`'s rule on the Gram matrices, as ``lattice.inf_exists``
-    does, but builds no n×n matrix past the two Gram matrices' decompositions.
+    Reads `lattice`'s rule on the spectrum of `lattice._pencil`, as ``lattice.inf_exists``
+    does, but builds no n×n matrix past the Gram matrices' decompositions and inverts nothing.
     """
-    *_, w = lattice._reduced_spectrum(*core._operands(t.gram, s.gram, tol=tol), tol)
+    *_, w = lattice._pencil(*core._operands(t.gram, s.gram, tol=tol), tol)
     return not all(tol.sides(w))

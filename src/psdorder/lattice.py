@@ -11,9 +11,10 @@ exactly when the absolutely continuous parts ``[b]a`` and ``[a]b`` are
 comparable, and then the infimum is the smaller part.  Both parts live on
 the r-dimensional ``ran a ∩ ran b``, so `lebesgue._reduced_pair` keeps them
 as r×r Gram factors ``(ga, gb)`` in an orthonormal basis ``v`` of it, with
-``[b]a = v ga^{-1} v*`` and ``[a]b = v gb^{-1} v*``.  The decision factors
-the r×r pair of inverses (`_spectrum`) and lifts the factor by ``v``,
-as ``[b]a = x diag(w) x*`` and ``[a]b = x diag(1 - w) x*``, where ``w`` is
+``[b]a = v ga^{-1} v*`` and ``[a]b = v gb^{-1} v*``.  The decision reads
+their pencil ``gb u = w (ga + gb) u`` (`_pencil`: one Cholesky of
+``ga + gb`` and one eigh), lifted by ``v`` to a factor ``z`` with
+``[b]a = z diag(1/(1 - w)) z*`` and ``[a]b = z diag(1/w) z*``.  ``w`` is
 the spectrum of the contraction ``a~`` that represents ``[b]a`` on the
 range of the sum, so ``[b]a <= [a]b`` iff ``w`` lies in ``[0, 1/2]``.
 Every infimum decision reads one rule on ``w``, in units that a common
@@ -21,7 +22,7 @@ scaling of the pair leaves unchanged: ``w`` reaches a side of ``1/2`` iff
 it has an eigenvalue more than ``tol.rel`` beyond ``1/2`` on that side
 (`Tolerance.sides`).  The infimum exists iff ``w`` does not
 reach both sides, and is ``[a]b`` iff it reaches the high one.  The factor
-also gives the candidate ``x diag(min(w, 1 - w)) x*`` and, if ``w`` reaches
+also gives the candidate ``z diag(1/max(w, 1 - w)) z*`` and, if ``w`` reaches
 both sides, `ando_witness`: a common lower bound not comparable with the
 candidate, so no candidate is least.
 """
@@ -91,10 +92,10 @@ class InfimumVerdict:
 
     ``reduced_a`` / ``reduced_b`` are the mutually absolutely continuous
     parts the decision reduces to.  ``candidate`` is the spectral candidate
-    ``j g(a~) j``, ``g(t) = min(t, 1 - t)``, read from their factor
-    (`_spectrum`): always a common lower bound of the pair, and the infimum
+    ``j g(a~) j``, ``g(t) = min(t, 1 - t)``, read from their pencil
+    (`_pencil`): always a common lower bound of the pair, and the infimum
     whenever one exists.  ``exists``, and which reduced part is ``inf``,
-    read the module's rule on that factor.  ``inf`` (which agrees with
+    read the module's rule on its spectrum.  ``inf`` (which agrees with
     ``candidate``) is set iff the infimum exists, ``witness`` (an
     `ando_witness`) iff it does not.
     """
@@ -210,20 +211,6 @@ def _strength_along_e0(ta: np.ndarray, tb: np.ndarray, tol: Tolerance) -> float 
     return float(min(pivots)) ** 2
 
 
-def _sum_range(ha: np.ndarray, hb: np.ndarray, tol: Tolerance):
-    """The operand ``ha + hb`` of two exactly Hermitian matrices, its kept vectors ``q``
-    and roots ``s`` of their eigenvalues."""
-    dec = core._exact(ha, hb)
-    keep = dec.kept(tol)
-    return dec, dec.vectors[:, keep], np.sqrt(dec.eigenvalues[keep])
-
-
-def _on_range(h: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``s^-1 q* h q s^-1``: ``h`` on the range of the sum in the basis ``q``; Hermitian up to rounding."""
-    y = q / s
-    return y.conj().T @ h @ y
-
-
 def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     """Represent ``a`` and ``b`` as contractions on the range of ``a + b``.
 
@@ -233,31 +220,18 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     operands that are not PSD (`core.as_psd`).
     """
     ha, hb = (d.matrix for d in core._operands(a, b, tol=tol, psd=True))
-    dec, q, s = _sum_range(ha, hb, tol)
-    j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * dec.kept(tol))
-    a_tilde, b_tilde = (core._symmetrized(q @ _on_range(h, q, s) @ q.conj().T) for h in (ha, hb))
+    dec = core._exact(ha, hb)
+    keep = dec.kept(tol)
+    q = dec.vectors[:, keep]
+    j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * keep)
+    y = q / np.sqrt(dec.eigenvalues[keep])  # y* h y is h on the range of the sum, in the basis q
+    a_tilde, b_tilde = (core._symmetrized(q @ (y.conj().T @ h @ y) @ q.conj().T) for h in (ha, hb))
     return Compression(a_tilde, b_tilde, j, dec.projector(tol), q)
 
 
-def _spectrum(a: np.ndarray, b: np.ndarray, tol: Tolerance):
-    """Factor ``(x, w)``, ``a = x diag(w) x*`` and ``b = x diag(1 - w) x*``, with ``w`` ascending.
-
-    ``a`` and ``b`` are exactly Hermitian.  ``x = q s u``, with ``q`` and
-    ``s`` from `_sum_range` and ``u diag(w) u*`` the eigh of ``_on_range(a)``.
-    `inf_exists` passes the r×r factors of its reduced pair: their sum has the
-    nonzero spectrum of the n×n sum, so the same ``kept`` cutoff.
-    """
-    _, q, s = _sum_range(a, b, tol)
-    if s.size == 0:
-        return q, s
-    inner = core.EigDecomp(core._symmetrized(_on_range(a, q, s)))
-    return (q * s) @ inner.vectors, inner.eigenvalues
-
-
-def _candidate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``j g(a_tilde) j`` as ``x diag(g(w)) x*``, from the factor of `_spectrum`."""
-    g = np.clip(np.minimum(w, 1.0 - w), 0.0, None)
-    return core._symmetrized((x * g) @ x.conj().T)
+def _candidate(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``j g(a_tilde) j``, ``g(t) = min(t, 1 - t)``, as ``z diag(1/max(w, 1 - w)) z*`` from `_pencil`."""
+    return core._symmetrized((z / np.maximum(w, 1.0 - w)) @ z.conj().T)
 
 
 def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
@@ -267,12 +241,15 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ``candidate`` the spectral candidate.  Rejects operands that are not PSD.
 
     The reduction replaces ``(a, b)`` by the mutually absolutely continuous
-    pair ``(a', b') = (v ma v*, v mb v*)`` of maximal parts.  One `_spectrum`
-    of the r×r pair ``(ma, mb)``, lifted as ``x = v x_r`` with each column's
-    largest component real positive (so the witness does not depend on the
-    basis ``v``), gives the verdict and the side by the module's rule, the
-    candidate and, when no infimum exists, the `ando_witness`; ``(a, b)``
-    itself is never compressed, and only the verdict is built n×n.
+    pair ``(a', b') = (v ga^-1 v*, v gb^-1 v*)`` of maximal parts.  One
+    `_pencil` of the r×r Gram factors ``(ga, gb)``, its factor ``z`` with
+    each column's largest component real positive (so the witness does not
+    depend on the basis ``v``), gives the verdict and the side by the
+    module's rule, the candidate and, when no infimum exists, the
+    `ando_witness`; ``(a, b)`` itself is never compressed, and only the
+    verdict is built n×n.  ``ga`` and ``gb`` are inverted only for the parts
+    the verdict outputs: ``1 - w`` is only absolutely accurate, so
+    ``z diag(1/(1 - w)) z*`` would lose a graded part's small eigenvalues.
 
     The candidate of a pair equals that of its reduced pair.  With ``P``
     the projector onto the eigenvectors of ``a~`` strictly inside (0, 1),
@@ -281,29 +258,30 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     projector on whose range ``x`` is injective; as ``g(0) = g(1) = 0``,
     both candidates are ``j g(a~) P j``.  In floating point they agree to
     rounding, which the "candidate of the pair" check of the
-    ``lattice.infimum`` catalogue entries guards against the candidate of
-    the full pair's `_spectrum`.
+    ``lattice.infimum`` catalogue entries guards against a numpy candidate
+    of the full pair read from `compress`.
     """
-    v, ma, mb, x, w = _reduced_spectrum(*core._operands(a, b, tol=tol), tol)
-    x = core._phase_normalized(v @ x)
-    ap, bp = (core._symmetrized(v @ m @ v.conj().T) for m in (ma, mb))
-    cand = _candidate(x, w)
+    v, ga, gb, z, w = _pencil(*core._operands(a, b, tol=tol), tol)
+    z = core._phase_normalized(z)
+    ap, bp = (core._symmetrized(v @ core._symmetrized(np.linalg.inv(g)) @ v.conj().T) for g in (ga, gb))
+    cand = _candidate(z, w)
     low, high = tol.sides(w)
     if not (low and high):
         return InfimumVerdict(True, bp if high else ap, cand, None, ap, bp)
-    witness = _straddle_witness(x, w, tol)
-    return InfimumVerdict(False, None, cand, witness, ap, bp)
+    return InfimumVerdict(False, None, cand, _straddle_witness(z, w, tol), ap, bp)
 
 
-def _reduced_spectrum(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
-    """``(v, ma, mb, x, w)``: the maximal parts ``[b]a = v ma v*`` and ``[a]b = v mb v*``, each Gram
-    factor of `lebesgue._reduced_pair` inverted once, and the `_spectrum` factor of ``(ma, mb)``,
-    so ``[b]a = (v x) diag(w) (v x)*``; with no intersection ``x`` is 0×0 and ``w`` empty."""
+def _pencil(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
+    """``(v, ga, gb, z, w)``: `lebesgue._reduced_pair` and the pencil ``gb u = w (ga + gb) u``.
+
+    With ``L L* = ga + gb`` and ``L^-1 gb L^-* = u diag(w) u*``, ``z = v L^-* u``,
+    so ``[b]a = z diag(1/(1 - w)) z*`` and ``[a]b = z diag(1/w) z*``, with ``w``
+    ascending in (0, 1); with no intersection ``z`` has no columns and ``w`` is empty.
+    """
     v, ga, gb = lebesgue._reduced_pair(da, db, tol)
-    ma, mb = (core._symmetrized(np.linalg.inv(g)) for g in (ga, gb))
-    if v.shape[1] == 0:
-        return v, ma, mb, np.zeros((0, 0)), np.zeros(0)
-    return (v, ma, mb, *_spectrum(ma, mb, tol))
+    li = np.linalg.solve(np.linalg.cholesky(ga + gb), np.eye(v.shape[1]))  # numpy has no triangular solve
+    w, u = np.linalg.eigh(core._symmetrized(li @ gb @ li.conj().T))
+    return v, ga, gb, v @ (li.conj().T @ u), w
 
 
 def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -313,7 +291,8 @@ def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     compressed spectrum ``w`` of its reduced pair reaches both sides of
     ``1/2``.  Couple the eigenpair ``i`` deepest inside ``(0, 1/2)`` with the
     one, ``j``, deepest inside ``(1/2, 1)``; with ``eps`` the smaller of
-    their margins over 3 and ``x_k`` the columns of ``x`` of `_spectrum`,
+    their margins over 3 and ``x_k = z_k (w_k (1 - w_k))^-1/2`` from the
+    factor ``z`` of `_pencil`, so ``[b]a = x diag(w) x*`` and ``[a]b = x diag(1 - w) x*``,
 
         d = (w_i - eps) x_i x_i* + (1 - w_j - eps) x_j x_j* + sqrt(2) eps (x_i x_j* + x_j x_i*).
 
@@ -334,8 +313,8 @@ def _refutation(a, b, tol: Tolerance) -> InfimumVerdict:
     return verdict
 
 
-def _straddle_witness(x: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """`ando_witness`, ``x D x*``, from the factor of a reduced pair whose ``w`` straddles 1/2."""
+def _straddle_witness(z: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """`ando_witness`, ``x D x*``, from the `_pencil` factor of a reduced pair whose ``w`` straddles 1/2."""
     low, high = np.minimum(w, 0.5 - w), np.minimum(w - 0.5, 1.0 - w)
     i, j = int(np.argmax(low)), int(np.argmax(high))
     eps = min(low[i], high[j]) / 3.0
@@ -344,5 +323,5 @@ def _straddle_witness(x: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarra
     # d on the eigenvectors i and j of a~, in their basis
     r = np.sqrt(2.0) * eps
     dd = np.array([[w[i] - eps, r], [r, 1.0 - w[j] - eps]])
-    xs = x[:, [i, j]]
+    xs = z[:, [i, j]] / np.sqrt(w[[i, j]] * (1.0 - w[[i, j]]))
     return core._symmetrized((xs @ dd) @ xs.conj().T)

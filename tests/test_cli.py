@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 import psdorder as po
 import test_acceptance
 from psdorder import cli, sampling, selftest
+from test_strength import JUST_OUTSIDE
 
 
 def write_matrix(path, m):
@@ -247,12 +248,43 @@ class TestCommands:
         assert (code, err, report["verdict"]["lambda"]) == (0, "", 1e308)
         assert cli.reverify_report(report) == []
 
+    def test_strength_zero_just_outside_a_rank_one_range_reverifies(self, capsys, files):
+        """The PSD floor accepts ``a - delta f f*`` here, so the claim certifies strength 0
+        by a kernel vector of ``a`` on which that matrix is negative beyond rounding."""
+        a, f = JUST_OUTSIDE
+        paths = write_matrix(files["tmp"] / "a.json", a), write_vector(files["tmp"] / "f.json", f)
+        code, report = run_json(capsys, ["strength", "--a", paths[0], "--f", paths[1]])
+        assert (code, report["verdict"]["lambda"]) == (0, 0.0)
+        assert cli.reverify_report(report) == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_in_range_strength_claimed_zero_fails(self, seed):
+        """A report of a ray in the range, tampered to ``lambda: 0`` with its claims recomputed:
+        no kernel vector of ``a`` sees the ray, so the strength-0 certificate fails."""
+        rng = sampling.rng_from_seed(seed)
+        n, cplx = 2 + seed % 4, bool(seed % 2)
+        for rank in (1, n - 1, n):
+            a = sampling.random_psd(rng, n, rank=rank, complex_entries=cplx)
+            f = sampling.random_ray_in_range(rng, a, cplx)
+            inputs = {"a": cli.memory_value("a", a), "f": cli.memory_value("f", f, "vector")}
+            report = json.loads(cli._dumps(cli.cmd_strength(inputs, po.DEFAULT_TOL)))
+            assert report["verdict"]["in_range"] and cli.reverify_report(report) == []
+            report["verdict"].update({"lambda": 0.0, "in_range": False})
+            report["witnesses"] = {}
+            report["claims"] = cli._required_claims(report)
+            assert cli.reverify_report(report) != []
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_inf_whose_sum_overflows_is_rejected_without_a_warning(self, capsys, files):
+    def test_inf_at_the_float_limit_is_decided_without_a_warning(self, capsys, files):
+        """The infimum reads the reduced pair's pencil and forms no sum, so ``1e308 I`` is its own infimum."""
         big = write_matrix(files["tmp"] / "big.json", 1e308 * np.eye(2))
         code = cli.main(["inf", "--a", big, "--b", big, "--json"])
-        rejection = "precondition rejected: a sum or difference of the operands overflows\n"
-        assert (code, *capsys.readouterr()) == (2, "", rejection)
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (code, err, report["verdict"]["exists"]) == (0, "", True)
+        inf = cli.from_obj(report["witnesses"]["inf"]["value"], "matrix")
+        np.testing.assert_array_equal(inf, 1e308 * np.eye(2))
+        assert cli.reverify_report(report) == []
 
     def test_inf_disjoint_projections(self, capsys, files):
         code, report = run_json(capsys, ["inf", "--a", files["p"], "--b", files["q"]])

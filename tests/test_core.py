@@ -457,13 +457,17 @@ class TestOverflow:
         assert po.comparable(self.big, 0.5 * self.big) is po.Comparison.GEQ
 
     def test_a_sum_or_difference_that_overflows_is_rejected(self):
-        """Rejected cleanly: numpy's overflow warning is never raised on the way."""
+        """Rejected cleanly: numpy's overflow warning is never raised on the way.
+        The infimum forms no sum, so ``1e308 I`` is its own infimum."""
         big = self.big
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for decide, pair in ((po.comparable, (big, -big)), (po.inf_exists, (big, big))):
+            for decide, pair in ((po.comparable, (big, -big)), (po.compress, (big, big))):
                 with pytest.raises(po.MatrixError, match="overflows"):
                     decide(*pair)
+            verdict = po.inf_exists(big, big)
+        assert verdict.exists
+        np.testing.assert_array_equal(verdict.inf, big)
 
     def test_parallel_sum_forms_no_sum(self):
         """``a : b`` is read from the reduced pair, so ``1e308 I : 1e308 I`` is decided."""

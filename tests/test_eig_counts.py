@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import psdorder as po
-from psdorder import cli, core, lattice, sampling
+from psdorder import cli, core, sampling
 from conftest import ENTRIES, N
 
 
@@ -145,16 +145,9 @@ def test_compress(linalg_calls, inst):
     assert count(linalg_calls, po.compress, inst["a"], inst["b"])[0] == (1, 0, 2)
 
 
-def test_ando_candidate_decomposes_a_tilde_on_the_range(linalg_calls, inst):
-    """The candidate of the full pair: one eigh of the sum, then one of ``a_tilde`` on the sum's range only."""
-    assert po.numeric_rank(inst["low"] + inst["up"]) == 3
-    linalg_calls.clear()
-    lattice._candidate(*lattice._spectrum(inst["low"], inst["up"], po.DEFAULT_TOL))
-    assert linalg_calls == [("eigh", (N, N)), ("eigh", (3, 3))]
-
-
 def test_ando_witness(linalg_calls, inst):
-    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (4, 0, 0)
+    """One eigh per operand and the pencil of the reduced pair: one Cholesky of ``ga + gb``, one eigh."""
+    assert count(linalg_calls, po.ando_witness, inst["a"], inst["b"])[0] == (3, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +169,7 @@ def test_inf_exists_exists_path(linalg_calls, inst):
     """ran low ∩ ran up = ran low has dimension 2."""
     calls, verdict = count(linalg_calls, po.inf_exists, inst["low"], inst["up"])
     assert verdict.exists
-    assert calls == (4, 1, 0)
+    assert calls == (3, 1, 1)
     assert_operands_then_intersection(linalg_calls, 2)
 
 
@@ -184,20 +177,23 @@ def test_inf_exists_witness_path(linalg_calls, inst):
     """A full-rank pair meets in the whole space, so no SVD runs."""
     calls, verdict = count(linalg_calls, po.inf_exists, inst["a"], inst["b"])
     assert not verdict.exists
-    assert calls == (4, 0, 0)
+    assert calls == (3, 0, 1)
     assert_operands_then_intersection(linalg_calls, N)
 
 
 @pytest.mark.parametrize(
     "lo, hi, exists, r, calls",
-    [("low", "up", True, 2, (4, 1, 0)), ("a", "b", False, N, (4, 0, 0))],
+    [("low", "up", True, 2, (3, 1, 1)), ("a", "b", False, N, (3, 0, 1))],
     ids=["low-up-True", "a-b-False"],
 )
-def test_form_inf_exists_both_paths(linalg_calls, inst, lo, hi, exists, r, calls):
+def test_form_inf_exists_both_paths(linalg_calls, monkeypatch, inst, lo, hi, exists, r, calls):
+    """The verdict reads the spectrum of the pencil alone, so no Gram factor is inverted."""
+    inverted, _ = recorded(monkeypatch, "inv")
     forms = po.SesquilinearForm(inst[lo]), po.SesquilinearForm(inst[hi])
     got, verdict = count(linalg_calls, po.form_inf_exists, *forms)
     assert verdict is exists
     assert got == calls
+    assert inverted == []
     assert_operands_then_intersection(linalg_calls, r)
 
 
@@ -219,7 +215,7 @@ def test_cli_ando_witness_reads_candidate_and_witness_from_one_spectrum(linalg_c
     inputs = {"a": cli.memory_value("a", inst["a"]), "b": cli.memory_value("b", inst["b"])}
     calls, report = count(linalg_calls, cli.cmd_ando_witness, inputs, po.DEFAULT_TOL)
     assert set(report["witnesses"]) == {"candidate", "d"}
-    assert calls == (4, 0, 0)
+    assert calls == (3, 0, 1)
 
 
 def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst):

@@ -5,6 +5,14 @@ import psdorder as po
 from psdorder import sampling, selftest
 from conftest import holds
 
+# A ray just outside a rank-one range, whose strength 0 the PSD floor cannot
+# certify: the instance that ``strength.supremum`` drew at trial 31 at seed 0,
+# and ``strength.bisection`` at seed 1, while entry ``i`` drew ``default_rng(seed + i)``.
+JUST_OUTSIDE = (
+    np.array([[1.1244674073781353, 0.5683200001864678], [0.5683200001864678, 0.28723609105313325]]),
+    np.array([0.6432778732254583, 0.32742230686691515]),
+)
+
 
 class TestStrengthExamples:
     def test_identity_basis_ray(self):
@@ -104,14 +112,12 @@ class TestStrengthInvariants:
         holds(rng, 20, "strength.bisection")
 
     def test_ray_just_outside_a_rank_one_range(self):
-        """The instance of ``strength.supremum`` trial 31 at seed 0, which is also
-        ``strength.bisection`` trial 31 at seed 1: ``a`` has eigenvalues 0 and 1.41,
-        and ``f`` leaves ``ran a`` at a sine of 2.85e-3, so ``|f⊥|^2 = 4.22e-6``.
+        """`JUST_OUTSIDE`: ``a`` has eigenvalues 0 and 1.41, and ``f`` leaves
+        ``ran a`` at a sine of 2.85e-3, so ``|f⊥|^2 = 4.22e-6``.
         The strength 0 is exact.  The PSD floor ``1e-10 max(1, |a|)`` accepts
         ``a - t f f*`` up to ``t = floor / |f⊥|^2 = 3.35e-5``, where bisection
         stops; the kernel certificate refutes every ``t > 0``."""
-        a = np.array([[1.1244674073781353, 0.5683200001864678], [0.5683200001864678, 0.28723609105313325]])
-        f = np.array([0.6432778732254583, 0.32742230686691515])
+        a, f = JUST_OUTSIDE
         assert po.strength(a, f).value == 0.0
         w, u = np.linalg.eigh(a)
         perp = abs(u[:, 0] @ f) ** 2
