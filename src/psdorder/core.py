@@ -453,7 +453,8 @@ def rank_one(f) -> np.ndarray:
     With the pairing ``<f|x> = sum_i f_i conj(x_i)``, this is the matrix of
     the map ``x -> conj(<f|x>) f``; its quadratic form is ``|<f|x>|^2``.
     A product that overflows, or underflows to 0, is rejected without a
-    numpy warning.
+    numpy warning.  A complex product is made exactly Hermitian by
+    `_symmetrized`; a real one is symmetric as computed and keeps its bits.
     """
     v = as_vector(f)
     if not v.any():
@@ -462,4 +463,4 @@ def rank_one(f) -> np.ndarray:
         m = np.outer(v, v.conj())
     if not (np.all(np.isfinite(m)) and m.any()):
         raise MatrixError("the rank-one product of this vector leaves the float range")
-    return m
+    return _symmetrized(m) if np.iscomplexobj(m) else m

@@ -2,7 +2,10 @@
 
 Used by the CLI generator, the self-test suites, and the test corpus.  All
 sampling is driven by an explicit `numpy.random.Generator` so concurrent or
-repeated runs reproduce the same instances.
+repeated runs reproduce the same instances.  A sampler that keeps only some
+columns of a unitary draws the whole of `random_unitary`'s Gaussian block but
+factors only those columns (`_unitary_columns`), so the generator advances
+the same and the instance is the one the whole unitary gives, up to rounding.
 """
 
 from __future__ import annotations
@@ -34,9 +37,20 @@ def rng_from_seed(seed: int | None) -> np.random.Generator:
 
 def random_unitary(rng: np.random.Generator, n: int, complex_entries: bool = True) -> np.ndarray:
     """Haar-ish unitary (orthogonal when real) from a QR factorization."""
-    g = rng.standard_normal((n, n))
+    return _unitary_columns(rng, n, n, complex_entries)
+
+
+def _unitary_columns(rng: np.random.Generator, n: int, k: int, complex_entries: bool) -> np.ndarray:
+    """The first ``k`` columns of `random_unitary` from the same draws.
+
+    Draws the whole n×n Gaussian block (and its imaginary block), so ``rng``
+    advances as `random_unitary`'s does, but QR-factors and phase-fixes only
+    the block's first ``k`` columns: Householder QR's first ``k`` columns
+    depend on those alone (Mezzadri, Notices AMS 54, 2007).
+    """
+    g = rng.standard_normal((n, n))[:, :k]
     if complex_entries:
-        g = g + 1j * rng.standard_normal((n, n))
+        g = g + 1j * rng.standard_normal((n, n))[:, :k]
     q, r = np.linalg.qr(g)
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
@@ -52,15 +66,16 @@ def random_psd(
     """PSD matrix ``q diag(values, 0...) q*`` with seeded unitary ``q``.
 
     Eigenvalues are uniform in ``DEFAULT_SPREAD``; ``rank`` of them are positive,
-    the rest exactly zero.  ``rank`` must satisfy ``1 <= rank <= n``.
+    the rest exactly zero.  ``rank`` must satisfy ``1 <= rank <= n``.  Only the
+    ``rank`` columns of ``q`` that meet a positive eigenvalue are factored and
+    multiplied; they are `random_unitary`'s first ``rank`` columns.
     """
     if rank is None:
         rank = n
     if not 1 <= rank <= n:
         raise MatrixError(f"rank {rank} out of range 1..{n}")
-    vals = np.zeros(n)
-    vals[:rank] = rng.uniform(*DEFAULT_SPREAD, size=rank)
-    q = random_unitary(rng, n, complex_entries)
+    vals = rng.uniform(*DEFAULT_SPREAD, size=rank)
+    q = _unitary_columns(rng, n, rank, complex_entries)
     return core.hermitian_part((q * vals) @ q.conj().T)
 
 
@@ -115,13 +130,15 @@ def shared_core_pair(
     Without tails the two matrices have equal ranges (mutually absolutely
     continuous).  With tails each also gets a rank-one piece in its own
     private direction, so both singular parts are non-trivial.  Needs
-    ``core_rank + 2 <= n`` for tails.
+    ``core_rank + 2 <= n`` for tails.  The subspace and the tail directions
+    are `random_unitary`'s first ``core_rank`` (+2 with tails) columns, the
+    only ones factored.
     """
     if not 1 <= core_rank <= n:
         raise MatrixError(f"core rank {core_rank} out of range 1..{n}")
     if tails and core_rank + 2 > n:
         raise MatrixError("tails need two extra directions")
-    q = random_unitary(rng, n, complex_entries)
+    q = _unitary_columns(rng, n, core_rank + 2 if tails else core_rank, complex_entries)
     v = q[:, :core_rank]
     m = random_psd(rng, core_rank, complex_entries=complex_entries)
     w = random_psd(rng, core_rank, complex_entries=complex_entries)
@@ -140,14 +157,18 @@ def disjoint_projector_pair(
     n: int,
     complex_entries: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projectors with trivially intersecting (disjoint) ranges."""
+    """Orthogonal projectors with trivially intersecting (disjoint) ranges.
+
+    Their ranges are spanned by the first ``k1`` and ``k2`` columns of two
+    `random_unitary` draws, and only those columns are factored.
+    """
     if n < 2:
         raise MatrixError("disjoint ranges need dimension at least 2")
     k1 = int(rng.integers(1, n))
     k2 = int(rng.integers(1, n - k1 + 1))
     for _ in range(100):
-        q1 = random_unitary(rng, n, complex_entries)[:, :k1]
-        q2 = random_unitary(rng, n, complex_entries)[:, :k2]
+        q1 = _unitary_columns(rng, n, k1, complex_entries)
+        q2 = _unitary_columns(rng, n, k2, complex_entries)
         p1 = core.hermitian_part(q1 @ q1.conj().T)
         p2 = core.hermitian_part(q2 @ q2.conj().T)
         # ranges intersect iff p1 + p2 has eigenvalue 2; keep a margin so

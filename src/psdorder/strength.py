@@ -71,15 +71,13 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     if dec.n != v.size:
         raise core.DimensionMismatchError(f"dimension mismatch: matrix is {dec.n}, ray has {v.size}")
     dec.require_psd(tol)
-    e = int(np.frexp(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))[1])
+    e, s = _exponents(dec, v)
     v = _times_power_of_two(v, -e)
     keep = dec.kept(tol)
     coeff = dec.vectors.conj().T @ v
     outside = float(np.linalg.norm(coeff[~keep]))
     if not keep.any() or not tol.zero_angle(outside, float(np.linalg.norm(v))):
         return StrengthResult(0.0, None, None)
-    s = int(np.frexp(dec.eigenvalues[-1])[1])
-    s += s % 2
     ck = coeff[keep]
     wk = np.ldexp(dec.eigenvalues[keep], -s)
     m = float(np.sum(np.abs(ck) ** 2 / wk))
@@ -91,6 +89,15 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     if not (0.0 < value < np.inf and 0.0 < constant < np.inf and np.all(np.isfinite(witness))):
         raise MatrixError("the strength or its certificates along this ray leave the float range")
     return StrengthResult(value, witness, constant)
+
+
+def _exponents(dec: core.EigDecomp, v: np.ndarray) -> tuple[int, int]:
+    """``e`` that brings the largest real or imaginary part of ``v`` times ``2^-e`` into
+    ``[1/2, 1)``, and an even ``s`` that brings the top eigenvalue of ``dec`` times ``2^-s``
+    into ``[1/4, 1)``."""
+    e = int(np.frexp(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))[1])
+    s = int(np.frexp(dec.eigenvalues[-1])[1])
+    return e, s + s % 2
 
 
 def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:

@@ -41,6 +41,12 @@ def files(tmp_path):
     }
 
 
+def strength_report(a, f) -> dict:
+    """The JSON report of `cli.cmd_strength` on in-memory operands, as `reverify_report` reads it."""
+    inputs = {"a": cli.memory_value("a", a), "f": cli.memory_value("f", f, "vector")}
+    return json.loads(cli._dumps(cli.cmd_strength(inputs, po.DEFAULT_TOL)))
+
+
 def run_json(capsys, argv):
     code = cli.main(argv + ["--json"])
     out = capsys.readouterr().out
@@ -273,6 +279,66 @@ class TestCommands:
             report["witnesses"] = {}
             report["claims"] = cli._required_claims(report)
             assert cli.reverify_report(report) != []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-30, -20, 20, 30])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_in_range_strength_far_from_scale_one_reverifies_and_tampers_fail(self, k, cplx):
+        """A correct strength of a rank-deficient ``a`` scaled by ``2^k`` re-verifies, and the
+        same report with ``lambda`` moved by a factor ``1 ± 1e-3`` and its claims recomputed
+        does not: "attained" reads the PSD floor on the scale of ``a``, "strict" a vector
+        along ``a^+ f``, both on the scale of `po.strength`."""
+        rng = sampling.rng_from_seed(100 + k)
+        for n in (2, 3, 5):
+            for rank in {1, n - 1}:
+                a = 2.0**k * sampling.random_psd(rng, n, rank=rank, complex_entries=cplx)
+                report = strength_report(a, sampling.random_ray_in_range(rng, a, cplx))
+                assert report["verdict"]["in_range"] and cli.reverify_report(report) == []
+                for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+                    tampered = json.loads(json.dumps(report))
+                    tampered["verdict"]["lambda"] *= factor
+                    tampered["claims"] = cli._required_claims(tampered)
+                    failures = cli.reverify_report(tampered)
+                    assert [msg.split(":")[0] for msg in failures] == ["strength_supremum"], (n, rank, factor)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_strength_along_a_small_eigenvector_reverifies(self):
+        """The strict step is ``delta (1 + lambda)`` on the scale of `po.strength`, not a
+        fraction of ``lambda``, so a strength far below the top of ``a`` stays above rounding."""
+        report = strength_report(np.diag([1.0, 2e-10]), np.array([0.0, 1.0]))
+        assert report["verdict"]["lambda"] == pytest.approx(2e-10, rel=1e-12)
+        assert cli.reverify_report(report) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spread", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_positive_strength_of_graded_operands_reverifies(self, spread, cplx):
+        """``a = q diag(10^U(-L, L)) q*``, full rank and rank-deficient, along a ray in the range,
+        the eigenvectors of ``a`` and, at full rank, the basis vectors: every report of a positive
+        strength re-verifies."""
+        rng = sampling.rng_from_seed(spread)
+        positive = 0
+        for n in (2, 3, 5):
+            for rank in (n, n - 1):
+                q = sampling.random_unitary(rng, n, cplx)
+                w = np.where(np.arange(n) < rank, 10.0 ** rng.uniform(-spread, spread, n), 0.0)
+                a = (q * w) @ q.conj().T
+                rays = [sampling.random_ray_in_range(rng, a, cplx), *q[:, :rank].T]
+                for f in rays + (list(np.eye(n)) if rank == n else []):
+                    report = strength_report(a, f)
+                    if report["verdict"]["lambda"] > 0.0:
+                        positive += 1
+                        assert cli.reverify_report(report) == [], (n, rank, f)
+        assert positive >= 10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [-1.0, -1e-12, float("inf"), float("nan")])
+    def test_strength_claimed_negative_or_not_finite_fails_without_a_warning(self, capsys, files, lam):
+        code, report = run_json(capsys, ["strength", "--a", files["id2"], "--f", files["e1"]])
+        assert code == 0
+        report["verdict"]["lambda"] = lam
+        report["claims"] = cli._required_claims(report)
+        assert [msg.split(":")[0] for msg in cli.reverify_report(report)] == ["strength_supremum"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inf_at_the_float_limit_is_decided_without_a_warning(self, capsys, files):

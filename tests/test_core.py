@@ -345,6 +345,20 @@ class TestRankOne:
         np.testing.assert_allclose(m, [[1.0, -1.0j], [1.0j, 1.0]])
         assert np.max(np.abs(m - m.conj().T)) == 0.0
 
+    def test_complex_ray_gives_an_exactly_hermitian_product(self, rng):
+        for _ in range(200):
+            m = po.rank_one(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+            np.testing.assert_array_equal(m, m.conj().T)
+
+    def test_strength_step_of_a_complex_rank_one_a_is_decided(self):
+        """At 2^20, ``a - strength f f*`` cancels to rounding, so an asymmetry of ``f f*``
+        at rounding level once exceeded the Hermiticity limit of the difference."""
+        rng = sampling.rng_from_seed(20)
+        for i in range(200):
+            a = 2.0**20 * sampling.random_psd(rng, 2 + i % 5, rank=1)
+            f = sampling.random_ray_in_range(rng, a)
+            assert po.is_psd(a - po.strength(a, f).value * po.rank_one(f)) in (True, False)
+
     def test_quadratic_form_is_pairing(self, rng):
         holds(rng, 12, "core.rank_one")
 

@@ -14,6 +14,9 @@ a smaller space stays visible too.  It also records each matrix's dtype: a
 real instance must be decomposed in float64 alone, so a stray complex
 coercion fails here rather than only costing time.
 
+The samplers are pinned by the shapes `numpy.linalg.qr` receives: each
+factors only the columns of its unitary that reach the instance.
+
 Validation is pinned the same way: a public entry point validates each
 matrix argument once, into the `EigDecomp` its callees share, so
 `core.as_hermitian` and `core.as_matrix` each run once per matrix argument.
@@ -138,6 +141,29 @@ def test_each_gram_factor_is_inverted_once(monkeypatch, inst, entry, lo, hi, sha
     calls, _ = recorded(monkeypatch, "inv")
     getattr(po, entry)(inst[lo], inst[hi])
     assert calls == [("inv", shape) for shape in shapes]
+
+
+def test_samplers_factor_only_the_columns_they_keep(monkeypatch):
+    """`random_psd` and `shared_core_pair` QR-factor the n×k block of the columns that reach
+    the matrix, not the whole n×n block; the inner r×r spectra of the core are full rank."""
+    calls, _ = recorded(monkeypatch, "qr")
+    sampling.random_psd(sampling.rng_from_seed(0), 64, rank=3)
+    assert calls == [("qr", (64, 3))]
+    for tails, k in ((True, 5), (False, 3)):
+        calls.clear()
+        sampling.shared_core_pair(sampling.rng_from_seed(0), 64, 3, tails=tails)
+        assert calls == [("qr", (64, k)), ("qr", (3, 3)), ("qr", (3, 3))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_disjoint_projectors_factor_only_their_ranks(monkeypatch, seed):
+    """Each draw of `disjoint_projector_pair` factors 64×k1 and 64×k2, the ranks it picked first."""
+    calls, _ = recorded(monkeypatch, "qr")
+    rng, twin = sampling.rng_from_seed(seed), sampling.rng_from_seed(seed)
+    k1 = int(twin.integers(1, 64))
+    k2 = int(twin.integers(1, 64 - k1 + 1))
+    sampling.disjoint_projector_pair(rng, 64)
+    assert calls and calls == [("qr", (64, k1)), ("qr", (64, k2))] * (len(calls) // 2)
 
 
 def test_compress(linalg_calls, inst):
