@@ -126,10 +126,14 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     Returns the maximal decomposition: ``ac`` is the largest PSD matrix
     satisfying ``ac <= b`` and ``ac << a``.  Alternative (non-maximal)
     decompositions exist in general and are not enumerated.  Both ``b``
-    and the reference ``a`` must be PSD.
+    and the reference ``a`` must be PSD.  When ``b << a`` the parts are
+    ``b`` itself, exact zeros and the identity, so no rounding of ``b`` is
+    left over to read as a singular part.
     """
     db, da = core._operands(b, a, tol=tol)
     qb, _, c0 = _angles(da, db, tol)
+    if c0.shape[1] == qb.shape[1]:
+        return LebesgueParts(db.matrix.copy(), np.zeros_like(db.matrix), np.eye(db.n))
     v = qb @ c0
     g, y = _shorted(db, v, tol)
     mi = core._symmetrized(np.linalg.inv(g))

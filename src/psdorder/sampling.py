@@ -6,6 +6,9 @@ repeated runs reproduce the same instances.  A sampler that keeps only some
 columns of a unitary draws the whole of `random_unitary`'s Gaussian block but
 factors only those columns (`_unitary_columns`), so the generator advances
 the same and the instance is the one the whole unitary gives, up to rounding.
+A sampler that may reject a draw decides from the factors it drew
+(`_psd_factors`, `_unitary_columns`) and forms n×n matrices only for the draw
+it keeps, or where the factors cannot settle the test.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ __all__ = [
 # Spectra are kept inside a moderate band so rank decisions and PSD floors
 # stay far from the tolerance cutoffs on generated instances.
 DEFAULT_SPREAD = (0.3, 3.0)
+
+# An acceptance test read from a sampler's factors settles only this far past its threshold:
+# far beyond the rounding of the formed matrices' spectra (about n eps times the spread).
+_SETTLED = 1e-8
 
 
 def rng_from_seed(seed: int | None) -> np.random.Generator:
@@ -74,9 +81,18 @@ def random_psd(
         rank = n
     if not 1 <= rank <= n:
         raise MatrixError(f"rank {rank} out of range 1..{n}")
+    return _product(*_psd_factors(rng, n, rank, complex_entries))
+
+
+def _psd_factors(rng: np.random.Generator, n: int, rank: int, complex_entries: bool):
+    """``(q, vals)`` of `random_psd`'s draw, ``q diag(vals) q*``, drawn in its order: values, then columns."""
     vals = rng.uniform(*DEFAULT_SPREAD, size=rank)
-    q = _unitary_columns(rng, n, rank, complex_entries)
-    return core.hermitian_part((q * vals) @ q.conj().T)
+    return _unitary_columns(rng, n, rank, complex_entries), vals
+
+
+def _product(q: np.ndarray, vals: np.ndarray | None = None) -> np.ndarray:
+    """``q diag(vals) q*`` (``q q*`` without ``vals``), exactly Hermitian."""
+    return core._symmetrized((q if vals is None else q * vals) @ q.conj().T)
 
 
 def random_vector(rng: np.random.Generator, n: int, complex_entries: bool = True) -> np.ndarray:
@@ -87,13 +103,12 @@ def random_vector(rng: np.random.Generator, n: int, complex_entries: bool = True
 
 
 def random_ray_in_range(rng: np.random.Generator, a, complex_entries: bool = True) -> np.ndarray:
-    """Random ray inside the range of ``a`` (falls back to a plain ray for zero ``a``)."""
+    """Random ray ``a g`` inside the range of ``a``, at any scale of ``a``; the plain ray ``g``
+    when ``a g`` is exactly zero."""
     m = core.as_matrix(a)
     g = random_vector(rng, m.shape[0], complex_entries)
     f = m @ g
-    if float(np.linalg.norm(f)) < 1e-12:
-        return g
-    return f
+    return f if np.any(f) else g
 
 
 def incomparable_pair(
@@ -105,13 +120,24 @@ def incomparable_pair(
     """Pair of PSD matrices incomparable in the Loewner order, robustly so.
 
     The difference has eigenvalues on both sides of zero beyond ``margin``.
-    Requires ``n >= 2`` (all 1x1 PSD pairs are comparable).
+    Requires ``n >= 2`` (all 1x1 PSD pairs are comparable).  Each draw is two
+    `random_psd` draws, and a draw that the Rayleigh quotients along their
+    eigenvectors cannot settle is decided by the spectrum of ``b - a``: the
+    pairs kept are the ones that spectrum alone would keep.
     """
     if n < 2:
         raise MatrixError("incomparable pairs need dimension at least 2")
+    reach = margin + max(margin, _SETTLED)
     for _ in range(200):
-        a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=complex_entries)
-        b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)), complex_entries=complex_entries)
+        qa, va = _psd_factors(rng, n, int(rng.integers(1, n + 1)), complex_entries)
+        qb, vb = _psd_factors(rng, n, int(rng.integers(1, n + 1)), complex_entries)
+        # The Rayleigh quotients of b - a along the drawn eigenvectors of a and of b, read from
+        # |qa* qb|², bound its spectrum (Courant–Fischer): one below -reach and one above reach
+        # settle the test.  Otherwise the spectrum of b - a decides.
+        c = np.abs(qa.conj().T @ qb) ** 2
+        a, b = _product(qa, va), _product(qb, vb)
+        if np.min(c @ vb - va) < -reach and np.max(vb - va @ c) > reach:
+            return a, b
         w = np.linalg.eigvalsh(b - a)
         if w[0] < -margin and w[-1] > margin:
             return a, b
@@ -149,7 +175,7 @@ def shared_core_pair(
         u2 = q[:, core_rank + 1]
         a = a + float(rng.uniform(0.5, 2.0)) * np.outer(u1, u1.conj())
         b = b + float(rng.uniform(0.5, 2.0)) * np.outer(u2, u2.conj())
-    return core.hermitian_part(a), core.hermitian_part(b)
+    return core._symmetrized(a), core._symmetrized(b)
 
 
 def disjoint_projector_pair(
@@ -160,7 +186,10 @@ def disjoint_projector_pair(
     """Orthogonal projectors with trivially intersecting (disjoint) ranges.
 
     Their ranges are spanned by the first ``k1`` and ``k2`` columns of two
-    `random_unitary` draws, and only those columns are factored.
+    `random_unitary` draws, and only those columns are factored.  A draw is
+    kept when the largest principal-angle cosine ``||q1* q2||_2``, a k1×k2
+    spectral norm, is below ``1 - 1e-3``, and only the kept draw forms its
+    projectors.
     """
     if n < 2:
         raise MatrixError("disjoint ranges need dimension at least 2")
@@ -169,11 +198,12 @@ def disjoint_projector_pair(
     for _ in range(100):
         q1 = _unitary_columns(rng, n, k1, complex_entries)
         q2 = _unitary_columns(rng, n, k2, complex_entries)
-        p1 = core.hermitian_part(q1 @ q1.conj().T)
-        p2 = core.hermitian_part(q2 @ q2.conj().T)
-        # ranges intersect iff p1 + p2 has eigenvalue 2; keep a margin so
-        # they are numerically disjoint, not just generically so
-        top = float(np.linalg.eigvalsh(p1 + p2)[-1])
+        # ranges intersect iff p1 + p2 has eigenvalue 2; keep a margin so they are numerically
+        # disjoint, not just generically so.  Its top eigenvalue is 1 + ||q1* q2||_2, one plus the
+        # largest principal-angle cosine, so only a draw too near the margin to tell forms p1 + p2.
+        top = 1.0 + float(np.linalg.norm(q1.conj().T @ q2, 2))
+        if abs(top - (2.0 - 1e-3)) <= _SETTLED:
+            top = float(np.linalg.eigvalsh(_product(q1) + _product(q2))[-1])
         if top < 2.0 - 1e-3:
-            return p1, p2
+            return _product(q1), _product(q2)
     raise MatrixError("failed to sample projectors with disjoint ranges")

@@ -387,6 +387,23 @@ class TestCommands:
             assert code == 0, argv
             assert cli.reverify_report(report) == [], argv
 
+    @pytest.mark.parametrize("k", [-40, 40])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_lebesgue_of_an_ac_pair_far_from_scale_one_reverifies(self, k, cplx):
+        """With ``ran b`` inside ``ran a`` the singular part is exact zeros, not rounding judged on
+        its own scale, so the ``psd``, ``leq`` and ``singular`` claims hold at ``2^k``: ``a`` of
+        rank n, and ``b`` on the range of ``a`` of rank n - 1."""
+        rng = sampling.rng_from_seed(50 + k + cplx)
+        for n in (2, 3, 5):
+            pairs = [
+                (sampling.random_psd(rng, n, complex_entries=cplx), sampling.random_psd(rng, n, complex_entries=cplx)),
+                sampling.shared_core_pair(rng, n, n - 1, cplx),
+            ]
+            for a, b in pairs:
+                inputs = {"a": cli.memory_value("a", 2.0**k * a), "b": cli.memory_value("b", 2.0**k * b)}
+                report = json.loads(cli._dumps(cli.cmd_lebesgue(inputs, po.DEFAULT_TOL)))
+                assert cli.reverify_report(report) == [], (n, report["verdict"])
+
     def test_parsum_reads_the_tolerance(self, capsys, files):
         """``u u* : w w*`` for rays ``1e-6`` apart: ``ran a ∩ ran b`` is one line at
         ``--tol 1e-4``, where the two ranges count as one, and ``{0}`` by default."""
@@ -734,6 +751,19 @@ class TestReverifyTampered:
                 claim["atol_scale"] = 1e300
         failures = cli.reverify_report(report)
         assert [msg.split(":")[0] for msg in failures] == ["claims", "sandwich", "sandwich"]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: `_residual_ok`'s absolute floor of 1e-8")
+    def test_compress_report_with_j_moved_fails_at_small_scale(self):
+        """A `compress` report at ``2^-20`` whose ``j`` is scaled by ``1 + 1e-3`` must fail its
+        ``sandwich`` claims; the residual floor of 1e-8 is not on the operands' scale."""
+        rng = sampling.rng_from_seed(20)
+        for n in range(2, 7):
+            a, b = (2.0**-20 * sampling.random_psd(rng, n, complex_entries=n % 2 == 1) for _ in range(2))
+            inputs = {"a": cli.memory_value("a", a), "b": cli.memory_value("b", b)}
+            report = json.loads(cli._dumps(cli.cmd_compress(inputs, po.DEFAULT_TOL)))
+            j = cli.from_obj(report["witnesses"]["j"]["value"], "matrix")
+            report["witnesses"]["j"]["value"] = cli._pack((1.0 + 1e-3) * j)
+            assert cli.reverify_report(report) != [], n
 
     def test_leq_report_over_an_indefinite_a(self, capsys, files, tmp_path):
         """A refuted `leq` report is certified by its `strength_gap` claim, which reads

@@ -15,7 +15,9 @@ real instance must be decomposed in float64 alone, so a stray complex
 coercion fails here rather than only costing time.
 
 The samplers are pinned by the shapes `numpy.linalg.qr` receives: each
-factors only the columns of its unitary that reach the instance.
+factors only the columns of its unitary that reach the instance.  The
+shapes `numpy.linalg.eigvalsh` receives pin that a sampler decides each draw
+from its factors, with no n×n spectrum where they settle the test.
 
 Validation is pinned the same way: a public entry point validates each
 matrix argument once, into the `EigDecomp` its callees share, so
@@ -164,6 +166,17 @@ def test_disjoint_projectors_factor_only_their_ranks(monkeypatch, seed):
     k2 = int(twin.integers(1, 64 - k1 + 1))
     sampling.disjoint_projector_pair(rng, 64)
     assert calls and calls == [("qr", (64, k1)), ("qr", (64, k2))] * (len(calls) // 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_samplers_accept_from_their_factors(monkeypatch, seed, cplx):
+    """On these seeds the Rayleigh quotients settle `incomparable_pair`'s test and the
+    principal-angle cosine settles `disjoint_projector_pair`'s: no eigvalsh runs at all."""
+    calls, _ = recorded(monkeypatch, "eigvalsh")
+    sampling.incomparable_pair(sampling.rng_from_seed(seed), 64, cplx)
+    sampling.disjoint_projector_pair(sampling.rng_from_seed(seed), 64, cplx)
+    assert calls == []
 
 
 def test_compress(linalg_calls, inst):

@@ -88,6 +88,37 @@ class TestAcPart:
         np.testing.assert_allclose(parts.ac, b, atol=1e-10 * eig_scale(b))
         assert np.max(np.abs(parts.sing)) <= 1e-10 * eig_scale(b)
 
+    @pytest.mark.parametrize(
+        "k",
+        [
+            pytest.param(
+                -40,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 3: the rank cutoff's absolute 1e-12 drops eigenvalues of a at 2^-40",
+                ),
+            ),
+            -20,
+            40,
+        ],
+    )
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_ac_pair_keeps_b_whole_at_any_scale(self, k, cplx):
+        """When ``ran b`` lies in ``ran a`` (``a`` of rank n, or ``b`` on the range of ``a``
+        of rank n - 1) the parts are ``b``, exact zeros and the identity at every scale."""
+        rng = sampling.rng_from_seed(40 + k + cplx)
+        for n in (2, 3, 5):
+            pairs = [
+                (sampling.random_psd(rng, n, complex_entries=cplx), sampling.random_psd(rng, n, complex_entries=cplx)),
+                sampling.shared_core_pair(rng, n, n - 1, cplx),
+            ]
+            for a, b in pairs:
+                a, b = 2.0**k * a, 2.0**k * b
+                parts = po.ac_part(b, a)
+                np.testing.assert_array_equal(parts.ac, b)
+                assert not np.any(parts.sing)
+                np.testing.assert_array_equal(parts.projector, np.eye(n))
+
     def test_indefinite_b_rejected(self):
         with pytest.raises(po.NotPsdError):
             po.ac_part(np.diag([1.0, -1.0]), np.eye(2))
