@@ -59,7 +59,7 @@ import numpy as np
 
 from . import core, lattice, lebesgue
 from .core import Comparison, MatrixError, Tolerance, ToleranceBreakdownError
-from .strength import _exponents, _order_test, _times_power_of_two, strength
+from .strength import _order_test, _scaled, _times_power_of_two, strength
 from .sampling import random_psd, rng_from_seed
 
 __all__ = [
@@ -392,63 +392,53 @@ def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
         return lebesgue.mutually_singular(get("subject"), get("other"), tol)
     if kind == "sqrt_image":
         op, vec, target = get("operator"), resolve(claim["vector"]), resolve(claim["target"])
-        image = core.sqrt_psd(op, tol) @ vec
-        limit = tol.floor(float(np.max(np.abs(op.matrix)))) * max(1.0, float(np.linalg.norm(target)))
-        return float(np.linalg.norm(image - target)) <= max(limit, tol.abs)
+        a, f, e, _ = _scaled(op, target)  # the residual sqrt(a') xi' - f' is 2^-e (sqrt(a) xi - f)
+        residual = _times_power_of_two(core.sqrt_psd(op, tol) @ vec - target, -e)
+        limit = tol.floor(float(np.max(np.abs(a)))) * max(1.0, float(np.linalg.norm(f)))
+        return float(np.linalg.norm(residual)) <= max(limit, tol.abs)
     if kind == "strength_supremum":
-        dec, ray = get("operator"), resolve(claim["ray"])
         if type(claim["value"]) not in (int, float):  # a JSON boolean is not a number here
             raise CliInputError(f"strength_supremum value {claim['value']!r} is not a number")
-        lam = float(claim["value"])
-        if 0.0 < lam < math.inf:
-            return _supremum_in_range(dec, ray, lam, tol)
-        if lam != 0.0:  # negative, infinite or NaN: no strength is any of these
-            return False
-        ff = core.rank_one(ray)
-        if not core.is_psd(dec.matrix, tol):
-            return False
-        above = dec.matrix - SUPREMUM_DELTA_SCALE * ff
-        # Strength 0, which the PSD floor cannot refute for a ray just outside the range, by a kernel
-        # certificate: an eigenvector x outside the kept range with x* above x below 2 n eps |above|_F.
-        x = dec.vectors[:, ~dec.kept(tol)]
-        return bool(np.any(np.einsum("ij,ik,kj->j", x.conj(), above, x).real < -_rounding(above)))
+        return _supremum(get("operator"), resolve(claim["ray"]), float(claim["value"]), tol)
     hi, lo, ray = get("hi"), get("lo"), resolve(claim["ray"])  # strength_gap
     return strength(hi, ray, tol).value > strength(lo, ray, tol).value
 
 
-def _supremum_in_range(dec: core.EigDecomp, ray: np.ndarray, lam: float, tol: Tolerance) -> bool:
-    """The `strength_supremum` claim for ``lam > 0`` of a PSD ``a``, read on the scale of
-    `strength`: ``a' = a 2^-s`` and ``f' = f 2^-e``, so the claim is ``lam' = lam 4^e / 2^s``.
-
-    Attained: ``a' - lam' f' f'*`` passes `core.is_psd`, whose floor is then ``rel`` of the
-    top of ``a``.  Strict: the unit ``x`` along ``a'^+ f'`` has ``x*(a' - t f' f'*)x < 0``
-    for each ``t`` above the strength; at ``t = lam' + delta (1 + lam')`` it must be below
-    ``-2 n eps ||a' - t f' f'*||_F``.  The step is not a fraction of ``lam'``: that would sink
-    below rounding when ``f`` leans on a small eigenvalue of ``a``.
-    """
-    keep = dec.kept(tol)
-    if not (dec.is_psd(tol) and keep.any()):  # no strength of a non-PSD or zero a is positive
+def _supremum(dec: core.EigDecomp, ray: np.ndarray, lam: float, tol: Tolerance) -> bool:
+    """The `strength_supremum` claim that PSD ``a`` has strength ``lam`` along ``f``, read like
+    ``sqrt_image`` on the pair `strength._scaled` gives, ``a'`` and ``f'``, where it claims
+    ``lam' = lam 4^e / 2^s``.  Some unit ``x`` must have ``x*(a' - t f'f'*)x`` below
+    ``-2 n eps ||a' - t f'f'*||_F`` at ``t = lam' + delta (1 + lam')``, not a fraction of ``lam'``,
+    which would sink below rounding when ``f`` leans on a small eigenvalue of ``a``.  For
+    ``lam = 0``, which the PSD floor cannot refute for a ray just outside the range, ``x`` is an
+    eigenvector of ``a`` outside its kept range.  For ``lam > 0``, ``x`` is along ``a'^+ f'``, and
+    ``a' - lam' f'f'*`` must pass `core.is_psd`, whose floor is then ``rel`` of the top of ``a``."""
+    if not (0.0 <= lam < math.inf and dec.is_psd(tol)):  # a strength is finite and not negative
         return False
-    e, s = _exponents(dec, ray)
+    keep = dec.kept(tol)
+    a, f, e, s = _scaled(dec, ray)
+    if lam == 0.0:
+        above = a - SUPREMUM_DELTA_SCALE * core.rank_one(f)
+        x = dec.vectors[:, ~keep]
+        return bool(np.any(np.einsum("ij,ik,kj->j", x.conj(), above, x).real < -_rounding(above)))
     try:
         lam = math.ldexp(lam, 2 * e - s)
     except OverflowError:  # the strength of a ray on this scale is at most 4
         return False
-    f, v = _times_power_of_two(ray, -e), dec.vectors[:, keep]
+    v = dec.vectors[:, keep]
     x = v @ ((v.conj().T @ f) / np.ldexp(dec.eigenvalues[keep], -s))
     length = float(np.linalg.norm(x))
-    if length == 0.0:  # f is orthogonal to the range of a
+    if length == 0.0:  # f is orthogonal to the range of a, or a is 0
         return False
-    a, ff, x = _times_power_of_two(dec.matrix, -s), core.rank_one(f), x / length
+    ff, x = core.rank_one(f), x / length
     above = a - (lam + SUPREMUM_DELTA_SCALE * (1.0 + lam)) * ff
     strict = float(np.real(x.conj() @ above @ x)) < -_rounding(above)
     return strict and core.is_psd(a - lam * ff, tol)
 
 
 def _rounding(m: np.ndarray) -> float:
-    """``2 n eps ||m||_F``: a quadratic form of ``m`` at a unit vector below minus this is
-    negative beyond rounding."""
-    return 2.0 * m.shape[0] * np.finfo(np.float64).eps * float(np.linalg.norm(m))
+    """``2 n eps ||m||_F`` by `core._drift`: a unit-vector form of ``m`` below minus it is negative."""
+    return core._drift(2 * m.shape[0], float(np.linalg.norm(m)))
 
 
 # ---------------------------------------------------------------------------

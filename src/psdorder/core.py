@@ -304,18 +304,22 @@ def _phase_normalized(v: np.ndarray) -> np.ndarray:
     return v * (lead.conj() / np.abs(lead))[np.newaxis, :]
 
 
+def _drift(n: int, fro: float) -> float:
+    """``n ε ‖x‖_F`` of an n×n ``x`` with ``‖x‖_F = fro``, the one eigh-error constant: it bounds how
+    far eigh's largest ``|eigenvalue|`` lies from ``‖x‖₂``, eigh's own eigenvalue error (a modest
+    multiple of ``ε ‖x‖₂`` for LAPACK's backward-stable solvers) and the rounding of the norms."""
+    return n * np.finfo(np.float64).eps * fro
+
+
 def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | None:
     """`EigDecomp.is_psd` of the exactly Hermitian ``x``, certified without eigh, or ``None``.
 
     With ``full_rank`` the verdict is instead whether every eigenvalue is
     `kept`.  Either verdict asks whether eigh's smallest computed eigenvalue
     clears a threshold, `Tolerance.cutoff` or ``-Tolerance.floor`` of its
-    largest ``|eigenvalue|``, which lies within ``drift = n ε ‖x‖_F`` of
+    largest ``|eigenvalue|``, which lies within ``drift`` (`_drift`) of
     ``‖x‖₂``, so between the largest column norm and ``‖x‖_F`` widened by
-    ``drift``: the threshold lies in ``[lo, hi]``.  ``drift`` also bounds
-    eigh's own eigenvalue error, a modest multiple of ``ε ‖x‖₂`` for
-    LAPACK's backward-stable solvers, and the rounding of the norms; it is
-    the one eigh-error constant.
+    ``drift``: the threshold lies in ``[lo, hi]``.
 
     * "No" needs a diagonal entry below ``lo - drift``: the entry's basis
       vector is a ray whose Rayleigh quotient bounds ``λ_min`` from above.
@@ -330,13 +334,12 @@ def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | 
     is ``None`` and the caller decomposes.
     """
     n = x.shape[0]
-    eps = np.finfo(np.float64).eps
     with np.errstate(over="ignore"):
         cols = np.linalg.norm(x, axis=0)
         fro = float(np.linalg.norm(cols))
     if not np.isfinite(fro):
         return None
-    drift = n * eps * fro
+    drift = _drift(n, fro)
     top_lo, top_hi = max(float(cols.max()) - drift, 0.0), fro + drift
     threshold = tol.cutoff if full_rank else (lambda top: -tol.floor(top))
     lo, hi = sorted((threshold(top_lo), threshold(top_hi)))
@@ -350,7 +353,7 @@ def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | 
         l = np.linalg.cholesky(y)
     except np.linalg.LinAlgError:
         return None
-    u = eps / 2.0
+    u = np.finfo(np.float64).eps / 2.0
     gamma = (n + 1) * u / (1.0 - (n + 1) * u)
     err = 2.0 * gamma * float(np.linalg.norm(l)) ** 2 + u * (float(np.max(np.abs(d))) + abs(shift))
     return True if shift - err - drift > hi else None

@@ -92,12 +92,18 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
 
 
 def _exponents(dec: core.EigDecomp, v: np.ndarray) -> tuple[int, int]:
-    """``e`` that brings the largest real or imaginary part of ``v`` times ``2^-e`` into
-    ``[1/2, 1)``, and an even ``s`` that brings the top eigenvalue of ``dec`` times ``2^-s``
-    into ``[1/4, 1)``."""
+    """``e`` that brings the largest real or imaginary part of ``v`` times ``2^-e`` into ``[1/2, 1)``,
+    and an even ``s`` that brings the top eigenvalue of ``dec`` times ``2^-s`` into ``[1/4, 1)``."""
     e = int(np.frexp(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))[1])
     s = int(np.frexp(dec.eigenvalues[-1])[1])
     return e, s + s % 2
+
+
+def _scaled(dec: core.EigDecomp, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``(a', f', e, s)``: the pair `strength` decides on, ``a 2^-s`` and ``v 2^-e`` by `_exponents`.
+    On it a strength reads ``lam 2^(2e - s)`` and a witness ``xi 2^(s/2 - e)``."""
+    e, s = _exponents(dec, v)
+    return _times_power_of_two(dec.matrix, -s), _times_power_of_two(v, -e), e, s
 
 
 def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:

@@ -281,25 +281,39 @@ class TestCommands:
             assert cli.reverify_report(report) != []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("k", [-30, -20, 20, 30])
+    @pytest.mark.parametrize("k", [-40, -30, -20, 20, 30, 40])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_in_range_strength_far_from_scale_one_reverifies_and_tampers_fail(self, k, cplx):
         """A correct strength of a rank-deficient ``a`` scaled by ``2^k`` re-verifies, and the
         same report with ``lambda`` moved by a factor ``1 ± 1e-3`` and its claims recomputed
-        does not: "attained" reads the PSD floor on the scale of ``a``, "strict" a vector
-        along ``a^+ f``, both on the scale of `po.strength`."""
+        fails ``strength_supremum``: "attained" reads the PSD floor on the scale of ``a``,
+        "strict" a vector along ``a^+ f``, both on the scale of `po.strength`.  With ``xi``
+        moved by that factor instead it fails ``sqrt_image``, whose residual is read there too.
+        At ``2^-40`` the rank cutoff's absolute ``1e-12`` drops eigenvalues of some draws, whose
+        rays then read strength 0 (ROADMAP item 3); the rest must hold."""
         rng = sampling.rng_from_seed(100 + k)
+        checked = 0
         for n in (2, 3, 5):
             for rank in {1, n - 1}:
                 a = 2.0**k * sampling.random_psd(rng, n, rank=rank, complex_entries=cplx)
                 report = strength_report(a, sampling.random_ray_in_range(rng, a, cplx))
-                assert report["verdict"]["in_range"] and cli.reverify_report(report) == []
+                if not report["verdict"]["in_range"]:
+                    assert k == -40, (n, rank)
+                    continue
+                checked += 1
+                assert cli.reverify_report(report) == []
+                xi = cli.from_obj(report["witnesses"]["xi"]["value"], "vector")
                 for factor in (1.0 - 1e-3, 1.0 + 1e-3):
                     tampered = json.loads(json.dumps(report))
                     tampered["verdict"]["lambda"] *= factor
                     tampered["claims"] = cli._required_claims(tampered)
                     failures = cli.reverify_report(tampered)
                     assert [msg.split(":")[0] for msg in failures] == ["strength_supremum"], (n, rank, factor)
+                    tampered = json.loads(json.dumps(report))
+                    tampered["witnesses"]["xi"]["value"] = cli._pack(factor * xi)
+                    failures = cli.reverify_report(tampered)
+                    assert [msg.split(":")[0] for msg in failures] == ["sqrt_image"], (n, rank, factor)
+        assert checked > 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_strength_along_a_small_eigenvector_reverifies(self):
@@ -330,6 +344,39 @@ class TestCommands:
                         positive += 1
                         assert cli.reverify_report(report) == [], (n, rank, f)
         assert positive >= 10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_strength_of_graded_operands_reverifies(self, seed):
+        """``a = q diag(10^U(-L, L)) q*``, L = 2..10, of random rank, real or complex, along the
+        basis vectors: every report of strength 0 re-verifies, its kernel certificate read on the
+        scale of `po.strength`, and every report of a positive strength rewritten to 0, with its
+        witness and claims recomputed, fails its ``strength_supremum`` claim alone.  First
+        ``diag(1e6, 5e-5)`` along ``e2``, whose ``5e-5`` is below the rank cutoff."""
+        report = strength_report(np.diag([1e6, 5e-5]), np.array([0.0, 1.0]))
+        assert report["verdict"]["lambda"] == 0.0 and cli.reverify_report(report) == []
+        rng = sampling.rng_from_seed(seed)
+        counts = [0, 0]
+        for spread in range(2, 11):
+            for _ in range(8):
+                n = int(rng.integers(2, 7))
+                rank, cplx = int(rng.integers(1, n + 1)), bool(rng.integers(2))
+                q = sampling.random_unitary(rng, n, cplx)
+                w = np.where(np.arange(n) < rank, 10.0 ** rng.uniform(-spread, spread, n), 0.0)
+                a = (q * w) @ q.conj().T
+                for f in np.eye(n):
+                    report = strength_report(a, f)
+                    in_range = report["verdict"]["in_range"]
+                    counts[in_range] += 1
+                    if not in_range:
+                        assert cli.reverify_report(report) == [], (spread, n, rank, f)
+                        continue
+                    report["verdict"].update({"lambda": 0.0, "in_range": False, "optimal_constant": None})
+                    report["witnesses"] = {}
+                    report["claims"] = cli._required_claims(report)
+                    failures = cli.reverify_report(report)
+                    assert [msg.split(":")[0] for msg in failures] == ["strength_supremum"], (spread, n, rank, f)
+        assert min(counts) > 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lam", [-1.0, -1e-12, float("inf"), float("nan")])
