@@ -71,7 +71,7 @@ __all__ = [
     "from_obj",
 ]
 
-SUPREMUM_DELTA_SCALE = 1e-6  # supremum claims step to lambda + delta (1 + lambda)
+SUPREMUM_DELTA_SCALE = 1e-6  # supremum claims step to lambda + delta (top + lambda)
 CLOSE_ATOL_SCALE = 1e-8
 
 
@@ -359,8 +359,8 @@ def reverify_report(report: dict) -> list[str]:
     return failures
 
 
-def _residual_ok(residual: np.ndarray, *scale_by) -> bool:
-    scale = max([1.0] + [float(np.max(np.abs(m))) for m in scale_by if m.size])
+def _residual_ok(residual: np.ndarray, scale: float) -> bool:
+    """``|residual|`` is at most `CLOSE_ATOL_SCALE` of ``scale``, a largest ``|entry|`` of its terms."""
     return float(np.max(np.abs(residual))) <= CLOSE_ATOL_SCALE * scale
 
 
@@ -377,24 +377,26 @@ def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
     if kind == "incomparable":
         return core.comparable(get("subject"), get("other"), tol) is Comparison.INCOMPARABLE
     if kind == "close":
-        a, b = get("subject").matrix, get("other").matrix
-        return _residual_ok(a - b, a, b)
+        a, b = get("subject"), get("other")
+        return _residual_ok(a.matrix - b.matrix, max(a._peak, b._peak))
     if kind == "sum_equals":
         parts = [core.eig_hermitian(resolve(ref), tol).matrix for ref in claim["parts"]]
-        total = get("total").matrix
-        return _residual_ok(sum(parts) - total, total)
-    if kind == "sandwich":
-        outer, mid, target = (get(key).matrix for key in ("outer", "mid", "target"))
-        return _residual_ok(outer @ mid @ outer - target, target)
+        total = get("total")
+        return _residual_ok(sum(parts) - total.matrix, total._peak)
+    if kind == "sandwich":  # j² is on the scale of the call's a + b, which its rank cut reads
+        outer, mid, target = (get(key) for key in ("outer", "mid", "target"))
+        scale = max(target._peak, outer._peak**2)  # a huge tampered j raises OverflowError
+        return _residual_ok(outer.matrix @ mid.matrix @ outer.matrix - target.matrix, scale)
     if kind == "abs_continuous":
         return lebesgue.absolutely_continuous(get("subject"), get("other"), tol)
     if kind == "singular":
         return lebesgue.mutually_singular(get("subject"), get("other"), tol)
-    if kind == "sqrt_image":
-        op, vec, target = get("operator"), resolve(claim["vector"]), resolve(claim["target"])
-        a, f, e, _ = _scaled(op, target)  # the residual sqrt(a') xi' - f' is 2^-e (sqrt(a) xi - f)
+    if kind == "sqrt_image":  # on `strength`'s scale, where ``tol``'s unit 1 is the unit of a
+        op, unit = core._operands(get("operator"), tol=tol)
+        vec, target = resolve(claim["vector"]), resolve(claim["target"])
+        f, e, s = _scaled(target, unit)  # the residual sqrt(a') xi' - f' is 2^-e (sqrt(a) xi - f)
         residual = _times_power_of_two(core.sqrt_psd(op, tol) @ vec - target, -e)
-        limit = tol.floor(float(np.max(np.abs(a)))) * max(1.0, float(np.linalg.norm(f)))
+        limit = tol.floor(math.ldexp(op._peak, -s)) * max(1.0, float(np.linalg.norm(f)))
         return float(np.linalg.norm(residual)) <= max(limit, tol.abs)
     if kind == "strength_supremum":
         if type(claim["value"]) not in (int, float):  # a JSON boolean is not a number here
@@ -406,39 +408,38 @@ def _check_claim(claim: dict, resolve, tol: Tolerance) -> bool:
 
 def _supremum(dec: core.EigDecomp, ray: np.ndarray, lam: float, tol: Tolerance) -> bool:
     """The `strength_supremum` claim that PSD ``a`` has strength ``lam`` along ``f``, read like
-    ``sqrt_image`` on the pair `strength._scaled` gives, ``a'`` and ``f'``, where it claims
-    ``lam' = lam 4^e / 2^s``.  Some unit ``x`` must have ``x*(a' - t f'f'*)x`` below
-    ``-2 n eps ||a' - t f'f'*||_F`` at ``t = lam' + delta (1 + lam')``, not a fraction of ``lam'``,
-    which would sink below rounding when ``f`` leans on a small eigenvalue of ``a``.  For
+    ``sqrt_image`` on the pair ``a'``, ``f'`` of `strength._scaled`, where it claims
+    ``lam' = lam 4^e / 2^s``.  Some unit ``x`` must have ``x*(a' - t f'f'*)x < -2 n eps ||a' - t f'f'*||_F``
+    at ``t = lam' + delta (top' + lam')``, ``top'`` the largest eigenvalue of ``a'``: a step of
+    ``delta lam'`` alone would sink below rounding when ``f`` leans on a small eigenvalue.  For
     ``lam = 0``, which the PSD floor cannot refute for a ray just outside the range, ``x`` is an
     eigenvector of ``a`` outside its kept range.  For ``lam > 0``, ``x`` is along ``a'^+ f'``, and
-    ``a' - lam' f'f'*`` must pass `core.is_psd`, whose floor is then ``rel`` of the top of ``a``."""
-    if not (0.0 <= lam < math.inf and dec.is_psd(tol)):  # a strength is finite and not negative
+    ``a' - lam' f'f'*`` must pass `Tolerance.psd` on the top ``top' >= 1`` of ``a'``, so on the floor
+    ``rel top'`` on which `strength` found ``a`` PSD: the pair's own unit may lie ``4n`` times below it."""
+    dec, unit = core._operands(dec, tol=tol)
+    if not (0.0 <= lam < math.inf and dec.is_psd(unit)):  # a strength is finite and not negative
         return False
-    keep = dec.kept(tol)
-    a, f, e, s = _scaled(dec, ray)
-    if lam == 0.0:
-        above = a - SUPREMUM_DELTA_SCALE * core.rank_one(f)
-        x = dec.vectors[:, ~keep]
-        return bool(np.any(np.einsum("ij,ik,kj->j", x.conj(), above, x).real < -_rounding(above)))
+    keep = dec.kept(unit)
+    f, e, s = _scaled(ray, unit)
     try:
         lam = math.ldexp(lam, 2 * e - s)
-    except OverflowError:  # the strength of a ray on this scale is at most 4
+    except OverflowError:  # the strength of a ray on this scale is below 8n
         return False
-    v = dec.vectors[:, keep]
-    x = v @ ((v.conj().T @ f) / np.ldexp(dec.eigenvalues[keep], -s))
-    length = float(np.linalg.norm(x))
-    if length == 0.0:  # f is orthogonal to the range of a, or a is 0
-        return False
-    ff, x = core.rank_one(f), x / length
-    above = a - (lam + SUPREMUM_DELTA_SCALE * (1.0 + lam)) * ff
-    strict = float(np.real(x.conj() @ above @ x)) < -_rounding(above)
-    return strict and core.is_psd(a - lam * ff, tol)
-
-
-def _rounding(m: np.ndarray) -> float:
-    """``2 n eps ||m||_F`` by `core._drift`: a unit-vector form of ``m`` below minus it is negative."""
-    return core._drift(2 * m.shape[0], float(np.linalg.norm(m)))
+    a, ff, top = _times_power_of_two(dec.matrix, -s), core.rank_one(f), math.ldexp(dec.top, -s)
+    above = a - (lam + SUPREMUM_DELTA_SCALE * (top + lam)) * ff
+    rounding = core._drift(2 * a.shape[0], float(np.linalg.norm(above)))  # 2 n eps ||above||_F
+    if lam == 0.0:
+        x = dec.vectors[:, ~keep]
+    else:
+        v = dec.vectors[:, keep]
+        x = v @ ((v.conj().T @ f) / np.ldexp(dec.eigenvalues[keep], -s))[:, np.newaxis]
+        if not x.any():  # f is orthogonal to the range of a, or a is 0
+            return False
+        x = x / np.linalg.norm(x)
+    strict = bool(np.any(np.einsum("ij,ik,kj->j", x.conj(), above, x).real < -rounding))
+    if lam == 0.0 or not strict:
+        return strict
+    return tol.psd(float(core._exact(a, lam * ff, subtract=True).eigenvalues[0]), top)  # attained
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +456,7 @@ def cmd_strength(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> d
 def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
     # A refuted order's `strength_gap` claim reads both operands' strengths, so
     # both must be PSD; one decomposition of b - a gives the comparison and the ray.
-    a, b = core._operands(inputs["a"].value, inputs["b"].value, tol=tol, psd=True)
-    cmp, ray = _order_test(a, b, tol)
+    cmp, ray = _order_test(*core._operands(inputs["a"].value, inputs["b"].value, tol=tol, psd=True))
     leq = cmp in (Comparison.LEQ, Comparison.EQUAL)
     verdict = {"leq": leq, "comparison": cmp.value}
     return _report("leq", inputs, tol, seed, verdict, {"ray": None if leq else ray})
@@ -464,7 +464,7 @@ def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
 
 def cmd_sup(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
     names = ("a", "b", "t") if "t" in inputs else ("a", "b")
-    a, b, *t = core._operands(*(inputs[name].value for name in names), tol=tol)
+    a, b, *t, _ = core._operands(*(inputs[name].value for name in names), tol=tol)  # each call fixes its unit
     result = lattice.sup_exists(a, b, tol)
     refutation = None
     if t and not result.exists:

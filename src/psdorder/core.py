@@ -20,13 +20,14 @@ gets real witnesses.  Results are returned exactly Hermitian.
 An `EigDecomp` is the validated operand.  A public entry point validates
 each matrix argument once, by `eig_hermitian` (finite, square, Hermitian up
 to a small defect, then symmetrized), all of a call's at once by `_operands`,
-and hands the operands down; private helpers never validate, and assume one
-dimension.  A sum or difference of operands becomes one by `_exact`, a
-product Hermitian up to rounding is made exact by `_symmetrized`.
+which also fixes the call's unit, and hands them down; private helpers never
+validate, and assume one dimension.  A sum or difference of operands becomes
+one by `_exact`, a product Hermitian up to rounding is made exact by `_symmetrized`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -104,14 +105,18 @@ class Tolerance:
     """Relative threshold and absolute floor, and the rules that compare with them.
 
     Each threshold is stated once, on a top scale ``top`` (a largest
-    ``|eigenvalue|`` or ``|entry|``, or a bound on it): `cutoff` for the rank
-    rule (`EigDecomp.kept`), `floor` for the rest.  Each other rule is one
-    method, the only code that compares a quantity with a threshold: `psd`,
-    `negligible`, `zero_angle` and `sides`.  Both values are finite and positive.
+    ``|eigenvalue|`` or ``|entry|``, or a bound on it), and in one unit σ:
+    `cutoff` ``= rel·top + abs·σ`` for the rank rule (`EigDecomp.kept`),
+    `floor` ``= rel·max(σ, top)`` for the rest.  Each public call fixes the
+    power of four σ of its operands once (`_operands`), so it decides as on its
+    operands over σ.  Each other rule is one method, the only code that compares
+    a quantity with a threshold: `psd`, `negligible`, `zero_angle` and `sides`.
+    Both values are finite and positive.
     """
 
     rel: float = 1e-10
     abs: float = 1e-12
+    _unit = 1.0  # σ, not a field: 1 outside a call, whose own `_InUnit` binds
 
     def __post_init__(self):
         if not (0 < self.rel < np.inf and 0 < self.abs < np.inf):  # NaN fails too
@@ -119,11 +124,11 @@ class Tolerance:
 
     def cutoff(self, top: float) -> float:
         """An eigenvalue at or below this counts as zero (the numeric rank)."""
-        return self.rel * top + self.abs
+        return self.rel * top + self.abs * self._unit
 
     def floor(self, top: float) -> float:
         """A PSD matrix has no eigenvalue below ``-floor``."""
-        return self.rel * max(1.0, top)
+        return self.rel * max(self._unit, top)
 
     def psd(self, x: float, top: float) -> bool:
         """The PSD rule: ``x`` is not below ``-floor(top)``."""
@@ -143,6 +148,17 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+@dataclass(frozen=True)
+class _InUnit(Tolerance):
+    _unit: float = 1.0  # a `Tolerance` in the unit σ of one call's operands (`_operands`)
+
+
+def _unit(peak: float) -> float:
+    """``σ = 4^floor(log₄ peak)``, so ``σ <= peak <= ‖x‖₂`` for a Hermitian ``x`` whose largest
+    ``|entry|`` is ``peak``: with ``log₂ peak`` in ``[k - 1, k)`` by ``frexp``, it is ``4^((k - 1) // 2)``."""
+    return math.ldexp(1.0, 2 * ((math.frexp(peak)[1] - 1) // 2))
 
 
 def _real_or_complex(x) -> np.ndarray:
@@ -191,10 +207,10 @@ def _symmetrized(m) -> np.ndarray:
 
 
 def as_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Validate Hermiticity within tolerance and return the symmetrized matrix."""
+    """Validate Hermiticity within tolerance (in the matrix's own unit) and return the symmetrized matrix."""
     a = as_matrix(m)
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    limit = tol.floor(float(np.max(np.abs(a)))) + tol.abs
+    defect, peak = float(np.max(np.abs(a - a.conj().T))), float(np.max(np.abs(a)))
+    limit = _InUnit(tol.rel, tol.abs, _unit(peak)).cutoff(peak)  # rel·peak + abs·σ, as σ <= peak
     if defect > limit:
         raise NotHermitianError(defect, limit)
     return _symmetrized(a)
@@ -228,6 +244,8 @@ class EigDecomp:
     vectors = property(lambda self: self._eigh[1])
     top = property(lambda self: self._eigh[2])
     n = property(lambda self: self.matrix.shape[0])
+
+    _peak = cached_property(lambda self: float(np.max(np.abs(self.matrix))))  # `_operands` reads the unit
 
     def reconstruct(self) -> np.ndarray:
         v = self.vectors
@@ -275,14 +293,18 @@ def eig_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> EigDecomp:
     return m if isinstance(m, EigDecomp) else EigDecomp(as_hermitian(m, tol))
 
 
-def _operands(*ms, tol: Tolerance, psd: bool = False) -> tuple[EigDecomp, ...]:
-    """Each operand of one call by `eig_hermitian`, all of one dimension, then `as_psd` if ``psd``."""
+def _operands(*ms, tol: Tolerance, psd: bool = False) -> tuple:
+    """``(d1, ..., dk, tol)``: each operand of one call by `eig_hermitian`, all of one dimension, and
+    ``tol`` in the call's unit, `_unit` of their largest ``|entry|``; with ``psd`` each must be PSD.
+    The order is the private helpers' argument order, so ``_compare(*_operands(a, b, tol=tol))``."""
     ds = tuple(eig_hermitian(m, tol) for m in ms)
     if len({d.n for d in ds}) > 1:
         raise DimensionMismatchError("dimension mismatch: " + " vs ".join(str(d.matrix.shape) for d in ds))
+    tol = _InUnit(tol.rel, tol.abs, _unit(max(d._peak for d in ds)))
     for d in ds if psd else ():
-        as_psd(d, tol)
-    return ds
+        if not _psd_band(d.matrix, tol):  # eigh decides, and words the `NotPsdError`
+            d.require_psd(tol)
+    return ds + (tol,)
 
 
 def _exact(x: np.ndarray, y: np.ndarray, subtract: bool = False) -> EigDecomp:
@@ -361,17 +383,14 @@ def _psd_band(x: np.ndarray, tol: Tolerance, full_rank: bool = False) -> bool | 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff no eigenvalue lies below ``-Tolerance.floor`` of ``max|eig|``; `_psd_band` first."""
-    dec = eig_hermitian(m, tol)
+    dec, tol = _operands(m, tol=tol)
     verdict = _psd_band(dec.matrix, tol)
     return dec.is_psd(tol) if verdict is None else verdict
 
 
 def as_psd(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate PSD-ness and return the symmetrized matrix (entries unchanged)."""
-    dec = eig_hermitian(m, tol)
-    if not _psd_band(dec.matrix, tol):  # eigh decides, and words the `NotPsdError`
-        dec.require_psd(tol)
-    return dec.matrix
+    return _operands(m, tol=tol, psd=True)[0].matrix
 
 
 def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -380,8 +399,8 @@ def sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     This is also the canonical factor ``J = J*`` with ``J J* = a``, so the
     quadratic form identity ``x* a x = ||J x||^2`` holds for every ``x``.
     """
-    dec = eig_hermitian(a, tol).require_psd(tol)
-    return dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    dec, tol = _operands(a, tol=tol)
+    return dec.require_psd(tol).apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
 def pinv_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -389,22 +408,24 @@ def pinv_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Eigenvalues at or below the rank cutoff are nulled, the rest inverted.
     """
-    return eig_hermitian(a, tol).pinv_power(1.0, tol)
+    dec, tol = _operands(a, tol=tol)
+    return dec.pinv_power(1.0, tol)
 
 
 def pinv_sqrt_psd(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pseudo-inverse of the PSD square root (same rank cutoff as `pinv_psd`)."""
-    return eig_hermitian(a, tol).pinv_power(0.5, tol)
+    dec, tol = _operands(a, tol=tol)
+    return dec.pinv_power(0.5, tol)
 
 
 def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of eigenvalues above the rank cutoff."""
-    return int(np.count_nonzero(eig_hermitian(a, tol).kept(tol)))
+    return int(np.count_nonzero(EigDecomp.kept(*_operands(a, tol=tol))))
 
 
 def range_projector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD matrix (numeric rank)."""
-    return eig_hermitian(a, tol).projector(tol)
+    return EigDecomp.projector(*_operands(a, tol=tol))
 
 
 def loewner_leq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -425,14 +446,14 @@ def comparable(a, b, tol: Tolerance = DEFAULT_TOL) -> Comparison:
     ``b - a`` and ``a - b`` share one PSD floor: `_psd_band` decides each,
     and if it defers on either, one decomposition of ``b - a`` decides both.
     """
-    return _compare(*_operands(a, b, tol=tol), tol)[0]
+    return _compare(*_operands(a, b, tol=tol))[0]
 
 
 def _compare(da: EigDecomp, db: EigDecomp, tol: Tolerance) -> tuple[Comparison, EigDecomp]:
     """`comparable`'s verdict on two operands, and the operand ``d = b - a``.
 
     ``a <= b`` iff ``d`` is PSD, and ``b <= a`` iff ``-d`` is, which eigh
-    reads as `Tolerance.psd` of ``-max eig(d)``.
+    reads as `Tolerance.psd` of ``-max eig(d)``, on the operands' unit.
     """
     d = _exact(db.matrix, da.matrix, subtract=True)
     le = _psd_band(d.matrix, tol)

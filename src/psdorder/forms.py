@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, lattice
-from .core import DEFAULT_TOL, DimensionMismatchError, Tolerance
+from .core import DEFAULT_TOL, Comparison, DimensionMismatchError, Tolerance
 
 __all__ = [
     "SesquilinearForm",
@@ -55,14 +55,16 @@ def from_operator(m, tol: Tolerance = DEFAULT_TOL) -> SesquilinearForm:
 
 def form_leq(t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Pointwise order of forms, decided on the Gram matrices."""
-    return core.loewner_leq(*core._operands(t.gram, s.gram, tol=tol, psd=True), tol)
+    cmp = core._compare(*core._operands(t.gram, s.gram, tol=tol, psd=True))[0]
+    return cmp in (Comparison.LEQ, Comparison.EQUAL)
 
 
 def form_sup_exists(
     t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Supremum of two nonnegative forms exists iff they are comparable."""
-    return lattice.sup_exists(*core._operands(t.gram, s.gram, tol=tol, psd=True), tol).exists
+    cmp = core._compare(*core._operands(t.gram, s.gram, tol=tol, psd=True))[0]
+    return cmp is not Comparison.INCOMPARABLE
 
 
 def form_inf_exists(
@@ -73,5 +75,5 @@ def form_inf_exists(
     Reads `lattice`'s rule on the spectrum of `lattice._pencil`, as ``lattice.inf_exists``
     does, but builds no n×n matrix past the Gram matrices' decompositions and inverts nothing.
     """
-    *_, w = lattice._pencil(*core._operands(t.gram, s.gram, tol=tol), tol)
+    *_, w = lattice._pencil(*core._operands(t.gram, s.gram, tol=tol))
     return not all(tol.sides(w))

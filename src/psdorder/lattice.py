@@ -113,7 +113,7 @@ def sup_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> SupremumVerdict:
 
     `kadison_witness` refutes any strict upper bound of an incomparable pair.
     """
-    da, db = core._operands(a, b, tol=tol)
+    da, db, tol = core._operands(a, b, tol=tol)
     cmp = core._compare(da, db, tol)[0]
     if cmp is Comparison.INCOMPARABLE:
         return SupremumVerdict(False, None, cmp)
@@ -152,7 +152,8 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     from two Cholesky factors (`_strength_along_e0`) and no
     eigendecomposition.
     """
-    ha, hb, ht = (d.matrix for d in core._operands(a, b, t, tol=tol))
+    da, db, dt, tol = core._operands(a, b, t, tol=tol)
+    ha, hb, ht = da.matrix, db.matrix, dt.matrix
     if ha.shape[0] == 1:
         raise MatrixError("no witness in dimension 1: all PSD matrices are comparable")
     # Every PSD check, rank, projector and strength below reads these two gaps.
@@ -162,9 +163,8 @@ def kadison_witness(a, b, t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         for gap, name in ((dta, "a"), (dtb, "b")):
             if not gap.is_psd(tol):
                 raise MatrixError(f"precondition failed: t >= {name} does not hold")
-    top = float(np.max(np.abs(ht)))
     for gap, name in ((dta, "a"), (dtb, "b")):
-        if tol.negligible(float(np.max(np.abs(gap.matrix))), top):
+        if tol.negligible(gap._peak, dt._peak):
             raise MatrixError(f"precondition failed: t coincides with {name} within tolerance")
     if lam is not None:
         e, f = np.eye(2, ht.shape[0])
@@ -219,13 +219,13 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     on the range of ``s`` lies strictly inside ``(0, 1)``.  Rejects
     operands that are not PSD (`core.as_psd`).
     """
-    ha, hb = (d.matrix for d in core._operands(a, b, tol=tol, psd=True))
-    dec = core._exact(ha, hb)
+    *ds, tol = core._operands(a, b, tol=tol, psd=True)
+    dec = core._exact(*(d.matrix for d in ds))
     keep = dec.kept(tol)
     q = dec.vectors[:, keep]
     j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * keep)
     y = q / np.sqrt(dec.eigenvalues[keep])  # y* h y is h on the range of the sum, in the basis q
-    a_tilde, b_tilde = (core._symmetrized(q @ (y.conj().T @ h @ y) @ q.conj().T) for h in (ha, hb))
+    a_tilde, b_tilde = (core._symmetrized(q @ (y.conj().T @ d.matrix @ y) @ q.conj().T) for d in ds)
     return Compression(a_tilde, b_tilde, j, dec.projector(tol), q)
 
 
@@ -261,8 +261,8 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ``lattice.infimum`` catalogue entries guards against a numpy candidate
     of the full pair read from `compress`.
     """
-    v, ga, gb, z, w = _pencil(*core._operands(a, b, tol=tol), tol)
-    z = core._phase_normalized(z)
+    v, ga, gb, li, u, w = _pencil(*core._operands(a, b, tol=tol))
+    z = core._phase_normalized(v @ (li.conj().T @ u))
     ap, bp = (core._symmetrized(v @ core._symmetrized(np.linalg.inv(g)) @ v.conj().T) for g in (ga, gb))
     cand = _candidate(z, w)
     low, high = tol.sides(w)
@@ -272,16 +272,16 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
 
 
 def _pencil(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
-    """``(v, ga, gb, z, w)``: `lebesgue._reduced_pair` and the pencil ``gb u = w (ga + gb) u``.
+    """``(v, ga, gb, li, u, w)``: `lebesgue._reduced_pair` and the pencil ``gb u = w (ga + gb) u``.
 
-    With ``L L* = ga + gb`` and ``L^-1 gb L^-* = u diag(w) u*``, ``z = v L^-* u``,
-    so ``[b]a = z diag(1/(1 - w)) z*`` and ``[a]b = z diag(1/w) z*``, with ``w``
-    ascending in (0, 1); with no intersection ``z`` has no columns and ``w`` is empty.
+    With ``L L* = ga + gb``, ``li = L^-1`` and ``li gb li* = u diag(w) u*``, ``z = v li* u`` has
+    ``[b]a = z diag(1/(1 - w)) z*`` and ``[a]b = z diag(1/w) z*``, ``w`` ascending in (0, 1); with no
+    intersection ``w`` is empty and ``z`` has no columns.
     """
     v, ga, gb = lebesgue._reduced_pair(da, db, tol)
     li = np.linalg.solve(np.linalg.cholesky(ga + gb), np.eye(v.shape[1]))  # numpy has no triangular solve
     w, u = np.linalg.eigh(core._symmetrized(li @ gb @ li.conj().T))
-    return v, ga, gb, v @ (li.conj().T @ u), w
+    return v, ga, gb, li, u, w
 
 
 def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -291,15 +291,15 @@ def ando_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     compressed spectrum ``w`` of its reduced pair reaches both sides of
     ``1/2``.  Couple the eigenpair ``i`` deepest inside ``(0, 1/2)`` with the
     one, ``j``, deepest inside ``(1/2, 1)``; with ``eps`` the smaller of
-    their margins over 3 and ``x_k = z_k (w_k (1 - w_k))^-1/2`` from the
-    factor ``z`` of `_pencil`, so ``[b]a = x diag(w) x*`` and ``[a]b = x diag(1 - w) x*``,
+    their margins over 3 and ``x_k = z_k (w_k (1 - w_k))^-1/2`` from the factor ``z``
+    that `inf_exists` lifts from `_pencil`, so ``[b]a = x diag(w) x*`` and ``[a]b = x diag(1 - w) x*``,
 
         d = (w_i - eps) x_i x_i* + (1 - w_j - eps) x_j x_j* + sqrt(2) eps (x_i x_j* + x_j x_i*).
 
     Then ``d``, ``[b]a - d`` and ``[a]b - d`` are PSD, and the candidate
     minus ``d`` is ``eps [[1, -sqrt(2)], [-sqrt(2), 1]]``, indefinite, in the
-    basis ``x_i, x_j``.  When ``3 eps`` is negligible on the scale 1 of
-    ``w`` (one side's eigenvalues all lie within ``tol.rel`` of 0 or 1), no
+    basis ``x_i, x_j``.  When ``3 eps`` is at most ``tol.rel``, as ``w`` has
+    no unit (one side's eigenvalues all lie within ``tol.rel`` of 0 or 1), no
     witness is built and `ToleranceBreakdownError` is raised.
     """
     return _refutation(a, b, tol).witness
@@ -314,11 +314,11 @@ def _refutation(a, b, tol: Tolerance) -> InfimumVerdict:
 
 
 def _straddle_witness(z: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """`ando_witness`, ``x D x*``, from the `_pencil` factor of a reduced pair whose ``w`` straddles 1/2."""
+    """`ando_witness`, ``x D x*``, from the factor ``z`` of a reduced pair whose ``w`` straddles 1/2."""
     low, high = np.minimum(w, 0.5 - w), np.minimum(w - 0.5, 1.0 - w)
     i, j = int(np.argmax(low)), int(np.argmax(high))
     eps = min(low[i], high[j]) / 3.0
-    if tol.negligible(3.0 * eps, 1.0):
+    if tol.zero_angle(3.0 * eps):  # the rule that has no unit, as ``w`` has none
         raise ToleranceBreakdownError(f"spectrum straddles 1/2 but the witness margin {eps:.3g} is negligible")
     # d on the eigenvectors i and j of a~, in their basis
     r = np.sqrt(2.0) * eps

@@ -81,13 +81,13 @@ def _angles(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
 
 def absolutely_continuous(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran b`` is contained in ``ran a`` (so ``b << a``); both must be PSD."""
-    qb, _, c0 = _angles(*core._operands(a, b, tol=tol), tol)
+    qb, _, c0 = _angles(*core._operands(a, b, tol=tol))
     return c0.shape[1] == qb.shape[1]
 
 
 def mutually_singular(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``ran a`` and ``ran b`` intersect only in ``{0}``; both must be PSD."""
-    return _angles(*core._operands(a, b, tol=tol), tol)[2].shape[1] == 0
+    return _angles(*core._operands(a, b, tol=tol))[2].shape[1] == 0
 
 
 def _shorted(d: core.EigDecomp, v: np.ndarray, tol: Tolerance):
@@ -116,7 +116,7 @@ def parallel_sum(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     magnitude keep the smaller one's information.
     Both operands must be PSD (`NotPsdError` otherwise).
     """
-    v, ga, gb = _reduced_pair(*core._operands(a, b, tol=tol), tol)
+    v, ga, gb = _reduced_pair(*core._operands(a, b, tol=tol))
     return core._symmetrized(v @ np.linalg.inv(ga + gb) @ v.conj().T)
 
 
@@ -130,7 +130,7 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     ``b`` itself, exact zeros and the identity, so no rounding of ``b`` is
     left over to read as a singular part.
     """
-    db, da = core._operands(b, a, tol=tol)
+    db, da, tol = core._operands(b, a, tol=tol)
     qb, _, c0 = _angles(da, db, tol)
     if c0.shape[1] == qb.shape[1]:
         return LebesgueParts(db.matrix.copy(), np.zeros_like(db.matrix), np.eye(db.n))

@@ -13,8 +13,8 @@ third part, such as ``lattice.infimum.incomparable``, runs the check of
 Each oracle is independent of the route it checks, not of `core` as a
 whole.  SVD-based `numpy.linalg.pinv`, the eigenvalue helpers `eig_scale`
 and `min_eig` and the kernel vectors `_kernel` call numpy alone.  Bisection
-(`_bisect_strength`) reads `core.eig_hermitian` for its bracket and
-`core.is_psd` verdicts, but not `strength`'s range test or closed form.  The parallel-sum limit at ``2^30``
+(`_bisect_strength`) reads `core.eig_hermitian` for its bracket and `core.loewner_leq`
+verdicts, but not `strength`'s range test or closed form.  The parallel-sum limit at ``2^30``
 (`_graded_parallel_sum`) calls numpy alone and cuts ranks at machine
 precision, not by the `Tolerance` and principal angles that `lebesgue.ac_part`
 and `lebesgue.parallel_sum` read.  The full pair's spectrum (`_pair_spectrum`)
@@ -189,7 +189,7 @@ def _pos_part(m):
 
 
 def _bisect_strength(a, f, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Strength located by 60 bisection steps on ``t -> is_psd(a - t f f*)``.
+    """Strength located by 60 bisection steps on ``t -> t f f* <= a``, on the floor of that pair.
 
     The oracle of ``strength.bisection``: independent of the closed form in
     `strength`, it only consumes PSD verdicts.  The bracket
@@ -203,7 +203,7 @@ def _bisect_strength(a, f, tol: Tolerance = DEFAULT_TOL) -> float:
     h = dec.reconstruct()
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if core.is_psd(h - mid * ff, tol):
+        if core.loewner_leq(mid * ff, h, tol):
             lo = mid
         else:
             hi = mid
@@ -489,9 +489,9 @@ def _supremum(c, a, f):
     lam = _lam(a, f, c.tol)
     ff = core.rank_one(f)
     delta = lam + 1e-6 * (1.0 + lam)
-    c(core.is_psd(a - lam * ff, c.tol), "supremum attained")
+    c(core.loewner_leq(lam * ff, a, c.tol), "supremum attained")
     if lam > 0.0:
-        strict = not core.is_psd(a - delta * ff, c.tol)
+        strict = not core.loewner_leq(delta * ff, a, c.tol)
     else:
         # Strength 0 by its kernel certificate: the kernel vector x with the
         # largest |x*f| has x*(a - delta f f*)x < 0, computed with no PSD floor.

@@ -17,6 +17,7 @@ Every threshold they compare with is a `Tolerance` rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,22 +58,17 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     Rejects ``f = 0``, and an ``a`` that is not PSD: the strength is only
     defined along non-zero rays of a PSD matrix.
 
-    The decision reads ``f`` scaled by ``2^-e``, which brings its largest
-    real or imaginary part into ``[1/2, 1)``, and the kept eigenvalues of
-    ``a`` scaled by an even ``2^-s`` into ``(0, 1]``, so no intermediate of
-    an extreme ray or operand underflows or overflows.  The value, witness
-    and constant are scaled back exactly; one outside the float range raises
-    `MatrixError`.
+    Decided on ``a / σ``, ``σ`` the unit of ``a`` (`Tolerance`), and ``f`` scaled as `_scaled` says, so no
+    intermediate under- or overflows; results scale back exactly, and out of float range raise `MatrixError`.
     """
     v = core.as_vector(f)
     if not np.any(v):
         raise MatrixError("strength is only defined along a non-zero ray")
-    dec = core.eig_hermitian(a, tol)
+    dec, tol = core._operands(a, tol=tol)
     if dec.n != v.size:
         raise core.DimensionMismatchError(f"dimension mismatch: matrix is {dec.n}, ray has {v.size}")
     dec.require_psd(tol)
-    e, s = _exponents(dec, v)
-    v = _times_power_of_two(v, -e)
+    v, e, s = _scaled(v, tol)
     keep = dec.kept(tol)
     coeff = dec.vectors.conj().T @ v
     outside = float(np.linalg.norm(coeff[~keep]))
@@ -91,19 +87,13 @@ def strength(a, f, tol: Tolerance = DEFAULT_TOL) -> StrengthResult:
     return StrengthResult(value, witness, constant)
 
 
-def _exponents(dec: core.EigDecomp, v: np.ndarray) -> tuple[int, int]:
-    """``e`` that brings the largest real or imaginary part of ``v`` times ``2^-e`` into ``[1/2, 1)``,
-    and an even ``s`` that brings the top eigenvalue of ``dec`` times ``2^-s`` into ``[1/4, 1)``."""
+def _scaled(v: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, int, int]:
+    """``(f', e, s)``: `strength` decides on ``a' = a 2^-s``, ``2^s`` the unit σ of ``tol`` (`core._operands`),
+    and ``f' = v 2^-e``, whose largest real or imaginary part is in ``[1/2, 1)``.
+    On that pair a strength reads ``lam 2^(2e - s)`` and a witness ``xi 2^(s/2 - e)``."""
     e = int(np.frexp(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))[1])
-    s = int(np.frexp(dec.eigenvalues[-1])[1])
-    return e, s + s % 2
-
-
-def _scaled(dec: core.EigDecomp, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """``(a', f', e, s)``: the pair `strength` decides on, ``a 2^-s`` and ``v 2^-e`` by `_exponents`.
-    On it a strength reads ``lam 2^(2e - s)`` and a witness ``xi 2^(s/2 - e)``."""
-    e, s = _exponents(dec, v)
-    return _times_power_of_two(dec.matrix, -s), _times_power_of_two(v, -e), e, s
+    s = math.frexp(tol._unit)[1] - 1
+    return _times_power_of_two(v, -e), e, s
 
 
 def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
@@ -119,7 +109,7 @@ def order_witness(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     while ``strength(b, f) < 1``, by the Cauchy-Schwarz inequality for the
     form of ``a``.
     """
-    return _order_test(*core._operands(a, b, tol=tol), tol)[1]
+    return _order_test(*core._operands(a, b, tol=tol))[1]
 
 
 def _order_test(da, db, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | None]:
@@ -128,15 +118,14 @@ def _order_test(da, db, tol: Tolerance) -> tuple[core.Comparison, np.ndarray | N
     cmp, dec = core._compare(da, db, tol)
     if cmp in (core.Comparison.LEQ, core.Comparison.EQUAL):
         return cmp, None
-    ha, top = da.matrix, float(np.max(np.abs(da.matrix)))
     for i in range(dec.n):
         if tol.psd(dec.eigenvalues[i], dec.top):
             break
         x = dec.vectors[:, i]
-        q = float(np.real(x.conj() @ ha @ x))
-        if not tol.negligible(q, top):
+        q = float(np.real(x.conj() @ da.matrix @ x))
+        if not tol.negligible(q, da._peak):
             x = x / np.sqrt(q)
-            return cmp, ha @ x
+            return cmp, da.matrix @ x
     # A negative direction with x* a x = 0 would force x* b x < 0, which is
     # impossible for PSD b, so reaching this point means the tolerance
     # policy broke down rather than a genuine order violation.

@@ -288,19 +288,13 @@ class TestCommands:
         same report with ``lambda`` moved by a factor ``1 ± 1e-3`` and its claims recomputed
         fails ``strength_supremum``: "attained" reads the PSD floor on the scale of ``a``,
         "strict" a vector along ``a^+ f``, both on the scale of `po.strength`.  With ``xi``
-        moved by that factor instead it fails ``sqrt_image``, whose residual is read there too.
-        At ``2^-40`` the rank cutoff's absolute ``1e-12`` drops eigenvalues of some draws, whose
-        rays then read strength 0 (ROADMAP item 3); the rest must hold."""
+        moved by that factor instead it fails ``sqrt_image``, whose residual is read there too."""
         rng = sampling.rng_from_seed(100 + k)
-        checked = 0
         for n in (2, 3, 5):
             for rank in {1, n - 1}:
                 a = 2.0**k * sampling.random_psd(rng, n, rank=rank, complex_entries=cplx)
                 report = strength_report(a, sampling.random_ray_in_range(rng, a, cplx))
-                if not report["verdict"]["in_range"]:
-                    assert k == -40, (n, rank)
-                    continue
-                checked += 1
+                assert report["verdict"]["in_range"], (n, rank)
                 assert cli.reverify_report(report) == []
                 xi = cli.from_obj(report["witnesses"]["xi"]["value"], "vector")
                 for factor in (1.0 - 1e-3, 1.0 + 1e-3):
@@ -313,11 +307,10 @@ class TestCommands:
                     tampered["witnesses"]["xi"]["value"] = cli._pack(factor * xi)
                     failures = cli.reverify_report(tampered)
                     assert [msg.split(":")[0] for msg in failures] == ["sqrt_image"], (n, rank, factor)
-        assert checked > 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_strength_along_a_small_eigenvector_reverifies(self):
-        """The strict step is ``delta (1 + lambda)`` on the scale of `po.strength`, not a
+        """The strict step is ``delta (top + lambda)`` on the scale of `po.strength`, not a
         fraction of ``lambda``, so a strength far below the top of ``a`` stays above rounding."""
         report = strength_report(np.diag([1.0, 2e-10]), np.array([0.0, 1.0]))
         assert report["verdict"]["lambda"] == pytest.approx(2e-10, rel=1e-12)
@@ -799,7 +792,6 @@ class TestReverifyTampered:
         failures = cli.reverify_report(report)
         assert [msg.split(":")[0] for msg in failures] == ["claims", "sandwich", "sandwich"]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: `_residual_ok`'s absolute floor of 1e-8")
     def test_compress_report_with_j_moved_fails_at_small_scale(self):
         """A `compress` report at ``2^-20`` whose ``j`` is scaled by ``1 + 1e-3`` must fail its
         ``sandwich`` claims; the residual floor of 1e-8 is not on the operands' scale."""
@@ -811,6 +803,17 @@ class TestReverifyTampered:
             j = cli.from_obj(report["witnesses"]["j"]["value"], "matrix")
             report["witnesses"]["j"]["value"] = cli._pack((1.0 + 1e-3) * j)
             assert cli.reverify_report(report) != [], n
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_graded_compress_pair_reverifies(self, capsys, tmp_path, swap):
+        """``a = 1e-11 I`` and ``b = diag(1, 0)``: the rank cut on the pair's scale drops the
+        ``1e-11`` direction, so ``j a~ j - a`` has a ``1e-11`` entry, which the ``sandwich``
+        bound must measure on the scale of ``j² = a + b``, not on ``a`` alone."""
+        pair = [write_matrix(tmp_path / "small.json", 1e-11 * np.eye(2)), write_matrix(tmp_path / "p.json", np.diag([1.0, 0.0]))]
+        a, b = pair[::-1] if swap else pair
+        code, report = run_json(capsys, ["compress", "--a", a, "--b", b])
+        assert code == 0 and report["verdict"] == {"rank": 1}
+        assert cli.reverify_report(report) == []
 
     def test_leq_report_over_an_indefinite_a(self, capsys, files, tmp_path):
         """A refuted `leq` report is certified by its `strength_gap` claim, which reads

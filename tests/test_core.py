@@ -323,10 +323,6 @@ class TestLoewnerOrder:
     def test_reflexive_transitive_sampled(self, rng):
         holds(rng, 24, "core.order")
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 3: the floor of b - a reads the difference's own top, not the operands' scale",
-    )
     def test_a_unitary_round_trip_is_equal_at_large_scale(self):
         """``u (u* a u) u*`` is ``a`` up to rounding, so the pair is `EQUAL` at any scale; at
         ``2^30`` the floor of the difference sits on the rounding's own top instead."""
@@ -457,11 +453,15 @@ class TestTolerance:
         tol = po.Tolerance(rel=1e-10, abs=1e-12)
         assert tol.cutoff(4.0) == 1e-10 * 4.0 + 1e-12
         assert (tol.floor(0.5), tol.floor(4.0)) == (1e-10, 1e-10 * 4.0)
+        unit = core._InUnit(1e-10, 1e-12, 2.0**-20)  # a call's unit σ replaces the absolute 1
+        assert unit.cutoff(4.0) == 1e-10 * 4.0 + 1e-12 * 2.0**-20
+        assert (unit.floor(2.0**-30), unit.floor(4.0)) == (1e-10 * 2.0**-20, 1e-10 * 4.0)
         assert [f.name for f in dataclasses.fields(po.Tolerance)] == ["rel", "abs"]
         modules = ("core", "strength", "lebesgue", "lattice", "forms")
         source = "".join(inspect.getsource(importlib.import_module(f"psdorder.{m}")) for m in modules)
         cutoff = re.compile(r"\brel \*[^\n]*\+[^\n]*\babs\b")
-        assert source.count("max(1") == 1 and "max(1" in inspect.getsource(po.Tolerance.floor)
+        floor = "max(self._unit, top)"
+        assert "max(1" not in source and source.count(floor) == 1 and floor in inspect.getsource(po.Tolerance.floor)
         assert len(cutoff.findall(source)) == 1 and cutoff.search(inspect.getsource(po.Tolerance.cutoff))
         assert not any(hasattr(core.EigDecomp, name) for name in ("source_scale", "rank_cutoff", "psd_floor"))
         assert not hasattr(po.lattice, "_sides") and not hasattr(importlib.import_module("psdorder.cli"), "_finite_tolerance")

@@ -88,20 +88,7 @@ class TestAcPart:
         np.testing.assert_allclose(parts.ac, b, atol=1e-10 * eig_scale(b))
         assert np.max(np.abs(parts.sing)) <= 1e-10 * eig_scale(b)
 
-    @pytest.mark.parametrize(
-        "k",
-        [
-            pytest.param(
-                -40,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="ROADMAP item 3: the rank cutoff's absolute 1e-12 drops eigenvalues of a at 2^-40",
-                ),
-            ),
-            -20,
-            40,
-        ],
-    )
+    @pytest.mark.parametrize("k", [-40, -20, 40])
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_ac_pair_keeps_b_whole_at_any_scale(self, k, cplx):
         """When ``ran b`` lies in ``ran a`` (``a`` of rank n, or ``b`` on the range of ``a``

@@ -91,9 +91,6 @@ class TestStrengthExamples:
                 c = 2.0**k
                 assert po.strength(a, c * f).value * c**2 == base, k
 
-    @pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 3: the rank cutoff's absolute 1e-12 drops every eigenvalue of a at 2^-60"
-    )
     @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
     def test_ray_in_the_range_has_positive_strength_at_small_scale(self, cplx):
         """``f = a g`` lies in the range of ``a``, so its strength is positive at any scale of ``a``."""
