@@ -247,10 +247,6 @@ class EigDecomp:
 
     _peak = cached_property(lambda self: float(np.max(np.abs(self.matrix))))  # `_operands` reads the unit
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.vectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def apply(self, fn) -> np.ndarray:
         """Hermitian matrix with the same eigenvectors and eigenvalues ``fn(w)``."""
         v = self.vectors

@@ -90,14 +90,14 @@ class Compression:
 class InfimumVerdict:
     """Outcome of the infimum decision.
 
-    ``reduced_a`` / ``reduced_b`` are the mutually absolutely continuous
-    parts the decision reduces to.  ``candidate`` is the spectral candidate
-    ``j g(a~) j``, ``g(t) = min(t, 1 - t)``, read from their pencil
-    (`_pencil`): always a common lower bound of the pair, and the infimum
-    whenever one exists.  ``exists``, and which reduced part is ``inf``,
-    read the module's rule on its spectrum.  ``inf`` (which agrees with
-    ``candidate``) is set iff the infimum exists, ``witness`` (an
-    `ando_witness`) iff it does not.
+    ``reduced_a`` / ``reduced_b`` are the mutually absolutely continuous parts
+    the decision reduces to, each its operand itself when that operand's range
+    lies in the other's.  ``candidate`` is the spectral candidate ``j g(a~) j``,
+    ``g(t) = min(t, 1 - t)``, read from their pencil (`_pencil`): always a
+    common lower bound of the pair, and the infimum whenever one exists.
+    ``exists``, and which reduced part is ``inf``, read the module's rule on
+    its spectrum.  ``inf`` (which agrees with ``candidate``) is set iff the
+    infimum exists, ``witness`` (an `ando_witness`) iff it does not.
     """
 
     exists: bool
@@ -229,11 +229,6 @@ def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     return Compression(a_tilde, b_tilde, j, dec.projector(tol), q)
 
 
-def _candidate(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``j g(a_tilde) j``, ``g(t) = min(t, 1 - t)``, as ``z diag(1/max(w, 1 - w)) z*`` from `_pencil`."""
-    return core._symmetrized((z / np.maximum(w, 1.0 - w)) @ z.conj().T)
-
-
 def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     """Infimum decision: exists iff the AC parts of the pair are comparable.
 
@@ -247,9 +242,10 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     depend on the basis ``v``), gives the verdict and the side by the
     module's rule, the candidate and, when no infimum exists, the
     `ando_witness`; ``(a, b)`` itself is never compressed, and only the
-    verdict is built n×n.  ``ga`` and ``gb`` are inverted only for the parts
-    the verdict outputs: ``1 - w`` is only absolutely accurate, so
-    ``z diag(1/(1 - w)) z*`` would lose a graded part's small eigenvalues.
+    verdict is built n×n.  A part is its operand, copied in the pair's dtype,
+    when ``v`` spans the operand's kept range; only a part on a proper
+    intersection inverts its Gram factor: ``1 - w`` is only absolutely accurate,
+    so ``z diag(1/(1 - w)) z*`` would lose a graded part's small eigenvalues.
 
     The candidate of a pair equals that of its reduced pair.  With ``P``
     the projector onto the eigenvectors of ``a~`` strictly inside (0, 1),
@@ -261,10 +257,17 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ``lattice.infimum`` catalogue entries guards against a numpy candidate
     of the full pair read from `compress`.
     """
-    v, ga, gb, li, u, w = _pencil(*core._operands(a, b, tol=tol))
+    da, db, tol = core._operands(a, b, tol=tol)
+    v, ga, gb, li, u, w = _pencil(da, db, tol)
     z = core._phase_normalized(v @ (li.conj().T @ u))
-    ap, bp = (core._symmetrized(v @ core._symmetrized(np.linalg.inv(g)) @ v.conj().T) for g in (ga, gb))
-    cand = _candidate(z, w)
+    dtype = np.result_type(da.matrix, db.matrix)
+    ap, bp = (
+        d.matrix.astype(dtype)
+        if v.shape[1] == np.count_nonzero(d.kept(tol))
+        else core._symmetrized(v @ core._symmetrized(np.linalg.inv(g)) @ v.conj().T)
+        for d, g in ((da, ga), (db, gb))
+    )
+    cand = core._symmetrized((z / np.maximum(w, 1.0 - w)) @ z.conj().T)  # j g(a~) j, g(t) = min(t, 1 - t)
     low, high = tol.sides(w)
     if not (low and high):
         return InfimumVerdict(True, bp if high else ap, cand, None, ap, bp)

@@ -127,17 +127,19 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     satisfying ``ac <= b`` and ``ac << a``.  Alternative (non-maximal)
     decompositions exist in general and are not enumerated.  Both ``b``
     and the reference ``a`` must be PSD.  When ``b << a`` the parts are
-    ``b`` itself, exact zeros and the identity, so no rounding of ``b`` is
-    left over to read as a singular part.
+    ``b`` itself, exact zeros and the identity, in the pair's promoted dtype,
+    so no rounding of ``b`` is left over to read as a singular part; else
+    ``sing`` is ``b - ac``, from ``b``'s own matrix.
     """
     db, da, tol = core._operands(b, a, tol=tol)
     qb, _, c0 = _angles(da, db, tol)
     if c0.shape[1] == qb.shape[1]:
-        return LebesgueParts(db.matrix.copy(), np.zeros_like(db.matrix), np.eye(db.n))
+        dtype = np.result_type(da.matrix, db.matrix)
+        return LebesgueParts(db.matrix.astype(dtype), np.zeros_like(db.matrix, dtype), np.eye(db.n, dtype=dtype))
     v = qb @ c0
     g, y = _shorted(db, v, tol)
     mi = core._symmetrized(np.linalg.inv(g))
     ac = core._symmetrized(v @ mi @ v.conj().T)
     qy = qb @ y
     p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ mi @ qy.conj().T
-    return LebesgueParts(ac, core._symmetrized(db.reconstruct() - ac), core._symmetrized(p))
+    return LebesgueParts(ac, db.matrix - ac, core._symmetrized(p))

@@ -184,10 +184,6 @@ def _lam(a, f, tol: Tolerance) -> float:
     return strength(a, f, tol).value
 
 
-def _pos_part(m):
-    return core.eig_hermitian(m).apply(lambda w: np.clip(w, 0.0, None))
-
-
 def _bisect_strength(a, f, tol: Tolerance = DEFAULT_TOL) -> float:
     """Strength located by 60 bisection steps on ``t -> t f f* <= a``, on the floor of that pair.
 
@@ -200,10 +196,9 @@ def _bisect_strength(a, f, tol: Tolerance = DEFAULT_TOL) -> float:
     dec = core.eig_hermitian(a, tol)
     hi = max(float(dec.eigenvalues[-1]), 0.0) / float(np.linalg.norm(v)) ** 2 + 1.0
     lo = 0.0
-    h = dec.reconstruct()
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if core.loewner_leq(mid * ff, h, tol):
+        if core.loewner_leq(mid * ff, dec, tol):
             lo = mid
         else:
             hi = mid
@@ -400,7 +395,7 @@ def _eigh(c, a, rank, cplx):
     dec = core.eig_hermitian(a, c.tol)
     c(bool(np.all(np.diff(dec.eigenvalues) >= 0)), "eigenvalues ascending")
     c(dec.is_psd(c.tol), "psd floor")
-    c(_close(dec.reconstruct(), a, c.tol.rel * eig_scale(a)), "reconstruction")
+    c(_close((dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T, a, c.tol.rel * eig_scale(a)), "reconstruction")
     c(_close(dec.vectors.conj().T @ dec.vectors, np.eye(dec.n), c.tol.rel), "orthonormal vectors")
 
 
@@ -661,7 +656,7 @@ def _sup(c, a, b, cplx):
 @_entry("lattice.kadison", _incomparable)
 def _kadison(c, a, b, cplx):
     n = a.shape[0]
-    envelope = a + _pos_part(b - a)
+    envelope = a + core.eig_hermitian(b - a).apply(lambda w: np.clip(w, 0.0, None))
     for upper in (a + b + np.eye(n), envelope, envelope + 0.1 * np.eye(n)):
         s = lattice.kadison_witness(a, b, upper, c.tol)
         floor = 1e-9 * eig_scale(a, b, upper)

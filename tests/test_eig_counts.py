@@ -85,6 +85,7 @@ def inst(request):
     full_b = sampling.random_psd(rng, N, complex_entries=cplx)
     low = sampling.random_psd(rng, N, rank=2, complex_entries=cplx)
     bump = sampling.random_psd(rng, N, rank=1, complex_entries=cplx)
+    other_bump = sampling.random_psd(rng, N, rank=1, complex_entries=cplx)
     pos_w, pos_v = np.linalg.eigh(full_b - full_a)
     envelope = full_a + (pos_v * np.clip(pos_w, 0.0, None)) @ pos_v.conj().T
     assert po.comparable(full_a, full_b) is po.Comparison.INCOMPARABLE
@@ -94,6 +95,7 @@ def inst(request):
         "b": full_b,
         "low": low,
         "up": low + bump,
+        "other_up": low + other_bump,
         "shared_t": full_a + full_b + np.eye(N),
         "disjoint_t": envelope,
     }
@@ -135,11 +137,18 @@ def test_parallel_sum(linalg_calls, inst):
 
 @pytest.mark.parametrize(
     "entry, lo, hi, shapes",
-    [("parallel_sum", "low", "b", [(2, 2)]), ("ac_part", "b", "low", [(2, 2)]), ("inf_exists", "a", "b", [(N, N)] * 2)],
+    [
+        ("parallel_sum", "low", "b", [(2, 2)]),
+        ("ac_part", "b", "low", [(2, 2)]),
+        ("inf_exists", "a", "b", []),
+        ("inf_exists", "up", "other_up", [(2, 2)] * 2),
+    ],
 )
 def test_each_gram_factor_is_inverted_once(monkeypatch, inst, entry, lo, hi, shapes):
     """The reduced pair keeps the r×r Gram factors ``v* a^+ v`` and ``v* b^+ v``: the parallel
-    sum inverts their sum once, and `ac_part` and `inf_exists` invert once each part they output."""
+    sum inverts their sum once, and `ac_part` and `inf_exists` invert once each part they output
+    on a proper intersection.  A full-rank pair's parts are its operands, so it inverts nothing;
+    the rank-3 ``up`` and ``other_up`` share only ``ran low``, so both parts are shorted."""
     calls, _ = recorded(monkeypatch, "inv")
     getattr(po, entry)(inst[lo], inst[hi])
     assert calls == [("inv", shape) for shape in shapes]
