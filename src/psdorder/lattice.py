@@ -91,13 +91,13 @@ class InfimumVerdict:
     """Outcome of the infimum decision.
 
     ``reduced_a`` / ``reduced_b`` are the mutually absolutely continuous parts
-    the decision reduces to, each its operand itself when that operand's range
-    lies in the other's.  ``candidate`` is the spectral candidate ``j g(a~) j``,
-    ``g(t) = min(t, 1 - t)``, read from their pencil (`_pencil`): always a
-    common lower bound of the pair, and the infimum whenever one exists.
-    ``exists``, and which reduced part is ``inf``, read the module's rule on
-    its spectrum.  ``inf`` (which agrees with ``candidate``) is set iff the
-    infimum exists, ``witness`` (an `ando_witness`) iff it does not.
+    the decision reduces to, each its operand itself when its own range lies in
+    the other's (`inf_exists`).  ``candidate`` is the spectral candidate
+    ``j g(a~) j``, ``g(t) = min(t, 1 - t)``, read from their pencil (`_pencil`):
+    always a common lower bound of the pair, and the infimum whenever one
+    exists.  ``exists``, and which reduced part is ``inf``, read the module's
+    rule on its spectrum.  ``inf`` (which agrees with ``candidate``) is set iff
+    the infimum exists, ``witness`` (an `ando_witness`) iff it does not.
     """
 
     exists: bool
@@ -242,9 +242,9 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     depend on the basis ``v``), gives the verdict and the side by the
     module's rule, the candidate and, when no infimum exists, the
     `ando_witness`; ``(a, b)`` itself is never compressed, and only the
-    verdict is built n×n.  A part is its operand, copied in the pair's dtype,
-    when ``v`` spans the operand's kept range; only a part on a proper
-    intersection inverts its Gram factor: ``1 - w`` is only absolutely accurate,
+    verdict is built n×n.  A part is its operand (`lebesgue._itself`) when ``v``
+    spans its range read on its own unit, so it has no eigenvalue the pencil cut;
+    any other part inverts its Gram factor: ``1 - w`` is only absolutely accurate,
     so ``z diag(1/(1 - w)) z*`` would lose a graded part's small eigenvalues.
 
     The candidate of a pair equals that of its reduced pair.  With ``P``
@@ -260,12 +260,11 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     da, db, tol = core._operands(a, b, tol=tol)
     v, ga, gb, li, u, w = _pencil(da, db, tol)
     z = core._phase_normalized(v @ (li.conj().T @ u))
-    dtype = np.result_type(da.matrix, db.matrix)
     ap, bp = (
-        d.matrix.astype(dtype)
-        if v.shape[1] == np.count_nonzero(d.kept(tol))
+        lebesgue._itself(d, e)
+        if v.shape[1] == np.count_nonzero(d.kept(core._operands(d, tol=tol)[-1]))  # d's range on its own unit
         else core._symmetrized(v @ core._symmetrized(np.linalg.inv(g)) @ v.conj().T)
-        for d, g in ((da, ga), (db, gb))
+        for d, e, g in ((da, db, ga), (db, da, gb))
     )
     cand = core._symmetrized((z / np.maximum(w, 1.0 - w)) @ z.conj().T)  # j g(a~) j, g(t) = min(t, 1 - t)
     low, high = tol.sides(w)

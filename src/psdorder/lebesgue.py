@@ -97,6 +97,11 @@ def _shorted(d: core.EigDecomp, v: np.ndarray, tol: Tolerance):
     return y.conj().T @ y, y
 
 
+def _itself(d: core.EigDecomp, other: core.EigDecomp) -> np.ndarray:
+    """``d`` as its own part of the pair ``(d, other)``: a copy of its matrix in the pair's promoted dtype."""
+    return d.matrix.astype(np.result_type(d.matrix, other.matrix))
+
+
 def _reduced_pair(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     """``(v, ga, gb)``: the maximal parts ``[b]a = v ga^{-1} v*`` and ``[a]b = v gb^{-1} v*``,
     both shorted to the one orthonormal basis ``v`` of ``ran a ∩ ran b`` from `_angles`."""
@@ -127,15 +132,14 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     satisfying ``ac <= b`` and ``ac << a``.  Alternative (non-maximal)
     decompositions exist in general and are not enumerated.  Both ``b``
     and the reference ``a`` must be PSD.  When ``b << a`` the parts are
-    ``b`` itself, exact zeros and the identity, in the pair's promoted dtype,
-    so no rounding of ``b`` is left over to read as a singular part; else
-    ``sing`` is ``b - ac``, from ``b``'s own matrix.
+    `_itself` of ``b``, exact zeros and the identity, so no rounding of ``b``
+    is left over to read as a singular part; else ``sing`` is ``b - ac``.
     """
     db, da, tol = core._operands(b, a, tol=tol)
     qb, _, c0 = _angles(da, db, tol)
     if c0.shape[1] == qb.shape[1]:
-        dtype = np.result_type(da.matrix, db.matrix)
-        return LebesgueParts(db.matrix.astype(dtype), np.zeros_like(db.matrix, dtype), np.eye(db.n, dtype=dtype))
+        ac = _itself(db, da)
+        return LebesgueParts(ac, np.zeros_like(ac), np.eye(db.n, dtype=ac.dtype))
     v = qb @ c0
     g, y = _shorted(db, v, tol)
     mi = core._symmetrized(np.linalg.inv(g))

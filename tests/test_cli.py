@@ -392,6 +392,21 @@ class TestCommands:
         np.testing.assert_array_equal(inf, 1e308 * np.eye(2))
         assert cli.reverify_report(report) == []
 
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize(
+        "small, big",
+        [([1e-4, 1e-4, 2e-9], [1e4, 1e4, 0.0]), ([1e-4, 1e-4, 2e-9, 0.0], [1.0, 1.0, 0.0, 1e4])],
+        ids=["3x3", "4x4"],
+    )
+    def test_inf_of_a_part_with_noise_cut_on_the_pair_scale_reverifies(self, capsys, tmp_path, small, big, swap):
+        """The small operand's ``2e-9`` is noise on the pair's unit but not on its own, so its
+        reduced part is rebuilt without it: the ``close`` claim of ``inf`` against the candidate
+        and the ``abs_continuous`` claims between the parts hold, and the command exits 0."""
+        pair = [write_matrix(tmp_path / "small.json", np.diag(small)), write_matrix(tmp_path / "big.json", np.diag(big))]
+        a, b = pair[::-1] if swap else pair
+        code, report = run_json(capsys, ["inf", "--a", a, "--b", b])
+        assert (code, report["verdict"]["exists"], cli.reverify_report(report)) == (0, True, [])
+
     def test_inf_disjoint_projections(self, capsys, files):
         code, report = run_json(capsys, ["inf", "--a", files["p"], "--b", files["q"]])
         assert code == 0

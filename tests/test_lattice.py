@@ -284,15 +284,30 @@ class TestInfExists:
         # reduced parts of full-rank pairs are the matrices themselves
         assert np.array_equal(v.reduced_a, a) and np.array_equal(v.reduced_b, b)
 
-    @pytest.mark.parametrize("cplx", [False, True])
-    def test_reduced_parts_of_a_full_rank_pair_are_the_operands(self, rng, cplx):
-        """``ran a ∩ ran b`` is the whole space, so each part is its operand, bit for bit,
+    def test_reduced_parts_of_a_mixed_pair_are_complex_copies(self, rng):
+        """A full-rank pair's parts are its operands (`test_straddling_pair_has_witness`), copied
         in the pair's promoted dtype: a real ``a`` against a complex ``b`` gives complex parts."""
-        a, b = sampling.random_psd(rng, 5, complex_entries=False), sampling.random_psd(rng, 5, complex_entries=cplx)
+        a, b = sampling.random_psd(rng, 5, complex_entries=False), sampling.random_psd(rng, 5)
         v = po.inf_exists(a, b)
-        assert v.reduced_a.dtype == v.reduced_b.dtype == b.dtype
+        assert v.reduced_a.dtype == v.reduced_b.dtype == np.complex128
         assert np.array_equal(v.reduced_a, a) and np.array_equal(v.reduced_b, b)
         assert not np.shares_memory(v.reduced_a, a) and not np.shares_memory(v.reduced_b, b)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize(
+        "small, big",
+        [([1e-4, 1e-4, 2e-9], [1e4, 1e4, 0.0]), ([1e-4, 1e-4, 2e-9, 0.0], [1.0, 1.0, 0.0, 1e4])],
+        ids=["3x3", "4x4"],
+    )
+    def test_part_whose_noise_only_the_pair_cuts_is_rebuilt(self, small, big, swap):
+        """The pair's unit σ = 4096 cuts the small operand's ``2e-9`` as noise, which its own
+        unit keeps, so ``v`` spans its range on the pair's unit only.  Returned as itself, the
+        part would keep ``2e-9`` that the candidate lacks; rebuilt, it is ``diag(1e-4, 1e-4, 0…)``."""
+        a, b = np.diag(small), np.diag(big)
+        v = po.inf_exists(*((b, a) if swap else (a, b)))
+        part = v.reduced_b if swap else v.reduced_a
+        assert v.exists and np.max(np.abs(part - np.diag(small[:2] + [0.0] * (len(small) - 2)))) <= 1e-12 * 1e-4
+        assert np.max(np.abs(v.inf - v.candidate)) <= 1e-12 * 1e-4
 
     @pytest.mark.parametrize("rank", [2, 5])
     @pytest.mark.parametrize("cplx", [False, True])
@@ -432,8 +447,8 @@ def graded_inf_failures(seed: int, family: str, pairs: int) -> dict[int, int]:
             try:
                 inputs = {"a": cli.memory_value("a", a), "b": cli.memory_value("b", b)}
                 ok = cli.reverify_report(json.loads(cli._dumps(cli.cmd_inf(inputs, po.DEFAULT_TOL)))) == []
-            except Exception:  # any exception is a refused pair
-                ok = False
+            except (core.MatrixError, core.ToleranceBreakdownError, cli.CliInputError, OverflowError):
+                ok = False  # the CLI refuses the pair; any other error is the probe's own and propagates
             if not ok:
                 failures[level] = failures.get(level, 0) + 1
     return failures
@@ -453,12 +468,16 @@ class TestGradedInfReports:
         assert graded_inf_failures(seed, "one", 50) == {}
 
     @pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 20: parts on a proper intersection are rebuilt; 75 of 500 fail at seed 0"
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 20: parts on a proper intersection are rebuilt; 73 of 500 fail at seed 0",
     )
     def test_both_operands_graded(self):
         assert graded_inf_failures(0, "both", 10) == {}
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 20: reduced_b is rebuilt on ran a; 32 of 500 fail at seed 0")
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 20: reduced_b is rebuilt on ran a; 32 of 500 fail at seed 0"
+    )
     def test_graded_b_against_a_rank_deficient_a(self):
         assert graded_inf_failures(0, "low_a", 10) == {}
 
