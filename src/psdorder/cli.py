@@ -457,9 +457,8 @@ def cmd_leq(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
     # A refuted order's `strength_gap` claim reads both operands' strengths, so
     # both must be PSD; one decomposition of b - a gives the comparison and the ray.
     cmp, ray = _order_test(*core._operands(inputs["a"].value, inputs["b"].value, tol=tol, psd=True))
-    leq = cmp in (Comparison.LEQ, Comparison.EQUAL)
-    verdict = {"leq": leq, "comparison": cmp.value}
-    return _report("leq", inputs, tol, seed, verdict, {"ray": None if leq else ray})
+    verdict = {"leq": ray is None, "comparison": cmp.value}
+    return _report("leq", inputs, tol, seed, verdict, {"ray": ray})
 
 
 def cmd_sup(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:

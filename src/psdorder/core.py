@@ -22,7 +22,7 @@ each matrix argument once, by `eig_hermitian` (finite, square, Hermitian up
 to a small defect, then symmetrized), all of a call's at once by `_operands`,
 which also fixes the call's unit, and hands them down; private helpers never
 validate, and assume one dimension.  A sum or difference of operands becomes
-one by `_exact`, a product Hermitian up to rounding is made exact by `_symmetrized`.
+one by `_exact`, a product ``x m x*`` by `_product`, another near-Hermitian matrix by `_symmetrized`.
 """
 
 from __future__ import annotations
@@ -206,6 +206,13 @@ def _symmetrized(m) -> np.ndarray:
     return 0.5 * a + 0.5 * a.conj().T
 
 
+def _product(x: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+    """``x m x*``, exactly Hermitian: ``m`` a Hermitian matrix, a real diagonal as a vector,
+    or ``None`` for ``x x*``.  It multiplies left to right, ``(x m) x*``."""
+    xm = x if m is None else x @ m if np.ndim(m) == 2 else x * m
+    return _symmetrized(xm @ x.conj().T)
+
+
 def as_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Validate Hermiticity within tolerance (in the matrix's own unit) and return the symmetrized matrix."""
     a = as_matrix(m)
@@ -223,7 +230,7 @@ class EigDecomp:
     ``matrix`` is exactly Hermitian, float64 or complex128 by
     `_real_or_complex`.  `eig_hermitian` validates an input into one; the
     library's private helpers build one directly only from a matrix that is
-    exactly Hermitian by construction (`_exact`, `_symmetrized`).  The
+    exactly Hermitian by construction (`_exact`, `_product`, `_symmetrized`).  The
     first read of ``eigenvalues`` or ``vectors`` runs the one eigh of
     ``matrix``: ``eigenvalues`` are real and ascending, ``vectors`` holds
     the matching orthonormal eigenvectors in its columns, phase-normalized
@@ -249,8 +256,7 @@ class EigDecomp:
 
     def apply(self, fn) -> np.ndarray:
         """Hermitian matrix with the same eigenvectors and eigenvalues ``fn(w)``."""
-        v = self.vectors
-        return _symmetrized((v * fn(self.eigenvalues)) @ v.conj().T)
+        return _product(self.vectors, fn(self.eigenvalues))
 
     def kept(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Mask of the eigenvalues above the rank cutoff (the numeric range)."""
@@ -260,8 +266,7 @@ class EigDecomp:
         return self.vectors[:, self.kept(tol)]
 
     def projector(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        basis = self.range_basis(tol)
-        return _symmetrized(basis @ basis.conj().T)
+        return _product(self.range_basis(tol))
 
     def pinv_power(self, p: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Pseudo-inverse of the ``p``-th power: kept eigenvalues become ``w^-p``."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, lattice
-from .core import DEFAULT_TOL, Comparison, DimensionMismatchError, Tolerance
+from .core import DEFAULT_TOL, DimensionMismatchError, Tolerance
 
 __all__ = [
     "SesquilinearForm",
@@ -55,16 +55,14 @@ def from_operator(m, tol: Tolerance = DEFAULT_TOL) -> SesquilinearForm:
 
 def form_leq(t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Pointwise order of forms, decided on the Gram matrices."""
-    cmp = core._compare(*core._operands(t.gram, s.gram, tol=tol, psd=True))[0]
-    return cmp in (Comparison.LEQ, Comparison.EQUAL)
+    return core.loewner_leq(*core._operands(t.gram, s.gram, tol=tol, psd=True))
 
 
 def form_sup_exists(
     t: SesquilinearForm, s: SesquilinearForm, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Supremum of two nonnegative forms exists iff they are comparable."""
-    cmp = core._compare(*core._operands(t.gram, s.gram, tol=tol, psd=True))[0]
-    return cmp is not Comparison.INCOMPARABLE
+    return lattice.sup_exists(*core._operands(t.gram, s.gram, tol=tol, psd=True)).exists
 
 
 def form_inf_exists(

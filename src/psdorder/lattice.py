@@ -73,9 +73,9 @@ class Compression:
     """Representation of a pair on the range of its sum.
 
     ``j`` is the PSD square root of ``a + b`` and ``range_proj`` the
-    projector onto its range (the identity of the compressed space).  The
-    contractions satisfy ``a_tilde + b_tilde = range_proj``, ``j a_tilde j = a``
-    and ``j b_tilde j = b``, with ``0 <= a_tilde <= range_proj``.
+    projector onto its range (the identity of the compressed space), and
+    ``b_tilde = range_proj - a_tilde``, so the contractions sum to it exactly Hermitian;
+    ``j a_tilde j = a`` and ``j b_tilde j = b``, with ``0 <= a_tilde <= range_proj``.
     ``range_basis`` is an orthonormal basis of the range; its width is the rank.
     """
 
@@ -214,19 +214,20 @@ def _strength_along_e0(ta: np.ndarray, tb: np.ndarray, tol: Tolerance) -> float 
 def compress(a, b, tol: Tolerance = DEFAULT_TOL) -> Compression:
     """Represent ``a`` and ``b`` as contractions on the range of ``a + b``.
 
-    ``a_tilde = s^{+1/2} a s^{+1/2}`` with ``s = a + b``; when ``a`` and
+    ``a_tilde = s^{+1/2} a s^{+1/2}`` with ``s = a + b``, and ``b_tilde = P - a_tilde`` with
+    ``P`` the projector onto ``ran s``, so the two sum to ``P`` by construction.  When ``a`` and
     ``b`` are mutually absolutely continuous the spectrum of ``a_tilde``
     on the range of ``s`` lies strictly inside ``(0, 1)``.  Rejects
     operands that are not PSD (`core.as_psd`).
     """
-    *ds, tol = core._operands(a, b, tol=tol, psd=True)
-    dec = core._exact(*(d.matrix for d in ds))
+    da, db, tol = core._operands(a, b, tol=tol, psd=True)
+    dec = core._exact(da.matrix, db.matrix)
     keep = dec.kept(tol)
     q = dec.vectors[:, keep]
     j = dec.apply(lambda w: np.sqrt(np.clip(w, 0.0, None)) * keep)
-    y = q / np.sqrt(dec.eigenvalues[keep])  # y* h y is h on the range of the sum, in the basis q
-    a_tilde, b_tilde = (core._symmetrized(q @ (y.conj().T @ d.matrix @ y) @ q.conj().T) for d in ds)
-    return Compression(a_tilde, b_tilde, j, dec.projector(tol), q)
+    y = q / np.sqrt(dec.eigenvalues[keep])  # y* a y is a on the range of the sum, in the basis q
+    a_tilde, p = core._product(q, y.conj().T @ da.matrix @ y), dec.projector(tol)
+    return Compression(a_tilde, p - a_tilde, j, p, q)
 
 
 def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
@@ -263,7 +264,7 @@ def inf_exists(a, b, tol: Tolerance = DEFAULT_TOL) -> InfimumVerdict:
     ap, bp = (
         lebesgue._itself(d, e)
         if v.shape[1] == np.count_nonzero(d.kept(core._operands(d, tol=tol)[-1]))  # d's range on its own unit
-        else core._symmetrized(v @ core._symmetrized(np.linalg.inv(g)) @ v.conj().T)
+        else core._product(v, core._symmetrized(np.linalg.inv(g)))
         for d, e, g in ((da, db, ga), (db, da, gb))
     )
     cand = core._symmetrized((z / np.maximum(w, 1.0 - w)) @ z.conj().T)  # j g(a~) j, g(t) = min(t, 1 - t)
@@ -282,7 +283,7 @@ def _pencil(da: core.EigDecomp, db: core.EigDecomp, tol: Tolerance):
     """
     v, ga, gb = lebesgue._reduced_pair(da, db, tol)
     li = np.linalg.solve(np.linalg.cholesky(ga + gb), np.eye(v.shape[1]))  # numpy has no triangular solve
-    w, u = np.linalg.eigh(core._symmetrized(li @ gb @ li.conj().T))
+    w, u = np.linalg.eigh(core._product(li, gb))
     return v, ga, gb, li, u, w
 
 
@@ -326,4 +327,4 @@ def _straddle_witness(z: np.ndarray, w: np.ndarray, tol: Tolerance) -> np.ndarra
     r = np.sqrt(2.0) * eps
     dd = np.array([[w[i] - eps, r], [r, 1.0 - w[j] - eps]])
     xs = z[:, [i, j]] / np.sqrt(w[[i, j]] * (1.0 - w[[i, j]]))
-    return core._symmetrized((xs @ dd) @ xs.conj().T)
+    return core._product(xs, dd)

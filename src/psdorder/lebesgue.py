@@ -122,7 +122,7 @@ def parallel_sum(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Both operands must be PSD (`NotPsdError` otherwise).
     """
     v, ga, gb = _reduced_pair(*core._operands(a, b, tol=tol))
-    return core._symmetrized(v @ np.linalg.inv(ga + gb) @ v.conj().T)
+    return core._product(v, np.linalg.inv(ga + gb))
 
 
 def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
@@ -143,7 +143,7 @@ def ac_part(b, a, tol: Tolerance = DEFAULT_TOL) -> LebesgueParts:
     v = qb @ c0
     g, y = _shorted(db, v, tol)
     mi = core._symmetrized(np.linalg.inv(g))
-    ac = core._symmetrized(v @ mi @ v.conj().T)
+    ac = core._product(v, mi)
     qy = qb @ y
     p = np.eye(qb.shape[0]) - qb @ qb.conj().T + qy @ mi @ qy.conj().T
     return LebesgueParts(ac, db.matrix - ac, core._symmetrized(p))

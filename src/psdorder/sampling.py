@@ -81,18 +81,13 @@ def random_psd(
         rank = n
     if not 1 <= rank <= n:
         raise MatrixError(f"rank {rank} out of range 1..{n}")
-    return _product(*_psd_factors(rng, n, rank, complex_entries))
+    return core._product(*_psd_factors(rng, n, rank, complex_entries))
 
 
 def _psd_factors(rng: np.random.Generator, n: int, rank: int, complex_entries: bool):
     """``(q, vals)`` of `random_psd`'s draw, ``q diag(vals) q*``, drawn in its order: values, then columns."""
     vals = rng.uniform(*DEFAULT_SPREAD, size=rank)
     return _unitary_columns(rng, n, rank, complex_entries), vals
-
-
-def _product(q: np.ndarray, vals: np.ndarray | None = None) -> np.ndarray:
-    """``q diag(vals) q*`` (``q q*`` without ``vals``), exactly Hermitian."""
-    return core._symmetrized((q if vals is None else q * vals) @ q.conj().T)
 
 
 def random_vector(rng: np.random.Generator, n: int, complex_entries: bool = True) -> np.ndarray:
@@ -135,7 +130,7 @@ def incomparable_pair(
         # |qa* qb|², bound its spectrum (Courant–Fischer): one below -reach and one above reach
         # settle the test.  Otherwise the spectrum of b - a decides.
         c = np.abs(qa.conj().T @ qb) ** 2
-        a, b = _product(qa, va), _product(qb, vb)
+        a, b = core._product(qa, va), core._product(qb, vb)
         if np.min(c @ vb - va) < -reach and np.max(vb - va @ c) > reach:
             return a, b
         w = np.linalg.eigvalsh(b - a)
@@ -203,7 +198,7 @@ def disjoint_projector_pair(
         # largest principal-angle cosine, so only a draw too near the margin to tell forms p1 + p2.
         top = 1.0 + float(np.linalg.norm(q1.conj().T @ q2, 2))
         if abs(top - (2.0 - 1e-3)) <= _SETTLED:
-            top = float(np.linalg.eigvalsh(_product(q1) + _product(q2))[-1])
+            top = float(np.linalg.eigvalsh(core._product(q1) + core._product(q2))[-1])
         if top < 2.0 - 1e-3:
-            return _product(q1), _product(q2)
+            return core._product(q1), core._product(q2)
     raise MatrixError("failed to sample projectors with disjoint ranges")

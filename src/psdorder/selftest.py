@@ -180,10 +180,6 @@ def _close(x, y, bound) -> bool:
     return float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) <= bound
 
 
-def _lam(a, f, tol: Tolerance) -> float:
-    return strength(a, f, tol).value
-
-
 def _bisect_strength(a, f, tol: Tolerance = DEFAULT_TOL) -> float:
     """Strength located by 60 bisection steps on ``t -> t f f* <= a``, on the floor of that pair.
 
@@ -219,7 +215,7 @@ def _dominates(a, b, tol: Tolerance = DEFAULT_TOL, samples: int = 20, seed: int 
     da, db = core.eig_hermitian(a, tol), core.eig_hermitian(b, tol)
     ha, ray = da.matrix, order_witness(da, db, tol)
     if ray is not None:
-        return not _lam(da, ray, tol) > _lam(db, ray, tol)
+        return not strength(da, ray, tol).value > strength(db, ray, tol).value
     rng = np.random.default_rng(seed)
     cplx = np.iscomplexobj(da.vectors) or np.iscomplexobj(db.vectors)
     for k in range(samples):
@@ -229,8 +225,8 @@ def _dominates(a, b, tol: Tolerance = DEFAULT_TOL, samples: int = 20, seed: int 
         f = ha @ g if k % 2 else g
         if float(np.linalg.norm(f)) <= tol.abs:
             f = g
-        la = _lam(da, f, tol)
-        if la > _lam(db, f, tol) + 1e-8 * (1.0 + la):
+        la = strength(da, f, tol).value
+        if la > strength(db, f, tol).value + 1e-8 * (1.0 + la):
             return False
     return True
 
@@ -472,7 +468,7 @@ def _kernel(a, f):
 
 @_entry("strength.bisection", _operator_and_ray)
 def _bisection(c, a, f):
-    lam = _lam(a, f, c.tol)
+    lam = strength(a, f, c.tol).value
     perp = float(np.linalg.norm(_kernel(a, f)[1])) ** 2 if lam == 0.0 else 0.0
     # For strength 0 the PSD floor accepts a - t f f* for each t up to floor / |f⊥|^2.
     overshoot = c.tol.floor(eig_scale(a)) / perp if perp > 0.0 else 0.0
@@ -481,7 +477,7 @@ def _bisection(c, a, f):
 
 @_entry("strength.supremum", _operator_and_ray)
 def _supremum(c, a, f):
-    lam = _lam(a, f, c.tol)
+    lam = strength(a, f, c.tol).value
     ff = core.rank_one(f)
     delta = lam + 1e-6 * (1.0 + lam)
     c(core.loewner_leq(lam * ff, a, c.tol), "supremum attained")
@@ -511,7 +507,7 @@ def _certificate(c, a, f):
 
 @_entry("strength.penrose", _ray_in_range)
 def _penrose(c, a, f):
-    lam = _lam(a, f, c.tol)
+    lam = strength(a, f, c.tol).value
     c(lam > 0.0, "in-range ray has positive strength")
     m = float(np.real(f.conj() @ np.linalg.pinv(a) @ f))  # SVD route, independent of core
     c(abs(lam * m - 1.0) <= 1e-8, "strength * (f* A^+ f) = 1")
@@ -529,33 +525,33 @@ def _order_witness(c, a, b):
     c(f is not None, "order witness found")
     if f is None:
         return
-    la = _lam(a, f, c.tol)
-    c(la - _lam(b, f, c.tol) > 1e-9 * eig_scale(a, b), "strict strength gap")
+    la = strength(a, f, c.tol).value
+    c(la - strength(b, f, c.tol).value > 1e-9 * eig_scale(a, b), "strict strength gap")
     c(abs(la - 1.0) <= 1e-8, "unit strength along the witness")
     c(not _dominates(a, b, c.tol, samples=4, seed=2000 + c.t), "no dominance")
 
 
 @_entry("strength.homogeneity", _operator_pair_and_ray)
 def _homogeneity(c, a, b, f):
-    la = _lam(a, f, c.tol)
-    c(_lam(0.0 * a, f, c.tol) == 0.0, "zero homogeneity")
+    la = strength(a, f, c.tol).value
+    c(strength(0.0 * a, f, c.tol).value == 0.0, "zero homogeneity")
     for alpha in (0.5, 1.0, 2.0, 3.5, 7.5):
-        scaled = _lam(alpha * a, f, c.tol)
+        scaled = strength(alpha * a, f, c.tol).value
         c(abs(scaled - alpha * la) <= 1e-12 * max(1.0, alpha * la), f"homogeneity alpha={alpha}")
 
 
 @_entry("strength.superadditivity", _operator_pair_and_ray)
 def _superadditivity(c, a, b, f):
-    total = _lam(a, f, c.tol) + _lam(b, f, c.tol)
-    c(_lam(a + b, f, c.tol) >= total - 1e-8 * eig_scale(a, b), "superadditivity")
+    total = strength(a, f, c.tol).value + strength(b, f, c.tol).value
+    c(strength(a + b, f, c.tol).value >= total - 1e-8 * eig_scale(a, b), "superadditivity")
 
 
 @_entry("strength.concavity", _operator_pair_and_ray)
 def _concavity(c, a, b, f):
-    la, lb = _lam(a, f, c.tol), _lam(b, f, c.tol)
+    la, lb = strength(a, f, c.tol).value, strength(b, f, c.tol).value
     sc = eig_scale(a, b)
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        left = _lam(alpha * a, f, c.tol) + _lam((1.0 - alpha) * b, f, c.tol)
+        left = strength(alpha * a, f, c.tol).value + strength((1.0 - alpha) * b, f, c.tol).value
         c(left >= alpha * la + (1.0 - alpha) * lb - 1e-8 * sc, f"concavity alpha={alpha}")
 
 
@@ -592,7 +588,7 @@ def _maximality(c, a, b, cplx):
     b_dec = core.eig_hermitian(b, c.tol)  # and for the 100 strengths
     for k in range(100):
         v = random_ray_in_range(c.rng, a, cplx)
-        lam = _lam(b_dec, v, c.tol)
+        lam = strength(b_dec, v, c.tol).value
         minorant = float(c.rng.uniform(0.0, 1.0)) * lam * core.rank_one(v)
         if k < 5:  # the premises c <= b, c AC a: two more eighs per minorant
             c(core.loewner_leq(minorant, b, c.tol), "minorant below b")

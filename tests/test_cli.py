@@ -830,6 +830,20 @@ class TestReverifyTampered:
         assert code == 0 and report["verdict"] == {"rank": 1}
         assert cli.reverify_report(report) == []
 
+    def test_compress_reports_on_graded_b_reverify(self):
+        """``b = q diag(10^linspace(-L, L, 6)) q*``, L = 3..12, against four ``a`` of rank 6, 3, 2
+        and 4.  ``b~`` is ``P - a~``: a second congruence for it rounds apart from ``a~``, and
+        15 of these 40 reports then fail a ``psd``, ``sum_equals`` or ``leq`` claim."""
+        q = sampling.random_unitary(np.random.default_rng(0), 6, True)
+        operands = [sampling.random_psd(sampling.rng_from_seed(seed), 6, rank) for seed, rank in ((5, None), (5, 3), (3, 2), (7, 4))]
+        failures = {}
+        for k, a in enumerate(operands):
+            for level in range(3, 13):
+                b = po.hermitian_part((q * 10.0 ** np.linspace(-level, level, 6)) @ q.conj().T)
+                inputs = {"a": cli.memory_value("a", a), "b": cli.memory_value("b", b)}
+                failures[k, level] = cli.reverify_report(json.loads(cli._dumps(cli.cmd_compress(inputs, po.DEFAULT_TOL))))
+        assert {pair: f for pair, f in failures.items() if f} == {}
+
     def test_leq_report_over_an_indefinite_a(self, capsys, files, tmp_path):
         """A refuted `leq` report is certified by its `strength_gap` claim, which reads
         `strength` of both operands, so `leq` rejects an indefinite ``a = diag(1, -1)``

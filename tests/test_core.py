@@ -67,6 +67,15 @@ class TestEigDecompReads:
         assert dec.kept().tolist() == [False, True, True]
         assert dec.range_basis().shape == (3, 2)
 
+    def test_product_is_exactly_hermitian(self, rng):
+        """`core._product` of a complex 5×3 ``x`` and a Hermitian 3×3 ``m``: exactly Hermitian,
+        and ``x m x*`` to rounding."""
+        x = sampling.random_vector(rng, 15).reshape(5, 3)
+        m = sampling.random_psd(rng, 3) - sampling.random_psd(rng, 3)
+        p = core._product(x, m)
+        assert np.iscomplexobj(p) and np.array_equal(p, p.conj().T)
+        np.testing.assert_allclose(p, x @ m @ x.conj().T, rtol=0.0, atol=1e-14 * float(np.abs(p).max()))
+
     def test_require_psd(self):
         dec = po.eig_hermitian(np.diag([1.0, -0.5]))
         with pytest.raises(po.NotPsdError) as info:
@@ -473,6 +482,30 @@ class TestTolerance:
         outside = {m: reads(ast.parse(inspect.getsource(importlib.import_module(f"psdorder.{m}"))))
                    for m in ("strength", "lebesgue", "lattice", "forms")}
         assert outside == dict.fromkeys(outside, [])
+
+    def test_each_product_and_order_test_is_written_once(self):
+        """Outside `core` no `core._symmetrized` call takes a ``@`` product, as `core._product` forms
+        every ``x m x*``; the exception is `lattice`'s candidate ``(z / max(w, 1 - w)) z*``, whose
+        division keeps its bits.  ``a <= b`` as ``(LEQ, EQUAL)`` is written only in
+        `core.loewner_leq` and `strength._order_test`, and the aliases of both are gone."""
+        products, orders = [], set()
+        for m in ("core", "strength", "lebesgue", "lattice", "forms", "sampling", "selftest", "cli"):
+            stack = [(ast.parse(inspect.getsource(importlib.import_module(f"psdorder.{m}"))), None)]
+            while stack:  # each node with its innermost enclosing function
+                node, owner = stack.pop()
+                for child in ast.iter_child_nodes(node):
+                    inner = child.name if isinstance(child, ast.FunctionDef) else owner
+                    stack.append((child, inner))
+                    func = getattr(child, "func", None)
+                    if m != "core" and getattr(func, "attr", getattr(func, "id", None)) == "_symmetrized" and any(
+                        isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult) for n in ast.walk(child)
+                    ):
+                        products.append((m, inner, ast.unparse(child)))
+                    if isinstance(child, ast.Tuple) and [getattr(e, "attr", None) for e in child.elts] == ["LEQ", "EQUAL"]:
+                        orders.add((m, inner))
+        assert products == [("lattice", "inf_exists", "core._symmetrized(z / np.maximum(w, 1.0 - w) @ z.conj().T)")]
+        assert orders == {("core", "loewner_leq"), ("strength", "_order_test")}
+        assert not hasattr(sampling, "_product") and not hasattr(importlib.import_module("psdorder.selftest"), "_lam")
 
 
 class TestOverflow:
