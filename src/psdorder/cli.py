@@ -482,11 +482,11 @@ def cmd_inf(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
 
 
 def cmd_lebesgue(inputs: dict[str, LoadedValue], tol: Tolerance, seed=None) -> dict:
-    parts = lebesgue.ac_part(inputs["b"].value, inputs["a"].value, tol)
-    verdict = {
-        "ac_rank": core.numeric_rank(parts.ac, tol),
-        "sing_rank": core.numeric_rank(parts.sing, tol),
-    }
+    db, da, unit = core._operands(inputs["b"].value, inputs["a"].value, tol=tol)
+    parts = lebesgue.ac_part(db, da, unit)
+    # the decision's ranks: [a]b lives on ran a ∩ ran b, so rank(b - [a]b) = rank b - rank [a]b
+    qb, _, c0 = lebesgue._angles(da, db, unit)
+    verdict = {"ac_rank": c0.shape[1], "sing_rank": qb.shape[1] - c0.shape[1]}
     witnesses = {"ac": parts.ac, "sing": parts.sing, "projector": parts.projector}
     return _report("lebesgue", inputs, tol, seed, verdict, witnesses)
 

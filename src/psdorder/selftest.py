@@ -150,18 +150,25 @@ def check_invariants(
     return tally
 
 
+def _stream(seed: int, name: str) -> np.random.Generator:
+    """The instance stream of entry ``name`` at ``psdorder selftest --seed seed``, keyed by the name."""
+    return np.random.default_rng([seed, *name.encode()])
+
+
 def run_selftest(seed: int = 0, trials: int = 20, tol: Tolerance = DEFAULT_TOL) -> dict:
     """Run every catalogue entry; returns a summary dictionary.
 
     ``trials`` is the number of seeded instances per entry (at least 1).
-    Entry ``i`` draws from ``default_rng([seed, i])`` (a `SeedSequence`), so
-    entries are independent, also across seeds.  Checks are counted per suite.
+    Entry ``name`` draws from `_stream` ``(seed, name)``, so entries are independent, also
+    across seeds, and adding or reordering entries moves no other entry's stream; only
+    ``core.band``'s cycle through the other samplers follows registration order.
+    Checks are counted per suite.
     """
     if trials < 1:
         raise MatrixError("trials must be at least 1")
     suites = {e.suite: Tally(e.suite) for e in CATALOGUE.values()}
-    for index, e in enumerate(CATALOGUE.values()):
-        check_invariants([e.name], np.random.default_rng([seed, index]), trials, tol, suites[e.suite])
+    for e in CATALOGUE.values():
+        check_invariants([e.name], _stream(seed, e.name), trials, tol, suites[e.suite])
     passed = sum(s.passed for s in suites.values())
     failed = sum(s.failed for s in suites.values())
     return {
@@ -259,14 +266,16 @@ def _graded_parallel_sum(big, small) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# samplers ``(rng, t) -> instance``: dimension 1 + t % 6, or 2 + t % 5 where
-# pairs must be incomparable; ranks uniform in 1..n; `_ray` in ran A on two
-# trials in three; every (dimension, real/complex, in range) combination within
-# 36 trials.  A sampler that calls another draws that one's values first.
+# samplers ``(rng, t) -> instance``: dimension and real/complex by `_shape`, from
+# dimension 2 where pairs must be incomparable; ranks uniform in 1..n; `_ray` in
+# ran A on two trials in three; every (dimension, real/complex, in range)
+# combination within 36 trials.  A sampler that calls another draws that one's
+# values first.
 
 
-def _is_complex(t: int) -> bool:
-    return bool((t + t // 6) % 2)
+def _shape(t: int, smallest: int = 1) -> tuple[int, bool]:
+    """Trial ``t``'s ``(dimension, complex)``: dimensions ``smallest``..6 in turn, each real and complex."""
+    return smallest + t % (7 - smallest), bool((t + t // 6) % 2)
 
 
 def _draw_psd(rng, n: int, cplx: bool) -> np.ndarray:
@@ -278,16 +287,14 @@ def _ray(rng, a, t: int, cplx: bool) -> np.ndarray:
 
 
 def _psd(rng, t):
-    n = 1 + t % 6
-    cplx = _is_complex(t)
+    n, cplx = _shape(t)
     rank = int(rng.integers(1, n + 1))
     return random_psd(rng, n, rank=rank, complex_entries=cplx), rank, cplx
 
 
 def _operator_and_ray(rng, t):
     """(A, f); A = 0 sometimes."""
-    n = 1 + t % 6
-    cplx = _is_complex(t)
+    n, cplx = _shape(t)
     a = np.zeros((n, n)) if t % 50 == 17 else _draw_psd(rng, n, cplx)
     return a, _ray(rng, a, t, cplx)
 
@@ -298,8 +305,7 @@ def _ray_in_range(rng, t):
 
 
 def _psd_pair(rng, t):
-    n = 1 + t % 6
-    cplx = _is_complex(t)
+    n, cplx = _shape(t)
     return _draw_psd(rng, n, cplx), _draw_psd(rng, n, cplx)
 
 
@@ -310,8 +316,7 @@ def _ordered_pair(rng, t):
 
 def _not_below(rng, t):
     """Pairs with a <= b false: incomparable, or a > b for t % 4 == 3."""
-    n = 2 + t % 5
-    cplx = _is_complex(t)
+    n, cplx = _shape(t, 2)
     if t % 4 == 3:
         b = random_psd(rng, n, complex_entries=cplx)
         return b + random_psd(rng, n, complex_entries=cplx), b
@@ -320,35 +325,30 @@ def _not_below(rng, t):
 
 def _operator_pair_and_ray(rng, t):
     a, b = _psd_pair(rng, t)
-    return a, b, _ray(rng, a, t, _is_complex(t))
+    return a, b, _ray(rng, a, t, _shape(t)[1])
 
 
 def _reference_pair(rng, t):
     """(a, b) for decomposing b against a; a = 0 sometimes."""
-    n = 1 + t % 6
-    cplx = _is_complex(t)
+    n, cplx = _shape(t)
     a = np.zeros((n, n)) if t % 25 == 13 else _draw_psd(rng, n, cplx)
     return a, _draw_psd(rng, n, cplx), cplx
 
 
 def _incomparable(rng, t):
-    cplx = _is_complex(t)
-    return (*incomparable_pair(rng, 2 + t % 5, cplx), cplx)
+    n, cplx = _shape(t, 2)
+    return (*incomparable_pair(rng, n, cplx), cplx)
 
 
 def _mixed_pair(rng, t):
     """Five families in turn, so infima exist on some trials and not on others."""
     family = t % 5
-    cplx = _is_complex(t)
+    n, cplx = _shape(t, 3 if family == 2 else 2)
     if family == 0:  # full rank, mutually AC
-        a, b = incomparable_pair(rng, 2 + t % 5, cplx)
-        a = a + 0.3 * np.eye(a.shape[0])
-        b = b + 0.3 * np.eye(a.shape[0])
+        a, b = (m + 0.3 * np.eye(n) for m in incomparable_pair(rng, n, cplx))
     elif family == 1:  # rank-deficient, equal ranges
-        n = 2 + t % 5
         a, b = sampling.shared_core_pair(rng, n, int(rng.integers(1, n + 1)), cplx)
     elif family == 2:  # singular tails on both sides
-        n = 3 + t % 4
         a, b = sampling.shared_core_pair(rng, n, int(rng.integers(1, n - 1)), cplx, tails=True)
     elif family == 3:  # comparable
         a, b = _ordered_pair(rng, t)
@@ -360,21 +360,20 @@ def _mixed_pair(rng, t):
 
 def _shared_core(rng, t):
     """Pairs on one core subspace; on every third trial, private tails where they fit."""
-    n = 2 + t % 5
+    n, cplx = _shape(t, 2)
     rank = int(rng.integers(1, n + 1))
     tails = t % 3 == 0 and rank + 2 <= n
-    return sampling.shared_core_pair(rng, n, rank, _is_complex(t), tails=tails)
+    return sampling.shared_core_pair(rng, n, rank, cplx, tails=tails)
 
 
 def _disjoint(rng, t):
-    return sampling.disjoint_projector_pair(rng, 2 + t % 5, complex_entries=_is_complex(t))
+    return sampling.disjoint_projector_pair(rng, *_shape(t, 2))
 
 
 def _report_inputs(rng, t):
     """Operands for every subcommand: a, b, a ray in ran a, a + p >= a, and
     an incomparable pair x, y."""
-    n = 2 + t % 5
-    cplx = _is_complex(t)
+    n, cplx = _shape(t, 2)
     a, b = _draw_psd(rng, n, cplx), _draw_psd(rng, n, cplx)
     f = random_ray_in_range(rng, a, cplx)
     above = a + random_psd(rng, n, rank=1, complex_entries=cplx)
@@ -551,8 +550,8 @@ def _concavity(c, a, b, f):
     la, lb = strength(a, f, c.tol).value, strength(b, f, c.tol).value
     sc = eig_scale(a, b)
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        left = strength(alpha * a, f, c.tol).value + strength((1.0 - alpha) * b, f, c.tol).value
-        c(left >= alpha * la + (1.0 - alpha) * lb - 1e-8 * sc, f"concavity alpha={alpha}")
+        mixed = strength(alpha * a + (1.0 - alpha) * b, f, c.tol).value
+        c(mixed >= alpha * la + (1.0 - alpha) * lb - 1e-8 * sc, f"concavity alpha={alpha}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import inspect
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 import psdorder as po
 import test_acceptance
 from psdorder import cli, sampling, selftest
+from test_lattice import graded_pairs
 from test_strength import JUST_OUTSIDE
 
 
@@ -458,6 +460,33 @@ class TestCommands:
                 inputs = {"a": cli.memory_value("a", 2.0**k * a), "b": cli.memory_value("b", 2.0**k * b)}
                 report = json.loads(cli._dumps(cli.cmd_lebesgue(inputs, po.DEFAULT_TOL)))
                 assert cli.reverify_report(report) == [], (n, report["verdict"])
+
+    def test_lebesgue_reports_the_ranks_its_decision_read(self):
+        """On the pair's unit ``2e-9`` is below the rank cutoff, so ``ran b`` lies in ``ran a``
+        and ``[a]b`` has rank 2.  Read on the part's own unit, its third eigenvalue counted and
+        the report said ``ac_rank`` 3, above ``rank a``; it re-verified all the same."""
+        a, b = np.diag([1e4, 1e4, 0.0]), np.diag([1e-4, 1e-4, 2e-9])
+        inputs = {"a": cli.memory_value("a", a), "b": cli.memory_value("b", b)}
+        report = json.loads(cli._dumps(cli.cmd_lebesgue(inputs, po.DEFAULT_TOL)))
+        assert report["verdict"] == {"ac_rank": 2, "sing_rank": 0}
+        assert cli.reverify_report(report) == []
+
+    @pytest.mark.parametrize("family", ["both", "low_a"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lebesgue_ranks_on_graded_pairs_are_the_decisions(self, seed, family):
+        """`test_lattice.graded_pairs`, 20 per L = 3..12: ``[a]b`` lives on ``ran a ∩ ran b``, so
+        ``ac_rank + sing_rank = rank b`` and ``ac_rank <= rank a``, both ranks by `EigDecomp.kept`
+        on the pair's unit.  Read from each part's own eigh, 14 and 4 of 200 pairs broke this at
+        seed 0, and 14 and 3 at seed 1."""
+        broken = []
+        for level, a, b in graded_pairs(seed, family, 20):
+            inputs = {"a": cli.memory_value("a", a), "b": cli.memory_value("b", b)}
+            verdict = cli.cmd_lebesgue(inputs, po.DEFAULT_TOL)["verdict"]
+            da, db, unit = po.core._operands(a, b, tol=po.DEFAULT_TOL)
+            rank_a, rank_b = (int(np.count_nonzero(d.kept(unit))) for d in (da, db))
+            if verdict["ac_rank"] + verdict["sing_rank"] != rank_b or verdict["ac_rank"] > rank_a:
+                broken.append((level, verdict, rank_a, rank_b))
+        assert broken == []
 
     def test_parsum_reads_the_tolerance(self, capsys, files):
         """``u u* : w w*`` for rays ``1e-6`` apart: ``ran a ∩ ran b`` is one line at
@@ -1025,12 +1054,38 @@ class TestSelftestCommand:
         }
 
     def test_every_sampler_draws_one_stream(self):
-        """Each sampler is ``(rng, t) -> instance``.  `core.band` cycles through
-        the 13 other distinct samplers, so merging two of them would move its
-        stream."""
+        """Each sampler is ``(rng, t) -> instance``, and each entry's stream is keyed by its
+        name.  `core.band` cycles through the 13 other distinct samplers in registration
+        order, the one order a stream still follows, so merging or reordering two of them
+        would move its stream."""
         samplers = list(dict.fromkeys(e.sample for e in selftest.CATALOGUE.values()))
         assert [list(inspect.signature(s).parameters) for s in samplers] == [["rng", "t"]] * 14
         assert samplers[-1] is selftest.CATALOGUE["core.band"].sample  # after the other 13
+
+    def test_a_new_entry_moves_no_other_stream(self, monkeypatch):
+        """An entry prepended to the catalogue, on `_psd` so that `core.band`'s cycle is
+        unchanged, leaves the instances every other entry's check receives as they were."""
+
+        def instances(catalogue):
+            seen = {}
+
+            def recording(e):
+                def check(c, *instance):
+                    seen.setdefault(e.name, []).append(pickle.dumps(instance))
+                    e.check(c, *instance)
+
+                return selftest.Invariant(e.name, e.sample, check)
+
+            monkeypatch.setattr(selftest, "CATALOGUE", {name: recording(e) for name, e in catalogue.items()})
+            selftest.run_selftest(seed=0, trials=2)
+            return seen
+
+        catalogue = dict(selftest.CATALOGUE)
+        before = instances(catalogue)
+        first = selftest.Invariant("scratch.first", selftest._psd, lambda c, *instance: None)
+        after = instances({first.name: first, **catalogue})
+        assert len(before) == 41 and set(after) == {first.name, *before}
+        assert [name for name in before if after[name] != before[name]] == []
 
     def test_summary_is_canonical(self, capsys):
         assert cli.main(["selftest", "--trials", "2", "--json"]) == 0

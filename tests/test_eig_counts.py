@@ -277,6 +277,18 @@ def test_cli_leq_reads_verdict_and_ray_from_one_decomposition(linalg_calls, inst
     assert calls == (eigh, svd, cholesky + 2)
 
 
+@pytest.mark.parametrize("ref, ranks, svd", [("low", (2, N - 2), 2), ("a", (N, 0), 0)], ids=["low", "a"])
+def test_cli_lebesgue_decomposes_only_its_operands(linalg_calls, inst, ref, ranks, svd):
+    """The ranks are read from the principal angles `ac_part` decided on, so eigh sees the
+    two operands and neither ``ac`` nor ``sing``; the angles' SVD runs in `ac_part` and
+    again for the ranks, and only when ``ran a`` is not the whole space."""
+    inputs = {"a": cli.memory_value("a", inst[ref]), "b": cli.memory_value("b", inst["b"])}
+    calls, report = count(linalg_calls, cli.cmd_lebesgue, inputs, po.DEFAULT_TOL)
+    assert report["verdict"] == dict(zip(("ac_rank", "sing_rank"), ranks))
+    assert calls == (2, svd, 0)
+    assert [shape for name, shape in linalg_calls if name == "eigh"] == [(N, N)] * 2
+
+
 @pytest.mark.parametrize(
     "lo, hi, exists, calls", [("low", "up", True, (2, 2, 6)), ("a", "b", False, (3, 0, 6))]
 )

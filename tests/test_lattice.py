@@ -422,17 +422,14 @@ class TestInfExists:
         assert (flips, form_disagrees) == ([], [])
 
 
-def graded_inf_failures(seed: int, family: str, pairs: int) -> dict[int, int]:
-    """ROADMAP item 20's graded probe: for each L = 3..12, ``pairs`` pairs drawn from
+def graded_pairs(seed: int, family: str, pairs: int):
+    """ROADMAP item 20's graded pairs ``(L, a, b)``: for each L = 3..12, ``pairs`` pairs drawn from
     ``default_rng(seed)``, ``n`` in 3..8 and complex on odd pairs, with ``b = q diag(10^U(-L, L)) q*``.
 
     ``family`` draws ``a``: ``"one"`` a full-rank `random_psd`, ``"both"`` graded like ``b``,
-    ``"low_a"`` a `random_psd` of rank in 1..n-1.  A pair fails when `cli.cmd_inf` on
-    `cli.memory_value` inputs raises, or its serialized report fails `cli.reverify_report`.
-    Returns the failures per L that has any.
+    ``"low_a"`` a `random_psd` of rank in 1..n-1.
     """
     rng = np.random.default_rng(seed)
-    failures = {}
     for level in range(3, 13):
         for k in range(pairs):
             n, cplx = int(rng.integers(3, 9)), k % 2 == 1
@@ -443,14 +440,23 @@ def graded_inf_failures(seed: int, family: str, pairs: int) -> dict[int, int]:
 
             rank = int(rng.integers(1, n)) if family == "low_a" else None
             a = graded() if family == "both" else sampling.random_psd(rng, n, rank=rank, complex_entries=cplx)
-            b = graded()
-            try:
-                inputs = {"a": cli.memory_value("a", a), "b": cli.memory_value("b", b)}
-                ok = cli.reverify_report(json.loads(cli._dumps(cli.cmd_inf(inputs, po.DEFAULT_TOL)))) == []
-            except (core.MatrixError, core.ToleranceBreakdownError, cli.CliInputError, OverflowError):
-                ok = False  # the CLI refuses the pair; any other error is the probe's own and propagates
-            if not ok:
-                failures[level] = failures.get(level, 0) + 1
+            yield level, a, graded()
+
+
+def graded_inf_failures(seed: int, family: str, pairs: int) -> dict[int, int]:
+    """ROADMAP item 20's graded probe on `graded_pairs`: a pair fails when `cli.cmd_inf` on
+    `cli.memory_value` inputs raises, or its serialized report fails `cli.reverify_report`.
+    Returns the failures per L that has any.
+    """
+    failures = {}
+    for level, a, b in graded_pairs(seed, family, pairs):
+        try:
+            inputs = {"a": cli.memory_value("a", a), "b": cli.memory_value("b", b)}
+            ok = cli.reverify_report(json.loads(cli._dumps(cli.cmd_inf(inputs, po.DEFAULT_TOL)))) == []
+        except (core.MatrixError, core.ToleranceBreakdownError, cli.CliInputError, OverflowError):
+            ok = False  # the CLI refuses the pair; any other error is the probe's own and propagates
+        if not ok:
+            failures[level] = failures.get(level, 0) + 1
     return failures
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import psdorder as po
 from psdorder import core, lebesgue, sampling
-from psdorder.selftest import CATALOGUE, _mixed_pair, _psd_pair, eig_scale
+from psdorder.selftest import _mixed_pair, _psd_pair, _stream, eig_scale
 from conftest import holds
 
 
@@ -57,8 +57,12 @@ class TestParallelSum:
         holds(rng, 20, "lebesgue.parallel_sum")
 
     def test_monotone_on_the_selftest_seed_0_stream(self):
-        """Seed 19 is the stream `psdorder selftest --seed 0` draws for this entry; at
-        trial 52 a parallel sum formed from ``a + b`` once missed monotonicity."""
+        """The stream `psdorder selftest --seed 0` draws for this entry."""
+        holds(_stream(0, "lebesgue.monotone"), 100, "lebesgue.monotone")
+
+    def test_monotone_on_stream_19(self):
+        """A regression pin: at trial 52 of ``rng_from_seed(19)``, once `psdorder selftest --seed 0`'s
+        stream for this entry, a parallel sum formed from ``a + b`` missed monotonicity."""
         holds(19, 100, "lebesgue.monotone")
 
     def test_shares_the_intersection_rule(self):
@@ -136,9 +140,14 @@ class TestRangeQuestions:
     """Every range question reads the principal angles of one pair."""
 
     def test_selftest_seed_1_stream_of_random_pairs(self):
-        # the stream `psdorder selftest --seed 1` draws for this entry
+        """The stream `psdorder selftest --seed 1` draws for this entry."""
         name = "lebesgue.parts_mutually_ac.random_pairs"
-        holds(1 + list(CATALOGUE).index(name), 100, name)
+        holds(_stream(1, name), 100, name)
+
+    def test_random_pairs_on_stream_25(self):
+        """A regression pin: ``rng_from_seed(25)`` was `psdorder selftest --seed 1`'s stream for
+        this entry while entry ``i`` drew ``seed + i``."""
+        holds(25, 100, "lebesgue.parts_mutually_ac.random_pairs")
 
     def test_range_verdicts_do_not_change_under_scaling(self):
         rng = sampling.rng_from_seed(77)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,22 @@ class TestStrengthInvariants:
 
     def test_concavity(self, rng):
         holds(rng, 12, "strength.concavity")
+
+    def test_concavity_refutes_a_homogeneous_stand_in(self, monkeypatch):
+        """``λ(a, f)² / ‖a‖₂`` (``‖0‖`` read as 1) is homogeneous but not concave, so the
+        concavity entry must evaluate a mixture ``α a + (1 − α) b``: a sum of the strengths
+        of ``α a`` and ``(1 − α) b`` equals its own right-hand side by homogeneity."""
+        exact = selftest.strength
+
+        def stand_in(a, f, tol=po.DEFAULT_TOL):
+            res = exact(a, f, tol)
+            norm = float(np.linalg.norm(np.asarray(a), 2))
+            return dataclasses.replace(res, value=res.value**2 / (norm or 1.0))
+
+        monkeypatch.setattr(selftest, "strength", stand_in)
+        for name, fails in (("strength.homogeneity", False), ("strength.concavity", True)):
+            tally = selftest.check_invariants([name], sampling.rng_from_seed(404), 200)
+            assert (tally.failed > 0) is fails, (name, tally.failed)
 
     def test_supremum_property(self, rng):
         holds(rng, 20, "strength.supremum")
